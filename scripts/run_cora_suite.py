@@ -19,17 +19,16 @@ import time
 import numpy as np
 
 from distsig.gnn import (
-    ETA_GRID,
+    VARIANTS,
     TrainConfig,
     load_cora_dir,
     main_component,
     make_split,
     train,
+    tune_eta,
 )
 from distsig.regularizer import nonuniformity_counts
 from distsig.spectral import laplacian_spectrum
-
-VARIANTS = ("gcn", "r", "r1", "r2", "r3", "lap")
 
 
 def main():
@@ -56,19 +55,12 @@ def main():
         accs = []
         for seed in range(args.seeds):
             split = make_split(labels, 20, 500, 1000, seed)
+            cfg = TrainConfig(variant=variant, seed=seed)
             if variant == "gcn":
-                m = train(g, features, labels, split,
-                          TrainConfig(variant="gcn", seed=seed),
-                          component_spectrum=spectrum)
+                m = train(g, features, labels, split, cfg, component_spectrum=spectrum)
             else:
-                best = None
-                for eta in ETA_GRID:
-                    cand = train(g, features, labels, split,
-                                 TrainConfig(variant=variant, eta=eta, seed=seed),
-                                 component_spectrum=spectrum)
-                    if best is None or max(cand.val_acc) > max(best.val_acc):
-                        best = cand
-                m = best
+                m, _ = tune_eta(g, features, labels, split, cfg,
+                                component_spectrum=spectrum)
             accs.append(m.test_acc)
             near_u, near_one = nonuniformity_counts(m.final_probs, 0.01, 0.01)
             rows.append({

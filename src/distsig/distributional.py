@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
+    COVER_MAX_EDGES,
     Graph,
     GraphError,
     SpanningTree,
@@ -25,7 +26,7 @@ from .graph import (
     clique_number_complement,
     enumerate_spanning_trees,
     is_connected,
-    laplacian,
+    tree_edge_masks,
 )
 from .simplex import InfeasibleError, solve_lp
 
@@ -224,7 +225,7 @@ def coupling_lp_oracle(mu, nu) -> float:
 def tv_l1_l2(g: Graph, marginals) -> tuple[float, float]:
     """Edgewise l1 and squared-l2 variation of the marginal columns.
 
-    The squared form is cross-checked against the Laplacian trace identity.
+    The squared form equals the Laplacian trace Tr(X^T L X).
     """
     nn = as_marginals(marginals)
     x = nn.matrix
@@ -236,13 +237,10 @@ def tv_l1_l2(g: Graph, marginals) -> tuple[float, float]:
         diff = x[u] - x[v]
         l1 += float(np.abs(diff).sum())
         l2 += float((diff * diff).sum())
-    trace = float(np.sum(x * (laplacian(g) @ x)))
-    if abs(l2 - trace) > 1e-9 * max(1.0, abs(l2)):
-        raise RuntimeError(f"l2 variation forms disagree: {l2!r} vs {trace!r}")
     return l1, l2
 
 
-def tv_exact(g: Graph, marginals, max_table: int = JOINT_TABLE_CAP, return_joint: bool = False):
+def tv_exact(g: Graph, marginals, return_joint: bool = False):
     """Smallest expected edgewise disagreement over all joint couplings.
 
     Solves the exact linear program on the full joint table; only feasible for
@@ -252,8 +250,8 @@ def tv_exact(g: Graph, marginals, max_table: int = JOINT_TABLE_CAP, return_joint
     if nn.n != g.n:
         raise ValueError(f"marginal count {nn.n} does not match n={g.n}")
     n, m = nn.n, nn.m
-    if m ** n > max_table:
-        raise ValueError(f"state space too large: m^n = {m ** n} exceeds cap {max_table}")
+    if m ** n > JOINT_TABLE_CAP:
+        raise ValueError(f"state space too large: m^n = {m ** n} exceeds cap {JOINT_TABLE_CAP}")
     states = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
     cost = np.zeros(states.shape[0])
     for u, v in g.edges:
@@ -341,8 +339,7 @@ def tv_tree_rooted(g: Graph, tree: SpanningTree, v0: int, marginals) -> float:
 
 
 def tv_cover(g: Graph, marginals, size_cap: int | None = None,
-             tree_cap: int = 10000, trees: list[SpanningTree] | None = None
-             ) -> tuple[float, TreeCover]:
+             trees: list[SpanningTree] | None = None) -> tuple[float, TreeCover]:
     """Cheapest spanning-tree cover variation within a cover-size cap.
 
     Per-tree variation is half its l1 variation (exact on trees); the search
@@ -355,26 +352,13 @@ def tv_cover(g: Graph, marginals, size_cap: int | None = None,
     if g.n == 1:
         return 0.0, TreeCover((SpanningTree(1, ()),))
     if trees is None:
-        trees = enumerate_spanning_trees(g, cap=tree_cap)
+        trees = enumerate_spanning_trees(g)
     if size_cap is None:
         _, c1 = clique_number_complement(g)
         size_cap = max(c1, 3)
-    edge_l1 = {}
-    eidx = {}
-    for i, (u, v) in enumerate(g.edges):
-        edge_l1[(u, v)] = float(np.abs(x[u] - x[v]).sum())
-        eidx[(u, v)] = i
-    masks = []
-    weights = []
-    for t in trees:
-        mask = 0
-        w = 0.0
-        for e in t.edges:
-            mask |= 1 << eidx[e]
-            w += edge_l1[e]
-        masks.append(mask)
-        weights.append(0.5 * w)
-    res = _min_weight_cover(masks, weights, g.m, size_cap)
+    edge_l1 = {(u, v): float(np.abs(x[u] - x[v]).sum()) for u, v in g.edges}
+    weights = [0.5 * sum(edge_l1[e] for e in t.edges) for t in trees]
+    res = _min_weight_cover(tree_edge_masks(g, trees), weights, g.m, size_cap)
     if res is None:
         raise GraphError(f"no cover within cap {size_cap}")
     val, idx = res
@@ -383,22 +367,21 @@ def tv_cover(g: Graph, marginals, size_cap: int | None = None,
 
 # --- inequality chains ----------------------------------------------------
 
-def check_tv_bounds(g: Graph, marginals, *, tol: float = 1e-9,
-                    tree_cap: int = 10000, cover_cap: int | None = None,
-                    max_table: int = JOINT_TABLE_CAP) -> dict:
+def check_tv_bounds(g: Graph, marginals) -> dict:
     """Evaluate every variation notion and verify the inequality chains.
 
     Returns a JSON-ready report with all values, per-inequality margins, any
     violations, and whether the weaker sqrt(|S|*n) tail constant also holds.
     """
+    tol = 1e-9
     nn = as_marginals(marginals)
     tg1, tg2 = tv_l1_l2(g, nn)
-    tg = tv_exact(g, nn, max_table=max_table)
-    trees = enumerate_spanning_trees(g, cap=tree_cap)
+    tg = tv_exact(g, nn)
+    trees = enumerate_spanning_trees(g)
     tghv = [tv_tree_rooted(g, t, r, nn) for t in trees for r in range(g.n)]
     tghv_min = min(tghv)
     _, c1 = clique_number_complement(g)
-    tcov, cover = tv_cover(g, nn, size_cap=cover_cap, trees=trees)
+    tcov, cover = tv_cover(g, nn, trees=trees)
     c3 = math.sqrt(nn.m * g.m)
     checks = [
         ("tg2_le_tg1", tg2, tg1),
@@ -453,7 +436,23 @@ def _corpus_one(args) -> dict:
 
 def run_bound_corpus(trials: int, seed: int, *, max_n: int = 6, max_m: int = 3,
                      jobs: int = 1, keep_instances: bool = True) -> dict:
-    """Fuzz the inequality chains over a seeded corpus; order-stable merge."""
+    """Fuzz the inequality chains over a seeded corpus; order-stable merge.
+
+    Sizes that some instance could not be checked at are refused up front:
+    every instance draws n <= max_n nodes and m <= max_m labels, so the
+    largest possible joint table and cover search must fit their caps.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if max_n < 2 or max_m < 2:
+        raise ValueError(f"max_n and max_m must be >= 2, got {max_n} and {max_m}")
+    max_edges = max_n * (max_n - 1) // 2
+    if max_edges > COVER_MAX_EDGES:
+        raise ValueError(f"max_n = {max_n} allows {max_edges} edges, over the cover-search "
+                         f"limit {COVER_MAX_EDGES}")
+    if max_m ** max_n > JOINT_TABLE_CAP:
+        raise ValueError(f"max_m^max_n = {max_m ** max_n} exceeds the joint-table cap "
+                         f"{JOINT_TABLE_CAP}")
     args = [(seed, i, max_n, max_m) for i in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -476,7 +475,7 @@ def run_bound_corpus(trials: int, seed: int, *, max_n: int = 6, max_m: int = 3,
         "violation_count": len(violations),
         "violations": violations,
         "worst_margins": {k: float(v) for k, v in sorted(worst.items())},
-        "c3_paper_pass_rate": sum(r["c3_paper_holds"] for r in reports) / max(trials, 1),
+        "c3_paper_pass_rate": sum(r["c3_paper_holds"] for r in reports) / trials,
     }
     if keep_instances:
         out["instances"] = reports

@@ -22,13 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, GraphError, build_graph, main_component, sbm_generate
-from .regularizer import (
-    EPS_SWEEP_DEFAULT,
-    WeightDiag,
-    nonuniformity_sweep,
-    softmax_rows,
-    softmax_vjp,
-)
+from .regularizer import WeightDiag, nonuniformity_sweep, softmax_rows, softmax_vjp
 from .spectral import gft, high_freq_fraction, laplacian_spectrum, normalize_signal
 
 log = logging.getLogger(__name__)
@@ -445,8 +439,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
     return metrics
 
 
-def output_analysis(g: Graph, probs, *, component_spectrum=None, normalize: bool = True,
-                    cut: float = 0.5, eps_values=EPS_SWEEP_DEFAULT) -> dict:
+def output_analysis(g: Graph, probs, *, component_spectrum=None) -> dict:
     """Spectral profile per class column (on the main component) + count sweep."""
     probs = np.asarray(probs, dtype=float)
     if component_spectrum is None:
@@ -457,31 +450,16 @@ def output_analysis(g: Graph, probs, *, component_spectrum=None, normalize: bool
     hf = []
     for s in range(probs.shape[1]):
         col = probs[nodes, s]
-        if normalize:
-            try:
-                col = normalize_signal(col)
-            except ValueError:
-                pass  # constant column: keep raw, energy sits at frequency zero
-        hf.append(high_freq_fraction(gft(spectrum, col), cut))
+        try:
+            col = normalize_signal(col)
+        except ValueError:
+            pass  # constant column: keep raw, energy sits at frequency zero
+        hf.append(high_freq_fraction(gft(spectrum, col)))
     return {
         "hf_fraction_per_class": hf,
-        "nonuniformity_sweep": nonuniformity_sweep(probs, eps_values),
+        "nonuniformity_sweep": nonuniformity_sweep(probs),
         "entries_total": int(probs.size),
     }
-
-
-def evaluate(params: GcnParams, g: Graph, features, labels, node_set, *,
-             component_spectrum=None, normalize: bool = True, cut: float = 0.5,
-             eps_values=EPS_SWEEP_DEFAULT) -> dict:
-    """Accuracy on a node set plus the analysis bundle of the outputs."""
-    ahat = propagation_matrix(g)
-    _, x, _ = gcn_forward(params, ahat, np.asarray(features, dtype=float))
-    out = output_analysis(
-        g, x, component_spectrum=component_spectrum, normalize=normalize,
-        cut=cut, eps_values=eps_values,
-    )
-    out["accuracy"] = accuracy(x, np.asarray(labels), np.asarray(node_set))
-    return out
 
 
 ETA_GRID = (0.1, 0.2, 0.5, 1.0)

@@ -17,6 +17,8 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+COVER_MAX_EDGES = 20  # the cover DP holds 2^|E| states per level
+
 
 class GraphError(ValueError):
     """Invalid graph construction or an infeasible graph query."""
@@ -295,6 +297,12 @@ def clique_number_complement(g: Graph, limit: int = 32) -> tuple[int, int]:
     return best, g.n - best
 
 
+def tree_edge_masks(g: Graph, trees) -> list[int]:
+    """Each tree's edge set as a bitmask over ``g.edges`` (bit i is edge i)."""
+    eidx = {e: i for i, e in enumerate(g.edges)}
+    return [sum(1 << eidx[e] for e in t.edges) for t in trees]
+
+
 def _min_weight_cover(masks, weights, n_edges, size_cap):
     """Exact minimum-weight cover of the full edge set by at most size_cap masks.
 
@@ -302,8 +310,9 @@ def _min_weight_cover(masks, weights, n_edges, size_cap):
     search but polynomial in 2^n_edges instead of C(#masks, cap).  Returns
     (cost, indices) or None when no cover fits the cap.
     """
-    if n_edges > 20:
-        raise GraphError(f"cover search infeasible for {n_edges} edges")
+    if n_edges > COVER_MAX_EDGES:
+        raise GraphError(
+            f"cover search infeasible for {n_edges} edges (limit {COVER_MAX_EDGES})")
     full = (1 << n_edges) - 1
     shape = (2,) * n_edges if n_edges else (1,)
     size = 1 << n_edges
@@ -367,23 +376,16 @@ def _min_weight_cover(masks, weights, n_edges, size_cap):
     return float(best), sorted(chosen)
 
 
-def min_tree_cover(g: Graph, size_cap: int | None = None, tree_cap: int = 10000) -> TreeCover:
+def min_tree_cover(g: Graph, size_cap: int | None = None) -> TreeCover:
     """Smallest set of spanning trees covering every edge, within a size cap."""
-    trees = enumerate_spanning_trees(g, cap=tree_cap)
+    trees = enumerate_spanning_trees(g)
     omega_bar, c1 = (None, None)
     if g.n <= 32:
         omega_bar, c1 = clique_number_complement(g)
     if size_cap is None:
         size_cap = max(c1 if c1 is not None else 3, 3)
-    eidx = {e: i for i, e in enumerate(g.edges)}
-    masks = []
-    for t in trees:
-        m = 0
-        for e in t.edges:
-            m |= 1 << eidx[e]
-        masks.append(m)
     # unit weights: minimum total weight == minimum cover size
-    res = _min_weight_cover(masks, [1.0] * len(trees), g.m, size_cap)
+    res = _min_weight_cover(tree_edge_masks(g, trees), [1.0] * len(trees), g.m, size_cap)
     if res is None:
         raise GraphError(f"no cover within cap {size_cap}")
     _, idx = res

@@ -2,7 +2,10 @@
 
 The combined loss couples the Laplacian quadratic form (smoothness across
 edges) with a nonpositive diagonal reweighting that rewards confident rows,
-justified by a transport lower bound against the uniform distribution.
+justified by a transport lower bound against the uniform distribution.  The
+traces and their logit gradients are computed on a sparse Laplacian by
+``gnn._reg_value_and_grad``; this module holds the weights, the softmax
+pieces, the transport bound and the entry-count statistics.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, laplacian
+from .graph import Graph
 
 log = logging.getLogger(__name__)
 
@@ -81,44 +84,10 @@ def softmax_rows(o: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def loss_components(x, g: Graph, d: WeightDiag) -> tuple[float, float, float]:
-    """(smoothness, confidence, combined) traces of X.
-
-    smoothness = Tr(X^T L X), confidence = Tr(X^T D X); the combined value is
-    computed independently from L + D and must equal their sum.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != g.n or d.n != g.n:
-        raise ValueError("shape mismatch between X, graph and weights")
-    lap = laplacian(g)
-    l1 = float(np.sum(x * (lap @ x)))
-    l2 = float(np.sum((x * x) * d.a[:, None]))
-    m = lap + np.diag(d.a)
-    l0 = float(np.sum(x * (m @ x)))
-    if abs(l0 - (l1 + l2)) > 1e-9 * max(1.0, abs(l0)):
-        raise RuntimeError(f"loss decomposition broken: {l0!r} vs {l1 + l2!r}")
-    return l1, l2, l0
-
-
-def grad_loss0(x, g: Graph, d: WeightDiag) -> np.ndarray:
-    """Gradient of the combined trace in X: 2 (L + D) X."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != g.n or d.n != g.n:
-        raise ValueError("shape mismatch between X, graph and weights")
-    m = laplacian(g) + np.diag(d.a)
-    return 2.0 * (m @ x)
-
-
 def softmax_vjp(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Pull a gradient in softmax outputs back to logits, row by row."""
     inner = np.sum(x * grad, axis=-1, keepdims=True)
     return x * (grad - inner)
-
-
-def grad_loss0_logits(o, g: Graph, d: WeightDiag) -> np.ndarray:
-    """Gradient of combined-trace-of-softmax with respect to the logits."""
-    x = softmax_rows(o)
-    return softmax_vjp(x, grad_loss0(x, g, d))
 
 
 def nonuniformity_bound_check(x, d: WeightDiag, tol: float = 1e-9) -> dict:

@@ -8,9 +8,6 @@ import numpy as np
 
 from .graph import Graph, laplacian
 
-# hand-rolled Jacobi below this size, LAPACK above (same contract either way)
-JACOBI_MAX_N = 64
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -24,43 +21,6 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def _jacobi_eig(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi rotations until the off-diagonal Frobenius norm dies."""
-    a = a.astype(float).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
-    for _ in range(max_sweeps):
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # two-sided rotation on rows/cols p, q
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = ap * c - aq * s
-                a[:, q] = aq * c + ap * s
-                ap, aq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = ap * c - aq * s
-                a[q, :] = aq * c + ap * s
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = vp * c - vq * s
-                v[:, q] = vq * c + vp * s
-        off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
-    if off > tol:
-        raise RuntimeError(f"no convergence after {max_sweeps} sweeps (off-norm {off:.3e})")
-    return a.diagonal().copy(), v
-
-
 def _canonical_signs(u: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry (first on ties) is positive."""
     u = u.copy()
@@ -71,7 +31,7 @@ def _canonical_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def eig_sym(mat: np.ndarray, validate: bool = True) -> Spectrum:
+def eig_sym(mat: np.ndarray) -> Spectrum:
     """Full symmetric eigendecomposition with a deterministic sign convention.
 
     Ascending eigenvalues; for a Laplacian input the smallest must be ~0 and
@@ -86,21 +46,15 @@ def eig_sym(mat: np.ndarray, validate: bool = True) -> Spectrum:
     if asym > 1e-10:
         raise ValueError(f"matrix not symmetric (max asymmetry {asym:.3e})")
     n = mat.shape[0]
-    if n <= JACOBI_MAX_N:
-        vals, vecs = _jacobi_eig(mat)
-    else:
-        vals, vecs = np.linalg.eigh(mat)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = _canonical_signs(vecs[:, order])
-    if validate:
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        ortho = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
-        if ortho > 1e-8:
-            raise RuntimeError(f"eigenvectors not orthonormal (err {ortho:.3e})")
-        resid = np.max(np.abs(mat @ vecs - vecs * vals[None, :]))
-        if resid > 1e-8 * scale:
-            raise RuntimeError(f"eigenpair residual {resid:.3e} too large")
+    vals, vecs = np.linalg.eigh(mat)  # ascending eigenvalues
+    vecs = _canonical_signs(vecs)
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    ortho = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
+    if ortho > 1e-8:
+        raise RuntimeError(f"eigenvectors not orthonormal (err {ortho:.3e})")
+    resid = np.max(np.abs(mat @ vecs - vecs * vals[None, :]))
+    if resid > 1e-8 * scale:
+        raise RuntimeError(f"eigenpair residual {resid:.3e} too large")
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return Spectrum(vals, vecs)
@@ -129,7 +83,7 @@ def igft(spec: Spectrum, xhat) -> np.ndarray:
 
 
 def total_variation(g: Graph, x) -> float:
-    """Sum of squared differences across edges; cross-checked against x^T L x."""
+    """Sum of squared differences across edges, equal to x^T L x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ValueError(f"signal length {x.shape} does not match n={g.n}")
@@ -137,9 +91,6 @@ def total_variation(g: Graph, x) -> float:
     for u, v in g.edges:
         d = x[u] - x[v]
         edge_sum += d * d
-    quad = float(x @ laplacian(g) @ x)
-    if abs(edge_sum - quad) > 1e-10 * max(1.0, abs(edge_sum)):
-        raise RuntimeError(f"TV forms disagree: edge {edge_sum!r} vs quad {quad!r}")
     return edge_sum
 
 

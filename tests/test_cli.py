@@ -88,6 +88,22 @@ def test_bounds_rerun_byte_identical(tmp_path, capsys):
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
 
+@pytest.mark.parametrize("flags, limit", [
+    (["--trials", "0"], "trials must be >= 1"),
+    (["--n", "1"], "must be >= 2"),
+    (["--m", "1"], "must be >= 2"),
+    (["--n", "6", "--m", "4"], "joint-table cap 729"),
+    (["--n", "7"], "cover-search limit 20"),
+])
+def test_bounds_rejects_sizes_beyond_limits(tmp_path, capsys, flags, limit):
+    out = tmp_path / "report.json"
+    assert main(["bounds", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert limit in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # --- spectrum --------------------------------------------------------------
 
 def test_spectrum_block_labels_low_frequency(tmp_path, capsys):

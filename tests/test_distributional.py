@@ -18,7 +18,7 @@ from distsig.distributional import (
     tv_tree_rooted,
     wasserstein_sq,
 )
-from distsig.graph import GraphError, SpanningTree, build_graph
+from distsig.graph import GraphError, SpanningTree, build_graph, laplacian
 
 
 def _dirichlet_pair(rng, m):
@@ -171,6 +171,16 @@ def test_tv_l2_le_l1_random(rng):
         g, nn = random_bound_instance(int(rng.integers(1 << 30)))
         l1, l2 = tv_l1_l2(g, nn)
         assert l2 <= l1 + 1e-9
+
+
+def test_tv_l2_matches_laplacian_trace_on_corpus():
+    # the squared-l2 variation equals Tr(X^T L X) on criterion 2's instances
+    for i in range(500):
+        g, nn = random_bound_instance((0, i))
+        x = nn.matrix
+        _, l2 = tv_l1_l2(g, nn)
+        trace = float(np.sum(x * (laplacian(g) @ x)))
+        assert abs(l2 - trace) <= 1e-9 * max(1.0, abs(l2)), i
 
 
 def test_tv_exact_two_node_is_wasserstein(p2):

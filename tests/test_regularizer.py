@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distsig.distributional import tv_l1_l2
-from distsig.graph import build_graph
+from distsig.gnn import _reg_value_and_grad, laplacian_sparse
+from distsig.graph import build_graph, laplacian
 from distsig.regularizer import (
     WeightDiag,
-    grad_loss0,
-    grad_loss0_logits,
-    loss_components,
     nonuniformity_bound_check,
     nonuniformity_counts,
     nonuniformity_sweep,
@@ -80,61 +78,75 @@ def test_weightdiag_default_mixed_degrees():
 
 
 # --- losses ----------------------------------------------------------------
+# The traces are computed once, on a sparse Laplacian, by the training code's
+# regularizer; the dense (L + D) quadratic form below is the test oracle.
+
+def _reg(variant, x, g, d):
+    """Regularizer value and logit gradient at probabilities x (logits feed r3 only)."""
+    return _reg_value_and_grad(variant, None, np.asarray(x, dtype=float),
+                               laplacian_sparse(g), d.a)
+
+
+def _raw_l0(x, g, d):
+    m = laplacian(g) + np.diag(d.a)
+    return float(np.sum(x * (m @ x)))
+
 
 def test_loss_p2_one_hot(p2):
     d = WeightDiag.default_for(p2)  # degrees are 1 so a = 0
     assert np.array_equal(d.a, [0.0, 0.0])
-    l1, l2, l0 = loss_components(np.eye(2), p2, d)
+    x = np.eye(2)
+    l1, l2, l0 = (_reg(v, x, p2, d)[0] for v in ("r1", "r2", "r"))
     assert (l1, l2, l0) == (2.0, 0.0, 2.0)
 
 
 def test_loss_constant_onehot_rows(triangle):
     x = np.tile([0.0, 1.0, 0.0], (3, 1))
-    l1, _, _ = loss_components(x, triangle, WeightDiag.default_for(triangle))
+    l1, _ = _reg("r1", x, triangle, WeightDiag.default_for(triangle))
     assert abs(l1) < 1e-12
 
 
 def test_loss_p2_uniform_rows(p2):
     x = np.full((2, 2), 0.5)
-    _, _, l0 = loss_components(x, p2, WeightDiag.default_for(p2))
+    l0, _ = _reg("r", x, p2, WeightDiag.default_for(p2))
     assert abs(l0) < 1e-12
 
 
 def test_loss_dimension_mismatch(triangle):
     with pytest.raises(ValueError, match="mismatch"):
-        loss_components(np.eye(2), triangle, WeightDiag.zeros(3))
+        _reg("r", np.eye(2), triangle, WeightDiag.zeros(3))
 
 
 def test_loss_decomposition_random(rng):
+    # the combined trace equals the sum of its two terms and the dense oracle
     for _ in range(20):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
         x = _random_prob_rows(rng, 5, 3)
-        a = -rng.random(5)
-        l1, l2, l0 = loss_components(x, g, WeightDiag(a))
+        d = WeightDiag(-rng.random(5))
+        l1, l2, l0 = (_reg(v, x, g, d)[0] for v in ("r1", "r2", "r"))
         assert l1 >= -1e-12
         assert l2 <= 1e-12
         assert abs(l0 - (l1 + l2)) < 1e-9
+        oracle = _raw_l0(x, g, d)
+        assert abs(l0 - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
 
 def test_smoothness_matches_distributional_tv(rng, triangle):
     # same quadratic form computed by two modules from different definitions
     x = _random_prob_rows(rng, 3, 4)
-    l1_term, _, _ = loss_components(x, triangle, WeightDiag.zeros(3))
+    l1_term, _ = _reg("r1", x, triangle, WeightDiag.zeros(3))
     _, tg2 = tv_l1_l2(triangle, x)
     assert abs(l1_term - tg2) < 1e-9
 
 
 # --- gradients -------------------------------------------------------------
 
-def test_grad_p2_one_hot(p2):
-    g = grad_loss0(np.eye(2), p2, WeightDiag.default_for(p2))
-    assert np.allclose(g, [[2.0, -2.0], [-2.0, 2.0]])
-
-
 def test_grad_identical_rows_regular_graph(c4):
-    x = np.tile([0.3, 0.7], (4, 1))
-    g = grad_loss0(x, c4, WeightDiag.default_for(c4))
-    assert np.allclose(g, np.tile(g[0], (4, 1)))
+    # identical rows are perfectly smooth and a regular graph weighs every
+    # node alike, so every logit row gets the same gradient
+    x = softmax_rows(np.tile([0.3, 0.7], (4, 1)))
+    _, grad = _reg("r", x, c4, WeightDiag.default_for(c4))
+    assert np.allclose(grad, np.tile(grad[0], (4, 1)))
 
 
 def test_grad_empty_graph_default_weights():
@@ -145,34 +157,9 @@ def test_grad_empty_graph_default_weights():
     d = WeightDiag.default_for(g)
     assert np.array_equal(d.a, np.zeros(3))
     x = _random_prob_rows(np.random.default_rng(0), 3, 2)
-    assert np.array_equal(grad_loss0(x, g, d), np.zeros((3, 2)))
-
-
-def test_grad_matches_finite_differences(rng):
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    d = WeightDiag.default_for(g)
-    for _ in range(10):
-        x = _random_prob_rows(rng, 4, 3)
-        grad = grad_loss0(x, g, d)
-        h = 1e-6
-        for i in range(4):
-            for j in range(3):
-                xp, xm = x.copy(), x.copy()
-                xp[i, j] += h
-                xm[i, j] -= h
-                # the trace extends smoothly off the simplex, so plain
-                # perturbed evaluation is fine
-                fp = _raw_l0(xp, g, d)
-                fm = _raw_l0(xm, g, d)
-                num = (fp - fm) / (2.0 * h)
-                assert abs(num - grad[i, j]) < 1e-5 * max(1.0, abs(grad[i, j]))
-
-
-def _raw_l0(x, g, d):
-    from distsig.graph import laplacian
-
-    m = laplacian(g) + np.diag(d.a)
-    return float(np.sum(x * (m @ x)))
+    val, grad = _reg("r", x, g, d)
+    assert val == 0.0
+    assert np.array_equal(grad, np.zeros((3, 2)))
 
 
 def test_logit_grad_matches_finite_differences(rng):
@@ -180,7 +167,7 @@ def test_logit_grad_matches_finite_differences(rng):
     d = WeightDiag.default_for(g)
     for _ in range(10):
         o = rng.standard_normal((5, 3))
-        grad = grad_loss0_logits(o, g, d)
+        _, grad = _reg("r", softmax_rows(o), g, d)
         h = 1e-5
         i, j = int(rng.integers(5)), int(rng.integers(3))
         op, om = o.copy(), o.copy()

@@ -48,7 +48,7 @@ def test_eig_rejects_nonsquare():
 
 
 def test_eig_matches_lapack(rng):
-    # the small-matrix Jacobi path against LAPACK on the same input
+    # sign canonicalization must leave LAPACK's eigenvalues untouched
     for _ in range(10):
         a = rng.standard_normal((12, 12))
         a = (a + a.T) / 2.0
@@ -69,7 +69,7 @@ def test_eig_sign_deterministic(rng):
 
 
 def test_eig_large_path_uses_lapack(rng):
-    # above the Jacobi size limit the LAPACK path must satisfy the same contract
+    # a graph-sized input satisfies the ordering and eigenpair contract
     g, _ = sbm_generate([40, 40], 0.2, 0.05, seed=2)
     spec = laplacian_spectrum(g)
     lap = laplacian(g)
@@ -130,6 +130,18 @@ def test_tv_constant_zero(triangle):
 
 def test_tv_triangle_delta(triangle):
     assert abs(total_variation(triangle, np.array([1.0, 0.0, 0.0])) - 2.0) < 1e-12
+
+
+def test_tv_matches_quadratic_form_on_criterion_5_graphs():
+    # the edge sum equals x^T L x on criterion 5's graphs and eigenvectors
+    rng = np.random.default_rng(59)
+    for _ in range(50):
+        n = int(rng.integers(2, 13))
+        g, _ = sbm_generate([n], 0.6, 0.6, seed=int(rng.integers(1 << 31)))
+        lap = laplacian(g)
+        for x in laplacian_spectrum(g).eigenvectors.T:
+            tv = total_variation(g, x)
+            assert abs(tv - float(x @ lap @ x)) <= 1e-10 * max(1.0, abs(tv))
 
 
 def test_tv_dimension_mismatch(triangle):
