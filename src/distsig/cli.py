@@ -56,10 +56,18 @@ def _parse_blocks(text: str) -> list[int]:
     return blocks
 
 
+def _read(reader, *args):
+    """Run a file reader; a GraphError from a malformed file is an I/O error."""
+    try:
+        return reader(*args)
+    except GraphError as e:
+        raise CliError(str(e), EXIT_IO) from None
+
+
 def _load_dataset(args):
     """Resolve --dataset into (graph, features, labels)."""
     if args.dataset == "cora":
-        g, f, y, _ = gnn.load_cora_dir(getattr(args, "data_dir", None))
+        g, f, y, _ = _read(gnn.load_cora_dir, getattr(args, "data_dir", None))
         return g, f, y
     if args.dataset == "sbm":
         blocks = _parse_blocks(args.blocks)
@@ -68,8 +76,8 @@ def _load_dataset(args):
     if args.dataset == "file":
         if not args.graph or not args.labels:
             raise CliError("--dataset file needs --graph and --labels", EXIT_USAGE)
-        g = read_graph_file(args.graph)
-        y = read_labels_file(args.labels)
+        g = _read(read_graph_file, args.graph)
+        y = _read(read_labels_file, args.labels)
         if y.shape[0] != g.n:
             raise CliError(
                 f"label count {y.shape[0]} does not match graph size {g.n}", EXIT_IO
@@ -273,13 +281,10 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, GraphError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
+    except ValueError as e:  # a GraphError here did not come from reading a file
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:  # keep exit 1 reserved for property violations

@@ -433,10 +433,14 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
 
     metrics = Metrics(cfg, tl, ta, vl, va, rv, best_epoch, test_acc, x_final)
     if analysis:
-        an = output_analysis(g, x_final, component_spectrum=component_spectrum)
-        metrics.hf_fraction_per_class = an["hf_fraction_per_class"]
-        metrics.nonuniformity = an["nonuniformity_sweep"]
+        _attach_analysis(metrics, g, component_spectrum)
     return metrics
+
+
+def _attach_analysis(metrics: Metrics, g: Graph, component_spectrum) -> None:
+    an = output_analysis(g, metrics.final_probs, component_spectrum=component_spectrum)
+    metrics.hf_fraction_per_class = an["hf_fraction_per_class"]
+    metrics.nonuniformity = an["nonuniformity_sweep"]
 
 
 def output_analysis(g: Graph, probs, *, component_spectrum=None) -> dict:
@@ -465,13 +469,21 @@ def output_analysis(g: Graph, probs, *, component_spectrum=None) -> dict:
 ETA_GRID = (0.1, 0.2, 0.5, 1.0)
 
 
-def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, **kw):
-    """Grid-search eta by best validation accuracy; first grid entry wins ties."""
+def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
+             analysis: bool = True, component_spectrum=None):
+    """Grid-search eta by best validation accuracy; first grid entry wins ties.
+
+    Every eta trains without the output analysis; with ``analysis`` it then
+    runs once, on the chosen run only.  The other runs in ``results`` carry
+    no analysis.
+    """
     best = None
     results = []
     for eta in grid:
-        m = train(g, features, labels, split, replace(cfg, eta=eta), **kw)
+        m = train(g, features, labels, split, replace(cfg, eta=eta), analysis=False)
         results.append(m)
         if best is None or max(m.val_acc) > max(best.val_acc):
             best = m
+    if analysis:
+        _attach_analysis(best, g, component_spectrum)
     return best, results

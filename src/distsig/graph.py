@@ -17,7 +17,8 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-COVER_MAX_EDGES = 20  # the cover DP holds 2^|E| states per level
+COVER_MAX_EDGES = 20  # the cover search holds 2^|E| sets per level
+_COVER_CHUNK = 1 << 14  # (set, candidate mask) cells per vectorized cover-search step
 
 
 class GraphError(ValueError):
@@ -300,80 +301,101 @@ def clique_number_complement(g: Graph, limit: int = 32) -> tuple[int, int]:
 def tree_edge_masks(g: Graph, trees) -> list[int]:
     """Each tree's edge set as a bitmask over ``g.edges`` (bit i is edge i)."""
     eidx = {e: i for i, e in enumerate(g.edges)}
-    return [sum(1 << eidx[e] for e in t.edges) for t in trees]
+    try:
+        return [sum(1 << eidx[e] for e in t.edges) for t in trees]
+    except KeyError:
+        raise GraphError("tree uses edges absent from the host graph") from None
 
 
 def _min_weight_cover(masks, weights, n_edges, size_cap):
     """Exact minimum-weight cover of the full edge set by at most size_cap masks.
 
-    DP over the subset lattice of edges; value-equivalent to exhaustive subset
-    search but polynomial in 2^n_edges instead of C(#masks, cap).  Returns
-    (cost, indices) or None when no cover fits the cap.
+    Top-down search over the uncovered edge set S: ``best[k][S]`` is the
+    cheapest way to cover at least S with at most k masks.  Every cover of S
+    holds S's lowest edge, so ``best[k][S]`` is the minimum, over the masks t
+    holding that edge, of ``w_t + best[k-1][S & ~t]``.  ``best[1]`` is a
+    superset-minimum table over all 2^n_edges sets; the higher levels are
+    evaluated only at the sets reachable from the full edge set, level by
+    level, in chunks of at most ``_COVER_CHUNK`` cells.  Exact because weights
+    are >= 0.  Returns (cost, sorted indices) or None when no cover fits the
+    cap.
     """
     if n_edges > COVER_MAX_EDGES:
         raise GraphError(
             f"cover search infeasible for {n_edges} edges (limit {COVER_MAX_EDGES})")
     full = (1 << n_edges) - 1
-    shape = (2,) * n_edges if n_edges else (1,)
+    if full == 0:
+        return 0.0, []
+    if size_cap < 1:
+        return None
+    masks = np.asarray(masks, dtype=np.int64)
+    weights = np.asarray(weights, dtype=float)
     size = 1 << n_edges
-    # axis k of the tensor corresponds to edge bit (n_edges - 1 - k)
-    weights = [float(w) for w in weights]
+    holders = [np.flatnonzero(masks >> e & 1) for e in range(n_edges)]
 
-    def axes_of(mask: int) -> tuple[int, ...]:
-        return tuple(n_edges - 1 - b for b in range(n_edges) if mask >> b & 1)
+    best1 = np.full(size, np.inf)
+    np.minimum.at(best1, masks, weights)
+    for b in range(n_edges):
+        view = best1.reshape(-1, 2, 1 << b)
+        np.minimum(view[:, 0], view[:, 1], out=view[:, 0])
+    best1[0] = 0.0
 
-    levels = [np.full(size, np.inf)]
-    levels[0][0] = 0.0
-    for _ in range(size_cap):
-        prev = levels[-1]
-        cur = prev.copy()
-        tprev = prev.reshape(shape)
-        tcur = cur.reshape(shape)
-        for t, mt in enumerate(masks):
-            ax = axes_of(mt)
-            reduced = tprev.min(axis=ax) + weights[t] if ax else tprev + weights[t]
-            idx = tuple(1 if a in ax else slice(None) for a in range(len(shape)))
-            if len(ax) == len(shape):  # tree covers every edge: single cell
-                if reduced < tcur[idx]:
-                    tcur[idx] = reduced
-            else:
-                np.minimum(tcur[idx], reduced, out=tcur[idx])
-        levels.append(cur)
+    # sets left uncovered with k masks still to place, from the full set
+    # down; each level is sorted, so the witness walk can search it
+    states = {size_cap: np.array([full], dtype=np.int64)}
+    for k in range(size_cap, 2, -1):
+        seen = np.zeros(size, dtype=bool)
+        for _, _, rest in _cover_cells(states[k], holders, masks):
+            seen[rest] = True
+        seen[0] = False
+        states[k - 1] = np.flatnonzero(seen)
 
-    best = levels[size_cap][full]
-    if not np.isfinite(best):
+    prev = best1
+    picks = {}
+    for k in range(2, size_cap + 1):
+        cur = np.full(size, np.inf)
+        cur[0] = 0.0
+        pick = np.full(states[k].size, -1, dtype=np.int64)  # aligned with states[k]
+        for idx, hold, rest in _cover_cells(states[k], holders, masks):
+            cand = prev[rest] + weights[hold]
+            j = cand.argmin(axis=1)
+            cur[states[k][idx]] = cand[np.arange(idx.size), j]
+            pick[idx] = hold[j]
+        prev, picks[k] = cur, pick
+    cost = float(prev[full])
+    if not np.isfinite(cost):
         return None
 
-    # walk the DP back to recover one witnessing cover
     chosen: list[int] = []
-    target, k = full, size_cap
-    while k > 0:
-        if levels[k - 1][target] <= levels[k][target] + 1e-12:
-            k -= 1
+    s, k = full, size_cap
+    while s:
+        if k == 1:
+            inside = np.where(masks & s == s, weights, np.inf)
+            t = int(np.argmin(inside))
+        else:
+            t = int(picks[k][np.searchsorted(states[k], s)])
+        chosen.append(t)
+        s, k = s & ~int(masks[t]), k - 1
+    return cost, sorted(chosen)
+
+
+def _cover_cells(states, holders, masks):
+    """Yield (positions in states, candidate masks, sets left) blocks.
+
+    The sets are grouped by their lowest edge, and each block pairs up to
+    ``_COVER_CHUNK`` (set, mask holding that edge) cells.
+    """
+    low = np.log2(states & -states).astype(np.int64)
+    for e in np.unique(low):
+        hold = holders[e]
+        if hold.size == 0:
             continue
-        hit = False
-        for t, mt in enumerate(masks):
-            base = target & ~mt
-            # predecessors differ from target only inside mt
-            sub = mt
-            cands = []
-            s = sub
-            while True:
-                cands.append(base | s)
-                if s == 0:
-                    break
-                s = (s - 1) & sub
-            vals = levels[k - 1][cands]
-            j = int(np.argmin(vals))
-            if vals[j] + weights[t] <= levels[k][target] + 1e-9:
-                chosen.append(t)
-                target, k = cands[j], k - 1
-                hit = True
-                break
-        assert hit, "cover DP reconstruction failed"
-        if target == 0:
-            break
-    return float(best), sorted(chosen)
+        pos = np.flatnonzero(low == e)
+        off = ~masks[hold]
+        step = max(1, _COVER_CHUNK // hold.size)
+        for i in range(0, pos.size, step):
+            idx = pos[i:i + step]
+            yield idx, hold, states[idx][:, None] & off
 
 
 def min_tree_cover(g: Graph, size_cap: int | None = None) -> TreeCover:

@@ -1,0 +1,211 @@
+"""The batched rooted-tree bound and the top-down cover search against oracles.
+
+The oracles are the earlier straightforward implementations: a per-(tree,
+root) walk for the rooted-tree bound and a DP over the whole subset lattice
+for the cover search.  The library versions must agree with them on the
+first 100 instances of acceptance criterion 2's corpus.
+"""
+
+import numpy as np
+import pytest
+
+from distsig.distributional import (
+    _rho,
+    random_bound_instance,
+    tv_tree_rooted,
+)
+from distsig.graph import (
+    GraphError,
+    SpanningTree,
+    _min_weight_cover,
+    build_graph,
+    clique_number_complement,
+    enumerate_spanning_trees,
+    min_tree_cover,
+    tree_edge_masks,
+)
+
+ORACLE_INSTANCES = 100
+
+
+def tree_rooted_oracle(g, tree, v0, x):
+    """Rooted-tree bound of one tree at one root, walking each root path."""
+    parent = tree.rooted(v0).parent
+    paths = []
+    for node in range(g.n):
+        chain = []
+        cur = node
+        while cur != -1:
+            chain.append(cur)
+            cur = parent[cur]
+        paths.append(chain[::-1])
+    rho_step = {node: _rho(x[parent[node]], x[node])
+                for node in range(g.n) if parent[node] != -1}
+    tree_edges = set(tree.edges)
+    total = 0.0
+    for u, v in g.edges:
+        if (u, v) in tree_edges:
+            total += float(np.abs(x[u] - x[v]).sum())
+            continue
+        pu, pv = paths[u], paths[v]
+        k = pu[0]
+        for a, b in zip(pu, pv):
+            if a != b:
+                break
+            k = a
+        rq_u = np.ones(x.shape[1])
+        for node in pu[pu.index(k) + 1:]:
+            rq_u = rq_u * rho_step[node]
+        rq_v = np.ones(x.shape[1])
+        for node in pv[pv.index(k) + 1:]:
+            rq_v = rq_v * rho_step[node]
+        total += float((x[u] + x[v] - 2.0 * x[k] * rq_u * rq_v).sum())
+    return total
+
+
+def cover_lattice_oracle(masks, weights, n_edges, size_cap):
+    """Minimum cover cost by a DP over the full 2^n_edges lattice per level.
+
+    Level k holds, for every edge set S, the cheapest k or fewer masks whose
+    union is exactly S; each mask is folded in by a tensor min over its axes.
+    """
+    shape = (2,) * n_edges if n_edges else (1,)
+    # axis k of the tensor corresponds to edge bit (n_edges - 1 - k)
+    level = np.full(1 << n_edges, np.inf)
+    level[0] = 0.0
+    for _ in range(size_cap):
+        cur = level.copy()
+        tprev = level.reshape(shape)
+        tcur = cur.reshape(shape)
+        for mt, w in zip(masks, weights):
+            ax = tuple(n_edges - 1 - b for b in range(n_edges) if mt >> b & 1)
+            reduced = tprev.min(axis=ax) + w if ax else tprev + w
+            idx = tuple(1 if a in ax else slice(None) for a in range(len(shape)))
+            if len(ax) == len(shape):  # the mask holds every edge: one cell
+                if reduced < tcur[idx]:
+                    tcur[idx] = reduced
+            else:
+                np.minimum(tcur[idx], reduced, out=tcur[idx])
+        level = cur
+    best = level[-1]
+    return float(best) if np.isfinite(best) else None
+
+
+def _criterion_2_instance(i):
+    g, nn = random_bound_instance((0, i))
+    trees = enumerate_spanning_trees(g)
+    return g, nn.matrix, trees
+
+
+def _tree_weights(g, x, trees):
+    edge_l1 = {(u, v): float(np.abs(x[u] - x[v]).sum()) for u, v in g.edges}
+    return [0.5 * sum(edge_l1[e] for e in t.edges) for t in trees]
+
+
+def _assert_witness(res, masks, weights, n_edges, size_cap, cost):
+    got, idx = res
+    assert abs(got - cost) <= 1e-12
+    assert len(idx) <= size_cap
+    assert idx == sorted(set(idx))
+    union = 0
+    for t in idx:
+        union |= masks[t]
+    assert union == (1 << n_edges) - 1
+    assert abs(sum(weights[t] for t in idx) - got) <= 1e-12
+
+
+# --- rooted-tree bound -----------------------------------------------------
+
+def test_tree_bound_bitwise_equal_to_oracle_on_corpus():
+    for i in range(ORACLE_INSTANCES):
+        g, x, trees = _criterion_2_instance(i)
+        got = tv_tree_rooted(g, trees, x)
+        assert got.shape == (len(trees), g.n)
+        want = np.array([[tree_rooted_oracle(g, t, r, x) for r in range(g.n)]
+                         for t in trees])
+        assert np.array_equal(got, want), i
+
+
+def test_tree_bound_batches_agree_on_k6():
+    # 1,296 trees span many batches; every row must equal its own oracle
+    g = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    x = np.random.default_rng(5).dirichlet(np.ones(4), size=6)
+    trees = enumerate_spanning_trees(g)
+    got = tv_tree_rooted(g, trees, x)
+    for t in range(0, len(trees), 97):
+        want = [tree_rooted_oracle(g, trees[t], r, x) for r in range(6)]
+        assert np.array_equal(got[t], want), t
+    assert np.array_equal(got[100:103], tv_tree_rooted(g, trees[100:103], x))
+
+
+def test_tree_bound_single_node():
+    g = build_graph(1, [])
+    trees = enumerate_spanning_trees(g)
+    assert np.array_equal(tv_tree_rooted(g, trees, [[1.0]]), np.zeros((1, 1)))
+
+
+def test_tree_bound_rejects_non_spanning_edge_set():
+    g = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    cycle = SpanningTree(4, ((0, 1), (0, 2), (1, 2)))  # node 3 left out
+    with pytest.raises(GraphError, match="span"):
+        tv_tree_rooted(g, [cycle], np.full((4, 2), 0.5))
+
+
+# --- cover search ----------------------------------------------------------
+
+def test_cover_search_matches_lattice_oracle_on_corpus():
+    for i in range(ORACLE_INSTANCES):
+        g, x, trees = _criterion_2_instance(i)
+        masks = tree_edge_masks(g, trees)
+        weights = _tree_weights(g, x, trees)
+        cap = max(clique_number_complement(g)[1], 3)
+        want = cover_lattice_oracle(masks, weights, g.m, cap)
+        res = _min_weight_cover(masks, weights, g.m, cap)
+        _assert_witness(res, masks, weights, g.m, cap, want)
+
+
+def test_cover_search_k6():
+    g = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    x = np.random.default_rng(8).dirichlet(np.ones(3), size=6)
+    trees = enumerate_spanning_trees(g)
+    assert (len(trees), g.m) == (1296, 15)
+    masks = tree_edge_masks(g, trees)
+    weights = _tree_weights(g, x, trees)
+    want = cover_lattice_oracle(masks, weights, g.m, 5)
+    _assert_witness(_min_weight_cover(masks, weights, g.m, 5),
+                    masks, weights, g.m, 5, want)
+
+
+def test_cover_search_cap_without_cover():
+    # a 4-cycle needs two spanning trees
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    trees = enumerate_spanning_trees(g)
+    masks = tree_edge_masks(g, trees)
+    assert _min_weight_cover(masks, [1.0] * len(trees), g.m, 1) is None
+    assert cover_lattice_oracle(masks, [1.0] * len(trees), g.m, 1) is None
+    assert _min_weight_cover(masks, [1.0] * len(trees), g.m, 2)[0] == 2.0
+
+
+def test_cover_search_no_edges():
+    assert _min_weight_cover([0], [0.5], 0, 3) == (0.0, [])
+
+
+def test_cover_search_edge_limit():
+    with pytest.raises(GraphError, match="limit"):
+        _min_weight_cover([1], [1.0], 21, 3)
+
+
+@pytest.mark.parametrize("n, edges, size", [
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 2),
+    (4, [(i, j) for i in range(4) for j in range(i + 1, 4)], 2),
+    (5, [(i, j) for i in range(5) for j in range(i + 1, 5)], 3),
+])
+def test_min_tree_cover_unit_weights(n, edges, size):
+    g = build_graph(n, edges)
+    cover = min_tree_cover(g)
+    assert cover.covers(g)
+    assert len(cover.trees) == size
+    trees = enumerate_spanning_trees(g)
+    masks = tree_edge_masks(g, trees)
+    cap = max(clique_number_complement(g)[1], 3)
+    assert cover_lattice_oracle(masks, [1.0] * len(trees), g.m, cap) == size

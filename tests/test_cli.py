@@ -40,6 +40,19 @@ def test_bad_blocks_value(tmp_path, capsys):
     assert "blocks" in capsys.readouterr().err
 
 
+def test_gen_sbm_bad_probabilities_is_usage_error(tmp_path, capsys):
+    rc = main(["gen-sbm", "--p-in", "0.1", "--p-out", "0.5", "--out", str(tmp_path / "g")])
+    assert rc == 2
+    assert "p_out" in capsys.readouterr().err
+
+
+def test_spectrum_empty_block_is_usage_error(tmp_path, capsys):
+    rc = main(["spectrum", "--dataset", "sbm", "--blocks", "0,5",
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "block sizes" in capsys.readouterr().err
+
+
 # --- gen-sbm ---------------------------------------------------------------
 
 def test_gen_sbm_writes_files(tmp_path, capsys):
@@ -221,6 +234,24 @@ def test_train_missing_graph_file(tmp_path, capsys):
                "--labels", str(tmp_path / "no.labels"), "--epochs", "5"])
     assert rc == 3
     capsys.readouterr()
+
+
+def test_train_malformed_graph_file(tmp_path, capsys):
+    (tmp_path / "bad.graph").write_text("3 1\n0 0\n")
+    (tmp_path / "ok.labels").write_text("0\n1\n0\n")
+    rc = main(["train", "--dataset", "file", "--graph", str(tmp_path / "bad.graph"),
+               "--labels", str(tmp_path / "ok.labels"), "--epochs", "5"])
+    assert rc == 3
+    assert "self-loop" in capsys.readouterr().err
+
+
+def test_train_malformed_labels_file(tmp_path, capsys):
+    (tmp_path / "ok.graph").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "bad.labels").write_text("0\nx\n0\n")
+    rc = main(["train", "--dataset", "file", "--graph", str(tmp_path / "ok.graph"),
+               "--labels", str(tmp_path / "bad.labels"), "--epochs", "5"])
+    assert rc == 3
+    assert "non-integer label" in capsys.readouterr().err
 
 
 def test_train_cora_without_data_dir(tmp_path, capsys, monkeypatch):

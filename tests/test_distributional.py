@@ -226,25 +226,25 @@ def test_tv_tree_on_tree_equals_l1():
     l1, _ = tv_l1_l2(g, x)
     tree = SpanningTree(4, g.edges)
     for v0 in range(4):
-        assert abs(tv_tree_rooted(g, tree, v0, x) - l1) < 1e-12
+        assert abs(tv_tree_rooted(g, [tree], x)[0, v0] - l1) < 1e-12
 
 
 def test_tv_tree_triangle_worked_example(triangle):
     tree = SpanningTree(3, ((0, 1), (1, 2)))
-    assert abs(tv_tree_rooted(triangle, tree, 0, DELTA_TRIANGLE) - 4.0) < 1e-12
+    assert abs(tv_tree_rooted(triangle, [tree], DELTA_TRIANGLE)[0, 0] - 4.0) < 1e-12
 
 
 def test_tv_tree_identical_marginals(triangle):
     tree = SpanningTree(3, ((0, 1), (1, 2)))
     x = np.tile([0.6, 0.4], (3, 1))
-    assert abs(tv_tree_rooted(triangle, tree, 2, x)) < 1e-12
+    assert abs(tv_tree_rooted(triangle, [tree], x)[0, 2]) < 1e-12
 
 
 def test_tv_tree_rejects_foreign_tree(triangle):
     g2 = build_graph(3, [(0, 1), (1, 2)])  # no (0,2) edge
     tree = SpanningTree(3, ((0, 1), (0, 2)))
     with pytest.raises(GraphError, match="absent"):
-        tv_tree_rooted(g2, tree, 0, DELTA_TRIANGLE)
+        tv_tree_rooted(g2, [tree], DELTA_TRIANGLE)[0, 0]
 
 
 def test_tv_cover_tree_graph():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,15 @@ def test_tune_eta_tie_prefers_first():
                              analysis=False)
     assert len(results) == len(ETA_GRID)
     assert best.config.eta == ETA_GRID[0]
+
+
+def test_tune_eta_analyses_the_chosen_run_only():
+    g, f, y, split = _toy_setup(seed=3)
+    cfg = TrainConfig(variant="r", epochs=10)
+    best, results = tune_eta(g, f, y, split, cfg)
+    assert sum(m.hf_fraction_per_class is not None for m in results) == 1
+    alone = train(g, f, y, split, replace(cfg, eta=best.config.eta))
+    assert best.to_json_dict() == alone.to_json_dict()
 
 
 def test_metrics_json_shape():
