@@ -5,7 +5,7 @@ Runs batches of random instances, prints the worst margin seen per
 inequality, and exits nonzero on any violation.  Bigger/longer than the
 acceptance corpus; meant for overnight confidence runs.
 
-    python3 scripts/run_bounds_fuzz.py --trials 5000 --jobs 4
+    python3 scripts/run_bounds_fuzz.py --trials 5000
 """
 
 import argparse
@@ -22,14 +22,13 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-n", type=int, default=6)
     ap.add_argument("--max-m", type=int, default=3)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default=None, help="write the full JSON report here")
     args = ap.parse_args()
 
     t0 = time.perf_counter()
     report = run_bound_corpus(
         args.trials, args.seed, max_n=args.max_n, max_m=args.max_m,
-        jobs=args.jobs, keep_instances=bool(args.out),
+        keep_instances=bool(args.out),
     )
     elapsed = time.perf_counter() - t0
 

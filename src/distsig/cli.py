@@ -141,7 +141,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bounds(args) -> int:
     report = run_bound_corpus(
-        args.trials, args.seed, max_n=args.n, max_m=args.m, jobs=args.jobs,
+        args.trials, args.seed, max_n=args.n, max_m=args.m,
         keep_instances=not args.summary_only,
     )
     if args.out:
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=6, help="max graph size")
     p.add_argument("--m", type=int, default=3, help="max alphabet size")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--summary-only", action="store_true",
                    help="omit per-instance records from the report")
     p.add_argument("--out", default=None, help="JSON report path")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .graph import (
     _min_weight_cover,
     build_graph,
     clique_number_complement,
+    cover_size_cap,
     enumerate_spanning_trees,
     is_connected,
     tree_edge_masks,
@@ -299,8 +299,7 @@ def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
     if nn.n != g.n or any(t.host_n != g.n for t in trees):
         raise ValueError("size mismatch between graph, tree and marginals")
     masks = np.array(tree_edge_masks(g, trees), dtype=np.int64)
-    eu = np.array([u for u, _ in g.edges], dtype=np.intp)
-    ev = np.array([v for _, v in g.edges], dtype=np.intp)
+    eu, ev = g.endpoints
     in_tree = (masks[:, None] >> np.arange(g.m)) & 1 == 1
     l1 = np.abs(x[eu] - x[ev]).sum(axis=-1)
     rho = _rho(x[:, None, :], x[None, :, :])  # rho[a, b]: the step a -> b
@@ -362,8 +361,7 @@ def tv_cover(g: Graph, marginals, size_cap: int | None = None,
     if trees is None:
         trees = enumerate_spanning_trees(g)
     if size_cap is None:
-        _, c1 = clique_number_complement(g)
-        size_cap = max(c1, 3)
+        size_cap = cover_size_cap(clique_number_complement(g)[1])
     edge_l1 = {(u, v): float(np.abs(x[u] - x[v]).sum()) for u, v in g.edges}
     weights = [0.5 * sum(edge_l1[e] for e in t.edges) for t in trees]
     res = _min_weight_cover(tree_edge_masks(g, trees), weights, g.m, size_cap)
@@ -388,7 +386,7 @@ def check_tv_bounds(g: Graph, marginals) -> dict:
     trees = enumerate_spanning_trees(g)
     tghv_min = float(tv_tree_rooted(g, trees, nn).min())
     _, c1 = clique_number_complement(g)
-    tcov, cover = tv_cover(g, nn, trees=trees)
+    tcov, cover = tv_cover(g, nn, size_cap=cover_size_cap(c1), trees=trees)
     c3 = math.sqrt(nn.m * g.m)
     checks = [
         ("tg2_le_tg1", tg2, tg1),
@@ -435,15 +433,9 @@ def random_bound_instance(key, max_n: int = 6, max_m: int = 3) -> tuple[Graph, M
     return g, Marginals(x)
 
 
-def _corpus_one(args) -> dict:
-    seed, idx, max_n, max_m = args
-    g, nn = random_bound_instance((seed, idx), max_n, max_m)
-    return check_tv_bounds(g, nn)
-
-
 def run_bound_corpus(trials: int, seed: int, *, max_n: int = 6, max_m: int = 3,
-                     jobs: int = 1, keep_instances: bool = True) -> dict:
-    """Fuzz the inequality chains over a seeded corpus; order-stable merge.
+                     keep_instances: bool = True) -> dict:
+    """Fuzz the inequality chains over ``trials`` seeded instances, in order.
 
     Sizes that some instance could not be checked at are refused up front:
     every instance draws n <= max_n nodes and m <= max_m labels, so the
@@ -460,12 +452,8 @@ def run_bound_corpus(trials: int, seed: int, *, max_n: int = 6, max_m: int = 3,
     if max_m ** max_n > JOINT_TABLE_CAP:
         raise ValueError(f"max_m^max_n = {max_m ** max_n} exceeds the joint-table cap "
                          f"{JOINT_TABLE_CAP}")
-    args = [(seed, i, max_n, max_m) for i in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_corpus_one, args, chunksize=max(1, trials // (4 * jobs))))
-    else:
-        reports = [_corpus_one(a) for a in args]
+    reports = [check_tv_bounds(*random_bound_instance((seed, i), max_n, max_m))
+               for i in range(trials)]
     violations = [
         {"instance": i, "violations": r["violations"]}
         for i, r in enumerate(reports) if r["violations"]

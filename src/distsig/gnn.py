@@ -19,9 +19,16 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import Graph, GraphError, build_graph, main_component, sbm_generate
+from .graph import (
+    Graph,
+    GraphError,
+    build_graph,
+    laplacian_sparse,
+    main_component,
+    normalized_adjacency,
+    sbm_generate,
+)
 from .regularizer import WeightDiag, nonuniformity_sweep, softmax_rows, softmax_vjp
 from .spectral import gft, high_freq_fraction, laplacian_spectrum, normalize_signal
 
@@ -237,30 +244,6 @@ def make_split(labels, per_class: int, val_size: int, test_size: int, seed: int)
 
 # --- model ----------------------------------------------------------------
 
-def propagation_matrix(g: Graph):
-    """Sparse D~^{-1/2} (A + I) D~^{-1/2}; equals the dense view exactly."""
-    n = g.n
-    iu = [u for u, v in g.edges]
-    ju = [v for u, v in g.edges]
-    rows = np.array(iu + ju + list(range(n)))
-    cols = np.array(ju + iu + list(range(n)))
-    data = np.ones(rows.shape[0])
-    at = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    deg = np.asarray(at.sum(axis=1)).ravel()
-    dinv = 1.0 / np.sqrt(deg)
-    return sp.csr_matrix(at.multiply(dinv[:, None]).multiply(dinv[None, :]))
-
-
-def laplacian_sparse(g: Graph):
-    n = g.n
-    iu = [u for u, v in g.edges]
-    ju = [v for u, v in g.edges]
-    rows = np.array(iu + ju + list(range(n)))
-    cols = np.array(ju + iu + list(range(n)))
-    data = np.concatenate([-np.ones(2 * g.m), g.degrees])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def init_params(feat_dim: int, hidden: int, classes: int, seed: int) -> GcnParams:
     rng = np.random.default_rng((seed, 0))
 
@@ -396,7 +379,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
-    ahat = propagation_matrix(g)
+    ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
     a_vec = WeightDiag.default_for(g).a
     classes = int(labels.max()) + 1

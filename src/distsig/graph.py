@@ -1,19 +1,20 @@
 """Undirected simple graphs and the combinatorial machinery built on them.
 
 Everything here treats a graph as an immutable value: a node count plus a
-canonically sorted tuple of (u, v) edges with u < v.  Matrix views are dense
-numpy arrays; callers that need sparse propagation matrices build their own
-from ``edges``.
+canonically sorted tuple of (u, v) edges with u < v.  This module is the one
+place where edges become index arrays (``Graph.endpoints``) and matrices: the
+dense Laplacian for eigendecompositions and determinants, and the sparse
+Laplacian and propagation matrix for training.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -37,19 +38,15 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
-        a.flags.writeable = False
-        return a
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (u, v) of the edges, in ``edges`` order."""
+        uv = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T.copy()
+        uv.flags.writeable = False
+        return uv[0], uv[1]
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        for u, v in self.edges:
-            d[u] += 1.0
-            d[v] += 1.0
+        d = np.bincount(np.concatenate(self.endpoints), minlength=self.n).astype(float)
         d.flags.writeable = False
         return d
 
@@ -87,15 +84,33 @@ def build_graph(n: int, edges) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian D - A (symmetric, PSD)."""
-    return np.diag(g.degrees) - g.adjacency
+    """Dense combinatorial Laplacian D - A (symmetric, PSD)."""
+    u, v = g.endpoints
+    lap = np.diag(g.degrees)
+    lap[u, v] = lap[v, u] = -1.0
+    return lap
 
 
-def normalized_adjacency(g: Graph) -> np.ndarray:
-    """Self-loop-augmented symmetric normalization: D~^{-1/2} (A + I) D~^{-1/2}."""
-    a = g.adjacency + np.eye(g.n)
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * dinv[:, None] * dinv[None, :]
+def _symmetric_csr(g: Graph, off: float, diag: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix with ``off`` on both entries of every edge and ``diag`` on the diagonal."""
+    u, v = g.endpoints
+    nodes = np.arange(g.n)
+    rows = np.concatenate([u, v, nodes])
+    cols = np.concatenate([v, u, nodes])
+    data = np.concatenate([np.full(2 * g.m, off), diag])
+    return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+
+
+def laplacian_sparse(g: Graph) -> sp.csr_matrix:
+    """Sparse combinatorial Laplacian D - A; equals ``laplacian(g)`` exactly."""
+    return _symmetric_csr(g, -1.0, g.degrees)
+
+
+def normalized_adjacency(g: Graph) -> sp.csr_matrix:
+    """Sparse self-loop-augmented normalization D~^{-1/2} (A + I) D~^{-1/2}."""
+    at = _symmetric_csr(g, 1.0, np.ones(g.n))
+    dinv = 1.0 / np.sqrt(np.asarray(at.sum(axis=1)).ravel())
+    return sp.csr_matrix(at.multiply(dinv[:, None]).multiply(dinv[None, :]))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -147,45 +162,16 @@ def spanning_tree_count(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Spanning tree of a host graph; optionally rooted with parent pointers."""
+    """Spanning tree of a host graph on nodes 0..host_n-1."""
 
     host_n: int
     edges: tuple[tuple[int, int], ...]
-    root: int | None = None
-    parent: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.host_n >= 1 and len(self.edges) != self.host_n - 1:
             raise GraphError(
                 f"spanning tree needs {self.host_n - 1} edges, got {len(self.edges)}"
             )
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.host_n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    def rooted(self, v0: int) -> "SpanningTree":
-        """Return a copy rooted at v0 with BFS parent pointers."""
-        if not (0 <= v0 < self.host_n):
-            raise GraphError(f"root {v0} out of range")
-        parent = [-1] * self.host_n
-        seen = [False] * self.host_n
-        seen[v0] = True
-        queue = [v0]
-        while queue:
-            u = queue.pop(0)
-            for w in self.neighbors[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    queue.append(w)
-        if not all(seen):
-            raise GraphError("tree does not span its host")
-        return SpanningTree(self.host_n, self.edges, root=v0, parent=tuple(parent))
 
 
 @dataclass(frozen=True)
@@ -398,14 +384,17 @@ def _cover_cells(states, holders, masks):
             yield idx, hold, states[idx][:, None] & off
 
 
+def cover_size_cap(c1: int) -> int:
+    """Default cap on a tree cover's size: the clique constant c1, at least 3."""
+    return max(c1, 3)
+
+
 def min_tree_cover(g: Graph, size_cap: int | None = None) -> TreeCover:
     """Smallest set of spanning trees covering every edge, within a size cap."""
     trees = enumerate_spanning_trees(g)
-    omega_bar, c1 = (None, None)
-    if g.n <= 32:
-        omega_bar, c1 = clique_number_complement(g)
+    _, c1 = clique_number_complement(g)
     if size_cap is None:
-        size_cap = max(c1 if c1 is not None else 3, 3)
+        size_cap = cover_size_cap(c1)
     # unit weights: minimum total weight == minimum cover size
     res = _min_weight_cover(tree_edge_masks(g, trees), [1.0] * len(trees), g.m, size_cap)
     if res is None:
@@ -413,7 +402,7 @@ def min_tree_cover(g: Graph, size_cap: int | None = None) -> TreeCover:
     _, idx = res
     cover = TreeCover(tuple(trees[i] for i in idx))
     assert cover.covers(g)
-    if c1 is not None and c1 <= size_cap and c1 >= 1:
+    if 1 <= c1 <= size_cap:
         assert len(cover.trees) <= c1, f"cover size {len(cover.trees)} > c1 {c1}"
     return cover
 

@@ -23,7 +23,7 @@ from distsig.gnn import (
     laplacian_sparse,
     loss_and_grad,
     make_split,
-    propagation_matrix,
+    normalized_adjacency,
     sbm_dataset,
     train,
     tune_eta,
@@ -145,7 +145,7 @@ def test_criterion_6_gradient_correctness():
     f = np.eye(6)
     y = np.array([0, 0, 1, 1, 2, 2])
     train_idx = np.array([0, 2, 4])
-    ahat = propagation_matrix(g)
+    ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
     a_vec = WeightDiag.default_for(g).a
     rng = np.random.default_rng(61)

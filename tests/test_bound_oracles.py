@@ -28,9 +28,25 @@ from distsig.graph import (
 ORACLE_INSTANCES = 100
 
 
+def bfs_parents(tree, v0):
+    """Parent of every node of the tree rooted at v0 (-1 at the root)."""
+    neighbors = build_graph(tree.host_n, tree.edges).neighbors
+    parent = [-1] * tree.host_n
+    seen = {v0}
+    queue = [v0]
+    while queue:
+        u = queue.pop(0)
+        for w in neighbors[u]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
 def tree_rooted_oracle(g, tree, v0, x):
     """Rooted-tree bound of one tree at one root, walking each root path."""
-    parent = tree.rooted(v0).parent
+    parent = bfs_parents(tree, v0)
     paths = []
     for node in range(g.n):
         chain = []

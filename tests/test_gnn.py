@@ -13,18 +13,22 @@ from distsig.gnn import (
     accuracy,
     gcn_forward,
     init_params,
-    laplacian_sparse,
     load_cora,
     loss_and_grad,
     make_split,
     output_analysis,
-    propagation_matrix,
     sbm_dataset,
     sbm_features,
     train,
     tune_eta,
 )
-from distsig.graph import GraphError, build_graph, laplacian, normalized_adjacency
+from distsig.graph import (
+    GraphError,
+    build_graph,
+    laplacian,
+    laplacian_sparse,
+    normalized_adjacency,
+)
 from distsig.regularizer import WeightDiag
 
 
@@ -166,21 +170,40 @@ def test_sbm_dataset_shapes():
 
 # --- propagation operator --------------------------------------------------
 
+def _oracle_graphs():
+    return [sbm_dataset((20, 20), 0.3, 0.05, seed=4)[0], build_graph(1, []),
+            build_graph(4, [(0, 3), (1, 2)]), build_graph(3, [(0, 1), (1, 2), (0, 2)])]
+
+
 def test_propagation_matches_dense():
-    g, _ = sbm_dataset((20, 20), 0.3, 0.05, seed=4)[0], None
-    dense = normalized_adjacency(g)
-    assert np.allclose(propagation_matrix(g).toarray(), dense, atol=1e-12)
+    for g in _oracle_graphs():
+        a = np.eye(g.n)
+        for u, v in g.edges:
+            a[u, v] = a[v, u] = 1.0
+        dinv = 1.0 / np.sqrt(a.sum(axis=1))
+        ahat = normalized_adjacency(g)
+        assert ahat.has_canonical_format
+        assert np.array_equal(ahat.toarray(), a * dinv[:, None] * dinv[None, :])
 
 
-def test_laplacian_sparse_matches_dense(triangle):
-    assert np.array_equal(laplacian_sparse(triangle).toarray(), laplacian(triangle))
+def test_laplacian_sparse_matches_dense():
+    for g in _oracle_graphs():
+        dense = np.zeros((g.n, g.n))
+        for u, v in g.edges:
+            dense[u, v] = dense[v, u] = -1.0
+            dense[u, u] += 1.0
+            dense[v, v] += 1.0
+        lap = laplacian_sparse(g)
+        assert lap.has_canonical_format
+        assert np.array_equal(lap.toarray(), dense)
+        assert np.array_equal(laplacian(g), dense)
 
 
 # --- forward pass ----------------------------------------------------------
 
 def test_forward_zero_params_uniform():
     g = build_graph(3, [(0, 1), (1, 2)])
-    ahat = propagation_matrix(g)
+    ahat = normalized_adjacency(g)
     params = GcnParams(np.zeros((4, 5)), np.zeros((5, 2)))
     o, x, _ = gcn_forward(params, ahat, np.eye(3, 4))
     assert np.array_equal(o, np.zeros((3, 2)))
@@ -197,14 +220,14 @@ def test_forward_single_node_identity():
 def test_forward_permutation_equivariance():
     g, f, _ = sbm_dataset((10, 10), 0.4, 0.1, seed=6)
     params = init_params(f.shape[1], 8, 3, seed=2)
-    o, _, _ = gcn_forward(params, propagation_matrix(g), f)
+    o, _, _ = gcn_forward(params, normalized_adjacency(g), f)
 
     perm = np.random.default_rng(0).permutation(g.n)
     inv = np.argsort(perm)
     # relabel node i -> inv[i] so row perm[j] of the original becomes row j
     edges = [tuple(sorted((int(inv[u]), int(inv[v])))) for u, v in g.edges]
     gp = build_graph(g.n, edges)
-    op, _, _ = gcn_forward(params, propagation_matrix(gp), f[perm])
+    op, _, _ = gcn_forward(params, normalized_adjacency(gp), f[perm])
     assert np.allclose(op, o[perm], atol=1e-12)
 
 
@@ -217,7 +240,7 @@ def test_forward_nonfinite_error():
 
 def test_forward_dropout_only_with_rng():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    ahat = propagation_matrix(g)
+    ahat = normalized_adjacency(g)
     f = np.eye(4)
     params = init_params(4, 6, 2, seed=0)
     o1, _, _ = gcn_forward(params, ahat, f, dropout=0.5)
@@ -286,7 +309,7 @@ def test_full_gradient_finite_differences():
     f = np.eye(6)
     y = np.array([0, 0, 1, 1, 2, 2])
     train_idx = np.array([0, 2, 4])
-    ahat = propagation_matrix(g)
+    ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
     a_vec = WeightDiag.default_for(g).a
     rng = np.random.default_rng(8)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distsig.distributional import tv_l1_l2
-from distsig.gnn import _reg_value_and_grad, laplacian_sparse
-from distsig.graph import build_graph, laplacian
+from distsig.gnn import _reg_value_and_grad
+from distsig.graph import build_graph, laplacian, laplacian_sparse
 from distsig.regularizer import (
     WeightDiag,
     nonuniformity_bound_check,
