@@ -83,19 +83,31 @@ def _load_dataset(args):
                 f"label count {y.shape[0]} does not match graph size {g.n}", EXIT_IO
             )
         feat_path = getattr(args, "features", None)
-        if feat_path:
-            if feat_path.endswith(".npy"):
-                f = np.load(feat_path)
-            else:
-                f = np.loadtxt(feat_path, dtype=float, ndmin=2)
-            if f.shape[0] != g.n:
-                raise CliError(
-                    f"feature rows {f.shape[0]} do not match graph size {g.n}", EXIT_IO
-                )
-        else:
-            f = gnn.sbm_features(g.n)
+        f = _read_features(feat_path, g.n) if feat_path else gnn.sbm_features(g.n)
         return g, f, y
     raise CliError(f"unknown dataset {args.dataset!r}", EXIT_USAGE)
+
+
+def _read_features(path, n):
+    """Load an n-row feature matrix; anything else in the file is an I/O error."""
+    try:
+        f = np.load(path) if path.endswith(".npy") else np.loadtxt(path, dtype=float, ndmin=2)
+    except ValueError as e:
+        raise CliError(f"{path}: unreadable feature matrix: {e}", EXIT_IO) from None
+    if f.ndim != 2:
+        raise CliError(f"{path}: features must be a 2-D array, got {f.ndim}-D", EXIT_IO)
+    if f.dtype.kind not in "biuf":
+        raise CliError(f"{path}: features must be real numbers, got dtype {f.dtype}", EXIT_IO)
+    if f.shape[0] != n:
+        raise CliError(f"feature rows {f.shape[0]} do not match graph size {n}", EXIT_IO)
+    bad = ~np.isfinite(f)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise CliError(
+            f"{path}: features must be finite, got {int(bad.sum())} non-finite "
+            f"value(s), first at row {row}, column {col}", EXIT_IO
+        )
+    return f
 
 
 def _write_json(path, payload) -> None:

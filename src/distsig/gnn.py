@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import (
     Graph,
@@ -255,12 +256,17 @@ def init_params(feat_dim: int, hidden: int, classes: int, seed: int) -> GcnParam
 
 
 def gcn_forward(params: GcnParams, ahat, features, *, dropout: float = 0.0, rng=None):
-    """Returns (logits, probabilities, cache).  Dropout only when rng given."""
-    f = np.asarray(features, dtype=float)
+    """Returns (logits, probabilities, cache).  Dropout only when rng given.
+
+    Features are held as CSR (a CSR input is used as it is).  Input dropout
+    draws one uniform per stored entry, in CSR order, and then one per hidden
+    unit; zeros stay zero under any mask, so only the stored entries are drawn.
+    """
+    f = features if isinstance(features, sp.csr_array) else sp.csr_array(features, dtype=float)
     cache: dict = {}
     if rng is not None and dropout > 0.0:
-        mask0 = (rng.random(f.shape) >= dropout) / (1.0 - dropout)
-        f = f * mask0
+        keep = rng.random(f.nnz) >= dropout
+        f = sp.csr_array((f.data * keep / (1.0 - dropout), f.indices, f.indptr), shape=f.shape)
     z1 = f @ params.w1
     a1 = ahat @ z1
     h = np.maximum(a1, 0.0)
@@ -377,7 +383,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
     decides the reported test accuracy; the spectral / non-uniformity analysis
     summarizes the final-epoch outputs.
     """
-    features = np.asarray(features, dtype=float)
+    features = sp.csr_array(features, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)

@@ -9,7 +9,9 @@ import inspect
 import sys
 from pathlib import Path
 
-from distsig import distributional
+import numpy as np
+
+from distsig import cli, distributional, gnn
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -31,3 +33,31 @@ def test_cover_search_positional_signature():
     # the lattice-cell counter reads these four arguments by position
     params = list(inspect.signature(distributional._min_weight_cover).parameters)
     assert params[:4] == ["masks", "weights", "n_edges", "size_cap"]
+
+
+def test_train_receives_dense_features(tmp_path, monkeypatch, capsys):
+    # the feature counter reads train's second argument with np.asarray, which
+    # raises on a sparse matrix, so tune_eta and the CLI must pass it dense
+    seen = []
+    real_train = gnn.train
+
+    def spy(g, features, *args, **kwargs):
+        seen.append(type(features))
+        return real_train(g, features, *args, **kwargs)
+
+    monkeypatch.setattr(gnn, "train", spy)
+    g, f, y = gnn.sbm_dataset((20, 20), 0.3, 0.05, seed=1)
+    split = gnn.make_split(y, 5, 10, 10, seed=1)
+    gnn.tune_eta(g, f, y, split, gnn.TrainConfig(variant="r", epochs=2), analysis=False)
+
+    prefix = tmp_path / "g"
+    assert cli.main(["gen-sbm", "--blocks", "20,20", "--out", str(prefix)]) == 0
+    np.save(tmp_path / "f.npy", f)
+    files = ["--dataset", "file", "--graph", f"{prefix}.graph", "--labels",
+             f"{prefix}.labels", "--features", str(tmp_path / "f.npy")]
+    for extra in ([], ["--tune"]):
+        assert cli.main(["train", *files, "--variant", "r", "--epochs", "2",
+                         "--val-size", "10", "--test-size", "10", *extra]) == 0
+    capsys.readouterr()
+    assert len(seen) == 2 * len(gnn.ETA_GRID) + 1
+    assert all(t is np.ndarray for t in seen), seen

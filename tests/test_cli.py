@@ -254,6 +254,34 @@ def test_train_malformed_labels_file(tmp_path, capsys):
     assert "non-integer label" in capsys.readouterr().err
 
 
+def _nan_features(n):
+    f = np.eye(n, 4)
+    f[3, 2] = np.nan
+    return f
+
+
+@pytest.mark.parametrize("name, make, message", [
+    ("nan.npy", _nan_features, "must be finite, got 1 non-finite value(s), first at row 3"),
+    ("flat.npy", lambda n: np.ones(n), "must be a 2-D array, got 1-D"),
+    ("words.npy", lambda n: np.full((n, 4), "a"), "must be real numbers, got dtype <U1"),
+    ("words.txt", lambda n: "\n".join(["1 x 2"] * n), "unreadable feature matrix"),
+])
+def test_train_rejects_bad_feature_file(tmp_path, capsys, name, make, message):
+    assert main(["gen-sbm", "--blocks", "20,20", "--out", str(tmp_path / "g")]) == 0
+    path = tmp_path / name
+    if name.endswith(".npy"):
+        np.save(path, make(40))
+    else:
+        path.write_text(make(40))
+    out = tmp_path / "run.json"
+    rc = main(["train", "--dataset", "file", "--graph", str(tmp_path / "g.graph"),
+               "--labels", str(tmp_path / "g.labels"), "--features", str(path),
+               "--epochs", "3", "--val-size", "10", "--test-size", "10", "--out", str(out)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_cora_without_data_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DISTSIG_DATA_DIR", raising=False)
     rc = main(["train", "--dataset", "cora", "--epochs", "5"])

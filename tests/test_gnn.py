@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from distsig.gnn import (
     ETA_GRID,
@@ -251,6 +252,47 @@ def test_forward_dropout_only_with_rng():
     assert "mask1" in c3
 
 
+def _sparse_features(n=30, d=12, seed=5):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((n, d)) < 0.2, rng.random((n, d)) + 0.5, 0.0)
+
+
+def test_input_dropout_draws_one_uniform_per_stored_entry():
+    g, _, _ = sbm_dataset((15, 15), 0.3, 0.05, seed=2)
+    ahat = normalized_adjacency(g)
+    f = _sparse_features()
+    nnz = np.count_nonzero(f)
+    params = init_params(f.shape[1], 7, 3, seed=1)
+    p = 0.4
+    rng = np.random.default_rng(11)
+    _, _, cache = gcn_forward(params, ahat, f, dropout=p, rng=rng)
+
+    ref = np.random.default_rng(11)
+    keep0 = ref.random(nnz) >= p  # stored entries in CSR (row-major) order
+    keep1 = ref.random((g.n, 7)) >= p
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(cache["mask1"], keep1 / (1.0 - p))
+
+    dropped = cache["f"].toarray()
+    assert np.all(dropped[f == 0.0] == 0.0)
+    kept = np.zeros(f.shape, dtype=bool)
+    kept[f != 0.0] = keep0
+    assert np.array_equal(dropped[kept], f[kept] / (1.0 - p))
+    assert np.all(dropped[~kept] == 0.0)
+
+
+def test_forward_dense_and_csr_inputs_agree_bitwise():
+    g, _, _ = sbm_dataset((15, 15), 0.3, 0.05, seed=2)
+    ahat = normalized_adjacency(g)
+    f = _sparse_features()
+    params = init_params(f.shape[1], 7, 3, seed=1)
+    for kw in ({}, {"dropout": 0.5}):
+        o_d, x_d, _ = gcn_forward(params, ahat, f, rng=np.random.default_rng(3), **kw)
+        o_s, x_s, _ = gcn_forward(params, ahat, sp.csr_array(f),
+                                  rng=np.random.default_rng(3), **kw)
+        assert np.array_equal(o_d, o_s) and np.array_equal(x_d, x_s)
+
+
 # --- training --------------------------------------------------------------
 
 def _toy_setup(seed=0):
@@ -332,6 +374,40 @@ def test_full_gradient_finite_differences():
             w[i, j] = orig
             num = (fp - fm) / (2.0 * h)
             assert abs(num - dw[i, j]) < 1e-4 * max(1.0, abs(dw[i, j])), variant
+
+
+def test_gradient_finite_differences_with_dropout():
+    # every loss evaluation gets a fresh generator with one seed, so all see
+    # the same input and hidden masks; covers X^T dZ1 through a dropped CSR
+    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+    f = _sparse_features(n=6, d=5, seed=2)
+    assert 0 < np.count_nonzero(f) < f.size
+    y = np.array([0, 0, 1, 1, 2, 2])
+    train_idx = np.array([0, 2, 4])
+    ahat = normalized_adjacency(g)
+    lap = laplacian_sparse(g)
+    a_vec = WeightDiag.default_for(g).a
+    cfg = TrainConfig(variant="r", eta=0.3, dropout=0.3, weight_decay=1e-3)
+    rng = np.random.default_rng(8)
+    params = GcnParams(rng.standard_normal((5, 4)) * 0.5, rng.standard_normal((4, 3)) * 0.5)
+
+    def loss(p):
+        return loss_and_grad(p, ahat, f, y, train_idx, lap, a_vec, cfg,
+                             rng=np.random.default_rng(21))
+
+    _, _, _, (dw1, dw2), _ = loss(params)
+    assert np.any(dw1 != 0.0)
+    h = 1e-6
+    for w, dw in ((params.w1, dw1), (params.w2, dw2)):
+        for i, j in np.ndindex(w.shape):
+            orig = w[i, j]
+            w[i, j] = orig + h
+            fp = loss(params)[0]
+            w[i, j] = orig - h
+            fm = loss(params)[0]
+            w[i, j] = orig
+            num = (fp - fm) / (2.0 * h)
+            assert abs(num - dw[i, j]) < 1e-4 * max(1.0, abs(dw[i, j])), (i, j)
 
 
 def test_accuracy_tie_break_lowest_class():
