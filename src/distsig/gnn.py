@@ -221,6 +221,9 @@ def sbm_dataset(blocks=(50, 50, 50, 50), p_in: float = 0.1, p_out: float = 0.01,
 
 def make_split(labels, per_class: int, val_size: int, test_size: int, seed: int) -> Split:
     """Per-class training nodes, then a shuffled val/test pool; deterministic."""
+    for name, size in (("per_class", per_class), ("val_size", val_size), ("test_size", test_size)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     labels = np.asarray(labels)
     rng = np.random.default_rng((seed, 17))
     train: list[int] = []
@@ -255,18 +258,43 @@ def init_params(feat_dim: int, hidden: int, classes: int, seed: int) -> GcnParam
     return GcnParams(glorot(feat_dim, hidden), glorot(hidden, classes))
 
 
+class _SparseInput:
+    """CSR features plus one reusable input-dropout copy, each with its transpose.
+
+    The dropped copy shares ``indices``/``indptr`` with the features and owns
+    a ``data`` buffer that every dropout draw rewrites in place; the
+    transposes are views of the same arrays.  So a training run builds its
+    sparse matrices once, not once per epoch.
+    """
+
+    def __init__(self, features):
+        f = features if isinstance(features, sp.csr_array) else sp.csr_array(features, dtype=float)
+        self.f, self.f_t = f, f.T
+        self.dropped = sp.csr_array((f.data.copy(), f.indices, f.indptr), shape=f.shape)
+        self.dropped_t = self.dropped.T
+
+    def drop(self, rng, p: float):
+        """Draw one uniform per stored entry, in CSR order; zeros stay zero."""
+        keep = rng.random(self.f.nnz) >= p
+        np.multiply(self.f.data, keep, out=self.dropped.data)
+        self.dropped.data /= 1.0 - p
+        return self.dropped, self.dropped_t
+
+
 def gcn_forward(params: GcnParams, ahat, features, *, dropout: float = 0.0, rng=None):
     """Returns (logits, probabilities, cache).  Dropout only when rng given.
 
-    Features are held as CSR (a CSR input is used as it is).  Input dropout
+    Features are held as CSR: a dense or CSR input is wrapped per call, and
+    ``train`` passes one ``_SparseInput`` for the whole run.  Input dropout
     draws one uniform per stored entry, in CSR order, and then one per hidden
     unit; zeros stay zero under any mask, so only the stored entries are drawn.
     """
-    f = features if isinstance(features, sp.csr_array) else sp.csr_array(features, dtype=float)
+    inp = features if isinstance(features, _SparseInput) else _SparseInput(features)
     cache: dict = {}
     if rng is not None and dropout > 0.0:
-        keep = rng.random(f.nnz) >= dropout
-        f = sp.csr_array((f.data * keep / (1.0 - dropout), f.indices, f.indptr), shape=f.shape)
+        f, f_t = inp.drop(rng, dropout)
+    else:
+        f, f_t = inp.f, inp.f_t
     z1 = f @ params.w1
     a1 = ahat @ z1
     h = np.maximum(a1, 0.0)
@@ -279,7 +307,7 @@ def gcn_forward(params: GcnParams, ahat, features, *, dropout: float = 0.0, rng=
     if not np.all(np.isfinite(o)):
         raise RuntimeError("non-finite activations in forward pass")
     x = softmax_rows(o)
-    cache.update(f=f, a1=a1, hd=hd)
+    cache.update(f=f, f_t=f_t, a1=a1, hd=hd)
     return o, x, cache
 
 
@@ -291,7 +319,7 @@ def gcn_backward(params: GcnParams, ahat, cache: dict, d_o: np.ndarray):
         dhd = dhd * cache["mask1"]
     da1 = dhd * (cache["a1"] > 0.0)
     dz1 = ahat @ da1
-    dw1 = cache["f"].T @ dz1
+    dw1 = cache["f_t"] @ dz1
     return dw1, dw2
 
 
@@ -332,7 +360,7 @@ def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_v
     """
     o, x, cache = gcn_forward(params, ahat, features, dropout=cfg.dropout, rng=rng)
     k = train_idx.shape[0]
-    n = features.shape[0]
+    n = o.shape[0]
     p = x[train_idx, labels[train_idx]]
     ce = -float(np.mean(np.log(np.maximum(p, 1e-12))))
     d_o = np.zeros_like(o)
@@ -383,13 +411,13 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
     decides the reported test accuracy; the spectral / non-uniformity analysis
     summarizes the final-epoch outputs.
     """
-    features = sp.csr_array(features, dtype=float)
+    inp = _SparseInput(features)
     labels = np.asarray(labels, dtype=np.int64)
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
     a_vec = WeightDiag.default_for(g).a
     classes = int(labels.max()) + 1
-    params = init_params(features.shape[1], cfg.hidden, classes, cfg.seed)
+    params = init_params(inp.f.shape[1], cfg.hidden, classes, cfg.seed)
     drop_rng = np.random.default_rng((cfg.seed, 1))
     opt = _Adam([params.w1.shape, params.w2.shape], cfg.lr)
 
@@ -397,13 +425,13 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
     best_acc, best_epoch, best_params = -1.0, 0, params.copy()
     for epoch in range(1, cfg.epochs + 1):
         loss, _, _, grads, _ = loss_and_grad(
-            params, ahat, features, labels, split.train, lap, a_vec, cfg, rng=drop_rng
+            params, ahat, inp, labels, split.train, lap, a_vec, cfg, rng=drop_rng
         )
         if not np.isfinite(loss):
             raise RuntimeError(f"divergence (non-finite loss) at epoch {epoch}")
         opt.step([params.w1, params.w2], grads)
 
-        o_eval, x_eval, _ = gcn_forward(params, ahat, features)
+        o_eval, x_eval, _ = gcn_forward(params, ahat, inp)
         p_val = x_eval[split.val, labels[split.val]]
         val_loss = -float(np.mean(np.log(np.maximum(p_val, 1e-12))))
         val_acc = accuracy(x_eval, labels, split.val)
@@ -416,8 +444,8 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
         if val_acc > best_acc:
             best_acc, best_epoch, best_params = val_acc, epoch, params.copy()
 
-    _, x_final, _ = gcn_forward(params, ahat, features)
-    _, x_best, _ = gcn_forward(best_params, ahat, features)
+    _, x_final, _ = gcn_forward(params, ahat, inp)
+    _, x_best, _ = gcn_forward(best_params, ahat, inp)
     test_acc = accuracy(x_best, labels, split.test)
 
     metrics = Metrics(cfg, tl, ta, vl, va, rv, best_epoch, test_acc, x_final)

@@ -20,6 +20,20 @@ class UnboundedError(RuntimeError):
     pass
 
 
+def _pivot(tab, row, col):
+    """Scale ``row`` so its ``col`` entry is 1, then clear ``col`` elsewhere.
+
+    Only rows with a nonzero ``col`` entry are updated, each by the same
+    ``row_i -= a_i * row`` as a row-by-row loop, so results (zero signs
+    included) are bitwise equal to it.
+    """
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    rows = factors.nonzero()[0]
+    tab[rows] -= factors[rows, None] * tab[row]
+
+
 def _run_phase(tab, basis, cost, tol, max_iter):
     """Optimize the tableau in place for the given cost vector.
 
@@ -34,28 +48,21 @@ def _run_phase(tab, basis, cost, tol, max_iter):
         if red[basis[i]] != 0.0:
             red -= red[basis[i]] * tab[i]
     for _ in range(max_iter):
-        enter = -1
-        for j in range(ncols):
-            if red[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        candidates = (red[:ncols] < -tol).nonzero()[0]
+        if candidates.size == 0:
             return red
-        # ratio test, ties broken by smallest basic variable index (Bland)
+        enter = int(candidates[0])
+        # ratio test over the rows with a positive pivot entry, in row order;
+        # ties broken by smallest basic variable index (Bland)
+        rows = (tab[:, enter] > tol).nonzero()[0]
+        ratios = tab[rows, -1] / tab[rows, enter]
         leave, best, best_var = -1, np.inf, None
-        for i in range(m):
-            a = tab[i, enter]
-            if a > tol:
-                r = tab[i, -1] / a
-                if r < best - tol or (abs(r - best) <= tol and (best_var is None or basis[i] < best_var)):
-                    leave, best, best_var = i, r, basis[i]
+        for i, r in zip(rows.tolist(), ratios.tolist()):
+            if r < best - tol or (abs(r - best) <= tol and (best_var is None or basis[i] < best_var)):
+                leave, best, best_var = i, r, basis[i]
         if leave < 0:
             raise UnboundedError("unbounded objective")
-        piv = tab[leave, enter]
-        tab[leave] /= piv
-        for i in range(m):
-            if i != leave and tab[i, enter] != 0.0:
-                tab[i] -= tab[i, enter] * tab[leave]
+        _pivot(tab, leave, enter)
         red -= red[enter] * tab[leave]
         basis[leave] = enter
     raise RuntimeError("simplex iteration cap exceeded")
@@ -89,19 +96,11 @@ def solve_lp(c, a_eq, b_eq, *, tol: float = PIVOT_TOL, max_iter: int | None = No
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            piv_col = -1
-            for j in range(n):
-                if abs(tab[i, j]) > tol:
-                    piv_col = j
-                    break
-            if piv_col < 0:
+            cols = (np.abs(tab[i, :n]) > tol).nonzero()[0]
+            if cols.size == 0:
                 continue
-            piv = tab[i, piv_col]
-            tab[i] /= piv
-            for r in range(m):
-                if r != i and tab[r, piv_col] != 0.0:
-                    tab[r] -= tab[r, piv_col] * tab[i]
-            basis[i] = piv_col
+            basis[i] = int(cols[0])
+            _pivot(tab, i, basis[i])
         keep.append(i)
     tab = np.hstack([tab[keep][:, :n], tab[keep][:, -1:]])
     basis = [basis[i] for i in keep]

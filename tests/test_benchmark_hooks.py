@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from distsig import cli, distributional, gnn
+from distsig import cli, distributional, gnn, spectral
+from distsig.graph import sbm_generate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -61,3 +62,26 @@ def test_train_receives_dense_features(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(seen) == 2 * len(gnn.ETA_GRID) + 1
     assert all(t is np.ndarray for t in seen), seen
+
+
+def test_eig_sym_receives_dense_matrix(tmp_path, monkeypatch, capsys):
+    # the eigensolver-size counter reads eig_sym's first argument with
+    # np.asarray, which turns a sparse matrix into a 0-d object array
+    seen = []
+    real_eig_sym = spectral.eig_sym
+
+    def spy(mat, *args, **kwargs):
+        seen.append(mat)
+        return real_eig_sym(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eig_sym", spy)
+    spectral.laplacian_spectrum(sbm_generate([10, 10], 0.4, 0.1, seed=3)[0])
+    out = tmp_path / "run.json"
+    assert cli.main(["train", "--blocks", "20,20", "--variant", "r", "--epochs", "2",
+                     "--val-size", "10", "--test-size", "10", "--tune",
+                     "--out", str(out)]) == 0
+    assert cli.main(["spectrum", "--blocks", "20,20", "--probs", f"{out}.probs.npy",
+                     "--out", str(tmp_path / "spec")]) == 0
+    capsys.readouterr()
+    assert len(seen) == 3
+    assert all(type(m) is np.ndarray and m.ndim == 2 for m in seen), [type(m) for m in seen]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from distsig import gnn
 from distsig.cli import main
 from distsig.spectral import high_freq_fraction
 
@@ -278,6 +279,27 @@ def test_train_rejects_bad_feature_file(tmp_path, capsys, name, make, message):
                "--labels", str(tmp_path / "g.labels"), "--features", str(path),
                "--epochs", "3", "--val-size", "10", "--test-size", "10", "--out", str(out)])
     assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--per-class", "0", "per_class must be >= 1, got 0"),
+    ("--val-size", "0", "val_size must be >= 1, got 0"),
+    ("--val-size", "-5", "val_size must be >= 1, got -5"),
+    ("--test-size", "0", "test_size must be >= 1, got 0"),
+])
+def test_train_rejects_split_size_below_one(tmp_path, capsys, monkeypatch, flag, value, message):
+    # refused before any training: a run with an empty split would report an
+    # untrained model or a nan accuracy
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite a bad split size")
+
+    monkeypatch.setattr(gnn, "train", no_training)
+    out = tmp_path / "run.json"
+    rc = main(["train", "--blocks", "20,20", "--epochs", "3", "--val-size", "10",
+               "--test-size", "10", flag, value, "--out", str(out)])
+    assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

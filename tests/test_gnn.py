@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from distsig.gnn import (
     ETA_GRID,
+    _SparseInput,
     GcnParams,
     Metrics,
     Split,
@@ -291,6 +292,28 @@ def test_forward_dense_and_csr_inputs_agree_bitwise():
         o_s, x_s, _ = gcn_forward(params, ahat, sp.csr_array(f),
                                   rng=np.random.default_rng(3), **kw)
         assert np.array_equal(o_d, o_s) and np.array_equal(x_d, x_s)
+
+
+def test_shared_dropout_buffer_matches_fresh_input():
+    # train hands every epoch one _SparseInput whose dropped copy is rewritten
+    # in place; each step must equal a fresh conversion of the dense features
+    g, _, _ = sbm_dataset((15, 15), 0.3, 0.05, seed=2)
+    f = _sparse_features()
+    y = np.arange(g.n) % 3
+    train_idx = np.arange(0, g.n, 4)
+    ahat = normalized_adjacency(g)
+    lap = laplacian_sparse(g)
+    a_vec = WeightDiag.default_for(g).a
+    cfg = TrainConfig(variant="r", eta=0.3, dropout=0.4)
+    params = init_params(f.shape[1], 7, 3, seed=1)
+    inp = _SparseInput(f)
+    rng_shared, rng_fresh = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):
+        got = loss_and_grad(params, ahat, inp, y, train_idx, lap, a_vec, cfg, rng=rng_shared)
+        want = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, cfg, rng=rng_fresh)
+        assert got[0] == want[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3]))
+        assert np.array_equal(inp.f.toarray(), f)
 
 
 # --- training --------------------------------------------------------------

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from distsig.simplex import InfeasibleError, UnboundedError, solve_lp
+from distsig import distributional
+from distsig.distributional import Marginals, coupling_lp_oracle, random_bound_instance, tv_exact
+from distsig.simplex import PIVOT_TOL, InfeasibleError, UnboundedError, solve_lp
+
+ORACLE_INSTANCES = 100
 
 
 def test_single_variable():
@@ -139,3 +143,152 @@ def test_solution_exactly_nonnegative():
         except UnboundedError:
             continue
         assert np.min(x) >= 0.0
+
+
+# --- the row-by-row simplex as an oracle ------------------------------------
+
+def _run_phase_oracle(tab, basis, cost, tol, max_iter):
+    """Bland's-rule phase with Python loops over columns and rows."""
+    m, width = tab.shape
+    ncols = width - 1
+    red = np.zeros(width)
+    red[:ncols] = cost
+    for i in range(m):
+        if red[basis[i]] != 0.0:
+            red -= red[basis[i]] * tab[i]
+    for _ in range(max_iter):
+        enter = -1
+        for j in range(ncols):
+            if red[j] < -tol:
+                enter = j
+                break
+        if enter < 0:
+            return red
+        leave, best, best_var = -1, np.inf, None
+        for i in range(m):
+            a = tab[i, enter]
+            if a > tol:
+                r = tab[i, -1] / a
+                if r < best - tol or (abs(r - best) <= tol and (best_var is None or basis[i] < best_var)):
+                    leave, best, best_var = i, r, basis[i]
+        if leave < 0:
+            raise UnboundedError("unbounded objective")
+        piv = tab[leave, enter]
+        tab[leave] /= piv
+        for i in range(m):
+            if i != leave and tab[i, enter] != 0.0:
+                tab[i] -= tab[i, enter] * tab[leave]
+        red -= red[enter] * tab[leave]
+        basis[leave] = enter
+    raise RuntimeError("simplex iteration cap exceeded")
+
+
+def solve_lp_oracle(c, a_eq, b_eq, tol=PIVOT_TOL):
+    """Two-phase simplex with a column-scanning, row-looping artificial kick-out.
+
+    Also returns how many redundant rows the kick-out dropped.
+    """
+    c = np.asarray(c, dtype=float)
+    a = np.asarray(a_eq, dtype=float).copy()
+    b = np.asarray(b_eq, dtype=float).copy()
+    m, n = a.shape
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+    max_iter = 200 * (m + n + 10)
+    tab = np.hstack([a, np.eye(m), b[:, None]])
+    basis = list(range(n, n + m))
+    red = _run_phase_oracle(tab, basis, np.concatenate([np.zeros(n), np.ones(m)]), tol, max_iter)
+    if -red[-1] > 1e-9:
+        raise InfeasibleError("no feasible point")
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            piv_col = -1
+            for j in range(n):
+                if abs(tab[i, j]) > tol:
+                    piv_col = j
+                    break
+            if piv_col < 0:
+                continue
+            piv = tab[i, piv_col]
+            tab[i] /= piv
+            for r in range(m):
+                if r != i and tab[r, piv_col] != 0.0:
+                    tab[r] -= tab[r, piv_col] * tab[i]
+            basis[i] = piv_col
+        keep.append(i)
+    tab = np.hstack([tab[keep][:, :n], tab[keep][:, -1:]])
+    basis = [basis[i] for i in keep]
+    _run_phase_oracle(tab, basis, c, tol, max_iter)
+    x = np.zeros(n)
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i, -1]
+    x = np.maximum(x, 0.0)
+    return x, float(c @ x), m - len(keep)
+
+
+def _recorded_lps(monkeypatch, run):
+    """Every (c, A, b) that ``run()`` hands to the library's solve_lp."""
+    lps = []
+
+    def record(c, a, b, **kwargs):
+        lps.append((np.array(c), np.array(a), np.array(b)))
+        return solve_lp(c, a, b, **kwargs)
+
+    monkeypatch.setattr(distributional, "solve_lp", record)
+    run()
+    monkeypatch.undo()
+    return lps
+
+
+def _assert_bitwise_equal_to_oracle(lps):
+    dropped = 0
+    for c, a, b in lps:
+        x, val = solve_lp(c, a, b)
+        x_ref, val_ref, n_dropped = solve_lp_oracle(c, a, b)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(np.signbit(x), np.signbit(x_ref))
+        assert val == val_ref
+        dropped += n_dropped
+    return dropped
+
+
+def _quarter_marginals(x):
+    """Marginals rounded to multiples of 1/4, or None if rounding leaves the simplex."""
+    q = np.round(x * 4.0) / 4.0
+    q[:, -1] = 1.0 - q[:, :-1].sum(axis=1)
+    return None if np.any(q < 0.0) else Marginals(q)
+
+
+def test_bitwise_equal_to_oracle_on_joint_coupling_lps(monkeypatch):
+    # the joint LP of criterion 2's corpus; its marginal rows are redundant
+    # (each node's rows sum to 1), so the row-dropping kick-out runs too.
+    # Quarter-rounded marginals add degenerate vertices, where tied ratios
+    # exercise Bland's tie rule.
+    def run():
+        for i in range(ORACLE_INSTANCES):
+            g, nn = random_bound_instance((0, i))
+            tv_exact(g, nn)
+            quarters = _quarter_marginals(nn.matrix)
+            if quarters is not None:
+                tv_exact(g, quarters)
+
+    lps = _recorded_lps(monkeypatch, run)
+    assert len(lps) > 1.5 * ORACLE_INSTANCES
+    assert _assert_bitwise_equal_to_oracle(lps) > 0
+
+
+def test_bitwise_equal_to_oracle_on_transport_lps(monkeypatch):
+    rng = np.random.default_rng(31)
+
+    def run():
+        for _ in range(200):
+            m = int(rng.integers(2, 7))
+            coupling_lp_oracle(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m)))
+        coupling_lp_oracle([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+
+    lps = _recorded_lps(monkeypatch, run)
+    assert len(lps) == 201
+    assert _assert_bitwise_equal_to_oracle(lps) > 0
+

@@ -80,6 +80,63 @@ def test_eig_large_path_uses_lapack(rng):
     assert np.allclose(lap @ u, u * spec.eigenvalues, atol=1e-8)
 
 
+def eig_sym_oracle(mat):
+    """The earlier eig_sym: dense residual, a copied and column-looped sign pass."""
+    mat = np.asarray(mat, dtype=float)
+    n = mat.shape[0]
+    vals, vecs = np.linalg.eigh(mat)
+    vecs = vecs.copy()
+    for j in range(n):
+        k = int(np.argmax(np.abs(vecs[:, j])))
+        if vecs[k, j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-8
+    assert np.max(np.abs(mat @ vecs - vecs * vals[None, :])) <= 1e-8 * scale
+    return vals, vecs
+
+
+def _criterion_5_graphs():
+    rng = np.random.default_rng(59)
+    for _ in range(50):
+        n = int(rng.integers(2, 13))
+        yield sbm_generate([n], 0.6, 0.6, seed=int(rng.integers(1 << 31)))[0]
+
+
+def test_laplacian_spectrum_bitwise_equal_to_oracle():
+    block_model, _ = sbm_generate([100, 100, 100], 0.08, 0.01, seed=4)
+    for g in [*_criterion_5_graphs(), block_model]:
+        spec = laplacian_spectrum(g)
+        vals, vecs = eig_sym_oracle(laplacian(g))
+        assert np.array_equal(spec.eigenvalues, vals)
+        assert np.array_equal(spec.eigenvectors, vecs)
+        assert np.array_equal(np.signbit(spec.eigenvectors), np.signbit(vecs))
+
+
+def _swap_two_columns(vals, vecs):
+    vecs = vecs.copy()
+    vecs[:, [1, -1]] = vecs[:, [-1, 1]]
+    return vals, vecs
+
+
+def _stretch_one_column(vals, vecs):
+    vecs = vecs.copy()
+    vecs[:, 1] *= 1.5
+    return vals, vecs
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_swap_two_columns, "eigenpair residual"),  # still orthonormal
+    (_stretch_one_column, "not orthonormal"),
+])
+def test_laplacian_spectrum_rejects_wrong_eigenpairs(monkeypatch, corrupt, message):
+    g, _ = sbm_generate([30, 30], 0.3, 0.05, seed=6)
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: corrupt(*real_eigh(mat)))
+    with pytest.raises(RuntimeError, match=message):
+        laplacian_spectrum(g)
+
+
 def test_known_small_spectra(p3, c4, k4):
     # closed forms: path 2-x, cycle 2-2cos, complete n
     assert np.allclose(laplacian_spectrum(p3).eigenvalues, [0.0, 1.0, 3.0], atol=1e-10)
@@ -134,10 +191,7 @@ def test_tv_triangle_delta(triangle):
 
 def test_tv_matches_quadratic_form_on_criterion_5_graphs():
     # the edge sum equals x^T L x on criterion 5's graphs and eigenvectors
-    rng = np.random.default_rng(59)
-    for _ in range(50):
-        n = int(rng.integers(2, 13))
-        g, _ = sbm_generate([n], 0.6, 0.6, seed=int(rng.integers(1 << 31)))
+    for g in _criterion_5_graphs():
         lap = laplacian(g)
         for x in laplacian_spectrum(g).eigenvectors.T:
             tv = total_variation(g, x)
