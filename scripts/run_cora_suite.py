@@ -18,15 +18,8 @@ import time
 
 import numpy as np
 
-from distsig.gnn import (
-    VARIANTS,
-    TrainConfig,
-    load_cora_dir,
-    main_component,
-    make_split,
-    train,
-    tune_eta,
-)
+from distsig.gnn import VARIANTS, TrainConfig, load_cora_dir, make_split, train, tune_eta
+from distsig.graph import main_component
 from distsig.regularizer import nonuniformity_counts
 from distsig.spectral import laplacian_spectrum
 

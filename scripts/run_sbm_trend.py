@@ -12,11 +12,7 @@ import time
 
 import numpy as np
 
-from distsig.gnn import TrainConfig, make_split, sbm_dataset, train, tune_eta
-
-# graphs here are denser than citation networks, so the grid reaches one
-# decade below the standard {0.1, 0.2, 0.5, 1.0}
-ETA_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
+from distsig.gnn import SBM_ETA_GRID, TrainConfig, make_split, sbm_dataset, train, tune_eta
 
 SETUPS = {
     "2block": dict(blocks=(100, 100), p_in=0.2, p_out=0.01),
@@ -34,7 +30,7 @@ def run_setup(name, spec, seeds, variant):
         base = train(g, f, y, split, TrainConfig(variant="gcn", seed=seed),
                      analysis=False)
         best, _ = tune_eta(g, f, y, split, TrainConfig(variant=variant, seed=seed),
-                           grid=ETA_GRID, analysis=False)
+                           grid=SBM_ETA_GRID, analysis=False)
         d = best.test_acc - base.test_acc
         diffs.append(d)
         print(f"seed {seed}: gcn {base.test_acc:.3f}  {variant} {best.test_acc:.3f} "

@@ -1,76 +1,6 @@
 """Distributional graph signals: transport variation, bounds, regularized GCN."""
 
-from .graph import (
-    Graph,
-    GraphError,
-    SpanningTree,
-    TreeCover,
-    build_graph,
-    clique_number_complement,
-    connected_components,
-    enumerate_spanning_trees,
-    induced_subgraph,
-    is_connected,
-    laplacian,
-    main_component,
-    min_tree_cover,
-    normalized_adjacency,
-    read_graph_file,
-    read_labels_file,
-    sbm_generate,
-    spanning_tree_count,
-    write_graph_file,
-    write_labels_file,
-)
-from .spectral import (
-    Spectrum,
-    eig_sym,
-    export_spectrum_csv,
-    gft,
-    high_freq_fraction,
-    igft,
-    laplacian_spectrum,
-    matched_random_signal,
-    normalize_signal,
-    total_variation,
-)
-from .distributional import (
-    Coupling,
-    DiscreteDistribution,
-    JointDistribution,
-    Marginals,
-    check_tv_bounds,
-    coupling_lp_oracle,
-    optimal_coupling,
-    random_bound_instance,
-    run_bound_corpus,
-    tv_cover,
-    tv_exact,
-    tv_l1_l2,
-    tv_tree_rooted,
-    wasserstein_sq,
-)
-from .regularizer import (
-    WeightDiag,
-    check_prob_matrix,
-    nonuniformity_bound_check,
-    nonuniformity_counts,
-    nonuniformity_sweep,
-    softmax_rows,
-)
-from .gnn import (
-    Metrics,
-    Split,
-    TrainConfig,
-    VARIANTS,
-    accuracy,
-    gcn_forward,
-    load_cora,
-    make_split,
-    output_analysis,
-    sbm_dataset,
-    train,
-    tune_eta,
-)
+from .distributional import check_tv_bounds, random_bound_instance
+from .graph import build_graph
 
 __version__ = "0.1.0"

@@ -17,13 +17,14 @@ from . import gnn
 from .distributional import run_bound_corpus
 from .graph import (
     GraphError,
+    main_component,
     read_graph_file,
     read_labels_file,
     sbm_generate,
     write_graph_file,
     write_labels_file,
 )
-from .regularizer import EPS_SWEEP_DEFAULT, nonuniformity_sweep, write_nonuniformity_csv
+from .regularizer import check_prob_matrix, nonuniformity_sweep, write_nonuniformity_csv
 from .spectral import (
     export_spectrum_csv,
     gft,
@@ -31,7 +32,6 @@ from .spectral import (
     matched_random_signal,
     normalize_signal,
 )
-from .graph import main_component
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -83,31 +83,48 @@ def _load_dataset(args):
                 f"label count {y.shape[0]} does not match graph size {g.n}", EXIT_IO
             )
         feat_path = getattr(args, "features", None)
-        f = _read_features(feat_path, g.n) if feat_path else gnn.sbm_features(g.n)
+        f = _read_matrix(feat_path, "feature", g.n) if feat_path else gnn.sbm_features(g.n)
         return g, f, y
     raise CliError(f"unknown dataset {args.dataset!r}", EXIT_USAGE)
 
 
-def _read_features(path, n):
-    """Load an n-row feature matrix; anything else in the file is an I/O error."""
+def _read_matrix(path, kind, n):
+    """Load a finite real 2-D matrix, with n rows unless n is None.
+
+    Anything else in the file is an I/O error; ``kind`` names the matrix in
+    the messages.
+    """
     try:
         f = np.load(path) if path.endswith(".npy") else np.loadtxt(path, dtype=float, ndmin=2)
     except ValueError as e:
-        raise CliError(f"{path}: unreadable feature matrix: {e}", EXIT_IO) from None
+        raise CliError(f"{path}: unreadable {kind} matrix: {e}", EXIT_IO) from None
+    if not isinstance(f, np.ndarray):  # an .npz archive under a .npy name
+        f.close()
+        raise CliError(f"{path}: unreadable {kind} matrix: an archive, not one array", EXIT_IO)
     if f.ndim != 2:
-        raise CliError(f"{path}: features must be a 2-D array, got {f.ndim}-D", EXIT_IO)
+        raise CliError(f"{path}: {kind} matrix must be a 2-D array, got {f.ndim}-D", EXIT_IO)
     if f.dtype.kind not in "biuf":
-        raise CliError(f"{path}: features must be real numbers, got dtype {f.dtype}", EXIT_IO)
-    if f.shape[0] != n:
-        raise CliError(f"feature rows {f.shape[0]} do not match graph size {n}", EXIT_IO)
+        raise CliError(f"{path}: {kind} matrix must be real numbers, got dtype {f.dtype}",
+                       EXIT_IO)
+    if n is not None and f.shape[0] != n:
+        raise CliError(f"{kind} rows {f.shape[0]} do not match graph size {n}", EXIT_IO)
     bad = ~np.isfinite(f)
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise CliError(
-            f"{path}: features must be finite, got {int(bad.sum())} non-finite "
+            f"{path}: {kind} matrix must be finite, got {int(bad.sum())} non-finite "
             f"value(s), first at row {row}, column {col}", EXIT_IO
         )
     return f
+
+
+def _read_probs(path, n):
+    """``_read_matrix`` for a row-stochastic matrix; other rows are an I/O error."""
+    x = _read_matrix(path, "probability", n)
+    try:
+        return check_prob_matrix(x)
+    except ValueError as e:
+        raise CliError(f"{path}: not a probability matrix: {e}", EXIT_IO) from None
 
 
 def _write_json(path, payload) -> None:
@@ -120,6 +137,7 @@ def _write_json(path, payload) -> None:
 
 def cmd_spectrum(args) -> int:
     g, _, y = _load_dataset(args)
+    probs = _read_probs(args.probs, g.n) if args.probs else None
     sub, nodes = main_component(g)
     spec = laplacian_spectrum(sub)
     norm = not args.no_normalize
@@ -135,13 +153,7 @@ def cmd_spectrum(args) -> int:
     export_spectrum_csv(f"{args.out}_label.csv", spec.eigenvalues, coeffs(label_sig))
     export_spectrum_csv(f"{args.out}_random.csv", spec.eigenvalues, coeffs(rand_sig))
     written = 2
-    if args.probs:
-        probs = np.load(args.probs)
-        if probs.shape[0] != g.n:
-            raise CliError(
-                f"probability rows {probs.shape[0]} do not match graph size {g.n}",
-                EXIT_IO,
-            )
+    if probs is not None:
         for s in range(probs.shape[1]):
             export_spectrum_csv(
                 f"{args.out}_class{s}.csv", spec.eigenvalues, coeffs(probs[nodes, s])
@@ -162,23 +174,26 @@ def cmd_bounds(args) -> int:
         f"{report['trials']} instances, {report['violation_count']} violation(s); "
         f"weak-constant pass rate {report['c3_paper_pass_rate']:.3f}"
     )
+    print(f"{'inequality':<24} worst margin")
+    for name, margin in report["worst_margins"].items():
+        print(f"{name:<24} {margin:+.3e}")
     if report["violation_count"]:
         return EXIT_VIOLATION
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
+    cfg = gnn.TrainConfig(
+        variant=args.variant, eta=args.eta, epochs=args.epochs, seed=args.seed,
+        hidden=args.hidden, lr=args.lr, weight_decay=args.weight_decay,
+        dropout=args.dropout,
+    )
     g, f, y = _load_dataset(args)
     cora = args.dataset == "cora"
     per_class = args.per_class if args.per_class is not None else (20 if cora else 5)
     val_size = args.val_size if args.val_size is not None else (500 if cora else 50)
     test_size = args.test_size if args.test_size is not None else (1000 if cora else 100)
     split = gnn.make_split(y, per_class, val_size, test_size, args.seed)
-    cfg = gnn.TrainConfig(
-        variant=args.variant, eta=args.eta, epochs=args.epochs, seed=args.seed,
-        hidden=args.hidden, lr=args.lr, weight_decay=args.weight_decay,
-        dropout=args.dropout,
-    )
     if args.tune:
         metrics, _ = gnn.tune_eta(g, f, y, split, cfg)
     else:
@@ -194,8 +209,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    probs = np.load(args.probs)
-    records = nonuniformity_sweep(probs, EPS_SWEEP_DEFAULT)
+    probs = _read_probs(args.probs, None)
+    records = nonuniformity_sweep(probs)
     write_nonuniformity_csv(args.out, records, args.tag)
     print(f"wrote non-uniformity sweep for {probs.shape[0]}x{probs.shape[1]} entries to {args.out}")
     return EXIT_OK

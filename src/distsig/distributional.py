@@ -2,8 +2,8 @@
 
 A distributional signal assigns each node a probability distribution over a
 shared finite label alphabet.  This module provides the squared Wasserstein
-distance under the discrete metric (closed form + LP oracle), four smoothness
-measures built on it, and the inequality chains relating them.
+distance under the discrete metric (closed form), four smoothness measures
+built on it, and the inequality chains relating them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .graph import (
 )
 from .simplex import InfeasibleError, solve_lp
 
-ORACLE_MAX_M = 6
 JOINT_TABLE_CAP = 729  # 3^6 table entries
 
 
@@ -122,32 +121,6 @@ class Coupling:
         return float(self.matrix.sum() - np.trace(self.matrix))
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Full joint over label tuples, one axis per node."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if np.min(t) < -1e-9:
-            raise ValueError(f"negative joint mass {np.min(t):.3e}")
-        t = np.maximum(t, 0.0)
-        if abs(float(t.sum()) - 1.0) > 1e-7:
-            raise ValueError(f"joint mass sums to {t.sum()!r}")
-        t.flags.writeable = False
-        object.__setattr__(self, "table", t)
-
-    @property
-    def n(self) -> int:
-        return self.table.ndim
-
-    def marginal(self, i: int) -> DiscreteDistribution:
-        axes = tuple(a for a in range(self.table.ndim) if a != i)
-        w = self.table.sum(axis=axes)
-        return DiscreteDistribution(w / w.sum())
-
-
 def _weights(d) -> np.ndarray:
     if isinstance(d, DiscreteDistribution):
         return d.weights
@@ -199,27 +172,6 @@ def optimal_coupling(mu, nu) -> Coupling:
     return Coupling(z, x, y)
 
 
-def coupling_lp_oracle(mu, nu) -> float:
-    """Exact transport LP over all couplings; the independent check route."""
-    x, y = _weights(mu), _weights(nu)
-    if x.shape != y.shape:
-        raise ValueError(f"alphabet size mismatch: {x.shape} vs {y.shape}")
-    m = x.shape[0]
-    if m > ORACLE_MAX_M:
-        raise ValueError(f"alphabet size {m} too large for the LP oracle (max {ORACLE_MAX_M})")
-    cost = (1.0 - np.eye(m)).ravel()
-    a = np.zeros((2 * m, m * m))
-    for i in range(m):
-        a[i, i * m:(i + 1) * m] = 1.0  # row sums
-        a[m + i, i::m] = 1.0           # column sums
-    b = np.concatenate([x, y])
-    try:
-        _, val = solve_lp(cost, a, b)
-    except InfeasibleError as e:  # pragma: no cover - valid inputs are feasible
-        raise RuntimeError(f"coupling LP infeasible: {e}") from e
-    return max(val, 0.0)
-
-
 # --- total variation notions ---------------------------------------------
 
 def tv_l1_l2(g: Graph, marginals) -> tuple[float, float]:
@@ -240,7 +192,7 @@ def tv_l1_l2(g: Graph, marginals) -> tuple[float, float]:
     return l1, l2
 
 
-def tv_exact(g: Graph, marginals, return_joint: bool = False):
+def tv_exact(g: Graph, marginals) -> float:
     """Smallest expected edgewise disagreement over all joint couplings.
 
     Solves the exact linear program on the full joint table; only feasible for
@@ -262,13 +214,10 @@ def tv_exact(g: Graph, marginals, return_joint: bool = False):
             a[i * m + s] = (states[:, i] == s).astype(float)
     b = nn.matrix.ravel()
     try:
-        x, val = solve_lp(cost, a, b)
+        _, val = solve_lp(cost, a, b)
     except InfeasibleError as e:
         raise RuntimeError(f"joint coupling LP infeasible for valid marginals: {e}") from e
-    val = max(val, 0.0)
-    if return_joint:
-        return val, JointDistribution(x.reshape((m,) * n))
-    return val
+    return max(val, 0.0)
 
 
 def _rho(mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:

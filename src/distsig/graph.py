@@ -19,6 +19,8 @@ import scipy.sparse as sp
 log = logging.getLogger(__name__)
 
 COVER_MAX_EDGES = 20  # the cover search holds 2^|E| sets per level
+TREE_CAP = 10000  # most spanning trees enumerate_spanning_trees lists
+CLIQUE_MAX_N = 32  # most nodes clique_number_complement searches
 _COVER_CHUNK = 1 << 14  # (set, candidate mask) cells per vectorized cover-search step
 
 
@@ -184,24 +186,18 @@ class TreeCover:
         if not self.trees:
             raise GraphError("empty tree cover")
 
-    def covers(self, g: Graph) -> bool:
-        covered = set()
-        for t in self.trees:
-            covered.update(t.edges)
-        return covered.issuperset(set(g.edges))
 
-
-def enumerate_spanning_trees(g: Graph, cap: int = 10000) -> list[SpanningTree]:
+def enumerate_spanning_trees(g: Graph) -> list[SpanningTree]:
     """All spanning trees, canonically sorted.
 
-    A matrix-tree count runs first so a combinatorial explosion is refused
-    before any enumeration work happens.
+    A matrix-tree count runs first so that more than ``TREE_CAP`` trees are
+    refused before any enumeration work happens.
     """
     if not is_connected(g):
         raise GraphError("graph disconnected")
     count = spanning_tree_count(g)
-    if count > cap:
-        raise GraphError(f"tree count {count} exceeds cap {cap}")
+    if count > TREE_CAP:
+        raise GraphError(f"tree count {count} exceeds cap {TREE_CAP}")
     if g.n == 1:
         return [SpanningTree(1, ())]
 
@@ -249,14 +245,14 @@ def enumerate_spanning_trees(g: Graph, cap: int = 10000) -> list[SpanningTree]:
     return [SpanningTree(g.n, t) for t in sorted(found)]
 
 
-def clique_number_complement(g: Graph, limit: int = 32) -> tuple[int, int]:
+def clique_number_complement(g: Graph) -> tuple[int, int]:
     """Exact clique number of the complement graph, and the derived constant.
 
     Returns (omega_bar, n - omega_bar).  Bron-Kerbosch with pivoting; refuses
-    graphs beyond the exact-search limit.
+    graphs over ``CLIQUE_MAX_N`` nodes.
     """
-    if g.n > limit:
-        raise GraphError(f"n={g.n} exceeds exact limit {limit}")
+    if g.n > CLIQUE_MAX_N:
+        raise GraphError(f"n={g.n} exceeds exact limit {CLIQUE_MAX_N}")
     present = set(g.edges)
     neigh = [set() for _ in range(g.n)]
     for u in range(g.n):
@@ -387,24 +383,6 @@ def _cover_cells(states, holders, masks):
 def cover_size_cap(c1: int) -> int:
     """Default cap on a tree cover's size: the clique constant c1, at least 3."""
     return max(c1, 3)
-
-
-def min_tree_cover(g: Graph, size_cap: int | None = None) -> TreeCover:
-    """Smallest set of spanning trees covering every edge, within a size cap."""
-    trees = enumerate_spanning_trees(g)
-    _, c1 = clique_number_complement(g)
-    if size_cap is None:
-        size_cap = cover_size_cap(c1)
-    # unit weights: minimum total weight == minimum cover size
-    res = _min_weight_cover(tree_edge_masks(g, trees), [1.0] * len(trees), g.m, size_cap)
-    if res is None:
-        raise GraphError(f"no cover within cap {size_cap}")
-    _, idx = res
-    cover = TreeCover(tuple(trees[i] for i in idx))
-    assert cover.covers(g)
-    if 1 <= c1 <= size_cap:
-        assert len(cover.trees) <= c1, f"cover size {len(cover.trees)} > c1 {c1}"
-    return cover
 
 
 def sbm_generate(block_sizes, p_in: float, p_out: float, seed: int) -> tuple[Graph, np.ndarray]:

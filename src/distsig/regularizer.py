@@ -19,11 +19,12 @@ from .graph import Graph
 
 log = logging.getLogger(__name__)
 
-EPS_SWEEP_DEFAULT = (0.005, 0.01, 0.02, 0.05)
+EPS_SWEEP = (0.005, 0.01, 0.02, 0.05)
 
 
-def check_prob_matrix(x, tol: float = 1e-7) -> np.ndarray:
-    """Validate a row-stochastic matrix (rows sum to 1, entries in [0, 1])."""
+def check_prob_matrix(x) -> np.ndarray:
+    """Validate a row-stochastic matrix: entries in [0, 1], rows summing to 1, within 1e-7."""
+    tol = 1e-7
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"need an n x m matrix, got shape {x.shape}")
@@ -34,7 +35,7 @@ def check_prob_matrix(x, tol: float = 1e-7) -> np.ndarray:
     rs = x.sum(axis=1)
     bad = int(np.argmax(np.abs(rs - 1.0)))
     if abs(rs[bad] - 1.0) > tol:
-        raise ValueError(f"row {bad} sums to {rs[bad]!r}, not 1")
+        raise ValueError(f"row {bad} sums to {float(rs[bad])!r}, not 1")
     return x
 
 
@@ -90,13 +91,14 @@ def softmax_vjp(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return x * (grad - inner)
 
 
-def nonuniformity_bound_check(x, d: WeightDiag, tol: float = 1e-9) -> dict:
+def nonuniformity_bound_check(x, d: WeightDiag) -> dict:
     """Transport lower bound on the confidence trace, plus its sandwich.
 
     Tr(X^T D X) - Tr(D)/m must dominate twice the weighted squared transport
     distances of the rows to uniform; one-hot and uniform rows bound the trace
-    itself from below and above.
+    itself from below and above.  Both checks allow a slack of 1e-9.
     """
+    tol = 1e-9
     x = check_prob_matrix(x)
     n, m = x.shape
     if d.n != n:
@@ -134,9 +136,10 @@ def nonuniformity_counts(x, eps_uniform: float, eps_one: float) -> tuple[int, in
     return near_uniform, near_one
 
 
-def nonuniformity_sweep(x, eps_values=EPS_SWEEP_DEFAULT) -> list[dict]:
+def nonuniformity_sweep(x) -> list[dict]:
+    """Near-uniform and near-one entry counts at every epsilon of ``EPS_SWEEP``."""
     out = []
-    for e in eps_values:
+    for e in EPS_SWEEP:
         nu, no = nonuniformity_counts(x, e, e)
         out.append({"epsilon": float(e), "near_uniform": nu, "near_one": no})
     return out

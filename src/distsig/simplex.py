@@ -34,12 +34,13 @@ def _pivot(tab, row, col):
     tab[rows] -= factors[rows, None] * tab[row]
 
 
-def _run_phase(tab, basis, cost, tol, max_iter):
+def _run_phase(tab, basis, cost, max_iter):
     """Optimize the tableau in place for the given cost vector.
 
     tab rows are the constraint rows [coeffs | rhs]; basis maps row -> basic
     column.  Returns the reduced-cost row at optimality.
     """
+    tol = PIVOT_TOL
     m, width = tab.shape
     ncols = width - 1
     red = np.zeros(width)
@@ -68,8 +69,11 @@ def _run_phase(tab, basis, cost, tol, max_iter):
     raise RuntimeError("simplex iteration cap exceeded")
 
 
-def solve_lp(c, a_eq, b_eq, *, tol: float = PIVOT_TOL, max_iter: int | None = None):
-    """Return (x, value) minimizing c.x over {x >= 0 : A x = b}."""
+def solve_lp(c, a_eq, b_eq):
+    """Return (x, value) minimizing c.x over {x >= 0 : A x = b}.
+
+    Each phase is capped at 200 * (rows + columns + 10) pivots.
+    """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a_eq, dtype=float).copy()
     b = np.asarray(b_eq, dtype=float).copy()
@@ -79,14 +83,13 @@ def solve_lp(c, a_eq, b_eq, *, tol: float = PIVOT_TOL, max_iter: int | None = No
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
-    if max_iter is None:
-        max_iter = 200 * (m + n + 10)
+    max_iter = 200 * (m + n + 10)
 
     # phase 1: artificial basis, drive the artificials to zero
     tab = np.hstack([a, np.eye(m), b[:, None]])
     basis = list(range(n, n + m))
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    red = _run_phase(tab, basis, cost1, tol, max_iter)
+    red = _run_phase(tab, basis, cost1, max_iter)
     phase1_val = -red[-1]
     if phase1_val > 1e-9:
         raise InfeasibleError(f"no feasible point (phase-1 value {phase1_val:.3e})")
@@ -96,7 +99,7 @@ def solve_lp(c, a_eq, b_eq, *, tol: float = PIVOT_TOL, max_iter: int | None = No
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            cols = (np.abs(tab[i, :n]) > tol).nonzero()[0]
+            cols = (np.abs(tab[i, :n]) > PIVOT_TOL).nonzero()[0]
             if cols.size == 0:
                 continue
             basis[i] = int(cols[0])
@@ -105,7 +108,7 @@ def solve_lp(c, a_eq, b_eq, *, tol: float = PIVOT_TOL, max_iter: int | None = No
     tab = np.hstack([tab[keep][:, :n], tab[keep][:, -1:]])
     basis = [basis[i] for i in keep]
 
-    _run_phase(tab, basis, c, tol, max_iter)
+    _run_phase(tab, basis, c, max_iter)
     x = np.zeros(n)
     for i, bi in enumerate(basis):
         x[bi] = tab[i, -1]

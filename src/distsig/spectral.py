@@ -85,13 +85,6 @@ def gft(spec: Spectrum, x) -> np.ndarray:
     return spec.eigenvectors.T @ x
 
 
-def igft(spec: Spectrum, xhat) -> np.ndarray:
-    xhat = np.asarray(xhat, dtype=float)
-    if xhat.shape != (spec.n,):
-        raise ValueError(f"coefficient length {xhat.shape} does not match n={spec.n}")
-    return spec.eigenvectors @ xhat
-
-
 def total_variation(g: Graph, x) -> float:
     """Sum of squared differences across edges, equal to x^T L x."""
     x = np.asarray(x, dtype=float)
@@ -104,24 +97,21 @@ def total_variation(g: Graph, x) -> float:
     return edge_sum
 
 
-def high_freq_fraction(xhat, cut: float = 0.5) -> float:
-    """Share of spectral energy strictly above position cut*n (1-based index)."""
-    if not (0.0 < cut < 1.0):
-        raise ValueError(f"cut must be in (0, 1), got {cut}")
+def high_freq_fraction(xhat) -> float:
+    """Share of spectral energy strictly above position n/2 (1-based index)."""
     xhat = np.asarray(xhat, dtype=float)
     total = float(xhat @ xhat)
     if total == 0.0:
         raise ValueError("zero vector has no spectral profile")
     n = xhat.shape[0]
-    idx = np.arange(1, n + 1)
-    return float(xhat[idx > cut * n] @ xhat[idx > cut * n]) / total
+    high = xhat[np.arange(1, n + 1) > 0.5 * n]
+    return float(high @ high) / total
 
 
-def normalize_signal(x, center: bool = True) -> np.ndarray:
-    """Mean-center (optional) and scale to unit l2 norm."""
+def normalize_signal(x) -> np.ndarray:
+    """Mean-center and scale to unit l2 norm."""
     x = np.asarray(x, dtype=float)
-    if center:
-        x = x - x.mean()
+    x = x - x.mean()
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0:
         raise ValueError("cannot normalize a constant/zero signal")

@@ -11,13 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from distsig.distributional import (
-    coupling_lp_oracle,
-    optimal_coupling,
-    run_bound_corpus,
-    wasserstein_sq,
-)
+from distsig.distributional import optimal_coupling, run_bound_corpus, wasserstein_sq
 from distsig.gnn import (
+    SBM_ETA_GRID,
     GcnParams,
     TrainConfig,
     laplacian_sparse,
@@ -31,6 +27,7 @@ from distsig.gnn import (
 from distsig.graph import build_graph, sbm_generate
 from distsig.regularizer import WeightDiag, nonuniformity_bound_check, nonuniformity_counts
 from distsig.spectral import laplacian_spectrum, total_variation
+from oracles import coupling_lp_oracle
 
 CORPUS_TRIALS = 500
 CORPUS_SEED = 0
@@ -178,10 +175,7 @@ def test_criterion_6_gradient_correctness():
 
 
 # eta is a tunable knob with no pinned value; the trend checks select it per
-# seed by validation accuracy.  The block-model grid extends one decade below
-# the standard grid because these graphs are an order denser than citation
-# networks, scaling the stable eta range down by the same factor.
-SBM_ETA_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
+# seed by validation accuracy over gnn.SBM_ETA_GRID.
 
 
 def test_criterion_7a_block_model_trend():

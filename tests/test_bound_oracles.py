@@ -21,9 +21,9 @@ from distsig.graph import (
     build_graph,
     clique_number_complement,
     enumerate_spanning_trees,
-    min_tree_cover,
     tree_edge_masks,
 )
+from oracles import covers, min_tree_cover
 
 ORACLE_INSTANCES = 100
 
@@ -219,7 +219,7 @@ def test_cover_search_edge_limit():
 def test_min_tree_cover_unit_weights(n, edges, size):
     g = build_graph(n, edges)
     cover = min_tree_cover(g)
-    assert cover.covers(g)
+    assert covers(cover, g)
     assert len(cover.trees) == size
     trees = enumerate_spanning_trees(g)
     masks = tree_edge_masks(g, trees)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,20 @@ def test_bounds_clean_run(tmp_path, capsys):
     assert len(report["instances"]) == 20
 
 
+def test_bounds_prints_worst_margin_table(capsys):
+    assert main(["bounds", "--trials", "3", "--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "3 instances, 0 violation(s); weak-constant pass rate 1.000",
+        "inequality               worst margin",
+        "2min_le_c1_tg1           +2.586e+00",
+        "2tg_le_tghv_min          -4.441e-16",
+        "tg1_le_2tcov             +0.000e+00",
+        "tg1_le_2tg               -8.882e-16",
+        "tg1_le_c3_sqrt_tg2       +8.207e-01",
+        "tg2_le_tg1               +1.297e+00",
+    ]
+
+
 def test_bounds_summary_only(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["bounds", "--trials", "5", "--summary-only", "--out", str(out)]) == 0
@@ -129,7 +147,7 @@ def test_spectrum_block_labels_low_frequency(tmp_path, capsys):
     assert "2 spectrum file(s)" in capsys.readouterr().out
     lab = _read_coeffs(tmp_path / "spec_label.csv")
     rnd = _read_coeffs(tmp_path / "spec_random.csv")
-    assert high_freq_fraction(lab, 0.5) < high_freq_fraction(rnd, 0.5)
+    assert high_freq_fraction(lab) < high_freq_fraction(rnd)
 
 
 def test_spectrum_with_probs(tmp_path, capsys):
@@ -152,6 +170,20 @@ def test_spectrum_probs_shape_mismatch(tmp_path, capsys):
                "--probs", str(tmp_path / "bad.npy"), "--out", str(tmp_path / "s")])
     assert rc == 3
     assert "do not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: np.full(40, 0.5), "probability matrix must be a 2-D array, got 1-D"),
+    (lambda: np.full((40, 2), np.nan), "probability matrix must be finite, got 80"),
+    (lambda: np.full((40, 2), 0.75), "row 0 sums to 1.5, not 1"),
+], ids=["1-D", "all-NaN", "rows-sum-1.5"])
+def test_spectrum_rejects_bad_probability_file(tmp_path, capsys, make, message):
+    np.save(tmp_path / "p.npy", make())
+    rc = main(["spectrum", "--dataset", "sbm", "--blocks", "20,20",
+               "--probs", str(tmp_path / "p.npy"), "--out", str(tmp_path / "s")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("s_*.csv")) == []
 
 
 def test_spectrum_rerun_byte_identical(tmp_path, capsys):
@@ -304,6 +336,28 @@ def test_train_rejects_split_size_below_one(tmp_path, capsys, monkeypatch, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--lr", "-1"], "lr must be finite and > 0, got -1.0"),
+    (["--lr", "0"], "lr must be finite and > 0, got 0.0"),
+    (["--lr", "nan"], "lr must be finite and > 0, got nan"),
+    (["--weight-decay=-0.5"], "weight_decay must be finite and >= 0, got -0.5"),
+    (["--variant", "r", "--eta", "-5"], "eta must be finite and >= 0, got -5.0"),
+    (["--variant", "r", "--eta", "inf"], "eta must be finite and >= 0, got inf"),
+], ids=["lr-negative", "lr-zero", "lr-nan", "weight-decay-negative", "eta-negative",
+        "eta-inf"])
+def test_train_rejects_bad_optimiser_values(tmp_path, capsys, monkeypatch, flags, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite a bad optimiser value")
+
+    monkeypatch.setattr(gnn, "train", no_training)
+    out = tmp_path / "run.json"
+    rc = main(["train", "--blocks", "20,20", "--epochs", "3", "--val-size", "10",
+               "--test-size", "10", *flags, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_cora_without_data_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DISTSIG_DATA_DIR", raising=False)
     rc = main(["train", "--dataset", "cora", "--epochs", "5"])
@@ -332,8 +386,41 @@ def test_analyze_csv(tmp_path, capsys):
     assert all(line.endswith(",demo") for line in lines[1:])
 
 
+def _write_archive(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, probs=np.full((12, 3), 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: np.save(path, np.full((12, 3), 0.5)), "row 0 sums to 1.5, not 1"),
+    (lambda path: path.write_text("0.5 0.5\n0.5 0.5\n"), "unreadable probability matrix"),
+    (_write_archive, "unreadable probability matrix: an archive"),
+], ids=["rows-sum-1.5", "text-named-npy", "archive-named-npy"])
+def test_analyze_rejects_bad_probability_file(tmp_path, capsys, write, message):
+    path = tmp_path / "p.npy"
+    write(path)
+    out = tmp_path / "nu.csv"
+    assert main(["analyze", "--probs", str(path), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_missing_probs(tmp_path, capsys):
     rc = main(["analyze", "--probs", str(tmp_path / "none.npy"),
                "--out", str(tmp_path / "o.csv")])
     assert rc == 3
     capsys.readouterr()
+
+
+# --- scripts ---------------------------------------------------------------
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_help(script):
+    # imports every name the script takes from the package
+    src = str(script.parents[1] / "src")
+    r = subprocess.run([sys.executable, str(script), "--help"], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert r.returncode == 0, r.stderr

@@ -15,7 +15,6 @@ from distsig.distributional import (
     DiscreteDistribution,
     Marginals,
     check_tv_bounds,
-    coupling_lp_oracle,
     optimal_coupling,
     random_bound_instance,
     run_bound_corpus,
@@ -26,6 +25,8 @@ from distsig.distributional import (
     wasserstein_sq,
 )
 from distsig.graph import GraphError, SpanningTree, build_graph, laplacian
+from distsig.simplex import solve_lp
+from oracles import coupling_lp_oracle, recorded_lps
 
 
 def _dirichlet_pair(rng, m):
@@ -218,12 +219,19 @@ def test_tv_exact_table_cap():
         tv_exact(g, x)
 
 
-def test_tv_exact_joint_reproduces_marginals(triangle, rng):
+def test_tv_exact_joint_reproduces_marginals(triangle, rng, monkeypatch):
     x = np.vstack([rng.dirichlet(np.ones(2)) for _ in range(3)])
-    val, joint = tv_exact(triangle, x, return_joint=True)
+    lps = recorded_lps(monkeypatch, lambda: tv_exact(triangle, x))
+    assert len(lps) == 1
+    joint, val = solve_lp(*lps[0])
     assert val >= -1e-12
+    # one variable per label tuple, in itertools.product order: one axis per node
+    table = joint.reshape((2,) * 3)
+    assert np.min(table) >= -1e-9
+    assert abs(float(table.sum()) - 1.0) <= 1e-7
     for i in range(3):
-        assert np.allclose(joint.marginal(i).weights, x[i], atol=1e-7)
+        w = table.sum(axis=tuple(a for a in range(3) if a != i))
+        assert np.allclose(w / w.sum(), x[i], atol=1e-7)
 
 
 def test_tv_tree_on_tree_equals_l1():

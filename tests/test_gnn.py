@@ -159,7 +159,7 @@ def test_load_repeated_citation_collapses(tmp_path):
 
 
 def test_sbm_features_wrap():
-    f = sbm_features(70, feat_dim=64)
+    f = sbm_features(70)
     assert f.shape == (70, 64)
     assert np.array_equal(f[65], f[1])
     assert np.all(f.sum(axis=1) == 1.0)

@@ -16,7 +16,6 @@ from distsig.graph import (
     is_connected,
     laplacian,
     main_component,
-    min_tree_cover,
     normalized_adjacency,
     read_graph_file,
     read_labels_file,
@@ -25,6 +24,7 @@ from distsig.graph import (
     write_graph_file,
     write_labels_file,
 )
+from oracles import covers, min_tree_cover
 
 
 def test_build_triangle(triangle):
@@ -149,9 +149,10 @@ def test_enumerate_path_is_itself(p3):
     assert trees[0].edges == p3.edges
 
 
-def test_enumerate_cap_reports_count(k4):
-    with pytest.raises(GraphError, match="16"):
-        enumerate_spanning_trees(k4, cap=10)
+def test_enumerate_cap_reports_count():
+    k8 = build_graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
+    with pytest.raises(GraphError, match="262144"):
+        enumerate_spanning_trees(k8)
 
 
 def test_enumerate_disconnected():
@@ -174,12 +175,12 @@ def test_enumerate_matches_kirchhoff(rng):
 def test_tree_cover_covers(triangle):
     t1 = SpanningTree(3, ((0, 1), (1, 2)))
     t2 = SpanningTree(3, ((0, 1), (0, 2)))
-    assert TreeCover((t1, t2)).covers(triangle)
-    assert not TreeCover((t1,)).covers(triangle)
+    assert covers(TreeCover((t1, t2)), triangle)
+    assert not covers(TreeCover((t1,)), triangle)
 
 
 def test_min_cover_triangle(triangle):
-    cover = min_tree_cover(triangle, size_cap=3)
+    cover = min_tree_cover(triangle)
     assert len(cover.trees) == 2
     union = set()
     for t in cover.trees:
@@ -188,20 +189,20 @@ def test_min_cover_triangle(triangle):
 
 
 def test_min_cover_tree_graph(p3):
-    cover = min_tree_cover(p3, size_cap=3)
+    cover = min_tree_cover(p3)
     assert len(cover.trees) == 1
     assert cover.trees[0].edges == p3.edges
 
 
 def test_min_cover_c4(c4):
-    cover = min_tree_cover(c4, size_cap=3)
+    cover = min_tree_cover(c4)
     assert len(cover.trees) == 2
 
 
 def test_min_cover_size_matches_c1_triangle(triangle):
     # exhaustive minimum and the complement-clique constant agree here
     _, c1 = clique_number_complement(triangle)
-    cover = min_tree_cover(triangle, size_cap=3)
+    cover = min_tree_cover(triangle)
     assert len(cover.trees) == c1 == 2
 
 

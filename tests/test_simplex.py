@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from distsig import distributional
-from distsig.distributional import Marginals, coupling_lp_oracle, random_bound_instance, tv_exact
+from distsig.distributional import Marginals, random_bound_instance, tv_exact
 from distsig.simplex import PIVOT_TOL, InfeasibleError, UnboundedError, solve_lp
+from oracles import recorded_lps, transport_lp
 
 ORACLE_INSTANCES = 100
 
@@ -228,20 +228,6 @@ def solve_lp_oracle(c, a_eq, b_eq, tol=PIVOT_TOL):
     return x, float(c @ x), m - len(keep)
 
 
-def _recorded_lps(monkeypatch, run):
-    """Every (c, A, b) that ``run()`` hands to the library's solve_lp."""
-    lps = []
-
-    def record(c, a, b, **kwargs):
-        lps.append((np.array(c), np.array(a), np.array(b)))
-        return solve_lp(c, a, b, **kwargs)
-
-    monkeypatch.setattr(distributional, "solve_lp", record)
-    run()
-    monkeypatch.undo()
-    return lps
-
-
 def _assert_bitwise_equal_to_oracle(lps):
     dropped = 0
     for c, a, b in lps:
@@ -274,21 +260,17 @@ def test_bitwise_equal_to_oracle_on_joint_coupling_lps(monkeypatch):
             if quarters is not None:
                 tv_exact(g, quarters)
 
-    lps = _recorded_lps(monkeypatch, run)
+    lps = recorded_lps(monkeypatch, run)
     assert len(lps) > 1.5 * ORACLE_INSTANCES
     assert _assert_bitwise_equal_to_oracle(lps) > 0
 
 
-def test_bitwise_equal_to_oracle_on_transport_lps(monkeypatch):
+def test_bitwise_equal_to_oracle_on_transport_lps():
     rng = np.random.default_rng(31)
-
-    def run():
-        for _ in range(200):
-            m = int(rng.integers(2, 7))
-            coupling_lp_oracle(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m)))
-        coupling_lp_oracle([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-
-    lps = _recorded_lps(monkeypatch, run)
-    assert len(lps) == 201
+    lps = []
+    for _ in range(200):
+        m = int(rng.integers(2, 7))
+        lps.append(transport_lp(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))))
+    lps.append(transport_lp([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
     assert _assert_bitwise_equal_to_oracle(lps) > 0
 
