@@ -2,8 +2,8 @@
 
 A distributional signal assigns each node a probability distribution over a
 shared finite label alphabet.  This module provides the squared Wasserstein
-distance under the discrete metric (closed form), four smoothness measures
-built on it, and the inequality chains relating them.
+distance under the discrete metric (closed form, row-wise), the variation
+notions built on it, and the inequality chains relating them.
 """
 
 from __future__ import annotations
@@ -31,31 +31,6 @@ from .graph import (
 from .simplex import InfeasibleError, solve_lp
 
 JOINT_TABLE_CAP = 729  # 3^6 table entries
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Probability vector over the label alphabet."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("non-finite weights")
-        if np.min(w) < -1e-12:
-            raise ValueError(f"negative weight {np.min(w):.3e}")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        w = np.maximum(w, 0.0)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def m(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -88,44 +63,6 @@ class Marginals:
     def m(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, i: int) -> DiscreteDistribution:
-        return DiscreteDistribution(self.matrix[i])
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Joint table transporting source to target; marginals must match."""
-
-    matrix: np.ndarray
-    source: np.ndarray
-    target: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.matrix, dtype=float)
-        s = np.asarray(self.source, dtype=float)
-        t = np.asarray(self.target, dtype=float)
-        if z.shape != (s.size, t.size):
-            raise ValueError("coupling shape mismatch")
-        if np.min(z) < -1e-12:
-            raise ValueError(f"negative mass {np.min(z):.3e}")
-        z = np.maximum(z, 0.0)
-        if np.max(np.abs(z.sum(axis=1) - s)) > 1e-9:
-            raise ValueError("row sums do not match source")
-        if np.max(np.abs(z.sum(axis=0) - t)) > 1e-9:
-            raise ValueError("column sums do not match target")
-        z.flags.writeable = False
-        object.__setattr__(self, "matrix", z)
-
-    def transport_cost(self) -> float:
-        """Off-diagonal mass: cost under the discrete (0/1) ground metric."""
-        return float(self.matrix.sum() - np.trace(self.matrix))
-
-
-def _weights(d) -> np.ndarray:
-    if isinstance(d, DiscreteDistribution):
-        return d.weights
-    return np.asarray(d, dtype=float)
-
 
 def as_marginals(x) -> Marginals:
     return x if isinstance(x, Marginals) else Marginals(np.asarray(x, dtype=float))
@@ -133,21 +70,25 @@ def as_marginals(x) -> Marginals:
 
 # --- pairwise transport ---------------------------------------------------
 
-def wasserstein_sq(mu, nu) -> float:
-    """Squared Wasserstein distance under the discrete metric: half the l1 gap."""
-    x, y = _weights(mu), _weights(nu)
-    if x.shape != y.shape:
+def wasserstein_sq(mu, nu):
+    """Squared Wasserstein distance under the discrete metric: half the l1 gap.
+
+    Row-wise over the last axis, so stacked distributions give one distance
+    per row; the alphabet (last-axis) sizes must match.
+    """
+    x, y = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+    if x.shape[-1:] != y.shape[-1:]:
         raise ValueError(f"alphabet size mismatch: {x.shape} vs {y.shape}")
-    return 0.5 * float(np.abs(x - y).sum())
+    return 0.5 * np.abs(x - y).sum(axis=-1)
 
 
-def optimal_coupling(mu, nu) -> Coupling:
-    """A minimum-cost coupling whose diagonal is exactly the elementwise min.
+def optimal_coupling(mu, nu) -> np.ndarray:
+    """A minimum-cost m x m coupling whose diagonal is exactly the elementwise min.
 
     Mass min(x_i, y_i) stays in place; row and column surpluses (which have
     disjoint supports) are matched greedily in index order.
     """
-    x, y = _weights(mu), _weights(nu)
+    x, y = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"alphabet size mismatch: {x.shape} vs {y.shape}")
     m = x.shape[0]
@@ -169,7 +110,7 @@ def optimal_coupling(mu, nu) -> Coupling:
             i += 1
         if c[b] <= 1e-15:
             j += 1
-    return Coupling(z, x, y)
+    return z
 
 
 # --- total variation notions ---------------------------------------------
@@ -250,7 +191,7 @@ def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
     masks = np.array(tree_edge_masks(g, trees), dtype=np.int64)
     eu, ev = g.endpoints
     in_tree = (masks[:, None] >> np.arange(g.m)) & 1 == 1
-    l1 = np.abs(x[eu] - x[ev]).sum(axis=-1)
+    l1 = 2.0 * wasserstein_sq(x[eu], x[ev])
     rho = _rho(x[:, None, :], x[None, :, :])  # rho[a, b]: the step a -> b
     out = np.empty((len(trees), g.n))
     for lo in range(0, len(trees), _TREE_BATCH):
@@ -298,8 +239,8 @@ def tv_cover(g: Graph, marginals, size_cap: int | None = None,
              trees: list[SpanningTree] | None = None) -> tuple[float, TreeCover]:
     """Cheapest spanning-tree cover variation within a cover-size cap.
 
-    Per-tree variation is half its l1 variation (exact on trees); the search
-    over covers is exact within the cap.
+    Per-tree variation is the sum of its edges' transport distances (exact on
+    trees); the search over covers is exact within the cap.
     """
     nn = as_marginals(marginals)
     x = nn.matrix
@@ -311,8 +252,9 @@ def tv_cover(g: Graph, marginals, size_cap: int | None = None,
         trees = enumerate_spanning_trees(g)
     if size_cap is None:
         size_cap = cover_size_cap(clique_number_complement(g)[1])
-    edge_l1 = {(u, v): float(np.abs(x[u] - x[v]).sum()) for u, v in g.edges}
-    weights = [0.5 * sum(edge_l1[e] for e in t.edges) for t in trees]
+    eu, ev = g.endpoints
+    edge_w = dict(zip(g.edges, wasserstein_sq(x[eu], x[ev]).tolist()))
+    weights = [sum(edge_w[e] for e in t.edges) for t in trees]
     res = _min_weight_cover(tree_edge_masks(g, trees), weights, g.m, size_cap)
     if res is None:
         raise GraphError(f"no cover within cap {size_cap}")

@@ -78,9 +78,6 @@ class GcnParams:
     w1: np.ndarray
     w2: np.ndarray
 
-    def copy(self) -> "GcnParams":
-        return GcnParams(self.w1.copy(), self.w2.copy())
-
 
 @dataclass
 class Metrics:
@@ -102,9 +99,11 @@ class Metrics:
         return {
             "config": asdict(self.config),
             "per_epoch": [
-                {"loss": l, "acc_val": a}
-                for l, a in zip(self.train_loss, self.val_acc)
+                {"loss": l, "acc_train": at, "loss_val": lv, "acc_val": av, "reg": r}
+                for l, at, lv, av, r in zip(self.train_loss, self.train_acc, self.val_loss,
+                                            self.val_acc, self.reg_values)
             ],
+            "best_epoch": self.best_epoch,
             "test_acc": self.test_acc,
             "hf_fraction_per_class": self.hf_fraction_per_class,
             "nonuniformity_sweep": self.nonuniformity,
@@ -434,7 +433,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
     opt = _Adam([params.w1.shape, params.w2.shape], cfg.lr)
 
     tl, ta, vl, va, rv = [], [], [], [], []
-    best_acc, best_epoch, best_params = -1.0, 0, params.copy()
+    best_acc, best_epoch, test_acc = -1.0, 0, 0.0
     for epoch in range(1, cfg.epochs + 1):
         loss, _, _, grads, _ = loss_and_grad(
             params, ahat, inp, labels, split.train, lap, a_vec, cfg, rng=drop_rng
@@ -454,13 +453,10 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
         # recorded regularizer is the raw trace on the clean post-update output
         rv.append(_reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec)[0])
         if val_acc > best_acc:
-            best_acc, best_epoch, best_params = val_acc, epoch, params.copy()
+            best_acc, best_epoch = val_acc, epoch
+            test_acc = accuracy(x_eval, labels, split.test)
 
-    _, x_final, _ = gcn_forward(params, ahat, inp)
-    _, x_best, _ = gcn_forward(best_params, ahat, inp)
-    test_acc = accuracy(x_best, labels, split.test)
-
-    metrics = Metrics(cfg, tl, ta, vl, va, rv, best_epoch, test_acc, x_final)
+    metrics = Metrics(cfg, tl, ta, vl, va, rv, best_epoch, test_acc, x_eval)
     if analysis:
         _attach_analysis(metrics, g, component_spectrum)
     return metrics

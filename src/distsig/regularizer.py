@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributional import wasserstein_sq
 from .graph import Graph
 
 log = logging.getLogger(__name__)
@@ -70,10 +71,6 @@ class WeightDiag:
             log.info("clamping %d isolated node weight(s) to 0", isolated)
         return cls(np.minimum(a, 0.0))
 
-    @classmethod
-    def zeros(cls, n: int) -> "WeightDiag":
-        return cls(np.zeros(n))
-
 
 def softmax_rows(o: np.ndarray) -> np.ndarray:
     """Rowwise softmax with max subtraction; rejects non-finite input."""
@@ -106,7 +103,7 @@ def nonuniformity_bound_check(x, d: WeightDiag) -> dict:
     trace = float(np.sum((x * x) * d.a[:, None]))
     c = -float(d.a.sum()) / m
     lhs = trace + c
-    w_sq = 0.5 * np.abs(x - 1.0 / m).sum(axis=1)
+    w_sq = wasserstein_sq(x, np.full(m, 1.0 / m))
     rhs = 2.0 * float(np.sum(d.a * w_sq))
     trace_onehot = float(d.a.sum())
     trace_uniform = float(d.a.sum()) / m

@@ -17,17 +17,39 @@ from distsig.graph import sbm_generate
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = tracing  # dataclasses resolve their module by name
     spec.loader.exec_module(tracing)
-    return tracing.targets()
+    return tracing
+
+
+def _targets():
+    return _tracing().targets()
 
 
 def test_trace_targets_resolve():
     for owner, attr, _, _ in _targets():
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_traced_run_reports_work_counters(capsys):
+    # each counter hook reads a return value or an argument of the call it
+    # wraps; a changed type there would zero the metric without any error
+    tracing = _tracing()
+    tr = tracing.Tracer()
+    with tr.install(tracing.targets()):
+        distributional.check_tv_bounds(*distributional.random_bound_instance((0, 1)))
+        assert cli.main(["train", "--blocks", "20,20", "--variant", "r", "--epochs", "2",
+                         "--val-size", "10", "--test-size", "10", "--tune"]) == 0
+    capsys.readouterr()
+    metrics = tracing.layer_metrics(tr)
+    for name in ("graph.trees_enumerated", "simplex.lp_columns", "spectral.eig_sym.n",
+                 "gnn.feature_nnz", "gnn.epochs"):
+        assert metrics[name] > 0, name
+    assert metrics["gnn.epochs"] == 2 * len(gnn.ETA_GRID)
+    assert metrics["spectral.eig_sym.n"] <= 40
 
 
 def test_cover_search_positional_signature():

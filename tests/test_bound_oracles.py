@@ -1,9 +1,10 @@
-"""The batched rooted-tree bound and the top-down cover search against oracles.
+"""Tree enumeration, the batched rooted-tree bound and the cover search against oracles.
 
-The oracles are the earlier straightforward implementations: a per-(tree,
-root) walk for the rooted-tree bound and a DP over the whole subset lattice
-for the cover search.  The library versions must agree with them on the
-first 100 instances of acceptance criterion 2's corpus.
+The oracles are the earlier straightforward implementations: a pruned
+backtracking search for the spanning trees, a per-(tree, root) walk for the
+rooted-tree bound and a DP over the whole subset lattice for the cover
+search.  The library versions must agree with them on the first 100
+instances of acceptance criterion 2's corpus.
 """
 
 import numpy as np
@@ -26,6 +27,54 @@ from distsig.graph import (
 from oracles import covers, min_tree_cover
 
 ORACLE_INSTANCES = 100
+
+
+def spanning_trees_oracle(g):
+    """Every spanning tree's sorted edge tuple, by backtracking over g.edges.
+
+    An edge is taken only if it joins two components, and a branch is cut as
+    soon as the undecided edges can no longer connect every node.
+    """
+    edges = list(g.edges)
+    ne = len(edges)
+    need = g.n - 1
+    found = []
+
+    def find(uf, x):
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    def feasible(uf, pos):
+        tmp = uf[:]
+        for u, v in edges[pos:]:
+            ru, rv = find(tmp, u), find(tmp, v)
+            if ru != rv:
+                tmp[ru] = rv
+        root = find(tmp, 0)
+        return all(find(tmp, x) == root for x in range(g.n))
+
+    def backtrack(pos, chosen, uf):
+        if len(chosen) == need:
+            found.append(tuple(chosen))
+            return
+        if pos == ne or need - len(chosen) > ne - pos:
+            return
+        if not feasible(uf, pos):
+            return
+        u, v = edges[pos]
+        ru, rv = find(uf, u), find(uf, v)
+        if ru != rv:
+            uf2 = uf[:]
+            uf2[ru] = rv
+            chosen.append(edges[pos])
+            backtrack(pos + 1, chosen, uf2)
+            chosen.pop()
+        backtrack(pos + 1, chosen, uf)
+
+    backtrack(0, [], list(range(g.n)))
+    return sorted(found)
 
 
 def bfs_parents(tree, v0):
@@ -128,6 +177,33 @@ def _assert_witness(res, masks, weights, n_edges, size_cap, cost):
         union |= masks[t]
     assert union == (1 << n_edges) - 1
     assert abs(sum(weights[t] for t in idx) - got) <= 1e-12
+
+
+# --- tree enumeration ------------------------------------------------------
+
+def _edge_tuples(trees):
+    return [t.edges for t in trees]
+
+
+def test_tree_enumeration_equals_oracle_on_corpus():
+    for i in range(ORACLE_INSTANCES):
+        g, _, trees = _criterion_2_instance(i)
+        assert all(t.host_n == g.n for t in trees)
+        assert _edge_tuples(trees) == spanning_trees_oracle(g), i
+
+
+def test_tree_enumeration_equals_oracle_on_k6():
+    g = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    trees = enumerate_spanning_trees(g)
+    assert len(trees) == 1296
+    assert _edge_tuples(trees) == spanning_trees_oracle(g)
+
+
+def test_tree_enumeration_single_node():
+    g = build_graph(1, [])
+    trees = enumerate_spanning_trees(g)
+    assert _edge_tuples(trees) == [()] == spanning_trees_oracle(g)
+    assert trees[0].host_n == 1
 
 
 # --- rooted-tree bound -----------------------------------------------------

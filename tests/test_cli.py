@@ -280,11 +280,26 @@ def test_train_malformed_graph_file(tmp_path, capsys):
 
 def test_train_malformed_labels_file(tmp_path, capsys):
     (tmp_path / "ok.graph").write_text("3 2\n0 1\n1 2\n")
-    (tmp_path / "bad.labels").write_text("0\nx\n0\n")
-    rc = main(["train", "--dataset", "file", "--graph", str(tmp_path / "ok.graph"),
-               "--labels", str(tmp_path / "bad.labels"), "--epochs", "5"])
+    # a negative label would index the last output column and train silently
+    for text, message in (("0\nx\n0\n", "bad.labels:2: non-integer label 'x'"),
+                          ("0\n1\n-1\n", "bad.labels:3: negative label -1")):
+        (tmp_path / "bad.labels").write_text(text)
+        rc = main(["train", "--dataset", "file", "--graph", str(tmp_path / "ok.graph"),
+                   "--labels", str(tmp_path / "bad.labels"), "--epochs", "5",
+                   "--out", str(tmp_path / "run.json")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
+
+
+def test_spectrum_rejects_negative_label(tmp_path, capsys):
+    (tmp_path / "ok.graph").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "bad.labels").write_text("0\n-1\n0\n")
+    rc = main(["spectrum", "--dataset", "file", "--graph", str(tmp_path / "ok.graph"),
+               "--labels", str(tmp_path / "bad.labels"), "--out", str(tmp_path / "s")])
     assert rc == 3
-    assert "non-integer label" in capsys.readouterr().err
+    assert "bad.labels:2: negative label -1" in capsys.readouterr().err
+    assert list(tmp_path.glob("s_*.csv")) == []
 
 
 def _nan_features(n):

@@ -27,7 +27,6 @@ from distsig.gnn import (
 from distsig.graph import (
     GraphError,
     build_graph,
-    laplacian,
     laplacian_sparse,
     normalized_adjacency,
 )
@@ -198,7 +197,6 @@ def test_laplacian_sparse_matches_dense():
         lap = laplacian_sparse(g)
         assert lap.has_canonical_format
         assert np.array_equal(lap.toarray(), dense)
-        assert np.array_equal(laplacian(g), dense)
 
 
 # --- forward pass ----------------------------------------------------------
@@ -363,7 +361,7 @@ def test_recorded_reg_matches_dense_oracle():
     m = train(g, f, y, split, TrainConfig(variant="r", eta=0.1, epochs=20), analysis=False)
     x = m.final_probs
     a = WeightDiag.default_for(g).a
-    l1 = float(np.sum(x * (laplacian(g) @ x)))
+    l1 = float(np.sum(x * (laplacian_sparse(g).toarray() @ x)))
     l2 = float(np.sum((x * x) * a[:, None]))
     assert abs(m.reg_values[-1] - (l1 + l2)) < 1e-9
 
@@ -447,6 +445,19 @@ def test_best_epoch_tracks_max_val_acc():
     assert m.val_acc.index(max(m.val_acc)) == m.best_epoch - 1  # earliest tie wins
 
 
+def test_test_acc_is_the_best_epoch_output():
+    # a run cut at the best epoch follows the same trajectory, so its final
+    # outputs are the best epoch's outputs of the longer run
+    g, f, y, split = _toy_setup(seed=7)
+    cfg = TrainConfig(variant="r", eta=0.2, epochs=40)
+    m = train(g, f, y, split, cfg, analysis=False)
+    assert 1 < m.best_epoch < 40
+    cut = train(g, f, y, split, replace(cfg, epochs=m.best_epoch), analysis=False)
+    assert cut.val_acc == m.val_acc[:m.best_epoch]
+    assert accuracy(cut.final_probs, y, split.test) == m.test_acc
+    assert cut.test_acc == m.test_acc
+
+
 def test_tune_eta_tie_prefers_first():
     g, f, y, split = _toy_setup(seed=1)
     # the plain model ignores eta entirely, so every grid point ties
@@ -469,10 +480,15 @@ def test_metrics_json_shape():
     g, f, y, split = _toy_setup(seed=2)
     m = train(g, f, y, split, TrainConfig(variant="r", eta=0.1, epochs=8))
     d = m.to_json_dict()
-    assert set(d) == {"config", "per_epoch", "test_acc", "hf_fraction_per_class",
-                      "nonuniformity_sweep"}
+    assert set(d) == {"config", "per_epoch", "best_epoch", "test_acc",
+                      "hf_fraction_per_class", "nonuniformity_sweep"}
     assert len(d["per_epoch"]) == 8
-    assert set(d["per_epoch"][0]) == {"loss", "acc_val"}
+    assert set(d["per_epoch"][0]) == {"loss", "acc_train", "loss_val", "acc_val", "reg"}
+    assert [e["acc_train"] for e in d["per_epoch"]] == m.train_acc
+    assert [e["loss_val"] for e in d["per_epoch"]] == m.val_loss
+    assert [e["reg"] for e in d["per_epoch"]] == m.reg_values
+    assert d["best_epoch"] == m.best_epoch
+    assert d["per_epoch"][m.best_epoch - 1]["acc_val"] == max(m.val_acc)
     assert d["config"]["variant"] == "r"
     assert len(d["hf_fraction_per_class"]) == int(y.max()) + 1
 
