@@ -30,7 +30,7 @@ from .spectral import (
     gft,
     laplacian_spectrum,
     matched_random_signal,
-    normalize_signal,
+    normalize_unless_constant,
 )
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def _read_matrix(path, kind, n):
     """
     try:
         f = np.load(path) if path.endswith(".npy") else np.loadtxt(path, dtype=float, ndmin=2)
-    except ValueError as e:
+    except (ValueError, EOFError) as e:  # EOFError: an empty .npy file
         raise CliError(f"{path}: unreadable {kind} matrix: {e}", EXIT_IO) from None
     if not isinstance(f, np.ndarray):  # an .npz archive under a .npy name
         f.close()
@@ -145,7 +145,7 @@ def cmd_spectrum(args) -> int:
     def coeffs(signal):
         x = np.asarray(signal, dtype=float)
         if norm:
-            x = normalize_signal(x)
+            x = normalize_unless_constant(x)
         return gft(spec, x)
 
     label_sig = y[nodes].astype(float)

@@ -18,15 +18,12 @@ from .graph import (
     COVER_MAX_EDGES,
     Graph,
     GraphError,
-    SpanningTree,
-    TreeCover,
     _min_weight_cover,
     build_graph,
     clique_number_complement,
     cover_size_cap,
     enumerate_spanning_trees,
     is_connected,
-    tree_edge_masks,
 )
 from .simplex import InfeasibleError, solve_lp
 
@@ -124,13 +121,14 @@ def tv_l1_l2(g: Graph, marginals) -> tuple[float, float]:
     x = nn.matrix
     if nn.n != g.n:
         raise ValueError(f"marginal count {nn.n} does not match n={g.n}")
-    l1 = 0.0
-    l2 = 0.0
-    for u, v in g.edges:
-        diff = x[u] - x[v]
-        l1 += float(np.abs(diff).sum())
-        l2 += float((diff * diff).sum())
-    return l1, l2
+    if g.m == 0:
+        return 0.0, 0.0
+    eu, ev = g.endpoints
+    d = x[eu] - x[ev]
+    # running sums in edge order: the same additions as one edge at a time
+    l1 = np.cumsum(2.0 * wasserstein_sq(x[eu], x[ev]))[-1]
+    l2 = np.cumsum((d * d).sum(axis=-1))[-1]
+    return float(l1), float(l2)
 
 
 def tv_exact(g: Graph, marginals) -> float:
@@ -177,18 +175,24 @@ _TREE_BATCH = 64  # trees per vectorized step of tv_tree_rooted
 def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
     """Upper-bound variation induced by each rooted spanning tree.
 
-    Returns a ``(len(trees), g.n)`` array whose entry ``[t, r]`` is tree t
-    rooted at node r.  Each graph edge contributes the mass that provably
-    must move between its endpoints once transport is routed through the tree
-    from the root: the endpoint masses minus twice the mass retained from
-    their deepest common ancestor.  On tree edges this collapses to the plain
-    l1 difference.  Trees are processed in batches of ``_TREE_BATCH``.
+    ``trees`` are edge bitmasks over ``g.edges``, as ``enumerate_spanning_trees``
+    lists them.  Returns a ``(len(trees), g.n)`` array whose entry ``[t, r]``
+    is tree t rooted at node r.  Each graph edge contributes the mass that
+    provably must move between its endpoints once transport is routed through
+    the tree from the root: the endpoint masses minus twice the mass retained
+    from their deepest common ancestor.  On tree edges this collapses to the
+    plain l1 difference.  Trees are processed in batches of ``_TREE_BATCH``.
     """
     nn = as_marginals(marginals)
     x = nn.matrix
-    if nn.n != g.n or any(t.host_n != g.n for t in trees):
-        raise ValueError("size mismatch between graph, tree and marginals")
-    masks = np.array(tree_edge_masks(g, trees), dtype=np.int64)
+    if nn.n != g.n:
+        raise ValueError(f"marginal count {nn.n} does not match n={g.n}")
+    for t in map(int, trees):
+        if t >> g.m:
+            raise GraphError(f"tree mask {t:#x} uses edges absent from the host's {g.m} edges")
+        if t.bit_count() != g.n - 1:
+            raise GraphError(f"spanning tree needs {g.n - 1} edges, got {t.bit_count()}")
+    masks = np.array(trees, dtype=np.int64)
     eu, ev = g.endpoints
     in_tree = (masks[:, None] >> np.arange(g.m)) & 1 == 1
     l1 = 2.0 * wasserstein_sq(x[eu], x[ev])
@@ -236,30 +240,31 @@ def _tree_bound_batch(x, eu, ev, l1, rho, in_tree) -> np.ndarray:
 
 
 def tv_cover(g: Graph, marginals, size_cap: int | None = None,
-             trees: list[SpanningTree] | None = None) -> tuple[float, TreeCover]:
+             trees: list[int] | None = None) -> tuple[float, list[int]]:
     """Cheapest spanning-tree cover variation within a cover-size cap.
 
     Per-tree variation is the sum of its edges' transport distances (exact on
-    trees); the search over covers is exact within the cap.
+    trees); the search over covers is exact within the cap.  Trees are edge
+    bitmasks over ``g.edges``; returns the value and the chosen trees.
     """
     nn = as_marginals(marginals)
     x = nn.matrix
     if nn.n != g.n:
         raise ValueError(f"marginal count {nn.n} does not match n={g.n}")
     if g.n == 1:
-        return 0.0, TreeCover((SpanningTree(1, ()),))
+        return 0.0, [0]
     if trees is None:
         trees = enumerate_spanning_trees(g)
     if size_cap is None:
         size_cap = cover_size_cap(clique_number_complement(g)[1])
     eu, ev = g.endpoints
-    edge_w = dict(zip(g.edges, wasserstein_sq(x[eu], x[ev]).tolist()))
-    weights = [sum(edge_w[e] for e in t.edges) for t in trees]
-    res = _min_weight_cover(tree_edge_masks(g, trees), weights, g.m, size_cap)
+    w = wasserstein_sq(x[eu], x[ev]).tolist()
+    weights = [sum(w[i] for i in range(g.m) if t >> i & 1) for t in trees]
+    res = _min_weight_cover(trees, weights, g.m, size_cap)
     if res is None:
         raise GraphError(f"no cover within cap {size_cap}")
     val, idx = res
-    return val, TreeCover(tuple(trees[i] for i in idx))
+    return val, [trees[i] for i in idx]
 
 
 # --- inequality chains ----------------------------------------------------
@@ -302,7 +307,7 @@ def check_tv_bounds(g: Graph, marginals) -> dict:
         "c3": c3,
         "violations": violations,
         "margins": margins,
-        "cover_size": len(cover.trees),
+        "cover_size": len(cover),
         "tree_count": len(trees),
         "c3_paper_holds": bool(tg1 <= c3_paper * math.sqrt(tg2) + tol),
     }

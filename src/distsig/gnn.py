@@ -29,10 +29,11 @@ from .graph import (
     laplacian_sparse,
     main_component,
     normalized_adjacency,
+    read_lines,
     sbm_generate,
 )
 from .regularizer import WeightDiag, nonuniformity_sweep, softmax_rows, softmax_vjp
-from .spectral import gft, high_freq_fraction, laplacian_spectrum, normalize_signal
+from .spectral import gft, high_freq_fraction, laplacian_spectrum, normalize_unless_constant
 
 log = logging.getLogger(__name__)
 
@@ -136,32 +137,24 @@ def load_cora(content_path, cites_path):
     feats: list[list[float]] = []
     labels_raw: list[str] = []
     fdim = None
-    with open(content_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise GraphError(f"{content_path}:{lineno}: malformed content line")
-            pid, label = parts[0], parts[-1]
-            fv = parts[1:-1]
-            if fdim is None:
-                fdim = len(fv)
-            elif len(fv) != fdim:
-                raise GraphError(
-                    f"{content_path}:{lineno}: expected {fdim} features, got {len(fv)}"
-                )
-            if pid in ids:
-                raise GraphError(f"{content_path}:{lineno}: duplicate id {pid!r}")
-            try:
-                feats.append([float(c) for c in fv])
-            except ValueError:
-                raise GraphError(
-                    f"{content_path}:{lineno}: non-numeric feature value"
-                ) from None
-            ids[pid] = len(ids)
-            labels_raw.append(label)
+    for lineno, line in read_lines(content_path):
+        parts = line.split()
+        if len(parts) < 3:
+            raise GraphError(f"{content_path}:{lineno}: malformed content line")
+        pid, label = parts[0], parts[-1]
+        fv = parts[1:-1]
+        if fdim is None:
+            fdim = len(fv)
+        elif len(fv) != fdim:
+            raise GraphError(f"{content_path}:{lineno}: expected {fdim} features, got {len(fv)}")
+        if pid in ids:
+            raise GraphError(f"{content_path}:{lineno}: duplicate id {pid!r}")
+        try:
+            feats.append([float(c) for c in fv])
+        except ValueError:
+            raise GraphError(f"{content_path}:{lineno}: non-numeric feature value") from None
+        ids[pid] = len(ids)
+        labels_raw.append(label)
     if not ids:
         raise GraphError(f"{content_path}: no content lines")
 
@@ -170,29 +163,22 @@ def load_cora(content_path, cites_path):
     y = np.array([cindex[c] for c in labels_raw], dtype=np.int64)
 
     edges: set[tuple[int, int]] = set()
-    n_lines = 0
-    with open(cites_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            n_lines += 1
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"{cites_path}:{lineno}: malformed citation line")
-            a, b = parts
-            for pid in (a, b):
-                if pid not in ids:
-                    raise GraphError(
-                        f"{cites_path}:{lineno}: dangling citation id {pid!r}"
-                    )
-            if a == b:
-                log.warning("%s:%d: self-citation %r skipped", cites_path, lineno, a)
-                continue
-            u, v = ids[a], ids[b]
-            edges.add((min(u, v), max(u, v)))
-    if n_lines == 0:
+    cites = read_lines(cites_path)
+    if not cites:
         log.warning("%s: empty cites file, graph has no edges", cites_path)
+    for lineno, line in cites:
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphError(f"{cites_path}:{lineno}: malformed citation line")
+        a, b = parts
+        for pid in (a, b):
+            if pid not in ids:
+                raise GraphError(f"{cites_path}:{lineno}: dangling citation id {pid!r}")
+        if a == b:
+            log.warning("%s:%d: self-citation %r skipped", cites_path, lineno, a)
+            continue
+        u, v = ids[a], ids[b]
+        edges.add((min(u, v), max(u, v)))
 
     f = np.array(feats, dtype=float)
     rs = f.sum(axis=1)
@@ -478,11 +464,7 @@ def output_analysis(g: Graph, probs, *, component_spectrum=None) -> dict:
         nodes, spectrum = component_spectrum
     hf = []
     for s in range(probs.shape[1]):
-        col = probs[nodes, s]
-        try:
-            col = normalize_signal(col)
-        except ValueError:
-            pass  # constant column: keep raw, energy sits at frequency zero
+        col = normalize_unless_constant(probs[nodes, s])
         hf.append(high_freq_fraction(gft(spectrum, col)))
     return {
         "hf_fraction_per_class": hf,

@@ -5,7 +5,7 @@ canonically sorted tuple of (u, v) edges with u < v.  This module is the one
 place where edges become index arrays (``Graph.endpoints``) and matrices: the
 sparse Laplacian (densified for eigendecompositions), the dense Laplacian
 minor of the matrix-tree count, and the sparse propagation matrix for
-training.
+training.  A spanning tree is an int bitmask over ``edges`` (bit i is edge i).
 """
 
 from __future__ import annotations
@@ -162,53 +162,31 @@ def spanning_tree_count(g: Graph) -> int:
     return int(round(np.linalg.det(lap[1:, 1:])))
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """Spanning tree of a host graph on nodes 0..host_n-1."""
-
-    host_n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.host_n >= 1 and len(self.edges) != self.host_n - 1:
-            raise GraphError(
-                f"spanning tree needs {self.host_n - 1} edges, got {len(self.edges)}"
-            )
-
-
-@dataclass(frozen=True)
-class TreeCover:
-    """Set of spanning trees whose edge union covers the host graph."""
-
-    trees: tuple[SpanningTree, ...]
-
-    def __post_init__(self):
-        if not self.trees:
-            raise GraphError("empty tree cover")
-
-
-def enumerate_spanning_trees(g: Graph) -> list[SpanningTree]:
-    """All spanning trees, canonically sorted.
+def enumerate_spanning_trees(g: Graph) -> list[int]:
+    """All spanning trees, as edge bitmasks over ``g.edges`` (bit i is edge i).
 
     A matrix-tree count runs first so that more than ``TREE_CAP`` trees are
     refused before any enumeration work happens.  The trees are the acyclic
     (n - 1)-edge subsets of ``g.edges``; all C(|E|, n - 1) subsets are tested,
-    in combination order, which on the sorted edge tuple is sorted order.
+    in combination order, which on the sorted edge tuple is the order of the
+    trees' sorted edge tuples.
     """
     if not is_connected(g):
         raise GraphError("graph disconnected")
     count = spanning_tree_count(g)
     if count > TREE_CAP:
         raise GraphError(f"tree count {count} exceeds cap {TREE_CAP}")
-    found = [t for t in itertools.combinations(g.edges, g.n - 1) if _acyclic(g.n, t)]
+    found = [sum(1 << i for i in idx)
+             for idx in itertools.combinations(range(g.m), g.n - 1) if _acyclic(g, idx)]
     assert len(found) == count, f"enumeration found {len(found)}, Kirchhoff says {count}"
-    return [SpanningTree(g.n, t) for t in found]
+    return found
 
 
-def _acyclic(n: int, edges) -> bool:
-    """Whether the edges form a forest on nodes 0..n-1 (union-find)."""
-    root = list(range(n))
-    for u, v in edges:
+def _acyclic(g: Graph, idx) -> bool:
+    """Whether the edges ``g.edges[i]``, i in idx, form a forest (union-find)."""
+    root = list(range(g.n))
+    for i in idx:
+        u, v = g.edges[i]
         while root[u] != u:
             u = root[u]
         while root[v] != v:
@@ -252,15 +230,6 @@ def clique_number_complement(g: Graph) -> tuple[int, int]:
 
     expand(0, set(range(g.n)), set())
     return best, g.n - best
-
-
-def tree_edge_masks(g: Graph, trees) -> list[int]:
-    """Each tree's edge set as a bitmask over ``g.edges`` (bit i is edge i)."""
-    eidx = {e: i for i, e in enumerate(g.edges)}
-    try:
-        return [sum(1 << eidx[e] for e in t.edges) for t in trees]
-    except KeyError:
-        raise GraphError("tree uses edges absent from the host graph") from None
 
 
 def _min_weight_cover(masks, weights, n_edges, size_cap):
@@ -389,15 +358,21 @@ def write_graph_file(path, g: Graph) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def read_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each nonblank line of a UTF-8 text file.
+
+    A file that is not UTF-8 is a GraphError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [(lineno, line) for lineno, raw in enumerate(fh, 1) if (line := raw.strip())]
+    except UnicodeDecodeError as e:
+        raise GraphError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def read_graph_file(path) -> Graph:
     """Parse the "n m" header + edge-line format; '#' lines are comments."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append((lineno, line))
+    rows = [(lineno, line) for lineno, line in read_lines(path) if not line.startswith("#")]
     if not rows:
         raise GraphError(f"{path}: empty graph file")
     lineno, header = rows[0]
@@ -434,17 +409,14 @@ def write_labels_file(path, labels) -> None:
 def read_labels_file(path) -> np.ndarray:
     """One nonnegative integer (class index) per line; '#' lines are comments."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                y = int(line)
-            except ValueError:
-                raise GraphError(f"{path}:{lineno}: non-integer label {line!r}") from None
-            if y < 0:
-                raise GraphError(f"{path}:{lineno}: negative label {y}; labels are "
-                                 "class indices")
-            out.append(y)
+    for lineno, line in read_lines(path):
+        if line.startswith("#"):
+            continue
+        try:
+            y = int(line)
+        except ValueError:
+            raise GraphError(f"{path}:{lineno}: non-integer label {line!r}") from None
+        if y < 0:
+            raise GraphError(f"{path}:{lineno}: negative label {y}; labels are class indices")
+        out.append(y)
     return np.array(out, dtype=np.int64)

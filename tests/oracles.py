@@ -1,8 +1,9 @@
 """Independent routes that the tests compare the library against.
 
 Nothing under ``src/`` calls these: the transport LP over all couplings, the
-unit-weight minimum tree cover, the inverse graph Fourier transform, and a
-recorder for the LPs that ``distributional`` hands to the simplex solver.
+edge tuple of a tree bitmask, the unit-weight minimum tree cover, the inverse
+graph Fourier transform, and a recorder for the LPs that ``distributional``
+hands to the simplex solver.
 """
 
 import numpy as np
@@ -10,12 +11,10 @@ import numpy as np
 from distsig import distributional
 from distsig.graph import (
     GraphError,
-    TreeCover,
     _min_weight_cover,
     clique_number_complement,
     cover_size_cap,
     enumerate_spanning_trees,
-    tree_edge_masks,
 )
 from distsig.simplex import InfeasibleError, solve_lp
 
@@ -47,28 +46,33 @@ def coupling_lp_oracle(mu, nu) -> float:
     return max(val, 0.0)
 
 
-def covers(cover: TreeCover, g) -> bool:
+def tree_edges(g, mask: int) -> tuple:
+    """The sorted edge tuple of a tree given as a bitmask over ``g.edges``."""
+    return tuple(e for i, e in enumerate(g.edges) if mask >> i & 1)
+
+
+def covers(cover, g) -> bool:
     """Whether the union of the cover's tree edges holds every edge of g."""
     covered = set()
-    for t in cover.trees:
-        covered.update(t.edges)
+    for t in cover:
+        covered.update(tree_edges(g, t))
     return covered.issuperset(set(g.edges))
 
 
-def min_tree_cover(g) -> TreeCover:
+def min_tree_cover(g) -> list[int]:
     """Smallest set of spanning trees covering every edge, within the default cap."""
     trees = enumerate_spanning_trees(g)
     _, c1 = clique_number_complement(g)
     size_cap = cover_size_cap(c1)
     # unit weights: minimum total weight == minimum cover size
-    res = _min_weight_cover(tree_edge_masks(g, trees), [1.0] * len(trees), g.m, size_cap)
+    res = _min_weight_cover(trees, [1.0] * len(trees), g.m, size_cap)
     if res is None:
         raise GraphError(f"no cover within cap {size_cap}")
     _, idx = res
-    cover = TreeCover(tuple(trees[i] for i in idx))
+    cover = [trees[i] for i in idx]
     assert covers(cover, g)
     if 1 <= c1 <= size_cap:
-        assert len(cover.trees) <= c1, f"cover size {len(cover.trees)} > c1 {c1}"
+        assert len(cover) <= c1, f"cover size {len(cover)} > c1 {c1}"
     return cover
 
 

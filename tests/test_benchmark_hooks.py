@@ -40,7 +40,7 @@ def test_traced_run_reports_work_counters(capsys):
     tracing = _tracing()
     tr = tracing.Tracer()
     with tr.install(tracing.targets()):
-        distributional.check_tv_bounds(*distributional.random_bound_instance((0, 1)))
+        report = distributional.check_tv_bounds(*distributional.random_bound_instance((0, 1)))
         assert cli.main(["train", "--blocks", "20,20", "--variant", "r", "--epochs", "2",
                          "--val-size", "10", "--test-size", "10", "--tune"]) == 0
     capsys.readouterr()
@@ -49,6 +49,7 @@ def test_traced_run_reports_work_counters(capsys):
                  "gnn.feature_nnz", "gnn.epochs"):
         assert metrics[name] > 0, name
     assert metrics["gnn.epochs"] == 2 * len(gnn.ETA_GRID)
+    assert metrics["graph.trees_enumerated"] == report["tree_count"]
     assert metrics["spectral.eig_sym.n"] <= 40
 
 

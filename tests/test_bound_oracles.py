@@ -17,14 +17,12 @@ from distsig.distributional import (
 )
 from distsig.graph import (
     GraphError,
-    SpanningTree,
     _min_weight_cover,
     build_graph,
     clique_number_complement,
     enumerate_spanning_trees,
-    tree_edge_masks,
 )
-from oracles import covers, min_tree_cover
+from oracles import covers, min_tree_cover, tree_edges
 
 ORACLE_INSTANCES = 100
 
@@ -77,10 +75,10 @@ def spanning_trees_oracle(g):
     return sorted(found)
 
 
-def bfs_parents(tree, v0):
-    """Parent of every node of the tree rooted at v0 (-1 at the root)."""
-    neighbors = build_graph(tree.host_n, tree.edges).neighbors
-    parent = [-1] * tree.host_n
+def bfs_parents(n, edges, v0):
+    """Parent of every node of the tree on nodes 0..n-1 rooted at v0 (-1 at the root)."""
+    neighbors = build_graph(n, edges).neighbors
+    parent = [-1] * n
     seen = {v0}
     queue = [v0]
     while queue:
@@ -94,8 +92,9 @@ def bfs_parents(tree, v0):
 
 
 def tree_rooted_oracle(g, tree, v0, x):
-    """Rooted-tree bound of one tree at one root, walking each root path."""
-    parent = bfs_parents(tree, v0)
+    """Rooted-tree bound of one tree (an edge bitmask) at one root, walking each root path."""
+    edges = tree_edges(g, tree)
+    parent = bfs_parents(g.n, edges, v0)
     paths = []
     for node in range(g.n):
         chain = []
@@ -106,10 +105,10 @@ def tree_rooted_oracle(g, tree, v0, x):
         paths.append(chain[::-1])
     rho_step = {node: _rho(x[parent[node]], x[node])
                 for node in range(g.n) if parent[node] != -1}
-    tree_edges = set(tree.edges)
+    in_tree = set(edges)
     total = 0.0
     for u, v in g.edges:
-        if (u, v) in tree_edges:
+        if (u, v) in in_tree:
             total += float(np.abs(x[u] - x[v]).sum())
             continue
         pu, pv = paths[u], paths[v]
@@ -164,7 +163,7 @@ def _criterion_2_instance(i):
 
 def _tree_weights(g, x, trees):
     edge_l1 = {(u, v): float(np.abs(x[u] - x[v]).sum()) for u, v in g.edges}
-    return [0.5 * sum(edge_l1[e] for e in t.edges) for t in trees]
+    return [0.5 * sum(edge_l1[e] for e in tree_edges(g, t)) for t in trees]
 
 
 def _assert_witness(res, masks, weights, n_edges, size_cap, cost):
@@ -181,29 +180,29 @@ def _assert_witness(res, masks, weights, n_edges, size_cap, cost):
 
 # --- tree enumeration ------------------------------------------------------
 
-def _edge_tuples(trees):
-    return [t.edges for t in trees]
+def _edge_tuples(g, trees):
+    return [tree_edges(g, t) for t in trees]
 
 
 def test_tree_enumeration_equals_oracle_on_corpus():
     for i in range(ORACLE_INSTANCES):
         g, _, trees = _criterion_2_instance(i)
-        assert all(t.host_n == g.n for t in trees)
-        assert _edge_tuples(trees) == spanning_trees_oracle(g), i
+        assert all(0 <= t < 1 << g.m for t in trees)
+        assert _edge_tuples(g, trees) == spanning_trees_oracle(g), i
 
 
 def test_tree_enumeration_equals_oracle_on_k6():
     g = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
     trees = enumerate_spanning_trees(g)
     assert len(trees) == 1296
-    assert _edge_tuples(trees) == spanning_trees_oracle(g)
+    assert _edge_tuples(g, trees) == spanning_trees_oracle(g)
 
 
 def test_tree_enumeration_single_node():
     g = build_graph(1, [])
     trees = enumerate_spanning_trees(g)
-    assert _edge_tuples(trees) == [()] == spanning_trees_oracle(g)
-    assert trees[0].host_n == 1
+    assert _edge_tuples(g, trees) == [()] == spanning_trees_oracle(g)
+    assert trees == [0]
 
 
 # --- rooted-tree bound -----------------------------------------------------
@@ -238,7 +237,7 @@ def test_tree_bound_single_node():
 
 def test_tree_bound_rejects_non_spanning_edge_set():
     g = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    cycle = SpanningTree(4, ((0, 1), (0, 2), (1, 2)))  # node 3 left out
+    cycle = 0b1011  # edges (0, 1), (0, 2), (1, 2): node 3 left out
     with pytest.raises(GraphError, match="span"):
         tv_tree_rooted(g, [cycle], np.full((4, 2), 0.5))
 
@@ -247,9 +246,8 @@ def test_tree_bound_rejects_non_spanning_edge_set():
 
 def test_cover_search_matches_lattice_oracle_on_corpus():
     for i in range(ORACLE_INSTANCES):
-        g, x, trees = _criterion_2_instance(i)
-        masks = tree_edge_masks(g, trees)
-        weights = _tree_weights(g, x, trees)
+        g, x, masks = _criterion_2_instance(i)
+        weights = _tree_weights(g, x, masks)
         cap = max(clique_number_complement(g)[1], 3)
         want = cover_lattice_oracle(masks, weights, g.m, cap)
         res = _min_weight_cover(masks, weights, g.m, cap)
@@ -259,10 +257,9 @@ def test_cover_search_matches_lattice_oracle_on_corpus():
 def test_cover_search_k6():
     g = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
     x = np.random.default_rng(8).dirichlet(np.ones(3), size=6)
-    trees = enumerate_spanning_trees(g)
-    assert (len(trees), g.m) == (1296, 15)
-    masks = tree_edge_masks(g, trees)
-    weights = _tree_weights(g, x, trees)
+    masks = enumerate_spanning_trees(g)
+    assert (len(masks), g.m) == (1296, 15)
+    weights = _tree_weights(g, x, masks)
     want = cover_lattice_oracle(masks, weights, g.m, 5)
     _assert_witness(_min_weight_cover(masks, weights, g.m, 5),
                     masks, weights, g.m, 5, want)
@@ -271,11 +268,10 @@ def test_cover_search_k6():
 def test_cover_search_cap_without_cover():
     # a 4-cycle needs two spanning trees
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    trees = enumerate_spanning_trees(g)
-    masks = tree_edge_masks(g, trees)
-    assert _min_weight_cover(masks, [1.0] * len(trees), g.m, 1) is None
-    assert cover_lattice_oracle(masks, [1.0] * len(trees), g.m, 1) is None
-    assert _min_weight_cover(masks, [1.0] * len(trees), g.m, 2)[0] == 2.0
+    masks = enumerate_spanning_trees(g)
+    assert _min_weight_cover(masks, [1.0] * len(masks), g.m, 1) is None
+    assert cover_lattice_oracle(masks, [1.0] * len(masks), g.m, 1) is None
+    assert _min_weight_cover(masks, [1.0] * len(masks), g.m, 2)[0] == 2.0
 
 
 def test_cover_search_no_edges():
@@ -296,8 +292,7 @@ def test_min_tree_cover_unit_weights(n, edges, size):
     g = build_graph(n, edges)
     cover = min_tree_cover(g)
     assert covers(cover, g)
-    assert len(cover.trees) == size
-    trees = enumerate_spanning_trees(g)
-    masks = tree_edge_masks(g, trees)
+    assert len(cover) == size
+    masks = enumerate_spanning_trees(g)
     cap = max(clique_number_complement(g)[1], 3)
-    assert cover_lattice_oracle(masks, [1.0] * len(trees), g.m, cap) == size
+    assert cover_lattice_oracle(masks, [1.0] * len(masks), g.m, cap) == size

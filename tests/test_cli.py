@@ -9,7 +9,8 @@ import pytest
 
 from distsig import gnn
 from distsig.cli import main
-from distsig.spectral import high_freq_fraction
+from distsig.graph import main_component
+from distsig.spectral import export_spectrum_csv, gft, high_freq_fraction, laplacian_spectrum
 
 
 def _read_coeffs(path):
@@ -164,6 +165,25 @@ def test_spectrum_with_probs(tmp_path, capsys):
         assert (tmp_path / f"s_class{s}.csv").is_file()
 
 
+def test_spectrum_keeps_constant_class_raw(tmp_path, capsys):
+    # one-hot-like predictions with a class that is never predicted: its
+    # column is constant, so it is not normalized and its energy sits at
+    # frequency zero
+    g, _, y = gnn.sbm_dataset([20, 20], 0.4, 0.01, 1)
+    probs = np.column_stack([0.8 * (y == 0), 0.8 * (y == 1), np.full(g.n, 0.2)])
+    np.save(tmp_path / "p.npy", probs)
+    rc = main(["spectrum", "--dataset", "sbm", "--blocks", "20,20", "--p-in", "0.4",
+               "--seed", "1", "--probs", str(tmp_path / "p.npy"), "--out", str(tmp_path / "s")])
+    assert rc == 0
+    assert "5 spectrum file(s)" in capsys.readouterr().out
+    for name in ("label", "random", "class0", "class1", "class2"):
+        assert (tmp_path / f"s_{name}.csv").is_file()
+    sub, nodes = main_component(g)
+    spec = laplacian_spectrum(sub)
+    export_spectrum_csv(tmp_path / "want.csv", spec.eigenvalues, gft(spec, probs[nodes, 2]))
+    assert (tmp_path / "s_class2.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_spectrum_probs_shape_mismatch(tmp_path, capsys):
     np.save(tmp_path / "bad.npy", np.full((7, 2), 0.5))
     rc = main(["spectrum", "--dataset", "sbm", "--blocks", "20,20",
@@ -292,6 +312,20 @@ def test_train_malformed_labels_file(tmp_path, capsys):
         assert not (tmp_path / "run.json").exists()
 
 
+@pytest.mark.parametrize("bad", ["graph", "labels"])
+def test_train_non_utf8_graph_or_labels_file(tmp_path, capsys, bad):
+    (tmp_path / "g.graph").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "g.labels").write_text("0\n1\n0\n")
+    path = tmp_path / f"g.{bad}"
+    path.write_bytes(path.read_bytes().replace(b"1\n", b"1\xff\n", 1))
+    rc = main(["train", "--dataset", "file", "--graph", str(tmp_path / "g.graph"),
+               "--labels", str(tmp_path / "g.labels"), "--epochs", "5",
+               "--out", str(tmp_path / "run.json")])
+    assert rc == 3
+    assert f"{path}: not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
 def test_spectrum_rejects_negative_label(tmp_path, capsys):
     (tmp_path / "ok.graph").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "bad.labels").write_text("0\n-1\n0\n")
@@ -418,6 +452,26 @@ def test_analyze_rejects_bad_probability_file(tmp_path, capsys, write, message):
     assert main(["analyze", "--probs", str(path), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "train"])
+def test_empty_npy_file_is_io_error(tmp_path, capsys, command):
+    empty = tmp_path / "empty.npy"
+    empty.write_bytes(b"")
+    out = tmp_path / "out"
+    if command == "analyze":
+        args = ["analyze", "--probs", str(empty), "--out", str(out)]
+    elif command == "spectrum":
+        args = ["spectrum", "--dataset", "sbm", "--blocks", "20,20", "--probs", str(empty),
+                "--out", str(out)]
+    else:
+        assert main(["gen-sbm", "--blocks", "20,20", "--out", str(tmp_path / "g")]) == 0
+        args = ["train", "--dataset", "file", "--graph", str(tmp_path / "g.graph"),
+                "--labels", str(tmp_path / "g.labels"), "--features", str(empty),
+                "--epochs", "3", "--val-size", "10", "--test-size", "10", "--out", str(out)]
+    assert main(args) == 3
+    assert f"{empty}: unreadable" in capsys.readouterr().err
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
 def test_analyze_missing_probs(tmp_path, capsys):

@@ -22,9 +22,9 @@ from distsig.distributional import (
     tv_tree_rooted,
     wasserstein_sq,
 )
-from distsig.graph import GraphError, SpanningTree, build_graph, laplacian_sparse
+from distsig.graph import GraphError, build_graph, laplacian_sparse
 from distsig.simplex import solve_lp
-from oracles import coupling_lp_oracle, recorded_lps
+from oracles import coupling_lp_oracle, recorded_lps, tree_edges
 
 
 def _dirichlet_pair(rng, m):
@@ -191,6 +191,27 @@ def test_tv_l1_l2_triangle_deltas(triangle):
     assert abs(l2 - 4.0) < 1e-12
 
 
+def test_tv_l1_l2_bitwise_equal_to_edge_loop():
+    # the edge-at-a-time loop it replaced, as the oracle: one float per edge,
+    # added in g.edges order
+    def edge_loop(g, x):
+        l1 = l2 = 0.0
+        for u, v in g.edges:
+            diff = x[u] - x[v]
+            l1 += float(np.abs(diff).sum())
+            l2 += float((diff * diff).sum())
+        return l1, l2
+
+    cases = [(g, nn.matrix) for g, nn in map(random_bound_instance, ((0, i) for i in range(100)))]
+    rng = np.random.default_rng(12)
+    for m in (8, 9, 17, 100):  # alphabets long enough for pairwise row sums
+        g = build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12) if (i + j) % 3])
+        cases.append((g, rng.dirichlet(np.full(m, 0.3), size=12)))
+    cases.append((build_graph(1, []), np.ones((1, 3)) / 3.0))  # no edges
+    for g, x in cases:
+        assert tv_l1_l2(g, x) == edge_loop(g, x)
+
+
 def test_tv_l1_l2_size_mismatch(triangle):
     with pytest.raises(ValueError, match="match"):
         tv_l1_l2(triangle, np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -261,27 +282,37 @@ def test_tv_tree_on_tree_equals_l1():
     rng = np.random.default_rng(9)
     x = np.vstack([rng.dirichlet(np.ones(3)) for _ in range(4)])
     l1, _ = tv_l1_l2(g, x)
-    tree = SpanningTree(4, g.edges)
+    tree = (1 << g.m) - 1  # every edge of g
     for v0 in range(4):
         assert abs(tv_tree_rooted(g, [tree], x)[0, v0] - l1) < 1e-12
 
 
 def test_tv_tree_triangle_worked_example(triangle):
-    tree = SpanningTree(3, ((0, 1), (1, 2)))
+    tree = 0b101  # edges (0, 1), (1, 2)
     assert abs(tv_tree_rooted(triangle, [tree], DELTA_TRIANGLE)[0, 0] - 4.0) < 1e-12
 
 
 def test_tv_tree_identical_marginals(triangle):
-    tree = SpanningTree(3, ((0, 1), (1, 2)))
+    tree = 0b101  # edges (0, 1), (1, 2)
     x = np.tile([0.6, 0.4], (3, 1))
     assert abs(tv_tree_rooted(triangle, [tree], x)[0, 2]) < 1e-12
 
 
 def test_tv_tree_rejects_foreign_tree(triangle):
     g2 = build_graph(3, [(0, 1), (1, 2)])  # no (0,2) edge
-    tree = SpanningTree(3, ((0, 1), (0, 2)))
+    tree = 0b101  # bit 2 names a third edge, which g2 does not have
     with pytest.raises(GraphError, match="absent"):
         tv_tree_rooted(g2, [tree], DELTA_TRIANGLE)[0, 0]
+
+
+def test_tv_tree_rejects_wrong_edge_count(triangle):
+    for tree, got in ((0b111, 3), (0b001, 1)):
+        with pytest.raises(GraphError, match=f"needs 2 edges, got {got}"):
+            tv_tree_rooted(triangle, [0b101, tree], DELTA_TRIANGLE)
+
+
+def test_tv_cover_single_node():
+    assert tv_cover(build_graph(1, []), [[1.0]]) == (0.0, [0])
 
 
 def test_tv_cover_tree_graph():
@@ -290,20 +321,20 @@ def test_tv_cover_tree_graph():
     val, cover = tv_cover(g, x)
     l1, _ = tv_l1_l2(g, x)
     assert abs(val - 0.5 * l1) < 1e-12
-    assert len(cover.trees) == 1
-    assert set(cover.trees[0].edges) == set(g.edges)
+    assert len(cover) == 1
+    assert set(tree_edges(g, cover[0])) == set(g.edges)
 
 
 def test_tv_cover_triangle_worked_example(triangle):
     val, cover = tv_cover(triangle, DELTA_TRIANGLE, size_cap=3)
     assert abs(val - 2.0) < 1e-12
     # witness: two trees that share the zero-variation edge (0,1)
-    assert len(cover.trees) == 2
+    assert len(cover) == 2
     union = set()
-    for t in cover.trees:
-        union |= set(t.edges)
+    for t in cover:
+        union |= set(tree_edges(triangle, t))
     assert union == set(triangle.edges)
-    assert all((0, 1) in t.edges for t in cover.trees)
+    assert all((0, 1) in tree_edges(triangle, t) for t in cover)
 
 
 def test_tv_cover_identical_marginals(triangle):

@@ -151,6 +151,15 @@ def test_load_self_citation_skipped(tmp_path, caplog):
     assert any("self-citation" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("which", ["content", "cites"])
+def test_load_non_utf8_file(tmp_path, which):
+    cp, qp = _write(tmp_path)
+    bad = cp if which == "content" else qp
+    bad.write_bytes(bad.read_bytes().replace(b"n2", b"n\xff2"))
+    with pytest.raises(GraphError, match=f"x.{which}: not UTF-8"):
+        load_cora(cp, qp)
+
+
 def test_load_repeated_citation_collapses(tmp_path):
     cp, qp = _write(tmp_path, cites="n1 n2\nn2 n1\n")
     g, _, _, _ = load_cora(cp, qp)

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from distsig.graph import (
     Graph,
     GraphError,
-    SpanningTree,
-    TreeCover,
     build_graph,
     clique_number_complement,
     connected_components,
@@ -24,7 +22,7 @@ from distsig.graph import (
     write_graph_file,
     write_labels_file,
 )
-from oracles import covers, min_tree_cover
+from oracles import covers, min_tree_cover, tree_edges
 
 
 def test_build_triangle(triangle):
@@ -139,14 +137,14 @@ def test_enumerate_triangle(triangle):
     trees = enumerate_spanning_trees(triangle)
     assert len(trees) == 3
     for t in trees:
-        assert len(t.edges) == 2
-        assert set(t.edges) <= set(triangle.edges)
+        assert len(tree_edges(triangle, t)) == 2
+        assert 0 <= t < 1 << triangle.m
 
 
 def test_enumerate_path_is_itself(p3):
     trees = enumerate_spanning_trees(p3)
     assert len(trees) == 1
-    assert trees[0].edges == p3.edges
+    assert tree_edges(p3, trees[0]) == p3.edges
 
 
 def test_enumerate_cap_reports_count():
@@ -168,42 +166,41 @@ def test_enumerate_matches_kirchhoff(rng):
             continue
         trees = enumerate_spanning_trees(g)
         assert len(trees) == spanning_tree_count(g)
-        canon = {t.edges for t in trees}
-        assert len(canon) == len(trees)
+        assert len(set(trees)) == len(trees)
 
 
 def test_tree_cover_covers(triangle):
-    t1 = SpanningTree(3, ((0, 1), (1, 2)))
-    t2 = SpanningTree(3, ((0, 1), (0, 2)))
-    assert covers(TreeCover((t1, t2)), triangle)
-    assert not covers(TreeCover((t1,)), triangle)
+    t1 = 0b101  # edges (0, 1), (1, 2)
+    t2 = 0b011  # edges (0, 1), (0, 2)
+    assert covers([t1, t2], triangle)
+    assert not covers([t1], triangle)
 
 
 def test_min_cover_triangle(triangle):
     cover = min_tree_cover(triangle)
-    assert len(cover.trees) == 2
+    assert len(cover) == 2
     union = set()
-    for t in cover.trees:
-        union |= set(t.edges)
+    for t in cover:
+        union |= set(tree_edges(triangle, t))
     assert union == set(triangle.edges)
 
 
 def test_min_cover_tree_graph(p3):
     cover = min_tree_cover(p3)
-    assert len(cover.trees) == 1
-    assert cover.trees[0].edges == p3.edges
+    assert len(cover) == 1
+    assert tree_edges(p3, cover[0]) == p3.edges
 
 
 def test_min_cover_c4(c4):
     cover = min_tree_cover(c4)
-    assert len(cover.trees) == 2
+    assert len(cover) == 2
 
 
 def test_min_cover_size_matches_c1_triangle(triangle):
     # exhaustive minimum and the complement-clique constant agree here
     _, c1 = clique_number_complement(triangle)
     cover = min_tree_cover(triangle)
-    assert len(cover.trees) == c1 == 2
+    assert len(cover) == c1 == 2
 
 
 def test_clique_complement_triangle(triangle):
@@ -319,6 +316,6 @@ def test_spanning_trees_are_valid_trees(seed):
     if not is_connected(g):
         return
     for t in enumerate_spanning_trees(g):
-        assert len(t.edges) == g.n - 1
-        sub = Graph(g.n, t.edges)
+        assert len(tree_edges(g, t)) == g.n - 1
+        sub = Graph(g.n, tree_edges(g, t))
         assert is_connected(sub)

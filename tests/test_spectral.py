@@ -12,6 +12,7 @@ from distsig.spectral import (
     laplacian_spectrum,
     matched_random_signal,
     normalize_signal,
+    normalize_unless_constant,
     total_variation,
 )
 from oracles import igft
@@ -240,6 +241,15 @@ def test_normalize_signal(rng):
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         normalize_signal(np.full(5, 7.0))  # constant: zero after centering
+    with pytest.raises(ValueError):
+        normalize_signal(np.full(38, 0.1))  # constant, though its rounded mean is not 0.1
+
+
+def test_normalize_unless_constant_keeps_constant_raw(rng):
+    x = rng.standard_normal(10) + 3.0
+    assert np.array_equal(normalize_unless_constant(x), normalize_signal(x))
+    for c in (np.full(5, 7.0), np.full(38, 0.1), np.zeros(4)):
+        assert np.array_equal(normalize_unless_constant(c), c)
 
 
 def test_matched_random_signal():
