@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -95,7 +96,11 @@ def _read_matrix(path, kind, n):
     the messages.
     """
     try:
-        f = np.load(path) if path.endswith(".npy") else np.loadtxt(path, dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty text file is reported below, as an empty matrix
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            f = np.load(path) if path.endswith(".npy") else np.loadtxt(path, dtype=float,
+                                                                       ndmin=2)
     except (ValueError, EOFError) as e:  # EOFError: an empty .npy file
         raise CliError(f"{path}: unreadable {kind} matrix: {e}", EXIT_IO) from None
     if not isinstance(f, np.ndarray):  # an .npz archive under a .npy name
@@ -103,6 +108,8 @@ def _read_matrix(path, kind, n):
         raise CliError(f"{path}: unreadable {kind} matrix: an archive, not one array", EXIT_IO)
     if f.ndim != 2:
         raise CliError(f"{path}: {kind} matrix must be a 2-D array, got {f.ndim}-D", EXIT_IO)
+    if f.size == 0:
+        raise CliError(f"{path}: empty {kind} matrix", EXIT_IO)
     if f.dtype.kind not in "biuf":
         raise CliError(f"{path}: {kind} matrix must be real numbers, got dtype {f.dtype}",
                        EXIT_IO)
@@ -195,7 +202,7 @@ def cmd_train(args) -> int:
     test_size = args.test_size if args.test_size is not None else (1000 if cora else 100)
     split = gnn.make_split(y, per_class, val_size, test_size, args.seed)
     if args.tune:
-        metrics, _ = gnn.tune_eta(g, f, y, split, cfg)
+        metrics, runs = gnn.tune_eta(g, f, y, split, cfg)
     else:
         metrics = gnn.train(g, f, y, split, cfg)
     print(
@@ -203,7 +210,11 @@ def cmd_train(args) -> int:
         f"test_acc={metrics.test_acc:.4f} best_epoch={metrics.best_epoch}"
     )
     if args.out:
-        _write_json(args.out, metrics.to_json_dict())
+        report = metrics.to_json_dict()
+        if args.tune:
+            report["tune"] = [{"eta": m.config.eta, "best_val_acc": max(m.val_acc),
+                               "best_epoch": m.best_epoch} for m in runs]
+        _write_json(args.out, report)
         np.save(f"{args.out}.probs.npy", metrics.final_probs)
     return EXIT_OK
 

@@ -170,6 +170,7 @@ def _rho(mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:
 
 
 _TREE_BATCH = 64  # trees per vectorized step of tv_tree_rooted
+_MAX_TREE_EDGES = 63  # edge indices of an int64 bitmask
 
 
 def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
@@ -182,7 +183,11 @@ def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
     the tree from the root: the endpoint masses minus twice the mass retained
     from their deepest common ancestor.  On tree edges this collapses to the
     plain l1 difference.  Trees are processed in batches of ``_TREE_BATCH``.
+    The masks are int64, so the host may have at most 63 edges.
     """
+    if g.m > _MAX_TREE_EDGES:
+        raise GraphError(f"tree bounds take at most {_MAX_TREE_EDGES} edges "
+                         f"(int64 edge masks), got {g.m}")
     nn = as_marginals(marginals)
     x = nn.matrix
     if nn.n != g.n:

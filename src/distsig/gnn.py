@@ -76,6 +76,13 @@ class Split:
 
 @dataclass
 class GcnParams:
+    """Weights of one model (w1: d x H, w2: H x C) or of a stack of K models.
+
+    A stack shares its input, so w1 is d x KH with model k in columns
+    [kH, (k+1)H), and w2 is K x H x C.  Its outputs and logit gradients are
+    K x n x C views of n x KC arrays that hold the models side by side.
+    """
+
     w1: np.ndarray
     w2: np.ndarray
 
@@ -276,6 +283,50 @@ class _SparseInput:
         return self.dropped, self.dropped_t
 
 
+def _stack_size(params: GcnParams) -> int | None:
+    """K for a stack of K models, None for one model."""
+    return params.w2.shape[0] if params.w2.ndim == 3 else None
+
+
+def _blocks(y, k):
+    """An n x Kc array as a K x n x c view of its column blocks; k=None keeps y."""
+    return y if k is None else y.reshape(y.shape[0], k, -1).transpose(1, 0, 2)
+
+
+def _matmul_side_by_side(a, b, k):
+    """a @ b; for a stack of k models the product is n x kc, model i's block
+    in columns [ic, (i+1)c), so ``_blocks`` of it is the batched product."""
+    if k is None:
+        return a @ b
+    out = np.empty((a.shape[1], k * b.shape[-1]))
+    np.matmul(a, b, out=_blocks(out, k))
+    return out
+
+
+def _spmm(a, y):
+    """a @ y for one n x c matrix, or for each block of a K x n x c stack.
+
+    A stack's blocks go side by side into one sparse call, and each output
+    column keeps the sum order of its own product.  For a ``_blocks`` view,
+    as every stack in training is, neither layout change copies.
+    """
+    if y.ndim == 2:
+        return a @ y
+    k, n = y.shape[:2]
+    return _blocks(a @ y.transpose(1, 0, 2).reshape(n, -1), k)
+
+
+def _block_sums(y):
+    """np.sum of one matrix as a float, or of each block of a stack as a (K,) array.
+
+    The reshape copies each block in row-major order, so a row of the (K, ·)
+    copy sums in the order np.sum takes over that block alone.
+    """
+    if y.ndim == 2:
+        return float(np.sum(y))
+    return y.reshape(y.shape[0], -1).sum(axis=1)
+
+
 def gcn_forward(params: GcnParams, ahat, features, *, dropout: float = 0.0, rng=None):
     """Returns (logits, probabilities, cache).  Dropout only when rng given.
 
@@ -283,100 +334,122 @@ def gcn_forward(params: GcnParams, ahat, features, *, dropout: float = 0.0, rng=
     ``train`` passes one ``_SparseInput`` for the whole run.  Input dropout
     draws one uniform per stored entry, in CSR order, and then one per hidden
     unit; zeros stay zero under any mask, so only the stored entries are drawn.
+    The models of a stack share both draws.
     """
     inp = features if isinstance(features, _SparseInput) else _SparseInput(features)
+    k = _stack_size(params)
     cache: dict = {}
     if rng is not None and dropout > 0.0:
         f, f_t = inp.drop(rng, dropout)
     else:
         f, f_t = inp.f, inp.f_t
-    z1 = f @ params.w1
-    a1 = ahat @ z1
-    h = np.maximum(a1, 0.0)
-    hd = h
+    # relu and the hidden mask act in place: a stack's hidden layer is K
+    # times one model's, and fewer temporaries keep the allocator's heap small
+    hd = ahat @ (f @ params.w1)
+    np.maximum(hd, 0.0, out=hd)
     if rng is not None and dropout > 0.0:
-        mask1 = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
-        hd = h * mask1
+        mask1 = (rng.random((hd.shape[0], params.w2.shape[-2])) >= dropout) / (1.0 - dropout)
+        hd_blocks = _blocks(hd, k)
+        hd_blocks *= mask1  # one mask, shared by the models of a stack
         cache["mask1"] = mask1
-    o = ahat @ (hd @ params.w2)
+    o = _blocks(ahat @ _matmul_side_by_side(_blocks(hd, k), params.w2, k), k)
     if not np.all(np.isfinite(o)):
         raise RuntimeError("non-finite activations in forward pass")
     x = softmax_rows(o)
-    cache.update(f=f, f_t=f_t, a1=a1, hd=hd)
+    cache.update(f=f, f_t=f_t, hd=hd)
     return o, x, cache
 
 
 def gcn_backward(params: GcnParams, ahat, cache: dict, d_o: np.ndarray):
-    dz2 = ahat @ d_o
-    dw2 = cache["hd"].T @ dz2
-    dhd = dz2 @ params.w2.T
+    k = _stack_size(params)
+    dz2 = _spmm(ahat, d_o)
+    dw2 = _blocks(cache["hd"], k).swapaxes(-1, -2) @ dz2
+    da1 = _matmul_side_by_side(dz2, params.w2.swapaxes(-1, -2), k)
     if "mask1" in cache:
-        dhd = dhd * cache["mask1"]
-    da1 = dhd * (cache["a1"] > 0.0)
-    dz1 = ahat @ da1
-    dw1 = cache["f_t"] @ dz1
+        da1_blocks = _blocks(da1, k)
+        da1_blocks *= cache["mask1"]
+    # hd > 0 exactly where the pre-activation is > 0 and the mask keeps the
+    # unit (a kept unit is scaled by 1/(1-p) >= 1); where the mask drops it,
+    # da1 is already a signed zero, which a factor of 0 or 1 leaves as it is
+    da1 *= cache["hd"] > 0.0
+    dw1 = cache["f_t"] @ (ahat @ da1)
     return dw1, dw2
 
 
 def _reg_value_and_grad(variant: str, o, x, lap, a_vec):
-    """Regularizer value and its gradient in the logits (None for no gradient)."""
+    """Regularizer value and its gradient in the logits (None for no gradient).
+
+    The value is a float for one model and a (K,) array for a stack.
+    """
     if variant == "gcn":
-        return 0.0, None
+        return (0.0 if o.ndim == 2 else np.zeros(o.shape[0])), None
+    a = a_vec[:, None]
     if variant == "r3":
-        lo = lap @ o
-        return float(np.sum(o * lo)), 2.0 * lo
+        lo = _spmm(lap, o)
+        return _block_sums(o * lo), 2.0 * lo
     if variant == "lap":
         onehot = np.zeros_like(x)
-        onehot[np.arange(x.shape[0]), np.argmax(x, axis=1)] = 1.0
-        ll = lap @ onehot
-        val = float(np.sum(onehot * ll)) + float(np.sum((onehot * onehot) * a_vec[:, None]))
-        return val, None
-    xl = lap @ x
-    l1 = float(np.sum(x * xl))
-    l2 = float(np.sum((x * x) * a_vec[:, None]))
+        np.put_along_axis(onehot, np.argmax(x, axis=-1)[..., None], 1.0, axis=-1)
+        ll = _spmm(lap, onehot)
+        return _block_sums(onehot * ll) + _block_sums((onehot * onehot) * a), None
+    xl = _spmm(lap, x)
+    l1 = _block_sums(x * xl)
+    l2 = _block_sums((x * x) * a)
     if variant == "r":
-        gx = 2.0 * (xl + a_vec[:, None] * x)
+        gx = 2.0 * (xl + a * x)
         return l1 + l2, softmax_vjp(x, gx)
     if variant == "r1":
         return l1, softmax_vjp(x, 2.0 * xl)
     if variant == "r2":
-        return l2, softmax_vjp(x, 2.0 * a_vec[:, None] * x)
+        return l2, softmax_vjp(x, 2.0 * a * x)
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_vec,
-                  cfg: TrainConfig, rng=None):
+                  cfg: TrainConfig | list[TrainConfig], rng=None):
     """Full training objective and its parameter gradients.
 
     Cross-entropy is averaged over the training nodes and the regularizer trace
     over all nodes, so eta trades off comparable per-node quantities; the raw
     (unaveraged) trace is still returned for logging.  Weight decay acts on W1
-    only.
+    only.  For a stack, ``cfg`` holds one config per model, differing only in
+    eta, and the loss, cross-entropy and trace are (K,) arrays.
     """
-    o, x, cache = gcn_forward(params, ahat, features, dropout=cfg.dropout, rng=rng)
-    k = train_idx.shape[0]
-    n = o.shape[0]
-    p = x[train_idx, labels[train_idx]]
-    ce = -float(np.mean(np.log(np.maximum(p, 1e-12))))
+    k = _stack_size(params)
+    cfgs = (cfg,) if k is None else tuple(cfg)
+    base = cfgs[0]
+    eta = np.array([c.eta for c in cfgs]).reshape(() if k is None else (k,))
+    o, x, cache = gcn_forward(params, ahat, features, dropout=base.dropout, rng=rng)
+    n = o.shape[-2]
+    # advanced indexing may lay a stack's (K, t) result out column-major
+    p = np.ascontiguousarray(x[..., train_idx, labels[train_idx]])
+    ce = -np.mean(np.log(np.maximum(p, 1e-12)), axis=-1)
     d_o = np.zeros_like(o)
-    d_o[train_idx] = x[train_idx]
-    d_o[train_idx, labels[train_idx]] -= 1.0
-    d_o /= k
+    d_o[..., train_idx, :] = x[..., train_idx, :]
+    d_o[..., train_idx, labels[train_idx]] -= 1.0
+    d_o /= train_idx.shape[0]
 
-    reg, reg_grad = _reg_value_and_grad(cfg.variant, o, x, lap, a_vec)
+    reg, reg_grad = _reg_value_and_grad(base.variant, o, x, lap, a_vec)
     if reg_grad is not None:
-        d_o = d_o + (cfg.eta / n) * reg_grad
-
-    loss = ce + cfg.eta * (reg / n) + 0.5 * cfg.weight_decay * float(np.sum(params.w1 ** 2))
+        d_o = d_o + (eta / n)[..., None, None] * reg_grad
+    w1_sq = _block_sums(_blocks(params.w1 ** 2, k))
+    with np.errstate(over="ignore", invalid="ignore"):  # train reports a non-finite loss
+        loss = ce + eta * (reg / n) + 0.5 * base.weight_decay * w1_sq
     dw1, dw2 = gcn_backward(params, ahat, cache, d_o)
-    dw1 = dw1 + cfg.weight_decay * params.w1
+    dw1 = dw1 + base.weight_decay * params.w1
+    if k is None:
+        return float(loss), float(ce), reg, (dw1, dw2), x
     return loss, ce, reg, (dw1, dw2), x
 
 
-def accuracy(probs, labels, idx) -> float:
-    """Argmax accuracy; argmax resolves ties toward the lowest class index."""
-    pred = np.argmax(probs[idx], axis=1)
-    return float(np.mean(pred == labels[idx]))
+def accuracy(probs, labels, idx):
+    """Argmax accuracy; argmax resolves ties toward the lowest class index.
+
+    A float for one model's outputs, a (K,) array for a stack's.
+    """
+    pred = np.argmax(probs[..., idx, :], axis=-1)
+    acc = np.mean(pred == labels[idx], axis=-1)
+    return float(acc) if probs.ndim == 2 else acc
 
 
 class _Adam:
@@ -400,14 +473,22 @@ class _Adam:
             w -= self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
-def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
-          analysis: bool = True, component_spectrum=None) -> Metrics:
-    """Train one model; deterministic for a fixed config.
+def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=None,
+          analysis: bool = True, component_spectrum=None):
+    """Train one model, or with ``etas`` one model per eta; deterministic.
+
+    The models for ``etas`` train as one stack: they share the initial
+    weights and every dropout draw and differ only in eta, and each is
+    bitwise the model that ``train`` returns for its eta alone.  Returns one
+    ``Metrics``, or with ``etas`` a list of them in the order of ``etas``.
 
     Model selection is best validation accuracy (earliest epoch on ties) and
     decides the reported test accuracy; the spectral / non-uniformity analysis
     summarizes the final-epoch outputs.
     """
+    cfgs = [cfg] if etas is None else [replace(cfg, eta=eta) for eta in etas]
+    if not cfgs:
+        raise ValueError("etas must not be empty")
     inp = _SparseInput(features)
     labels = np.asarray(labels, dtype=np.int64)
     ahat = normalized_adjacency(g)
@@ -415,37 +496,48 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *,
     a_vec = WeightDiag.default_for(g).a
     classes = int(labels.max()) + 1
     params = init_params(inp.f.shape[1], cfg.hidden, classes, cfg.seed)
+    if etas is not None:
+        k = len(cfgs)
+        params = GcnParams(np.tile(params.w1, k), np.tile(params.w2, (k, 1, 1)))
     drop_rng = np.random.default_rng((cfg.seed, 1))
     opt = _Adam([params.w1.shape, params.w2.shape], cfg.lr)
 
-    tl, ta, vl, va, rv = [], [], [], [], []
-    best_acc, best_epoch, test_acc = -1.0, 0, 0.0
+    history = []  # per epoch: loss, train acc, val loss, val acc, reg; one column per model
+    best_acc = np.full(len(cfgs), -1.0)
+    best_epoch, test_acc = np.zeros(len(cfgs), dtype=int), np.zeros(len(cfgs))
     for epoch in range(1, cfg.epochs + 1):
         loss, _, _, grads, _ = loss_and_grad(
-            params, ahat, inp, labels, split.train, lap, a_vec, cfg, rng=drop_rng
+            params, ahat, inp, labels, split.train, lap, a_vec,
+            cfg if etas is None else cfgs, rng=drop_rng
         )
-        if not np.isfinite(loss):
-            raise RuntimeError(f"divergence (non-finite loss) at epoch {epoch}")
+        if not np.all(np.isfinite(loss)):
+            eta = cfgs[int(np.argmin(np.isfinite(loss)))].eta
+            raise RuntimeError(f"divergence (non-finite loss) at epoch {epoch}, eta {eta}")
         opt.step([params.w1, params.w2], grads)
 
         o_eval, x_eval, _ = gcn_forward(params, ahat, inp)
-        p_val = x_eval[split.val, labels[split.val]]
-        val_loss = -float(np.mean(np.log(np.maximum(p_val, 1e-12))))
+        # advanced indexing may lay a stack's (K, v) result out column-major
+        p_val = np.ascontiguousarray(x_eval[..., split.val, labels[split.val]])
+        val_loss = -np.mean(np.log(np.maximum(p_val, 1e-12)), axis=-1)
         val_acc = accuracy(x_eval, labels, split.val)
-        tl.append(loss)
-        ta.append(accuracy(x_eval, labels, split.train))
-        vl.append(val_loss)
-        va.append(val_acc)
+        train_acc = accuracy(x_eval, labels, split.train)
         # recorded regularizer is the raw trace on the clean post-update output
-        rv.append(_reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec)[0])
-        if val_acc > best_acc:
-            best_acc, best_epoch = val_acc, epoch
-            test_acc = accuracy(x_eval, labels, split.test)
+        reg = _reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec)[0]
+        row = np.array((loss, train_acc, val_loss, val_acc, reg)).reshape(5, -1)
+        history.append(row)
+        better = row[3] > best_acc  # row 3: each model's validation accuracy
+        if better.any():
+            best_acc[better], best_epoch[better] = row[3][better], epoch
+            test_acc[better] = np.reshape(accuracy(x_eval, labels, split.test), -1)[better]
 
-    metrics = Metrics(cfg, tl, ta, vl, va, rv, best_epoch, test_acc, x_eval)
+    curves = np.array(history).transpose(2, 1, 0).tolist()  # [model][quantity][epoch]
+    x_eval = x_eval.reshape(-1, *x_eval.shape[-2:])
+    runs = [Metrics(c, *curves[i], int(best_epoch[i]), float(test_acc[i]), x_eval[i].copy())
+            for i, c in enumerate(cfgs)]
     if analysis:
-        _attach_analysis(metrics, g, component_spectrum)
-    return metrics
+        for m in runs:
+            _attach_analysis(m, g, component_spectrum)
+    return runs if etas is not None else runs[0]
 
 
 def _attach_analysis(metrics: Metrics, g: Graph, component_spectrum) -> None:
@@ -484,17 +576,12 @@ def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
              analysis: bool = True, component_spectrum=None):
     """Grid-search eta by best validation accuracy; first grid entry wins ties.
 
-    Every eta trains without the output analysis; with ``analysis`` it then
-    runs once, on the chosen run only.  The other runs in ``results`` carry
-    no analysis.
+    The grid trains as one stack (``train`` with ``etas``) without the output
+    analysis; with ``analysis`` it then runs once, on the chosen run only.
+    The other runs in ``results`` carry no analysis.
     """
-    best = None
-    results = []
-    for eta in grid:
-        m = train(g, features, labels, split, replace(cfg, eta=eta), analysis=False)
-        results.append(m)
-        if best is None or max(m.val_acc) > max(best.val_acc):
-            best = m
+    results = train(g, features, labels, split, cfg, etas=grid, analysis=False)
+    best = max(results, key=lambda m: max(m.val_acc))  # the first of equal maxima
     if analysis:
         _attach_analysis(best, g, component_spectrum)
     return best, results

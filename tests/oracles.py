@@ -2,20 +2,23 @@
 
 Nothing under ``src/`` calls these: the transport LP over all couplings, the
 edge tuple of a tree bitmask, the unit-weight minimum tree cover, the inverse
-graph Fourier transform, and a recorder for the LPs that ``distributional``
-hands to the simplex solver.
+graph Fourier transform, a recorder for the LPs that ``distributional``
+hands to the simplex solver, and the one-model-at-a-time training loop.
 """
 
 import numpy as np
 
-from distsig import distributional
+from distsig import distributional, gnn
 from distsig.graph import (
     GraphError,
     _min_weight_cover,
     clique_number_complement,
     cover_size_cap,
     enumerate_spanning_trees,
+    laplacian_sparse,
+    normalized_adjacency,
 )
+from distsig.regularizer import WeightDiag
 from distsig.simplex import InfeasibleError, solve_lp
 
 ORACLE_MAX_M = 6
@@ -96,3 +99,44 @@ def recorded_lps(monkeypatch, run):
     run()
     monkeypatch.undo()
     return lps
+
+
+def train_one(g, features, labels, split, cfg):
+    """One model trained alone, epoch by epoch, without the output analysis.
+
+    This is the per-run loop that ``gnn.train`` generalizes to a stack of
+    models; the stack must reproduce it bit for bit, model by model.
+    """
+    inp = gnn._SparseInput(features)
+    labels = np.asarray(labels, dtype=np.int64)
+    ahat = normalized_adjacency(g)
+    lap = laplacian_sparse(g)
+    a_vec = WeightDiag.default_for(g).a
+    classes = int(labels.max()) + 1
+    params = gnn.init_params(inp.f.shape[1], cfg.hidden, classes, cfg.seed)
+    drop_rng = np.random.default_rng((cfg.seed, 1))
+    opt = gnn._Adam([params.w1.shape, params.w2.shape], cfg.lr)
+
+    tl, ta, vl, va, rv = [], [], [], [], []
+    best_acc, best_epoch, test_acc = -1.0, 0, 0.0
+    for epoch in range(1, cfg.epochs + 1):
+        loss, _, _, grads, _ = gnn.loss_and_grad(
+            params, ahat, inp, labels, split.train, lap, a_vec, cfg, rng=drop_rng
+        )
+        if not np.isfinite(loss):
+            raise RuntimeError(f"divergence (non-finite loss) at epoch {epoch}")
+        opt.step([params.w1, params.w2], grads)
+
+        o_eval, x_eval, _ = gnn.gcn_forward(params, ahat, inp)
+        p_val = x_eval[split.val, labels[split.val]]
+        val_loss = -float(np.mean(np.log(np.maximum(p_val, 1e-12))))
+        val_acc = gnn.accuracy(x_eval, labels, split.val)
+        tl.append(loss)
+        ta.append(gnn.accuracy(x_eval, labels, split.train))
+        vl.append(val_loss)
+        va.append(val_acc)
+        rv.append(gnn._reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec)[0])
+        if val_acc > best_acc:
+            best_acc, best_epoch = val_acc, epoch
+            test_acc = gnn.accuracy(x_eval, labels, split.test)
+    return gnn.Metrics(cfg, tl, ta, vl, va, rv, best_epoch, test_acc, x_eval)

@@ -256,6 +256,21 @@ def test_train_tune_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_train_tune_records_every_eta(tmp_path, capsys):
+    args = ["train", "--dataset", "sbm", "--blocks", "20,20", "--variant", "r",
+            "--epochs", "8", "--val-size", "10", "--test-size", "20"]
+    assert main(args + ["--tune", "--out", str(tmp_path / "tuned.json")]) == 0
+    assert main(args + ["--out", str(tmp_path / "plain.json")]) == 0
+    capsys.readouterr()
+    tuned = json.loads((tmp_path / "tuned.json").read_text())
+    assert [t["eta"] for t in tuned["tune"]] == list(gnn.ETA_GRID)
+    chosen = tuned["tune"][gnn.ETA_GRID.index(tuned["config"]["eta"])]
+    assert chosen["best_val_acc"] == max(t["best_val_acc"] for t in tuned["tune"])
+    assert chosen["best_val_acc"] == tuned["per_epoch"][chosen["best_epoch"] - 1]["acc_val"]
+    assert chosen["best_epoch"] == tuned["best_epoch"]
+    assert "tune" not in json.loads((tmp_path / "plain.json").read_text())
+
+
 def test_train_from_files(tmp_path, capsys):
     prefix = tmp_path / "data"
     assert main(["gen-sbm", "--blocks", "100,100", "--p-in", "0.15",
@@ -471,6 +486,29 @@ def test_empty_npy_file_is_io_error(tmp_path, capsys, command):
                 "--epochs", "3", "--val-size", "10", "--test-size", "10", "--out", str(out)]
     assert main(args) == 3
     assert f"{empty}: unreadable" in capsys.readouterr().err
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "train"])
+def test_empty_text_matrix_is_io_error(tmp_path, capsys, recwarn, command):
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    out = tmp_path / "out"
+    if command == "analyze":
+        args = ["analyze", "--probs", str(empty), "--out", str(out)]
+    elif command == "spectrum":
+        args = ["spectrum", "--dataset", "sbm", "--blocks", "20,20", "--probs", str(empty),
+                "--out", str(out)]
+    else:
+        assert main(["gen-sbm", "--blocks", "20,20", "--out", str(tmp_path / "g")]) == 0
+        args = ["train", "--dataset", "file", "--graph", str(tmp_path / "g.graph"),
+                "--labels", str(tmp_path / "g.labels"), "--features", str(empty),
+                "--epochs", "3", "--val-size", "10", "--test-size", "10", "--out", str(out)]
+    capsys.readouterr()
+    assert main(args) == 3
+    kind = "feature" if command == "train" else "probability"
+    assert capsys.readouterr().err == f"error: {empty}: empty {kind} matrix\n"
+    assert not [w for w in recwarn if "loadtxt" in str(w.message)]
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 

@@ -311,6 +311,19 @@ def test_tv_tree_rejects_wrong_edge_count(triangle):
             tv_tree_rooted(triangle, [0b101, tree], DELTA_TRIANGLE)
 
 
+def test_tv_tree_edge_limit_is_the_int64_mask():
+    # a path is its own one spanning tree, so its bound at any root is its l1
+    for n in (64, 70):
+        g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        x = np.vstack([np.linspace(0.1, 0.9, n), np.linspace(0.9, 0.1, n)]).T
+        tree = (1 << g.m) - 1
+        if g.m <= 63:
+            assert abs(tv_tree_rooted(g, [tree], x)[0, 0] - tv_l1_l2(g, x)[0]) < 1e-12
+        else:
+            with pytest.raises(GraphError, match="at most 63 edges.*got 69"):
+                tv_tree_rooted(g, [tree], x)
+
+
 def test_tv_cover_single_node():
     assert tv_cover(build_graph(1, []), [[1.0]]) == (0.0, [0])
 

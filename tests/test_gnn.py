@@ -1,11 +1,14 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
 from distsig.gnn import (
     ETA_GRID,
+    SBM_ETA_GRID,
     _SparseInput,
     GcnParams,
     Metrics,
@@ -465,6 +468,37 @@ def test_test_acc_is_the_best_epoch_output():
     assert cut.val_acc == m.val_acc[:m.best_epoch]
     assert accuracy(cut.final_probs, y, split.test) == m.test_acc
     assert cut.test_acc == m.test_acc
+
+
+def _stack_cases():
+    g, f, y = sbm_dataset((50, 50, 50, 50), 0.1, 0.01, seed=0)
+    yield g, f, y, make_split(y, 5, 50, 100, seed=0), SBM_ETA_GRID
+    g, _, y = sbm_dataset((20, 20, 20), 0.3, 0.05, seed=1)
+    yield g, _sparse_features(n=60, d=40, seed=3), y, make_split(y, 5, 15, 20, seed=1), ETA_GRID
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stacked_train_equals_one_run_per_eta(variant):
+    # the stack shares the initial weights and every dropout draw, and each
+    # per-model sum runs over one contiguous block, so the bits are the same
+    for g, f, y, split, grid in _stack_cases():
+        for dropout in (0.5, 0.0):
+            cfg = TrainConfig(variant=variant, epochs=30, dropout=dropout, seed=2)
+            runs = train(g, f, y, split, cfg, etas=grid, analysis=False)
+            assert [m.config for m in runs] == [replace(cfg, eta=eta) for eta in grid]
+            runs.append(train(g, f, y, split, cfg, analysis=False))  # no stack
+            for m in runs:
+                want = oracles.train_one(g, f, y, split, m.config)
+                assert json.dumps(m.to_json_dict()) == json.dumps(want.to_json_dict())
+                assert m.final_probs.tobytes() == want.final_probs.tobytes()
+                assert m.final_probs.flags.c_contiguous and m.final_probs.base is None
+
+
+def test_stacked_divergence_names_epoch_and_first_eta():
+    g, f, y, split = _toy_setup()
+    with pytest.raises(RuntimeError, match=r"at epoch 1, eta 1e\+308$"):
+        train(g, f, y, split, TrainConfig(variant="r", epochs=5), etas=(0.1, 1e308),
+              analysis=False)
 
 
 def test_tune_eta_tie_prefers_first():
