@@ -31,6 +31,11 @@ def main():
     ap.add_argument("--variants", default=",".join(VARIANTS))
     ap.add_argument("--out-dir", default="cora_runs")
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error(f"--seeds must be >= 1, got {args.seeds}")
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants or any(v not in VARIANTS for v in variants):
+        ap.error(f"--variants must name some of {','.join(VARIANTS)}, got {args.variants!r}")
 
     try:
         g, features, labels, _ = load_cora_dir(args.data_dir)
@@ -41,7 +46,6 @@ def main():
     spectrum = (nodes, laplacian_spectrum(sub))
     os.makedirs(args.out_dir, exist_ok=True)
 
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = []
     t0 = time.perf_counter()
     for variant in variants:

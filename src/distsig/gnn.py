@@ -5,11 +5,12 @@ by Adam on masked cross-entropy plus an optional distributional regularizer
 evaluated over every node.  Variants:
 
   gcn  no regularizer
-  r    smoothness + confidence traces of the softmax outputs
-  r1   smoothness trace only
-  r2   confidence trace only
+  r    smoothness + confidence traces of the softmax outputs, weights (1, 1)
+  r1   smoothness trace only, weights (1, 0)
+  r2   confidence trace only, weights (0, 1)
   r3   smoothness trace of the raw logits
-  lap  combined trace of the one-hot argmax labels (logged, no gradient)
+
+At eta 0 every variant trains the plain model bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .spectral import gft, high_freq_fraction, laplacian_spectrum, normalize_unl
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("gcn", "r", "r1", "r2", "r3", "lap")
+VARIANTS = ("gcn", "r", "r1", "r2", "r3")
+# (smoothness, confidence) weights of the softmax-output traces
+TRACE_WEIGHTS = {"r": (1.0, 1.0), "r1": (1.0, 0.0), "r2": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -376,33 +379,24 @@ def gcn_backward(params: GcnParams, ahat, cache: dict, d_o: np.ndarray):
     return dw1, dw2
 
 
-def _reg_value_and_grad(variant: str, o, x, lap, a_vec):
-    """Regularizer value and its gradient in the logits (None for no gradient).
+def _reg_value_and_grad(variant: str, o, x, lap, a_vec, with_grad: bool):
+    """Regularizer value and, with ``with_grad``, its gradient in the logits.
 
-    The value is a float for one model and a (K,) array for a stack.
+    The gradient is None without ``with_grad`` and for ``gcn``.  The value is
+    a float for one model and a (K,) array for a stack.
     """
     if variant == "gcn":
         return (0.0 if o.ndim == 2 else np.zeros(o.shape[0])), None
-    a = a_vec[:, None]
     if variant == "r3":
         lo = _spmm(lap, o)
-        return _block_sums(o * lo), 2.0 * lo
-    if variant == "lap":
-        onehot = np.zeros_like(x)
-        np.put_along_axis(onehot, np.argmax(x, axis=-1)[..., None], 1.0, axis=-1)
-        ll = _spmm(lap, onehot)
-        return _block_sums(onehot * ll) + _block_sums((onehot * onehot) * a), None
+        return _block_sums(o * lo), (2.0 * lo if with_grad else None)
+    w_s, w_c = TRACE_WEIGHTS[variant]
+    a = a_vec[:, None]
     xl = _spmm(lap, x)
-    l1 = _block_sums(x * xl)
-    l2 = _block_sums((x * x) * a)
-    if variant == "r":
-        gx = 2.0 * (xl + a * x)
-        return l1 + l2, softmax_vjp(x, gx)
-    if variant == "r1":
-        return l1, softmax_vjp(x, 2.0 * xl)
-    if variant == "r2":
-        return l2, softmax_vjp(x, 2.0 * a * x)
-    raise ValueError(f"unknown variant {variant!r}")
+    value = w_s * _block_sums(x * xl) + w_c * _block_sums((x * x) * a)
+    if not with_grad:
+        return value, None
+    return value, softmax_vjp(x, 2.0 * (w_s * xl + w_c * (a * x)))
 
 
 def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_vec,
@@ -429,7 +423,7 @@ def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_v
     d_o[..., train_idx, labels[train_idx]] -= 1.0
     d_o /= train_idx.shape[0]
 
-    reg, reg_grad = _reg_value_and_grad(base.variant, o, x, lap, a_vec)
+    reg, reg_grad = _reg_value_and_grad(base.variant, o, x, lap, a_vec, True)
     if reg_grad is not None:
         d_o = d_o + (eta / n)[..., None, None] * reg_grad
     w1_sq = _block_sums(_blocks(params.w1 ** 2, k))
@@ -522,7 +516,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
         val_acc = accuracy(x_eval, labels, split.val)
         train_acc = accuracy(x_eval, labels, split.train)
         # recorded regularizer is the raw trace on the clean post-update output
-        reg = _reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec)[0]
+        reg = _reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec, False)[0]
         row = np.array((loss, train_acc, val_loss, val_acc, reg)).reshape(5, -1)
         history.append(row)
         better = row[3] > best_acc  # row 3: each model's validation accuracy
@@ -572,6 +566,11 @@ ETA_GRID = (0.1, 0.2, 0.5, 1.0)
 SBM_ETA_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 
 
+def best_run(runs: list[Metrics]) -> Metrics:
+    """The run with the best validation accuracy; the first of equal maxima."""
+    return max(runs, key=lambda m: max(m.val_acc))
+
+
 def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
              analysis: bool = True, component_spectrum=None):
     """Grid-search eta by best validation accuracy; first grid entry wins ties.
@@ -581,7 +580,7 @@ def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
     The other runs in ``results`` carry no analysis.
     """
     results = train(g, features, labels, split, cfg, etas=grid, analysis=False)
-    best = max(results, key=lambda m: max(m.val_acc))  # the first of equal maxima
+    best = best_run(results)
     if analysis:
         _attach_analysis(best, g, component_spectrum)
     return best, results

@@ -3,7 +3,8 @@
 Nothing under ``src/`` calls these: the transport LP over all couplings, the
 edge tuple of a tree bitmask, the unit-weight minimum tree cover, the inverse
 graph Fourier transform, a recorder for the LPs that ``distributional``
-hands to the simplex solver, and the one-model-at-a-time training loop.
+hands to the simplex solver, one branch per regularizer variant, and the
+one-model-at-a-time training loop.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from distsig.graph import (
     laplacian_sparse,
     normalized_adjacency,
 )
-from distsig.regularizer import WeightDiag
+from distsig.regularizer import WeightDiag, softmax_vjp
 from distsig.simplex import InfeasibleError, solve_lp
 
 ORACLE_MAX_M = 6
@@ -101,6 +102,30 @@ def recorded_lps(monkeypatch, run):
     return lps
 
 
+def reg_value_and_grad(variant, o, x, lap, a_vec):
+    """Regularizer value and logit gradient, each variant on its own branch.
+
+    The library computes r, r1 and r2 as one weighted trace; this is the
+    per-variant form it must match bit for bit.
+    """
+    if variant == "gcn":
+        return (0.0 if o.ndim == 2 else np.zeros(o.shape[0])), None
+    a = a_vec[:, None]
+    if variant == "r3":
+        lo = gnn._spmm(lap, o)
+        return gnn._block_sums(o * lo), 2.0 * lo
+    xl = gnn._spmm(lap, x)
+    l1 = gnn._block_sums(x * xl)
+    l2 = gnn._block_sums((x * x) * a)
+    if variant == "r":
+        return l1 + l2, softmax_vjp(x, 2.0 * (xl + a * x))
+    if variant == "r1":
+        return l1, softmax_vjp(x, 2.0 * xl)
+    if variant == "r2":
+        return l2, softmax_vjp(x, 2.0 * a * x)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def train_one(g, features, labels, split, cfg):
     """One model trained alone, epoch by epoch, without the output analysis.
 
@@ -135,7 +160,7 @@ def train_one(g, features, labels, split, cfg):
         ta.append(gnn.accuracy(x_eval, labels, split.train))
         vl.append(val_loss)
         va.append(val_acc)
-        rv.append(gnn._reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec)[0])
+        rv.append(reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec)[0])
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
             test_acc = gnn.accuracy(x_eval, labels, split.test)

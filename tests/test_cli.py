@@ -431,6 +431,7 @@ def test_train_cora_without_data_dir(tmp_path, capsys, monkeypatch):
 
 def test_train_bad_variant(capsys):
     assert main(["train", "--variant", "mystery"]) == 2
+    assert main(["train", "--variant", "lap"]) == 2
     capsys.readouterr()
 
 
@@ -531,3 +532,67 @@ def test_script_help(script):
     r = subprocess.run([sys.executable, str(script), "--help"], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert r.returncode == 0, r.stderr
+
+
+def _run_script(name, *args):
+    script = SCRIPTS[0].parent / name
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(script.parents[1] / "src")),
+                          timeout=120)
+
+
+def _write_citation_files(d, n=1560, classes=3, dim=24, seed=0):
+    """A synthetic cora.content/cora.cites pair: class-biased features and links.
+
+    The suite's split takes 20 per class, 500 validation and 1000 test nodes,
+    so the graph needs more than 1,500 of them.
+    """
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % classes
+    bits = rng.random((n, dim)) < np.where(np.arange(dim) % classes == y[:, None], 0.4, 0.1)
+    d.joinpath("cora.content").write_text("".join(
+        f"p{i} {' '.join(map(str, row.astype(int)))} c{y[i]}\n" for i, row in enumerate(bits)))
+    cites = []
+    for i in range(n):
+        for _ in range(2):
+            pool = np.flatnonzero(y == y[i]) if rng.random() < 0.8 else np.arange(n)
+            j = int(rng.choice(pool))
+            if j != i:
+                cites.append(f"p{i} p{j}\n")
+    d.joinpath("cora.cites").write_text("".join(cites))
+
+
+def test_cora_suite_smoke(tmp_path):
+    # the code path behind criteria 7b-9, on a synthetic stand-in for the data
+    _write_citation_files(tmp_path)
+    out = tmp_path / "runs"
+    r = _run_script("run_cora_suite.py", "--data-dir", str(tmp_path), "--seeds", "1",
+                    "--variants", "gcn,r", "--out-dir", str(out))
+    assert r.returncode == 0, r.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["gcn_seed0.json", "r_seed0.json",
+                                                     "summary.csv"]
+    for v in ("gcn", "r"):
+        run = json.loads((out / f"{v}_seed0.json").read_text())
+        assert run["config"]["variant"] == v and len(run["per_epoch"]) == 200
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert rows[0] == "variant,seed,eta,test_acc,hf_col1,near_uniform,near_one"
+    assert [row.split(",")[:2] for row in rows[1:]] == [["gcn", "0"], ["r", "0"]]
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("run_cora_suite.py", ["--variants", "gcn,bogus"], "got 'gcn,bogus'"),
+    ("run_cora_suite.py", ["--variants", "lap"], "got 'lap'"),
+    ("run_cora_suite.py", ["--seeds", "0"], "--seeds must be >= 1, got 0"),
+    ("run_sbm_trend.py", ["--seeds", "0"], "--seeds must be >= 1, got 0"),
+    ("run_sbm_trend.py", ["--variant", "lap"], "invalid choice: 'lap'"),
+], ids=["suite-unknown-variant", "suite-lap", "suite-seeds-0", "trend-seeds-0", "trend-lap"])
+def test_script_rejects_bad_arguments_before_any_work(tmp_path, script, args, message):
+    # the citation files are valid, so the suite would train if it got that far
+    _write_citation_files(tmp_path, n=30)
+    out = tmp_path / "runs"
+    if script == "run_cora_suite.py":
+        args += ["--data-dir", str(tmp_path), "--out-dir", str(out)]
+    r = _run_script(script, *args)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and message in r.stderr.splitlines()[-1]
+    assert not out.exists()

@@ -16,6 +16,7 @@ from distsig.gnn import (
     TrainConfig,
     VARIANTS,
     accuracy,
+    best_run,
     gcn_forward,
     init_params,
     load_cora,
@@ -334,13 +335,30 @@ def _toy_setup(seed=0):
     return g, f, y, split
 
 
+def _without_reg(m):
+    """A run's JSON without its config and recorded trace, as exact text."""
+    d = m.to_json_dict()
+    del d["config"]
+    for e in d["per_epoch"]:
+        del e["reg"]
+    return json.dumps(d)
+
+
 def test_eta_zero_equals_plain_gcn():
+    # a regularized model at eta 0, alone or as member 0 of a stack, is the
+    # plain model bit for bit; only the recorded trace differs.  The other
+    # members then give tune_eta's pick.
     g, f, y, split = _toy_setup()
-    m_r = train(g, f, y, split, TrainConfig(variant="r", eta=0.0, epochs=30), analysis=False)
-    m_g = train(g, f, y, split, TrainConfig(variant="gcn", eta=0.0, epochs=30), analysis=False)
-    assert m_r.train_loss == m_g.train_loss
-    assert m_r.val_acc == m_g.val_acc
-    assert np.array_equal(m_r.final_probs, m_g.final_probs)
+    plain = train(g, f, y, split, TrainConfig(variant="gcn", eta=0.0, epochs=30), analysis=False)
+    for variant in ("r", "r1", "r2", "r3"):
+        cfg = TrainConfig(variant=variant, eta=0.0, epochs=30)
+        alone = train(g, f, y, split, cfg, analysis=False)
+        base, *tuned = train(g, f, y, split, cfg, etas=(0.0,) + ETA_GRID, analysis=False)
+        for m in (alone, base):
+            assert _without_reg(m) == _without_reg(plain), variant
+            assert m.final_probs.tobytes() == plain.final_probs.tobytes(), variant
+        best, _ = tune_eta(g, f, y, split, cfg, analysis=False)
+        assert best_run(tuned).to_json_dict() == best.to_json_dict(), variant
 
 
 def test_train_deterministic():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from distsig.distributional import tv_l1_l2
-from distsig.gnn import _reg_value_and_grad
+from distsig.gnn import VARIANTS, _blocks, _reg_value_and_grad
 from distsig.graph import build_graph, laplacian_sparse
 from distsig.regularizer import (
     WeightDiag,
@@ -84,7 +85,7 @@ def test_weightdiag_default_mixed_degrees():
 def _reg(variant, x, g, d):
     """Regularizer value and logit gradient at probabilities x (logits feed r3 only)."""
     return _reg_value_and_grad(variant, None, np.asarray(x, dtype=float),
-                               laplacian_sparse(g), d.a)
+                               laplacian_sparse(g), d.a, True)
 
 
 def _raw_l0(x, g, d):
@@ -177,6 +178,42 @@ def test_logit_grad_matches_finite_differences(rng):
         fm = _raw_l0(softmax_rows(om), g, d)
         num = (fp - fm) / (2.0 * h)
         assert abs(num - grad[i, j]) < 1e-4 * max(1.0, abs(grad[i, j]))
+
+
+def _graph_with_pendants(rng, n=200, pendants=10):
+    # a random graph plus pendant nodes, whose degree 1 gives them weight a = 0
+    iu, iv = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < 0.03
+    edges = list(zip(iu[keep].tolist(), iv[keep].tolist()))
+    edges += [(int(rng.integers(n)), n + i) for i in range(pendants)]
+    return build_graph(n + pendants, edges)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_reg_equals_per_variant_oracle_bitwise(variant):
+    # r, r1 and r2 are one trace with weight pairs; the oracle keeps one
+    # branch per variant, and both must agree bit for bit, value and logit
+    # gradient, for one model and for a stack laid out as training lays it
+    rng = np.random.default_rng(7)
+    g = _graph_with_pendants(rng)
+    lap, a_vec = laplacian_sparse(g), WeightDiag.default_for(g).a
+    assert np.any(a_vec == 0.0) and np.any(a_vec < 0.0)
+    k, c = 3, 4
+    for _ in range(50):
+        for o in (3.0 * rng.standard_normal((g.n, c)),
+                  _blocks(3.0 * rng.standard_normal((g.n, k * c)), k)):
+            x = softmax_rows(o)
+            val, grad = _reg_value_and_grad(variant, o, x, lap, a_vec, True)
+            want_val, want_grad = oracles.reg_value_and_grad(variant, o, x, lap, a_vec)
+            assert np.asarray(val).tobytes() == np.asarray(want_val).tobytes()
+            if want_grad is None:
+                assert grad is None
+            else:
+                assert grad.shape == want_grad.shape
+                assert grad.tobytes() == want_grad.tobytes()
+            val_only, no_grad = _reg_value_and_grad(variant, o, x, lap, a_vec, False)
+            assert np.asarray(val_only).tobytes() == np.asarray(want_val).tobytes()
+            assert no_grad is None
 
 
 def test_softmax_vjp_zero_mean_rows(rng):
