@@ -46,6 +46,7 @@ class Marginals:
             raise ValueError(f"negative entry {np.min(x):.3e}")
         rs = x.sum(axis=1)
         bad = np.argmax(np.abs(rs - 1.0))
+        # solve_lp's phase-1 test (1e-9) fails the joint LP once row sums disagree by more
         if abs(rs[bad] - 1.0) > 1e-9:
             raise ValueError(f"row {bad} sums to {rs[bad]!r}, not 1")
         x = np.maximum(x, 0.0)
@@ -61,8 +62,17 @@ class Marginals:
         return self.matrix.shape[1]
 
 
-def as_marginals(x) -> Marginals:
-    return x if isinstance(x, Marginals) else Marginals(np.asarray(x, dtype=float))
+def _checked_marginals(g: Graph, marginals) -> Marginals:
+    """``marginals`` as a checked ``Marginals`` with one row per node of ``g``.
+
+    A ``Marginals`` is already checked and passes as it is, so a caller that
+    hands one on to several notions checks its rows once.
+    """
+    if not isinstance(marginals, Marginals):
+        marginals = Marginals(marginals)
+    if marginals.n != g.n:
+        raise ValueError(f"marginal count {marginals.n} does not match n={g.n}")
+    return marginals
 
 
 # --- pairwise transport ---------------------------------------------------
@@ -117,10 +127,7 @@ def tv_l1_l2(g: Graph, marginals) -> tuple[float, float]:
 
     The squared form equals the Laplacian trace Tr(X^T L X).
     """
-    nn = as_marginals(marginals)
-    x = nn.matrix
-    if nn.n != g.n:
-        raise ValueError(f"marginal count {nn.n} does not match n={g.n}")
+    x = _checked_marginals(g, marginals).matrix
     if g.m == 0:
         return 0.0, 0.0
     eu, ev = g.endpoints
@@ -137,10 +144,8 @@ def tv_exact(g: Graph, marginals) -> float:
     Solves the exact linear program on the full joint table; only feasible for
     m^n within the table cap.
     """
-    nn = as_marginals(marginals)
-    if nn.n != g.n:
-        raise ValueError(f"marginal count {nn.n} does not match n={g.n}")
-    n, m = nn.n, nn.m
+    x = _checked_marginals(g, marginals).matrix
+    n, m = x.shape
     if m ** n > JOINT_TABLE_CAP:
         raise ValueError(f"state space too large: m^n = {m ** n} exceeds cap {JOINT_TABLE_CAP}")
     states = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
@@ -151,7 +156,7 @@ def tv_exact(g: Graph, marginals) -> float:
     for i in range(n):
         for s in range(m):
             a[i * m + s] = (states[:, i] == s).astype(float)
-    b = nn.matrix.ravel()
+    b = x.ravel()
     try:
         _, val = solve_lp(cost, a, b)
     except InfeasibleError as e:
@@ -188,10 +193,7 @@ def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
     if g.m > _MAX_TREE_EDGES:
         raise GraphError(f"tree bounds take at most {_MAX_TREE_EDGES} edges "
                          f"(int64 edge masks), got {g.m}")
-    nn = as_marginals(marginals)
-    x = nn.matrix
-    if nn.n != g.n:
-        raise ValueError(f"marginal count {nn.n} does not match n={g.n}")
+    x = _checked_marginals(g, marginals).matrix
     for t in map(int, trees):
         if t >> g.m:
             raise GraphError(f"tree mask {t:#x} uses edges absent from the host's {g.m} edges")
@@ -252,10 +254,7 @@ def tv_cover(g: Graph, marginals, size_cap: int | None = None,
     trees); the search over covers is exact within the cap.  Trees are edge
     bitmasks over ``g.edges``; returns the value and the chosen trees.
     """
-    nn = as_marginals(marginals)
-    x = nn.matrix
-    if nn.n != g.n:
-        raise ValueError(f"marginal count {nn.n} does not match n={g.n}")
+    x = _checked_marginals(g, marginals).matrix
     if g.n == 1:
         return 0.0, [0]
     if trees is None:
@@ -281,7 +280,7 @@ def check_tv_bounds(g: Graph, marginals) -> dict:
     violations, and whether the weaker sqrt(|S|*n) tail constant also holds.
     """
     tol = 1e-9
-    nn = as_marginals(marginals)
+    nn = _checked_marginals(g, marginals)
     tg1, tg2 = tv_l1_l2(g, nn)
     tg = tv_exact(g, nn)
     trees = enumerate_spanning_trees(g)

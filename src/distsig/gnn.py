@@ -33,7 +33,7 @@ from .graph import (
     read_lines,
     sbm_generate,
 )
-from .regularizer import WeightDiag, nonuniformity_sweep, softmax_rows, softmax_vjp
+from .regularizer import confidence_weights, nonuniformity_sweep, softmax_rows, softmax_vjp
 from .spectral import gft, high_freq_fraction, laplacian_spectrum, normalize_unless_constant
 
 log = logging.getLogger(__name__)
@@ -74,7 +74,6 @@ class Split:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 @dataclass
@@ -248,7 +247,7 @@ def make_split(labels, per_class: int, val_size: int, test_size: int, seed: int)
     perm = rng.permutation(pool)
     val = np.sort(perm[:val_size])
     test = np.sort(perm[val_size:val_size + test_size])
-    return Split(train_arr, val, test, seed)
+    return Split(train_arr, val, test)
 
 
 # --- model ----------------------------------------------------------------
@@ -399,6 +398,13 @@ def _reg_value_and_grad(variant: str, o, x, lap, a_vec, with_grad: bool):
     return value, softmax_vjp(x, 2.0 * (w_s * xl + w_c * (a * x)))
 
 
+def _masked_nll(x, labels, idx):
+    """Mean negative log-likelihood of the labels of nodes ``idx``; (K,) for a stack."""
+    # advanced indexing may lay a stack's (K, len(idx)) result out column-major
+    p = np.ascontiguousarray(x[..., idx, labels[idx]])
+    return -np.mean(np.log(np.maximum(p, 1e-12)), axis=-1)
+
+
 def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_vec,
                   cfg: TrainConfig | list[TrainConfig], rng=None):
     """Full training objective and its parameter gradients.
@@ -415,9 +421,7 @@ def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_v
     eta = np.array([c.eta for c in cfgs]).reshape(() if k is None else (k,))
     o, x, cache = gcn_forward(params, ahat, features, dropout=base.dropout, rng=rng)
     n = o.shape[-2]
-    # advanced indexing may lay a stack's (K, t) result out column-major
-    p = np.ascontiguousarray(x[..., train_idx, labels[train_idx]])
-    ce = -np.mean(np.log(np.maximum(p, 1e-12)), axis=-1)
+    ce = _masked_nll(x, labels, train_idx)
     d_o = np.zeros_like(o)
     d_o[..., train_idx, :] = x[..., train_idx, :]
     d_o[..., train_idx, labels[train_idx]] -= 1.0
@@ -487,7 +491,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
     labels = np.asarray(labels, dtype=np.int64)
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
-    a_vec = WeightDiag.default_for(g).a
+    a_vec = confidence_weights(g)
     classes = int(labels.max()) + 1
     params = init_params(inp.f.shape[1], cfg.hidden, classes, cfg.seed)
     if etas is not None:
@@ -510,9 +514,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
         opt.step([params.w1, params.w2], grads)
 
         o_eval, x_eval, _ = gcn_forward(params, ahat, inp)
-        # advanced indexing may lay a stack's (K, v) result out column-major
-        p_val = np.ascontiguousarray(x_eval[..., split.val, labels[split.val]])
-        val_loss = -np.mean(np.log(np.maximum(p_val, 1e-12)), axis=-1)
+        val_loss = _masked_nll(x_eval, labels, split.val)
         val_acc = accuracy(x_eval, labels, split.val)
         train_acc = accuracy(x_eval, labels, split.train)
         # recorded regularizer is the raw trace on the clean post-update output

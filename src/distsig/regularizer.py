@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,7 @@ EPS_SWEEP = (0.005, 0.01, 0.02, 0.05)
 
 def check_prob_matrix(x) -> np.ndarray:
     """Validate a row-stochastic matrix: entries in [0, 1], rows summing to 1, within 1e-7."""
+    # 1e-7, not Marginals' 1e-9: float32 softmax rows cast to float64 miss a sum of 1 by more
     tol = 1e-7
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -41,36 +41,17 @@ def check_prob_matrix(x) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class WeightDiag:
-    """Nonpositive per-node weights for the confidence term."""
+def confidence_weights(g: Graph) -> np.ndarray:
+    """Read-only diagonal min(0, 1 - deg) of the confidence term.
 
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite weights")
-        if np.max(a, initial=-np.inf) > 1e-12:
-            raise ValueError(f"positive weight {np.max(a):.3e}; all entries must be <= 0")
-        a = np.minimum(a, 0.0)
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @classmethod
-    def default_for(cls, g: Graph) -> "WeightDiag":
-        """min(0, 1 - deg); isolated nodes would get +1, so they clamp to 0."""
-        a = 1.0 - g.degrees
-        isolated = int(np.sum(g.degrees == 0))
-        if isolated:
-            log.info("clamping %d isolated node weight(s) to 0", isolated)
-        return cls(np.minimum(a, 0.0))
+    Isolated nodes would get +1, so they clamp to 0.
+    """
+    isolated = int(np.sum(g.degrees == 0))
+    if isolated:
+        log.info("clamping %d isolated node weight(s) to 0", isolated)
+    a = np.minimum(1.0 - g.degrees, 0.0)
+    a.flags.writeable = False
+    return a
 
 
 def softmax_rows(o: np.ndarray) -> np.ndarray:
@@ -93,9 +74,11 @@ def softmax_vjp(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return x * (grad - inner)
 
 
-def nonuniformity_bound_check(x, d: WeightDiag) -> dict:
+def nonuniformity_bound_check(x, a) -> dict:
     """Transport lower bound on the confidence trace, plus its sandwich.
 
+    ``a`` is the diagonal D, such as ``confidence_weights`` returns: n
+    entries, none above 1e-12, and those in (0, 1e-12] count as 0.
     Tr(X^T D X) - Tr(D)/m must dominate twice the weighted squared transport
     distances of the rows to uniform; one-hot and uniform rows bound the trace
     itself from below and above.  Both checks allow a slack of 1e-9.
@@ -103,15 +86,23 @@ def nonuniformity_bound_check(x, d: WeightDiag) -> dict:
     tol = 1e-9
     x = check_prob_matrix(x)
     n, m = x.shape
-    if d.n != n:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1:
+        raise ValueError("weights must be a vector")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite weights")
+    if a.shape[0] != n:
         raise ValueError("weight length does not match X")
-    trace = float(np.sum((x * x) * d.a[:, None]))
-    c = -float(d.a.sum()) / m
+    if np.max(a, initial=-np.inf) > 1e-12:
+        raise ValueError(f"positive weight {np.max(a):.3e}; all entries must be <= 0")
+    a = np.minimum(a, 0.0)
+    trace = float(np.sum((x * x) * a[:, None]))
+    c = -float(a.sum()) / m
     lhs = trace + c
     w_sq = wasserstein_sq(x, np.full(m, 1.0 / m))
-    rhs = 2.0 * float(np.sum(d.a * w_sq))
-    trace_onehot = float(d.a.sum())
-    trace_uniform = float(d.a.sum()) / m
+    rhs = 2.0 * float(np.sum(a * w_sq))
+    trace_onehot = float(a.sum())
+    trace_uniform = float(a.sum()) / m
     return {
         "lhs": lhs,
         "rhs": rhs,
@@ -126,15 +117,14 @@ def nonuniformity_bound_check(x, d: WeightDiag) -> dict:
     }
 
 
-def nonuniformity_counts(x, eps_uniform: float, eps_one: float) -> tuple[int, int]:
+def nonuniformity_counts(x, eps: float) -> tuple[int, int]:
     """Count entries within eps of 1/m (indecision) and within eps of 1 (confidence)."""
     x = check_prob_matrix(x)
-    for e in (eps_uniform, eps_one):
-        if not (0.0 < e < 1.0):
-            raise ValueError(f"epsilon must be in (0, 1), got {e}")
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"epsilon must be in (0, 1), got {eps}")
     m = x.shape[1]
-    near_uniform = int(np.sum(np.abs(x - 1.0 / m) <= eps_uniform))
-    near_one = int(np.sum(x >= 1.0 - eps_one))
+    near_uniform = int(np.sum(np.abs(x - 1.0 / m) <= eps))
+    near_one = int(np.sum(x >= 1.0 - eps))
     return near_uniform, near_one
 
 
@@ -142,7 +132,7 @@ def nonuniformity_sweep(x) -> list[dict]:
     """Near-uniform and near-one entry counts at every epsilon of ``EPS_SWEEP``."""
     out = []
     for e in EPS_SWEEP:
-        nu, no = nonuniformity_counts(x, e, e)
+        nu, no = nonuniformity_counts(x, e)
         out.append({"epsilon": float(e), "near_uniform": nu, "near_one": no})
     return out
 

@@ -19,7 +19,7 @@ from distsig.graph import (
     laplacian_sparse,
     normalized_adjacency,
 )
-from distsig.regularizer import WeightDiag, softmax_vjp
+from distsig.regularizer import confidence_weights, softmax_vjp
 from distsig.simplex import InfeasibleError, solve_lp
 
 ORACLE_MAX_M = 6
@@ -136,7 +136,7 @@ def train_one(g, features, labels, split, cfg):
     labels = np.asarray(labels, dtype=np.int64)
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
-    a_vec = WeightDiag.default_for(g).a
+    a_vec = confidence_weights(g)
     classes = int(labels.max()) + 1
     params = gnn.init_params(inp.f.shape[1], cfg.hidden, classes, cfg.seed)
     drop_rng = np.random.default_rng((cfg.seed, 1))

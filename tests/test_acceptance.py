@@ -26,7 +26,7 @@ from distsig.gnn import (
     tune_eta,
 )
 from distsig.graph import build_graph, sbm_generate
-from distsig.regularizer import WeightDiag, nonuniformity_bound_check, nonuniformity_counts
+from distsig.regularizer import confidence_weights, nonuniformity_bound_check, nonuniformity_counts
 from distsig.spectral import laplacian_spectrum, total_variation
 from oracles import coupling_lp_oracle
 
@@ -110,8 +110,7 @@ def test_criterion_4_confidence_trace_bound():
         n = int(rng.integers(1, 11))
         m = int(rng.integers(2, 8))
         x = rng.dirichlet(np.ones(m), size=n)
-        d = WeightDiag(-rng.random(n) * 3.0)
-        r = nonuniformity_bound_check(x, d)
+        r = nonuniformity_bound_check(x, -rng.random(n) * 3.0)
         worst = min(worst, r["bound_margin"])
         sandwich_all = sandwich_all and r["sandwich_holds"]
     ok = worst >= MARGIN_FLOOR and sandwich_all
@@ -145,7 +144,7 @@ def test_criterion_6_gradient_correctness():
     train_idx = np.array([0, 2, 4])
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
-    a_vec = WeightDiag.default_for(g).a
+    a_vec = confidence_weights(g)
     rng = np.random.default_rng(61)
     h = 1e-6
     worst = 0.0
@@ -260,8 +259,8 @@ def test_criterion_9_cora_nonuniformity(cora_runs):
         xb = cora_runs.run("gcn", s).final_probs
         xr = cora_runs.tuned("r", s).final_probs
         total_entries = xb.size
-        ub, ob = nonuniformity_counts(xb, 0.01, 0.01)
-        ur, orr = nonuniformity_counts(xr, 0.01, 0.01)
+        ub, ob = nonuniformity_counts(xb, 0.01)
+        ur, orr = nonuniformity_counts(xr, 0.01)
         if ur < ub and orr > ob:
             wins += 1
     ok = wins >= 4 and total_entries == 18956
@@ -298,8 +297,8 @@ def test_sbm_shrinkage_sanity(sbm_pair):
 
 def test_sbm_nonuniformity_sanity(sbm_pair):
     base, reg = sbm_pair
-    ub, ob = nonuniformity_counts(base.final_probs, 0.01, 0.01)
-    ur, orr = nonuniformity_counts(reg.final_probs, 0.01, 0.01)
+    ub, ob = nonuniformity_counts(base.final_probs, 0.01)
+    ur, orr = nonuniformity_counts(reg.final_probs, 0.01)
     n_entries = base.final_probs.size
     assert 0 <= ub <= n_entries and 0 <= ob <= n_entries
     assert 0 <= ur <= n_entries and 0 <= orr <= n_entries

@@ -579,6 +579,22 @@ def test_cora_suite_smoke(tmp_path):
     assert [row.split(",")[:2] for row in rows[1:]] == [["gcn", "0"], ["r", "0"]]
 
 
+@pytest.mark.parametrize("n, message", [
+    (None, "error: raw Cora files not found"),
+    (30, "error: class 0 has 10 nodes, fewer than per_class=20"),
+], ids=["no-data", "split-does-not-fit"])
+def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message):
+    # the 20/500/1000 split is checked for every seed before the spectrum
+    if n is not None:
+        _write_citation_files(tmp_path, n=n)
+    out = tmp_path / "runs"
+    r = _run_script("run_cora_suite.py", "--data-dir", str(tmp_path), "--seeds", "2",
+                    "--out-dir", str(out))
+    assert r.returncode == 1
+    assert r.stdout == "" and r.stderr.startswith(message) and r.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("script, args, message", [
     ("run_cora_suite.py", ["--variants", "gcn,bogus"], "got 'gcn,bogus'"),
     ("run_cora_suite.py", ["--variants", "lap"], "got 'lap'"),

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -414,6 +415,21 @@ def test_bounds_compute_clique_constant_once(triangle, monkeypatch):
     r = check_tv_bounds(triangle, DELTA_TRIANGLE)
     assert len(calls) == 1
     assert r["c1"] == 2 and r["cover_size"] == 2
+
+
+def test_bounds_same_report_for_plain_rows_checked_once(monkeypatch):
+    g, nn = random_bound_instance((0, 3))
+    want = json.dumps(check_tv_bounds(g, nn))
+    checks = []
+    real = Marginals.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        real(self)
+
+    monkeypatch.setattr(Marginals, "__post_init__", counting)
+    assert json.dumps(check_tv_bounds(g, nn.matrix.copy())) == want
+    assert len(checks) == 1
 
 
 def test_bound_check_leaves_scipy_optimize_unimported():

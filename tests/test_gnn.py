@@ -34,7 +34,7 @@ from distsig.graph import (
     laplacian_sparse,
     normalized_adjacency,
 )
-from distsig.regularizer import WeightDiag
+from distsig.regularizer import confidence_weights
 
 
 # --- splits ----------------------------------------------------------------
@@ -314,7 +314,7 @@ def test_shared_dropout_buffer_matches_fresh_input():
     train_idx = np.arange(0, g.n, 4)
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
-    a_vec = WeightDiag.default_for(g).a
+    a_vec = confidence_weights(g)
     cfg = TrainConfig(variant="r", eta=0.3, dropout=0.4)
     params = init_params(f.shape[1], 7, 3, seed=1)
     inp = _SparseInput(f)
@@ -390,7 +390,7 @@ def test_recorded_reg_matches_dense_oracle():
     g, f, y, split = _toy_setup(seed=5)
     m = train(g, f, y, split, TrainConfig(variant="r", eta=0.1, epochs=20), analysis=False)
     x = m.final_probs
-    a = WeightDiag.default_for(g).a
+    a = confidence_weights(g)
     l1 = float(np.sum(x * (laplacian_sparse(g).toarray() @ x)))
     l2 = float(np.sum((x * x) * a[:, None]))
     assert abs(m.reg_values[-1] - (l1 + l2)) < 1e-9
@@ -404,7 +404,7 @@ def test_full_gradient_finite_differences():
     train_idx = np.array([0, 2, 4])
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
-    a_vec = WeightDiag.default_for(g).a
+    a_vec = confidence_weights(g)
     rng = np.random.default_rng(8)
     for variant in VARIANTS:
         cfg = TrainConfig(variant=variant, eta=0.3, dropout=0.0, weight_decay=1e-3)
@@ -437,7 +437,7 @@ def test_gradient_finite_differences_with_dropout():
     train_idx = np.array([0, 2, 4])
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
-    a_vec = WeightDiag.default_for(g).a
+    a_vec = confidence_weights(g)
     cfg = TrainConfig(variant="r", eta=0.3, dropout=0.3, weight_decay=1e-3)
     rng = np.random.default_rng(8)
     params = GcnParams(rng.standard_normal((5, 4)) * 0.5, rng.standard_normal((4, 3)) * 0.5)

@@ -199,6 +199,22 @@ def test_tv_matches_quadratic_form_on_criterion_5_graphs():
             assert abs(tv - float(x @ lap @ x)) <= 1e-10 * max(1.0, abs(tv))
 
 
+def test_tv_bitwise_equal_to_edge_loop():
+    # the edge-at-a-time loop it replaced, as the oracle
+    def edge_loop(g, x):
+        total = 0.0
+        for u, v in g.edges:
+            d = x[u] - x[v]
+            total += d * d
+        return total
+
+    rng = np.random.default_rng(3)
+    graphs = list(_criterion_5_graphs()) + [build_graph(1, []), build_graph(3, [])]
+    for g in graphs:
+        for x in (rng.standard_normal(g.n), *laplacian_spectrum(g).eigenvectors.T):
+            assert total_variation(g, x) == edge_loop(g, x)
+
+
 def test_tv_dimension_mismatch(triangle):
     with pytest.raises(ValueError):
         total_variation(triangle, np.ones(4))
