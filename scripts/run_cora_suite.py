@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from distsig.gnn import VARIANTS, TrainConfig, load_cora_dir, make_split, train, tune_eta
-from distsig.graph import main_component
+from distsig.graph import GraphError, main_component
 from distsig.regularizer import nonuniformity_counts
 from distsig.spectral import laplacian_spectrum
 
@@ -39,7 +39,7 @@ def main():
 
     try:
         g, features, labels, _ = load_cora_dir(args.data_dir)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, GraphError) as exc:  # no files, or malformed ones
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -553,7 +553,7 @@ def output_analysis(g: Graph, probs, *, component_spectrum=None) -> dict:
     hf = []
     for s in range(probs.shape[1]):
         col = normalize_unless_constant(probs[nodes, s])
-        hf.append(high_freq_fraction(gft(spectrum, col)))
+        hf.append(high_freq_fraction(spectrum.eigenvalues, gft(spectrum, col)))
     return {
         "hf_fraction_per_class": hf,
         "nonuniformity_sweep": nonuniformity_sweep(probs),

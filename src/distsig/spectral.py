@@ -21,32 +21,50 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def _canonical_signs(u: np.ndarray) -> None:
-    """Flip, in place, each column so its largest-magnitude entry (first on ties) is positive."""
-    # |u|^T in C order turns each column's argmax into a contiguous row scan
+# eigenpair residual bound per unit of operator scale; eigenvalues closer
+# than this (scaled) are one eigenspace as far as the checks can tell
+_RESID_TOL = 1e-8
+# rows per block of eig_sym's input checks: slices of 256 x n, not n x n
+_CHECK_ROWS = 256
+
+
+def _column_signs(u: np.ndarray) -> np.ndarray:
+    """The +-1 per column that makes its largest-magnitude entry (first on ties) positive."""
+    # |u|^T in C order turns each column's argmax into a contiguous row scan;
+    # LAPACK's u is in Fortran order, so this needs no transposing copy
     k = np.abs(u.T, order="C").argmax(axis=1)
-    u *= np.where(u[k, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    return np.where(u[k, np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
 def eig_sym(mat: np.ndarray) -> Spectrum:
     """Full symmetric eigendecomposition with a deterministic sign convention.
 
-    Ascending eigenvalues and checked orthonormal eigenvector columns.  The
-    eigenpair residual is the caller's check, against whatever form of the
-    operator is cheapest to apply (``laplacian_spectrum`` uses the sparse
-    Laplacian).
+    Ascending eigenvalues and checked orthonormal eigenvector columns, in C
+    order.  The eigenpair residual is the caller's check, against whatever
+    form of the operator is cheapest to apply (``laplacian_spectrum`` uses the
+    sparse Laplacian).  ``mat`` is never written: LAPACK works on one Fortran
+    copy and writes the eigenvectors into it.
     """
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+        raise ValueError(f"need a non-empty square matrix, got shape {mat.shape}")
+    n = mat.shape[0]
+    blocks = range(0, n, _CHECK_ROWS)
+    if not all(np.isfinite(mat[i:i + _CHECK_ROWS]).all() for i in blocks):
         raise ValueError("non-finite entries")
-    asym = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
+    # row block i against column block i transposed covers every (j, k) pair
+    asym = max(np.max(np.abs(mat[i:i + _CHECK_ROWS] - mat[:, i:i + _CHECK_ROWS].T))
+               for i in blocks)
     if asym > 1e-10:
         raise ValueError(f"matrix not symmetric (max asymmetry {asym:.3e})")
-    n = mat.shape[0]
-    vals, vecs = np.linalg.eigh(mat)  # ascending eigenvalues
-    _canonical_signs(vecs)
+    import scipy.linalg  # loads LAPACK on the first decomposition, not on import
+
+    a = np.array(mat, order="F")
+    del mat  # a temporary argument (laplacian_spectrum's) is freed before LAPACK runs
+    # dsyevd on the lower triangle, as np.linalg.eigh; the eigenvectors overwrite a
+    vals, a = scipy.linalg.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
+    vecs = np.multiply(a, _column_signs(a), order="C")  # times +-1: exact
+    del a
     gram = vecs.T @ vecs
     gram.flat[:: n + 1] -= 1.0
     ortho = np.max(np.abs(gram, out=gram))
@@ -71,7 +89,7 @@ def laplacian_spectrum(g: Graph) -> Spectrum:
     diff = lap @ vecs
     diff -= vecs * vals[None, :]
     resid = np.max(np.abs(diff, out=diff))
-    if resid > 1e-8 * scale:
+    if resid > _RESID_TOL * scale:
         raise RuntimeError(f"eigenpair residual {resid:.3e} too large")
     if vals[0] < -1e-10:
         raise RuntimeError(f"negative Laplacian eigenvalue {vals[0]:.3e}")
@@ -99,15 +117,34 @@ def total_variation(g: Graph, x) -> float:
     return float(np.cumsum(d * d)[-1])
 
 
-def high_freq_fraction(xhat) -> float:
-    """Share of spectral energy strictly above position n/2 (1-based index)."""
+def high_freq_fraction(eigenvalues, xhat) -> float:
+    """Share of spectral energy strictly above position n/2 (1-based index).
+
+    ``eigenvalues`` ascend, one per coefficient of ``xhat``.  Neighbours
+    closer than the eigenpair residual bound form one cluster.  A cluster
+    that straddles the cut counts by the share of its positions above it:
+    the expected split of its energy over uniformly random bases of the
+    cluster, so the result does not depend on the basis LAPACK returns.
+    """
+    vals = np.asarray(eigenvalues, dtype=float)
     xhat = np.asarray(xhat, dtype=float)
+    if xhat.ndim != 1 or vals.shape != xhat.shape:
+        raise ValueError(f"eigenvalues {vals.shape} do not match coefficients {xhat.shape}")
     total = float(xhat @ xhat)
     if total == 0.0:
         raise ValueError("zero vector has no spectral profile")
     n = xhat.shape[0]
-    high = xhat[np.arange(1, n + 1) > 0.5 * n]
-    return float(high @ high) / total
+    cut = n // 2  # 0-based index of the first position above n/2
+    tol = _RESID_TOL * max(1.0, float(np.max(np.abs(vals))))
+    starts = np.flatnonzero(np.diff(vals) > tol) + 1  # cluster starts, bar the first
+    lo = int(starts[starts <= cut].max(initial=0))
+    hi = cut if lo == cut else int(starts[starts > cut].min(initial=n))
+    high = xhat[hi:]
+    energy = float(high @ high)
+    if hi > cut:  # the cluster [lo, hi) straddles the cut
+        mid = xhat[lo:hi]
+        energy += (hi - cut) / (hi - lo) * float(mid @ mid)
+    return energy / total
 
 
 def normalize_signal(x) -> np.ndarray:

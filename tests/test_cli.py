@@ -148,7 +148,9 @@ def test_spectrum_block_labels_low_frequency(tmp_path, capsys):
     assert "2 spectrum file(s)" in capsys.readouterr().out
     lab = _read_coeffs(tmp_path / "spec_label.csv")
     rnd = _read_coeffs(tmp_path / "spec_random.csv")
-    assert high_freq_fraction(lab) < high_freq_fraction(rnd)
+    vals = np.array([float(line.split(",")[1]) for line in
+                     (tmp_path / "spec_label.csv").read_text().splitlines()[1:]])
+    assert high_freq_fraction(vals, lab) < high_freq_fraction(vals, rnd)
 
 
 def test_spectrum_with_probs(tmp_path, capsys):
@@ -582,10 +584,18 @@ def test_cora_suite_smoke(tmp_path):
 @pytest.mark.parametrize("n, message", [
     (None, "error: raw Cora files not found"),
     (30, "error: class 0 has 10 nodes, fewer than per_class=20"),
-], ids=["no-data", "split-does-not-fit"])
+    ("no-label", "error: {}:2: malformed content line"),
+], ids=["no-data", "split-does-not-fit", "malformed-content"])
 def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message):
     # the 20/500/1000 split is checked for every seed before the spectrum
-    if n is not None:
+    if n == "no-label":  # the second content line lost its label
+        _write_citation_files(tmp_path, n=30)
+        content = tmp_path / "cora.content"
+        lines = content.read_text().splitlines(keepends=True)
+        lines[1] = "p1 1\n"
+        content.write_text("".join(lines))
+        message = message.format(content)
+    elif n is not None:
         _write_citation_files(tmp_path, n=n)
     out = tmp_path / "runs"
     r = _run_script("run_cora_suite.py", "--data-dir", str(tmp_path), "--seeds", "2",

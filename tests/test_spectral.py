@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +53,37 @@ def test_eig_rejects_asymmetric():
 def test_eig_rejects_nonsquare():
     with pytest.raises(ValueError):
         eig_sym(np.zeros((2, 3)))
+
+
+def test_eig_rejects_empty_matrix():
+    with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+        eig_sym(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("writeable", [True, False])
+def test_eig_leaves_callers_matrix_unchanged(rng, writeable, order):
+    # a Fortran-order argument is LAPACK's own layout: it still gets copied
+    a = rng.standard_normal((300, 300))  # more rows than one check block
+    a = np.array(a + a.T, order=order)
+    a.flags.writeable = writeable
+    before = a.copy()
+    eig_sym(a)
+    assert np.array_equal(a, before)
+    assert a.flags.writeable is writeable
+
+
+def test_eig_symmetry_check_reads_every_block(rng):
+    # the blockwise maximum is the whole-matrix maximum, wherever the asymmetry is
+    for i, j in ((0, 299), (299, 0), (260, 255), (270, 290), (1, 2)):
+        a = rng.standard_normal((300, 300))
+        a = a + a.T
+        a[i, j] += 3e-10
+        with pytest.raises(ValueError, match=r"max asymmetry 3\.000e-10"):
+            eig_sym(a)
+        a[i, j] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_sym(a)
 
 
 def test_eig_matches_lapack(rng):
@@ -132,10 +170,50 @@ def _stretch_one_column(vals, vecs):
 ])
 def test_laplacian_spectrum_rejects_wrong_eigenpairs(monkeypatch, corrupt, message):
     g, _ = sbm_generate([30, 30], 0.3, 0.05, seed=6)
-    real_eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda mat: corrupt(*real_eigh(mat)))
+    real_eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda a, **kw: corrupt(*real_eigh(a, **kw)))
     with pytest.raises(RuntimeError, match=message):
         laplacian_spectrum(g)
+
+
+def _run_python(code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_laplacian_spectrum_peak_memory():
+    # one Fortran working copy plus dsyevd's 2n^2 workspace: the dense
+    # Laplacian and any second copy must be gone before LAPACK runs
+    out = _run_python("""
+        import resource
+        from distsig.graph import main_component, sbm_generate
+        from distsig.spectral import laplacian_spectrum
+
+        laplacian_spectrum(sbm_generate([10, 10], 0.5, 0.1, seed=0)[0])  # loads LAPACK
+        g, _ = sbm_generate([400, 400, 400], 0.02, 0.002, seed=0)
+        sub, _ = main_component(g)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        laplacian_spectrum(sub)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(sub.n, (after - before) * 1024)
+    """)
+    n, grown = map(int, out.split())
+    assert n >= 1100
+    assert grown < 2.5 * n * n * 8, f"peak RSS grew by {grown / (n * n * 8):.2f} n^2 doubles"
+
+
+def test_no_lapack_load_on_import():
+    # the processes that never decompose anything do not pay for scipy.linalg
+    out = _run_python("""
+        import sys
+        import distsig.cli, distsig.distributional, distsig.gnn
+        print("scipy.linalg" in sys.modules)
+    """)
+    assert out.strip() == "False"
 
 
 def test_known_small_spectra(p3, c4, k4):
@@ -222,32 +300,74 @@ def test_tv_dimension_mismatch(triangle):
 
 def test_hff_constant(triangle):
     spec = laplacian_spectrum(triangle)
-    assert high_freq_fraction(gft(spec, np.ones(3))) < 1e-12
+    assert high_freq_fraction(spec.eigenvalues, gft(spec, np.ones(3))) < 1e-12
 
 
 def test_hff_top_eigenvector():
     g, _ = sbm_generate([4, 4], 0.9, 0.3, seed=1)
     spec = laplacian_spectrum(g)
     xhat = gft(spec, spec.eigenvectors[:, -1])
-    assert abs(high_freq_fraction(xhat) - 1.0) < 1e-12
+    assert abs(high_freq_fraction(spec.eigenvalues, xhat) - 1.0) < 1e-12
 
 
 def test_hff_block_labels_low_frequency():
     g, labels = sbm_generate([5, 5], 1.0, 0.0, seed=0)
     spec = laplacian_spectrum(g)
     xhat = gft(spec, labels.astype(float))
-    assert high_freq_fraction(xhat) < 1e-12
+    assert high_freq_fraction(spec.eigenvalues, xhat) < 1e-12
 
 
 def test_hff_zero_vector():
     with pytest.raises(ValueError, match="zero"):
-        high_freq_fraction(np.zeros(4))
+        high_freq_fraction(np.arange(4.0), np.zeros(4))
 
 
 def test_hff_strict_index_boundary():
     # 1-based index must be strictly above n/2: for n=4 that keeps i=3,4
     xhat = np.array([0.0, 1.0, 1.0, 0.0])
-    assert abs(high_freq_fraction(xhat) - 0.5) < 1e-12
+    assert abs(high_freq_fraction(np.arange(4.0), xhat) - 0.5) < 1e-12
+
+
+def test_hff_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="do not match"):
+        high_freq_fraction(np.arange(3.0), np.ones(4))
+
+
+def test_hff_simple_cut_is_the_plain_tail_sum():
+    # a simple cut eigenvalue: the same additions as the sum above n/2
+    g, _ = sbm_generate([30, 30], 0.3, 0.05, seed=6)
+    spec = laplacian_spectrum(g)
+    cut = g.n // 2
+    assert spec.eigenvalues[cut] - spec.eigenvalues[cut - 1] > 1e-6
+    for x in np.random.default_rng(2).standard_normal((5, g.n)):
+        xhat = gft(spec, x)
+        high = xhat[np.arange(1, g.n + 1) > 0.5 * g.n]
+        assert high_freq_fraction(spec.eigenvalues, xhat) == float(high @ high) / float(xhat @ xhat)
+
+
+def test_hff_star_does_not_depend_on_the_eigenbasis():
+    # the 10-node star: eigenvalues 0, 1 (8 times), 10; the cut lies inside
+    # the lambda = 1 eigenspace, whose basis LAPACK picks freely
+    star = build_graph(10, [(0, i) for i in range(1, 10)])
+    spec = laplacian_spectrum(star)
+    assert np.allclose(spec.eigenvalues, [0.0] + [1.0] * 8 + [10.0], atol=1e-12)
+    lap = laplacian_sparse(star).toarray()
+    x = normalize_signal(np.arange(10.0) ** 2)
+    xhat = gft(spec, x)
+    ref = high_freq_fraction(spec.eigenvalues, xhat)
+    # the straddling cluster's expected share: half its energy, plus the top coefficient
+    assert abs(ref - (xhat[9] ** 2 + 0.5 * xhat[1:9] @ xhat[1:9])) < 1e-12
+    tails = [float(xhat[5:] @ xhat[5:])]
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        u = spec.eigenvectors.copy()
+        u[:, 1:9] = u[:, 1:9] @ q
+        assert np.max(np.abs(lap @ u - u * spec.eigenvalues)) < 1e-12
+        assert abs(high_freq_fraction(spec.eigenvalues, u.T @ x) - ref) < 1e-12
+        tails.append(float((u.T @ x)[5:] @ (u.T @ x)[5:]))
+    # the plain sum above n/2 follows the basis (0.965, 0.733, 0.850, 0.723 here)
+    assert max(tails) - min(tails) > 0.2
 
 
 def test_normalize_signal(rng):
