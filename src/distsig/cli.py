@@ -201,10 +201,14 @@ def cmd_train(args) -> int:
     val_size = args.val_size if args.val_size is not None else (500 if cora else 50)
     test_size = args.test_size if args.test_size is not None else (1000 if cora else 100)
     split = gnn.make_split(y, per_class, val_size, test_size, args.seed)
+    # pass the features on without keeping them here: training holds them
+    # as CSR and frees the dense matrix before the first epoch
+    dense = [f]
+    del f
     if args.tune:
-        metrics, runs = gnn.tune_eta(g, f, y, split, cfg)
+        metrics, runs = gnn.tune_eta(g, dense.pop(), y, split, cfg)
     else:
-        metrics = gnn.train(g, f, y, split, cfg)
+        metrics = gnn.train(g, dense.pop(), y, split, cfg)
     print(
         f"variant={metrics.config.variant} eta={metrics.config.eta} "
         f"test_acc={metrics.test_acc:.4f} best_epoch={metrics.best_epoch}"

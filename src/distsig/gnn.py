@@ -93,6 +93,7 @@ class GcnParams:
 class Metrics:
     config: TrainConfig
     train_loss: list[float]
+    train_ce: list[float]
     train_acc: list[float]
     val_loss: list[float]
     val_acc: list[float]
@@ -109,9 +110,10 @@ class Metrics:
         return {
             "config": asdict(self.config),
             "per_epoch": [
-                {"loss": l, "acc_train": at, "loss_val": lv, "acc_val": av, "reg": r}
-                for l, at, lv, av, r in zip(self.train_loss, self.train_acc, self.val_loss,
-                                            self.val_acc, self.reg_values)
+                {"loss": l, "ce": ce, "acc_train": at, "loss_val": lv, "acc_val": av,
+                 "reg": r}
+                for l, ce, at, lv, av, r in zip(self.train_loss, self.train_ce, self.train_acc,
+                                                self.val_loss, self.val_acc, self.reg_values)
             ],
             "best_epoch": self.best_epoch,
             "test_acc": self.test_acc,
@@ -488,6 +490,9 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
     if not cfgs:
         raise ValueError("etas must not be empty")
     inp = _SparseInput(features)
+    # a run needs only the CSR copy: when no caller keeps the dense matrix,
+    # it is freed before the first epoch and the training heap can reuse it
+    del features
     labels = np.asarray(labels, dtype=np.int64)
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
@@ -500,11 +505,11 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
     drop_rng = np.random.default_rng((cfg.seed, 1))
     opt = _Adam([params.w1.shape, params.w2.shape], cfg.lr)
 
-    history = []  # per epoch: loss, train acc, val loss, val acc, reg; one column per model
+    history = []  # per epoch: loss, ce, train acc, val loss, val acc, reg; one column per model
     best_acc = np.full(len(cfgs), -1.0)
     best_epoch, test_acc = np.zeros(len(cfgs), dtype=int), np.zeros(len(cfgs))
     for epoch in range(1, cfg.epochs + 1):
-        loss, _, _, grads, _ = loss_and_grad(
+        loss, ce, _, grads, _ = loss_and_grad(
             params, ahat, inp, labels, split.train, lap, a_vec,
             cfg if etas is None else cfgs, rng=drop_rng
         )
@@ -519,11 +524,11 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
         train_acc = accuracy(x_eval, labels, split.train)
         # recorded regularizer is the raw trace on the clean post-update output
         reg = _reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec, False)[0]
-        row = np.array((loss, train_acc, val_loss, val_acc, reg)).reshape(5, -1)
+        row = np.array((loss, ce, train_acc, val_loss, val_acc, reg)).reshape(6, -1)
         history.append(row)
-        better = row[3] > best_acc  # row 3: each model's validation accuracy
+        better = row[4] > best_acc  # row 4: each model's validation accuracy
         if better.any():
-            best_acc[better], best_epoch[better] = row[3][better], epoch
+            best_acc[better], best_epoch[better] = row[4][better], epoch
             test_acc[better] = np.reshape(accuracy(x_eval, labels, split.test), -1)[better]
 
     curves = np.array(history).transpose(2, 1, 0).tolist()  # [model][quantity][epoch]
@@ -581,7 +586,10 @@ def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
     analysis; with ``analysis`` it then runs once, on the chosen run only.
     The other runs in ``results`` carry no analysis.
     """
-    results = train(g, features, labels, split, cfg, etas=grid, analysis=False)
+    # pass the features on without keeping them here (see ``train``)
+    dense = [features]
+    del features
+    results = train(g, dense.pop(), labels, split, cfg, etas=grid, analysis=False)
     best = best_run(results)
     if analysis:
         _attach_analysis(best, g, component_spectrum)

@@ -24,6 +24,7 @@ COVER_MAX_EDGES = 20  # the cover search holds 2^|E| sets per level
 TREE_CAP = 10000  # most spanning trees enumerate_spanning_trees lists
 CLIQUE_MAX_N = 32  # most nodes clique_number_complement searches
 _COVER_CHUNK = 1 << 14  # (set, candidate mask) cells per vectorized cover-search step
+_SBM_CHUNK = 1 << 20  # node pairs per uniform draw of sbm_generate
 
 
 class GraphError(ValueError):
@@ -331,7 +332,12 @@ def cover_size_cap(c1: int) -> int:
 def sbm_generate(block_sizes, p_in: float, p_out: float, seed: int) -> tuple[Graph, np.ndarray]:
     """Stochastic block model draw: one Bernoulli per (i < j) pair, seeded.
 
-    Deterministic for a fixed seed; labels are block indices.
+    Pair k of the row-major (i < j) order takes the k-th uniform of
+    ``default_rng(seed)`` and is an edge when that uniform is below p_in
+    (same block) or p_out (different blocks).  The uniforms are read in
+    chunks of ``_SBM_CHUNK``, which give the same doubles as one call for all
+    n(n-1)/2 pairs, so the time is O(n^2) draws and the memory O(chunk +
+    edges).  Deterministic for a fixed seed; labels are block indices.
     """
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise GraphError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
@@ -341,11 +347,22 @@ def sbm_generate(block_sizes, p_in: float, p_out: float, seed: int) -> tuple[Gra
     n = sum(block_sizes)
     labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)  # row-major == (i < j) lexicographic order
-    u = rng.random(iu.size)
-    p = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = u < p
-    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2  # flat index of pair (i, i + 1)
+    total = n * (n - 1) // 2
+    heads, tails = [rows[:0]], [rows[:0]]  # n = 1 has no pairs and no chunk
+    for lo in range(0, total, _SBM_CHUNK):
+        u = rng.random(min(_SBM_CHUNK, total - lo))
+        # p_out <= p_in: every edge is a candidate, and a cross-block
+        # candidate stays only below p_out
+        cand = np.flatnonzero(u < p_in)
+        k = cand + lo
+        i = np.searchsorted(starts, k, side="right") - 1
+        j = k - starts[i] + i + 1
+        keep = (labels[i] == labels[j]) | (u[cand] < p_out)
+        heads.append(i[keep])
+        tails.append(j[keep])
+    edges = zip(np.concatenate(heads).tolist(), np.concatenate(tails).tolist())
     return build_graph(n, edges), labels
 
 

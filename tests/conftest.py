@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,3 +110,23 @@ def cora_runs(cora):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def run_python():
+    """Run a Python snippet (dedented) in a fresh interpreter on ``src``; returns its stdout.
+
+    The child's ``ru_maxrss`` does not start at its own size: subprocess
+    starts it with vfork, and Linux carries the parent's RSS high-water mark
+    across exec.  A peak-memory test reads growth above the higher of this
+    pytest process's peak and the child's own peak before the measured call.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(code):
+        r = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    return run

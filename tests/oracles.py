@@ -3,8 +3,8 @@
 Nothing under ``src/`` calls these: the transport LP over all couplings, the
 edge tuple of a tree bitmask, the unit-weight minimum tree cover, the inverse
 graph Fourier transform, a recorder for the LPs that ``distributional``
-hands to the simplex solver, one branch per regularizer variant, and the
-one-model-at-a-time training loop.
+hands to the simplex solver, one branch per regularizer variant, the
+one-model-at-a-time training loop and the all-pairs block-model sampler.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from distsig import distributional, gnn
 from distsig.graph import (
     GraphError,
     _min_weight_cover,
+    build_graph,
     clique_number_complement,
     cover_size_cap,
     enumerate_spanning_trees,
@@ -142,10 +143,10 @@ def train_one(g, features, labels, split, cfg):
     drop_rng = np.random.default_rng((cfg.seed, 1))
     opt = gnn._Adam([params.w1.shape, params.w2.shape], cfg.lr)
 
-    tl, ta, vl, va, rv = [], [], [], [], []
+    tl, tc, ta, vl, va, rv = [], [], [], [], [], []
     best_acc, best_epoch, test_acc = -1.0, 0, 0.0
     for epoch in range(1, cfg.epochs + 1):
-        loss, _, _, grads, _ = gnn.loss_and_grad(
+        loss, ce, _, grads, _ = gnn.loss_and_grad(
             params, ahat, inp, labels, split.train, lap, a_vec, cfg, rng=drop_rng
         )
         if not np.isfinite(loss):
@@ -157,6 +158,7 @@ def train_one(g, features, labels, split, cfg):
         val_loss = -float(np.mean(np.log(np.maximum(p_val, 1e-12))))
         val_acc = gnn.accuracy(x_eval, labels, split.val)
         tl.append(loss)
+        tc.append(ce)
         ta.append(gnn.accuracy(x_eval, labels, split.train))
         vl.append(val_loss)
         va.append(val_acc)
@@ -164,4 +166,18 @@ def train_one(g, features, labels, split, cfg):
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
             test_acc = gnn.accuracy(x_eval, labels, split.test)
-    return gnn.Metrics(cfg, tl, ta, vl, va, rv, best_epoch, test_acc, x_eval)
+    return gnn.Metrics(cfg, tl, tc, ta, vl, va, rv, best_epoch, test_acc, x_eval)
+
+
+def sbm_generate_all_pairs(block_sizes, p_in, p_out, seed):
+    """``graph.sbm_generate`` with every node pair's index, uniform and
+    probability held at once: about 50 bytes per pair."""
+    n = sum(block_sizes)
+    labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)  # row-major == (i < j) lexicographic order
+    u = rng.random(iu.size)
+    p = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = u < p
+    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    return build_graph(n, edges), labels

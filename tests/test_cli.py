@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from distsig import gnn
+from distsig import cli, gnn
 from distsig.cli import main
 from distsig.graph import main_component
 from distsig.spectral import export_spectrum_csv, gft, high_freq_fraction, laplacian_spectrum
@@ -271,6 +272,29 @@ def test_train_tune_records_every_eta(tmp_path, capsys):
     assert chosen["best_val_acc"] == tuned["per_epoch"][chosen["best_epoch"] - 1]["acc_val"]
     assert chosen["best_epoch"] == tuned["best_epoch"]
     assert "tune" not in json.loads((tmp_path / "plain.json").read_text())
+
+
+@pytest.mark.parametrize("extra", [[], ["--tune"]], ids=["plain", "tune"])
+def test_train_frees_dense_features_before_the_first_epoch(monkeypatch, capsys, extra):
+    # training holds the features as CSR; the dense matrix would otherwise
+    # stay through training and the output analysis, the run's memory peak
+    g, f, y = gnn.sbm_dataset((20, 20), 0.3, 0.05, seed=1)
+    features = weakref.ref(f)
+    loaded = [(g, f, y)]
+    del f
+    monkeypatch.setattr(cli, "_load_dataset", lambda args: loaded.pop())
+    alive = []
+    real = gnn.loss_and_grad
+
+    def spy(*args, **kwargs):
+        alive.append(features() is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gnn, "loss_and_grad", spy)
+    assert main(["train", "--variant", "r", "--epochs", "2", "--val-size", "10",
+                 "--test-size", "10", *extra]) == 0
+    capsys.readouterr()
+    assert alive == [False, False]
 
 
 def test_train_from_files(tmp_path, capsys):

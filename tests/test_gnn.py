@@ -386,6 +386,14 @@ def test_final_loss_below_initial_all_variants():
         assert m.train_loss[-1] < m.train_loss[0], variant
 
 
+def test_recorded_ce_is_the_loss_without_reg_and_decay():
+    g, f, y, split = _toy_setup(seed=4)
+    m = train(g, f, y, split, TrainConfig(epochs=10, weight_decay=0.0), analysis=False)
+    assert m.train_ce == m.train_loss
+    m = train(g, f, y, split, TrainConfig(variant="r", eta=0.3, epochs=10), analysis=False)
+    assert all(ce != loss for ce, loss in zip(m.train_ce, m.train_loss))
+
+
 def test_recorded_reg_matches_dense_oracle():
     g, f, y, split = _toy_setup(seed=5)
     m = train(g, f, y, split, TrainConfig(variant="r", eta=0.1, epochs=20), analysis=False)
@@ -544,7 +552,8 @@ def test_metrics_json_shape():
     assert set(d) == {"config", "per_epoch", "best_epoch", "test_acc",
                       "hf_fraction_per_class", "nonuniformity_sweep"}
     assert len(d["per_epoch"]) == 8
-    assert set(d["per_epoch"][0]) == {"loss", "acc_train", "loss_val", "acc_val", "reg"}
+    assert set(d["per_epoch"][0]) == {"loss", "ce", "acc_train", "loss_val", "acc_val", "reg"}
+    assert [e["ce"] for e in d["per_epoch"]] == m.train_ce
     assert [e["acc_train"] for e in d["per_epoch"]] == m.train_acc
     assert [e["loss_val"] for e in d["per_epoch"]] == m.val_loss
     assert [e["reg"] for e in d["per_epoch"]] == m.reg_values

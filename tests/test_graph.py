@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distsig import graph
 from distsig.graph import (
     Graph,
     GraphError,
@@ -22,7 +23,7 @@ from distsig.graph import (
     write_graph_file,
     write_labels_file,
 )
-from oracles import covers, min_tree_cover, tree_edges
+from oracles import covers, min_tree_cover, sbm_generate_all_pairs, tree_edges
 
 
 def test_build_triangle(triangle):
@@ -270,6 +271,45 @@ def test_sbm_rejects_bad_probs():
         sbm_generate([5, 5], 0.1, 0.5, seed=0)
     with pytest.raises(GraphError):
         sbm_generate([5, 5], 1.2, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("chunk", [7, graph._SBM_CHUNK])
+@pytest.mark.parametrize("blocks, p_in, p_out", [
+    ([12], 0.3, 0.3),             # one block
+    ([1, 1, 1, 1, 1], 0.6, 0.2),  # blocks of size 1
+    ([1], 0.5, 0.5),              # n = 1: no pairs, no chunk
+    ([6, 7], 0.4, 0.4),           # p_in = p_out
+    ([5, 4, 3], 1.0, 0.0),
+    ([5, 4], 0.0, 0.0),
+    ([9, 1, 14, 6], 0.35, 0.08),
+])
+def test_sbm_equals_all_pairs_oracle(monkeypatch, chunk, blocks, p_in, p_out):
+    # an odd chunk of 7 pairs cuts rows at changing offsets
+    monkeypatch.setattr(graph, "_SBM_CHUNK", chunk)
+    for seed in range(6):
+        g, labels = sbm_generate(blocks, p_in, p_out, seed)
+        want, want_labels = sbm_generate_all_pairs(blocks, p_in, p_out, seed)
+        assert g.edges == want.edges
+        assert labels.dtype == want_labels.dtype
+        assert np.array_equal(labels, want_labels)
+
+
+def test_sbm_peak_memory(run_python):
+    # ~18M node pairs at ~8/n density: holding every pair's index, uniform
+    # and probability grows the peak by about 700 MB, a chunk by about 25 MB
+    out = run_python("""
+        import resource
+        from distsig.graph import sbm_generate
+
+        sbm_generate([10], 0.5, 0.5, seed=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        g, _ = sbm_generate([2000, 2000, 2000], 8 / 6000, 1 / 6000, seed=0)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(g.m, (after - before) * 1024)
+    """)
+    m, grown = map(int, out.split())
+    assert m > 6000
+    assert grown < 64 << 20, f"peak RSS grew by {grown / 2**20:.0f} MB"
 
 
 def test_graph_file_roundtrip(tmp_path, triangle):
