@@ -112,20 +112,30 @@ def rng():
     return np.random.default_rng(1234)
 
 
+# Prepended to every run_python snippet.  A child's ru_maxrss starts at the
+# pytest process's peak: subprocess starts it with vfork, and Linux carries
+# the parent's RSS high-water mark across exec into ru_maxrss.  VmHWM is the
+# high-water mark of the child's own address space, which exec starts afresh.
+_PEAK_RSS = """
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+"""
+
+
 @pytest.fixture
 def run_python():
     """Run a Python snippet (dedented) in a fresh interpreter on ``src``; returns its stdout.
 
-    The child's ``ru_maxrss`` does not start at its own size: subprocess
-    starts it with vfork, and Linux carries the parent's RSS high-water mark
-    across exec.  A peak-memory test reads growth above the higher of this
-    pytest process's peak and the child's own peak before the measured call.
+    The snippet can call ``peak_rss()``: the child's own peak resident set in
+    bytes, independent of the process that started it.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
 
     def run(code):
-        r = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
-                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        r = subprocess.run([sys.executable, "-c", _PEAK_RSS + textwrap.dedent(code)],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
         assert r.returncode == 0, r.stderr
         return r.stdout
 

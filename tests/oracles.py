@@ -4,7 +4,8 @@ Nothing under ``src/`` calls these: the transport LP over all couplings, the
 edge tuple of a tree bitmask, the unit-weight minimum tree cover, the inverse
 graph Fourier transform, a recorder for the LPs that ``distributional``
 hands to the simplex solver, one branch per regularizer variant, the
-one-model-at-a-time training loop and the all-pairs block-model sampler.
+one-model-at-a-time training loop, the all-pairs block-model sampler and the
+dict-lookup induced subgraph.
 """
 
 import numpy as np
@@ -181,3 +182,11 @@ def sbm_generate_all_pairs(block_sizes, p_in, p_out, seed):
     keep = u < p
     edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
     return build_graph(n, edges), labels
+
+
+def induced_subgraph_by_dict(g, nodes):
+    """``graph.induced_subgraph`` with a dict lookup per edge."""
+    nodes = sorted(set(int(v) for v in nodes))
+    index = {v: i for i, v in enumerate(nodes)}
+    sub = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    return build_graph(len(nodes), sub)

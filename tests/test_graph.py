@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distsig import graph
+from distsig.distributional import random_bound_instance, run_bound_corpus
+from distsig.gnn import sbm_dataset
 from distsig.graph import (
+    COVER_MAX_EDGES,
     Graph,
     GraphError,
     build_graph,
@@ -23,7 +26,13 @@ from distsig.graph import (
     write_graph_file,
     write_labels_file,
 )
-from oracles import covers, min_tree_cover, sbm_generate_all_pairs, tree_edges
+from oracles import (
+    covers,
+    induced_subgraph_by_dict,
+    min_tree_cover,
+    sbm_generate_all_pairs,
+    tree_edges,
+)
 
 
 def test_build_triangle(triangle):
@@ -56,6 +65,145 @@ def test_build_rejects_duplicate_edge():
     # the offending pair is reported as the caller wrote it
     with pytest.raises(GraphError, match=r"\(1, 0\)"):
         build_graph(3, [(0, 1), (1, 0)])
+
+
+def _build_both_ways(monkeypatch, n, edges):
+    """build_graph's outcome with the edge loop only, and with numpy from any size.
+
+    Each outcome is the Graph, or the type and message of what was raised.
+    """
+    out = []
+    for cut in (1 << 62, 0):
+        monkeypatch.setattr(graph, "_ARRAY_MIN_EDGES", cut)
+        try:
+            out.append(build_graph(n, edges))
+        except (ValueError, TypeError, IndexError) as e:  # GraphError is a ValueError
+            out.append((type(e), str(e)))
+    return out
+
+
+def _random_edges(rng, n, m):
+    """m distinct non-loop pairs on n nodes, shuffled, each in a random orientation."""
+    iu, ju = np.triu_indices(n, 1)
+    pick = rng.choice(iu.size, m, replace=False)
+    flip = rng.random(m) < 0.5
+    return np.stack([np.where(flip, ju[pick], iu[pick]), np.where(flip, iu[pick], ju[pick])], 1)
+
+
+def test_array_threshold_splits_the_benchmark_workloads(monkeypatch):
+    # the bound corpus refuses sizes whose complete graph exceeds the cover
+    # search's limit, so its graphs stay on the loop; the default 4x50 block
+    # model takes the numpy path
+    assert COVER_MAX_EDGES < graph._ARRAY_MIN_EDGES
+    with pytest.raises(ValueError, match="cover-search"):
+        run_bound_corpus(1, 0, max_n=7)
+    sizes = []
+    real = graph._canonical_edges_array
+    monkeypatch.setattr(graph, "_canonical_edges_array",
+                        lambda n, edges: sizes.append(len(edges)) or real(n, edges))
+    for i in range(40):
+        random_bound_instance((0, i), max_n=6)
+    assert sizes == []
+    for seed in range(10):
+        sbm_dataset(seed=seed)
+    assert len(sizes) == 10 and min(sizes) >= graph._ARRAY_MIN_EDGES
+
+
+def test_array_path_equals_loop_on_valid_lists(monkeypatch):
+    rng = np.random.default_rng(5)
+    cases = [(1, np.zeros((0, 2), dtype=np.int64)), (1, []), (2, [(1, 0)]), (40, [])]
+    for _ in range(30):
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(0, min(n * (n - 1) // 2, 90) + 1))
+        cases.append((n, _random_edges(rng, n, m)))
+    for n, a in cases:
+        a = np.asarray(a, dtype=np.int64).reshape(-1, 2)
+        forms = [a, a.astype(np.int32), a.astype(np.uint32), a.tolist(),
+                 [tuple(e) for e in a.tolist()], [tuple(e) for e in a], tuple(map(tuple, a))]
+        want = None
+        for edges in forms:
+            loop, fast = _build_both_ways(monkeypatch, n, edges)
+            assert isinstance(loop, Graph) and fast == loop
+            assert all(type(u) is int and type(v) is int for u, v in fast.edges)
+            want = want or loop
+            assert loop == want
+            if len(edges):
+                assert graph._canonical_edges_array(n, edges) == want.edges
+    monkeypatch.setattr(graph, "_ARRAY_MIN_EDGES", 1 << 62)
+    g = sbm_generate([50, 50, 50, 50], 0.1, 0.01, seed=3)[0]
+    monkeypatch.undo()
+    assert sbm_generate([50, 50, 50, 50], 0.1, 0.01, seed=3)[0] == g
+
+
+@pytest.mark.parametrize("fault", [(7, 7), (3, 30), (30, 3), (-1, 4), (4, -1),
+                                   "repeat", "flipped"])
+@pytest.mark.parametrize("where", [0, 20, -1])
+def test_array_path_rejects_like_loop(monkeypatch, fault, where):
+    rng = np.random.default_rng(11)
+    base = [tuple(e) for e in _random_edges(rng, 30, 40).tolist()]
+    edges = list(base)
+    if fault == "repeat":
+        bad = base[(where + 7) % len(base)]
+    elif fault == "flipped":
+        bad = base[(where + 7) % len(base)][::-1]
+    else:
+        bad = fault
+    edges.insert(where if where >= 0 else len(edges), bad)
+    loop, fast = _build_both_ways(monkeypatch, 30, edges)
+    assert loop[0] is GraphError
+    assert fast == loop
+    assert graph._canonical_edges_array(30, edges) is None
+    assert _build_both_ways(monkeypatch, 30, np.array(edges)) == [loop, loop]
+
+
+def test_array_path_reports_first_of_several_faults(monkeypatch):
+    edges = [(i, i + 1) for i in range(40)]
+    edges[7] = (6, 5)        # repeats edge 5, (5, 6), flipped
+    edges[12] = (12, 12)     # self-loop
+    edges[-1] = (0, 99)      # out of range
+    loop, fast = _build_both_ways(monkeypatch, 41, edges)
+    assert loop == (GraphError, "duplicate edge (6, 5)")
+    assert fast == loop
+
+
+@pytest.mark.parametrize("edges", [
+    [(float(i), i + 1.5) for i in range(40)],                 # floats: int() truncates
+    np.array([(i, i + 1) for i in range(40)], dtype=float),
+    [(i, i + 1) for i in range(39)] + [(2**70, 1)],            # beyond int64
+    [(i, i + 1) for i in range(39)] + [(1, 2**63)],
+    [(i, i + 1) for i in range(39)] + [(39, 40, 7)],           # ragged rows
+    [(i, i + 1) for i in range(39)] + [(39,)],
+    np.array([(i, i + 1, 0) for i in range(40)]),              # (m, 3)
+    [(str(i), str(i + 1)) for i in range(40)],
+    np.array([(i % 2 == 0, i % 2 == 1) for i in range(40)]),   # bools
+])
+def test_non_integer_pair_inputs_take_the_loop(monkeypatch, edges):
+    loop, fast = _build_both_ways(monkeypatch, 41, edges)
+    assert fast == loop
+    assert graph._canonical_edges_array(41, edges) is None
+
+
+def test_induced_subgraph_equals_dict_oracle():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        n = int(rng.integers(1, 80))
+        m = int(rng.integers(0, n * (n - 1) // 2 + 1))
+        g = build_graph(n, _random_edges(rng, n, m))
+        nodes = rng.choice(n + 5, int(rng.integers(1, n + 5)), replace=True) - 2
+        assert induced_subgraph(g, nodes) == induced_subgraph_by_dict(g, nodes)
+
+
+def test_graph_and_labels_file_bytes(tmp_path):
+    path = tmp_path / "g.graph"
+    write_graph_file(path, build_graph(5, [(3, 4), (0, 2), (2, 1), (0, 1)]))
+    assert path.read_bytes() == b"5 4\n0 1\n0 2\n1 2\n3 4\n"
+    write_graph_file(path, build_graph(1, []))
+    assert path.read_bytes() == b"1 0\n"
+    path = tmp_path / "y.labels"
+    write_labels_file(path, np.array([2, 0, 11, 1]))
+    assert path.read_bytes() == b"2\n0\n11\n1\n"
+    write_labels_file(path, [])
+    assert path.read_bytes() == b""
 
 
 def test_endpoints_follow_edge_order():
@@ -298,14 +446,12 @@ def test_sbm_peak_memory(run_python):
     # ~18M node pairs at ~8/n density: holding every pair's index, uniform
     # and probability grows the peak by about 700 MB, a chunk by about 25 MB
     out = run_python("""
-        import resource
         from distsig.graph import sbm_generate
 
         sbm_generate([10], 0.5, 0.5, seed=0)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = peak_rss()
         g, _ = sbm_generate([2000, 2000, 2000], 8 / 6000, 1 / 6000, seed=0)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(g.m, (after - before) * 1024)
+        print(g.m, peak_rss() - before)
     """)
     m, grown = map(int, out.split())
     assert m > 6000
