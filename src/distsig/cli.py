@@ -93,19 +93,22 @@ def _read_matrix(path, kind, n):
     """Load a finite real 2-D matrix, with n rows unless n is None.
 
     Anything else in the file is an I/O error; ``kind`` names the matrix in
-    the messages.
+    the messages.  A ``.npy`` file is memory-mapped, not copied: the result
+    is a plain ``ndarray`` view of the map, and the file must not be
+    rewritten while it is in use.
     """
     try:
         with warnings.catch_warnings():
             # an empty text file is reported below, as an empty matrix
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            f = np.load(path) if path.endswith(".npy") else np.loadtxt(path, dtype=float,
-                                                                       ndmin=2)
+            f = (np.load(path, mmap_mode="r") if path.endswith(".npy")
+                 else np.loadtxt(path, dtype=float, ndmin=2))
     except (ValueError, EOFError) as e:  # EOFError: an empty .npy file
         raise CliError(f"{path}: unreadable {kind} matrix: {e}", EXIT_IO) from None
     if not isinstance(f, np.ndarray):  # an .npz archive under a .npy name
         f.close()
         raise CliError(f"{path}: unreadable {kind} matrix: an archive, not one array", EXIT_IO)
+    f = np.asarray(f)  # a memmap's ndarray view: callers see the type a copy would have
     if f.ndim != 2:
         raise CliError(f"{path}: {kind} matrix must be a 2-D array, got {f.ndim}-D", EXIT_IO)
     if f.size == 0:

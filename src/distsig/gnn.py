@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import (
     Graph,
@@ -145,7 +144,7 @@ def load_cora(content_path, cites_path):
     Returns (graph, row-normalized features, integer labels, class names).
     """
     ids: dict[str, int] = {}
-    feats: list[list[float]] = []
+    rows: list[np.ndarray] = []
     labels_raw: list[str] = []
     fdim = None
     for lineno, line in read_lines(content_path):
@@ -160,8 +159,8 @@ def load_cora(content_path, cites_path):
             raise GraphError(f"{content_path}:{lineno}: expected {fdim} features, got {len(fv)}")
         if pid in ids:
             raise GraphError(f"{content_path}:{lineno}: duplicate id {pid!r}")
-        try:
-            feats.append([float(c) for c in fv])
+        try:  # numpy parses each token as float() does
+            rows.append(np.array(fv, dtype=float))
         except ValueError:
             raise GraphError(f"{content_path}:{lineno}: non-numeric feature value") from None
         ids[pid] = len(ids)
@@ -191,10 +190,9 @@ def load_cora(content_path, cites_path):
         u, v = ids[a], ids[b]
         edges.add((min(u, v), max(u, v)))
 
-    f = np.array(feats, dtype=float)
-    rs = f.sum(axis=1)
-    nz = rs > 0
-    f[nz] = f[nz] / rs[nz][:, None]
+    f = np.stack(rows)
+    rs = f.sum(axis=1)[:, None]
+    np.divide(f, rs, out=f, where=rs > 0)
     g = build_graph(len(ids), sorted(edges))
     return g, f, y, classes
 
@@ -274,6 +272,7 @@ class _SparseInput:
     """
 
     def __init__(self, features):
+        import scipy.sparse as sp  # loads on the first sparse matrix, not on import
         f = features if isinstance(features, sp.csr_array) else sp.csr_array(features, dtype=float)
         self.f, self.f_t = f, f.T
         self.dropped = sp.csr_array((f.data.copy(), f.indices, f.indptr), shape=f.shape)

@@ -15,9 +15,12 @@ import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -136,6 +139,7 @@ def _canonical_edges_array(n, edges) -> tuple[tuple[int, int], ...] | None:
 
 def _symmetric_csr(g: Graph, off: float, diag: np.ndarray) -> sp.csr_matrix:
     """CSR matrix with ``off`` on both entries of every edge and ``diag`` on the diagonal."""
+    import scipy.sparse as sp  # loads on the first sparse matrix, not on import
     u, v = g.endpoints
     nodes = np.arange(g.n)
     rows = np.concatenate([u, v, nodes])
@@ -151,6 +155,7 @@ def laplacian_sparse(g: Graph) -> sp.csr_matrix:
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     """Sparse self-loop-augmented normalization D~^{-1/2} (A + I) D~^{-1/2}."""
+    import scipy.sparse as sp  # loads on the first sparse matrix, not on import
     at = _symmetric_csr(g, 1.0, np.ones(g.n))
     dinv = 1.0 / np.sqrt(np.asarray(at.sum(axis=1)).ravel())
     return sp.csr_matrix(at.multiply(dinv[:, None]).multiply(dinv[None, :]))

@@ -4,8 +4,9 @@ Nothing under ``src/`` calls these: the transport LP over all couplings, the
 edge tuple of a tree bitmask, the unit-weight minimum tree cover, the inverse
 graph Fourier transform, a recorder for the LPs that ``distributional``
 hands to the simplex solver, one branch per regularizer variant, the
-one-model-at-a-time training loop, the all-pairs block-model sampler and the
-dict-lookup induced subgraph.
+one-model-at-a-time training loop, the all-pairs block-model sampler, the
+dict-lookup induced subgraph and the per-token ``float()`` parse of Cora
+features.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from distsig.graph import (
     enumerate_spanning_trees,
     laplacian_sparse,
     normalized_adjacency,
+    read_lines,
 )
 from distsig.regularizer import confidence_weights, softmax_vjp
 from distsig.simplex import InfeasibleError, solve_lp
@@ -190,3 +192,15 @@ def induced_subgraph_by_dict(g, nodes):
     index = {v: i for i, v in enumerate(nodes)}
     sub = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
     return build_graph(len(nodes), sub)
+
+
+def cora_features_by_float(content_path):
+    """``gnn.load_cora``'s row-normalized features, parsed one ``float()`` per
+    token into Python lists; the file must be well formed."""
+    feats = [[float(c) for c in line.split()[1:-1]]
+             for _, line in read_lines(content_path)]
+    f = np.array(feats, dtype=float)
+    rs = f.sum(axis=1)
+    nz = rs > 0
+    f[nz] = f[nz] / rs[nz][:, None]
+    return f

@@ -539,6 +539,81 @@ def test_empty_text_matrix_is_io_error(tmp_path, capsys, recwarn, command):
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
+# --- mapped .npy inputs ----------------------------------------------------
+
+def test_npy_matrix_is_a_plain_view_of_a_map(tmp_path):
+    path = tmp_path / "p.npy"
+    want = np.random.default_rng(2).dirichlet(np.ones(3), size=9)
+    np.save(path, want)
+    got = cli._read_matrix(str(path), "probability", 9)
+    assert type(got) is np.ndarray
+    assert not got.flags.owndata and not got.flags.writeable
+    assert isinstance(got.base, np.memmap)
+    assert got.tobytes() == want.tobytes()
+
+
+def _truncate_data(path):
+    np.save(path, np.full((12, 3), 1.0 / 3.0))
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _save_objects(path):
+    np.save(path, np.full((12, 3), 1.0 / 3.0).astype(object), allow_pickle=True)
+
+
+# an archive under a .npy name and an empty .npy file: the tests above
+@pytest.mark.parametrize("write", [_truncate_data, _save_objects],
+                         ids=["truncated-data", "object-dtype"])
+def test_unmappable_npy_file_is_io_error(tmp_path, capsys, write):
+    path = tmp_path / "p.npy"
+    write(path)
+    out = tmp_path / "nu.csv"
+    assert main(["analyze", "--probs", str(path), "--out", str(out)]) == 3
+    assert f"error: {path}: unreadable probability matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: a.astype(">f8")],
+                         ids=["fortran-order", "big-endian"])
+def test_npy_layouts_load_to_the_same_values(tmp_path, capsys, layout):
+    assert main(["gen-sbm", "--blocks", "20,20", "--out", str(tmp_path / "g")]) == 0
+    feats = np.random.default_rng(3).random((40, 5))
+    np.save(tmp_path / "c.npy", feats)
+    np.save(tmp_path / "l.npy", layout(feats))
+    got = cli._read_matrix(str(tmp_path / "l.npy"), "feature", 40)
+    assert np.array_equal(got, np.load(tmp_path / "l.npy"))
+    assert got.dtype == np.load(tmp_path / "l.npy").dtype
+    for name in ("c", "l"):
+        assert main(["train", "--dataset", "file", "--graph", str(tmp_path / "g.graph"),
+                     "--labels", str(tmp_path / "g.labels"),
+                     "--features", str(tmp_path / f"{name}.npy"), "--epochs", "3",
+                     "--val-size", "10", "--test-size", "10",
+                     "--out", str(tmp_path / f"{name}.json")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "l.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+    assert (tmp_path / "l.json.probs.npy").read_bytes() == \
+        (tmp_path / "c.json.probs.npy").read_bytes()
+
+
+def test_analyze_may_overwrite_its_mapped_input(tmp_path, capsys):
+    # every entry is read before the output is opened, so the truncated map is
+    # never read; a read past the new end of file would kill the process with
+    # SIGBUS, hence the child process
+    probs = np.random.default_rng(5).dirichlet(np.ones(4), size=12)
+    np.save(tmp_path / "p.npy", probs)
+    np.save(tmp_path / "q.npy", probs)
+    assert main(["analyze", "--probs", str(tmp_path / "q.npy"),
+                 "--out", str(tmp_path / "q.csv")]) == 0
+    capsys.readouterr()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run([sys.executable, "-m", "distsig", "analyze", "--probs",
+                        str(tmp_path / "p.npy"), "--out", str(tmp_path / "p.npy")],
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "p.npy").read_bytes() == (tmp_path / "q.csv").read_bytes()
+
+
 def test_analyze_missing_probs(tmp_path, capsys):
     rc = main(["analyze", "--probs", str(tmp_path / "none.npy"),
                "--out", str(tmp_path / "o.csv")])

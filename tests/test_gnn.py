@@ -139,6 +139,35 @@ def test_load_non_numeric_feature(tmp_path):
         load_cora(cp, qp)
 
 
+def test_load_features_bitwise_equal_to_float_parse(tmp_path):
+    # numpy parses the tokens: the same values, bit for bit, as float() per
+    # token, including the normalization of weighted rows and zero rows
+    rng = np.random.default_rng(4)
+    rows = []
+    for i in range(60):
+        vals = (rng.random(25) < 0.2) * rng.choice([1.0, 0.3, 2.5, 1e-3], 25)
+        rows.append(" ".join([f"p{i}", *map(repr, vals.tolist()), f"c{i % 3}"]))
+    rows.append("zero " + " ".join(["0"] * 25) + " c0")
+    rows.append("odd 1_0 １ -0 .5 1. +1 1e5 0_0.5 ١ " + " ".join(["0"] * 16) + " c1")
+    rows.append("nans nan inf 1e400 " + " ".join(["1"] * 22) + " c2")
+    rows.append("negs -inf 1e-400 -0 " + " ".join(["0"] * 22) + " c2")
+    cp, qp = _write(tmp_path, content="\n".join(rows) + "\n", cites="p0 p1\n")
+    _, f, _, _ = load_cora(cp, qp)
+    want = oracles.cora_features_by_float(cp)
+    assert f.dtype == want.dtype and f.shape == want.shape == (64, 25)
+    assert f.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("token", ["0x1", "1__0", "_1", "1d0", "True", "1,0", "0b1", "1j"])
+def test_load_rejects_the_tokens_float_rejects(tmp_path, token):
+    with pytest.raises(ValueError):
+        float(token)
+    cp, qp = _write(tmp_path, content=f"n1 1 0 1 a\nn2 0 {token} 1 b\n", cites="")
+    with pytest.raises(GraphError) as err:
+        load_cora(cp, qp)
+    assert str(err.value) == f"{cp}:2: non-numeric feature value"
+
+
 def test_load_empty_cites_warns(tmp_path, caplog):
     cp, qp = _write(tmp_path, cites="")
     with caplog.at_level("WARNING", logger="distsig.gnn"):

@@ -204,6 +204,32 @@ def test_no_lapack_load_on_import(run_python):
     assert out.strip() == "False"
 
 
+def test_no_scipy_load_off_the_training_path(run_python):
+    # bounds, analyze and gen-sbm never build a sparse matrix, so they pay for
+    # no scipy; training loads scipy.sparse with its first sparse matrix
+    out = run_python("""
+        import os, sys, tempfile
+        import numpy as np
+        import distsig.cli, distsig.distributional, distsig.gnn
+        import distsig.regularizer, distsig.spectral
+        from distsig.cli import main
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        with tempfile.TemporaryDirectory() as d:
+            probs = os.path.join(d, "p.npy")
+            np.save(probs, np.full((5, 2), 0.5))
+            assert main(["bounds", "--trials", "3"]) == 0
+            assert main(["gen-sbm", "--blocks", "5,5", "--out", os.path.join(d, "g")]) == 0
+            assert main(["analyze", "--probs", probs, "--out", os.path.join(d, "a.csv")]) == 0
+            untrained = scipy_modules()
+            assert main(["train", "--dataset", "sbm", "--epochs", "1"]) == 0
+            print(untrained, "scipy.sparse" in sys.modules)
+    """)
+    assert out.splitlines()[-1] == "[] True"
+
+
 def test_known_small_spectra(p3, c4, k4):
     # closed forms: path 2-x, cycle 2-2cos, complete n
     assert np.allclose(laplacian_spectrum(p3).eigenvalues, [0.0, 1.0, 3.0], atol=1e-10)
