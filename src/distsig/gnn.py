@@ -77,7 +77,7 @@ class Split:
 
 @dataclass
 class GcnParams:
-    """Weights of one model (w1: d x H, w2: H x C) or of a stack of K models.
+    """Weights of a stack of K models; one model is a stack of one.
 
     A stack shares its input, so w1 is d x KH with model k in columns
     [kH, (k+1)H), and w2 is K x H x C.  Its outputs and logit gradients are
@@ -253,13 +253,14 @@ def make_split(labels, per_class: int, val_size: int, test_size: int, seed: int)
 # --- model ----------------------------------------------------------------
 
 def init_params(feat_dim: int, hidden: int, classes: int, seed: int) -> GcnParams:
+    """Glorot-uniform weights of one model, as a stack of one."""
     rng = np.random.default_rng((seed, 0))
 
     def glorot(fan_in, fan_out):
         lim = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
-    return GcnParams(glorot(feat_dim, hidden), glorot(hidden, classes))
+    return GcnParams(glorot(feat_dim, hidden), glorot(hidden, classes)[None])
 
 
 class _SparseInput:
@@ -286,47 +287,36 @@ class _SparseInput:
         return self.dropped, self.dropped_t
 
 
-def _stack_size(params: GcnParams) -> int | None:
-    """K for a stack of K models, None for one model."""
-    return params.w2.shape[0] if params.w2.ndim == 3 else None
-
-
 def _blocks(y, k):
-    """An n x Kc array as a K x n x c view of its column blocks; k=None keeps y."""
-    return y if k is None else y.reshape(y.shape[0], k, -1).transpose(1, 0, 2)
+    """An n x Kc array as a K x n x c view of its column blocks."""
+    return y.reshape(y.shape[0], k, -1).transpose(1, 0, 2)
 
 
 def _matmul_side_by_side(a, b, k):
-    """a @ b; for a stack of k models the product is n x kc, model i's block
-    in columns [ic, (i+1)c), so ``_blocks`` of it is the batched product."""
-    if k is None:
-        return a @ b
+    """The batched product a @ b of k models, laid out n x kc with model i's
+    block in columns [ic, (i+1)c), so ``_blocks`` of it is a @ b."""
     out = np.empty((a.shape[1], k * b.shape[-1]))
     np.matmul(a, b, out=_blocks(out, k))
     return out
 
 
 def _spmm(a, y):
-    """a @ y for one n x c matrix, or for each block of a K x n x c stack.
+    """a @ y for each block of a K x n x c stack.
 
-    A stack's blocks go side by side into one sparse call, and each output
-    column keeps the sum order of its own product.  For a ``_blocks`` view,
-    as every stack in training is, neither layout change copies.
+    The blocks go side by side into one sparse call, and each output column
+    keeps the sum order of its own product.  For a ``_blocks`` view, as every
+    stack in training is, neither layout change copies.
     """
-    if y.ndim == 2:
-        return a @ y
     k, n = y.shape[:2]
     return _blocks(a @ y.transpose(1, 0, 2).reshape(n, -1), k)
 
 
 def _block_sums(y):
-    """np.sum of one matrix as a float, or of each block of a stack as a (K,) array.
+    """np.sum of each block of a K x n x c stack, as a (K,) array.
 
     The reshape copies each block in row-major order, so a row of the (K, ·)
     copy sums in the order np.sum takes over that block alone.
     """
-    if y.ndim == 2:
-        return float(np.sum(y))
     return y.reshape(y.shape[0], -1).sum(axis=1)
 
 
@@ -340,7 +330,7 @@ def gcn_forward(params: GcnParams, ahat, features, *, dropout: float = 0.0, rng=
     The models of a stack share both draws.
     """
     inp = features if isinstance(features, _SparseInput) else _SparseInput(features)
-    k = _stack_size(params)
+    k = params.w2.shape[0]
     cache: dict = {}
     if rng is not None and dropout > 0.0:
         f, f_t = inp.drop(rng, dropout)
@@ -364,7 +354,7 @@ def gcn_forward(params: GcnParams, ahat, features, *, dropout: float = 0.0, rng=
 
 
 def gcn_backward(params: GcnParams, ahat, cache: dict, d_o: np.ndarray):
-    k = _stack_size(params)
+    k = params.w2.shape[0]
     dz2 = _spmm(ahat, d_o)
     dw2 = _blocks(cache["hd"], k).swapaxes(-1, -2) @ dz2
     da1 = _matmul_side_by_side(dz2, params.w2.swapaxes(-1, -2), k)
@@ -382,11 +372,11 @@ def gcn_backward(params: GcnParams, ahat, cache: dict, d_o: np.ndarray):
 def _reg_value_and_grad(variant: str, o, x, lap, a_vec, with_grad: bool):
     """Regularizer value and, with ``with_grad``, its gradient in the logits.
 
-    The gradient is None without ``with_grad`` and for ``gcn``.  The value is
-    a float for one model and a (K,) array for a stack.
+    ``o`` and ``x`` are K x n x C stacks; the value is a (K,) array.  The
+    gradient is None without ``with_grad`` and for ``gcn``.
     """
     if variant == "gcn":
-        return (0.0 if o.ndim == 2 else np.zeros(o.shape[0])), None
+        return np.zeros(o.shape[0]), None
     if variant == "r3":
         lo = _spmm(lap, o)
         return _block_sums(o * lo), (2.0 * lo if with_grad else None)
@@ -400,55 +390,50 @@ def _reg_value_and_grad(variant: str, o, x, lap, a_vec, with_grad: bool):
 
 
 def _masked_nll(x, labels, idx):
-    """Mean negative log-likelihood of the labels of nodes ``idx``; (K,) for a stack."""
-    # advanced indexing may lay a stack's (K, len(idx)) result out column-major
-    p = np.ascontiguousarray(x[..., idx, labels[idx]])
-    return -np.mean(np.log(np.maximum(p, 1e-12)), axis=-1)
+    """Mean negative log-likelihood of the labels of nodes ``idx``, one per model."""
+    # advanced indexing may lay the (K, len(idx)) result out column-major
+    p = np.ascontiguousarray(x[:, idx, labels[idx]])
+    # np.mean's sum and division, without its per-call overhead
+    return -(np.log(np.maximum(p, 1e-12)).sum(axis=-1) / idx.shape[0])
 
 
 def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_vec,
-                  cfg: TrainConfig | list[TrainConfig], rng=None):
+                  cfgs: list[TrainConfig], rng=None):
     """Full training objective and its parameter gradients.
 
     Cross-entropy is averaged over the training nodes and the regularizer trace
     over all nodes, so eta trades off comparable per-node quantities; the raw
     (unaveraged) trace is still returned for logging.  Weight decay acts on W1
-    only.  For a stack, ``cfg`` holds one config per model, differing only in
+    only.  ``cfgs`` holds one config per model of the stack, differing only in
     eta, and the loss, cross-entropy and trace are (K,) arrays.
     """
-    k = _stack_size(params)
-    cfgs = (cfg,) if k is None else tuple(cfg)
+    k = params.w2.shape[0]
     base = cfgs[0]
-    eta = np.array([c.eta for c in cfgs]).reshape(() if k is None else (k,))
+    eta = np.array([c.eta for c in cfgs])
     o, x, cache = gcn_forward(params, ahat, features, dropout=base.dropout, rng=rng)
     n = o.shape[-2]
     ce = _masked_nll(x, labels, train_idx)
     d_o = np.zeros_like(o)
-    d_o[..., train_idx, :] = x[..., train_idx, :]
-    d_o[..., train_idx, labels[train_idx]] -= 1.0
+    d_o[:, train_idx, :] = x[:, train_idx, :]
+    d_o[:, train_idx, labels[train_idx]] -= 1.0
     d_o /= train_idx.shape[0]
 
     reg, reg_grad = _reg_value_and_grad(base.variant, o, x, lap, a_vec, True)
     if reg_grad is not None:
-        d_o = d_o + (eta / n)[..., None, None] * reg_grad
+        d_o = d_o + (eta / n)[:, None, None] * reg_grad
     w1_sq = _block_sums(_blocks(params.w1 ** 2, k))
     with np.errstate(over="ignore", invalid="ignore"):  # train reports a non-finite loss
         loss = ce + eta * (reg / n) + 0.5 * base.weight_decay * w1_sq
     dw1, dw2 = gcn_backward(params, ahat, cache, d_o)
     dw1 = dw1 + base.weight_decay * params.w1
-    if k is None:
-        return float(loss), float(ce), reg, (dw1, dw2), x
     return loss, ce, reg, (dw1, dw2), x
 
 
 def accuracy(probs, labels, idx):
-    """Argmax accuracy; argmax resolves ties toward the lowest class index.
-
-    A float for one model's outputs, a (K,) array for a stack's.
-    """
+    """Argmax accuracy of each model; argmax resolves ties toward the lowest class index."""
     pred = np.argmax(probs[..., idx, :], axis=-1)
-    acc = np.mean(pred == labels[idx], axis=-1)
-    return float(acc) if probs.ndim == 2 else acc
+    # np.mean's exact count and division, without its per-call overhead
+    return np.count_nonzero(pred == labels[idx], axis=-1) / len(idx)
 
 
 class _Adam:
@@ -474,33 +459,33 @@ class _Adam:
 
 def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=None,
           analysis: bool = True, component_spectrum=None):
-    """Train one model, or with ``etas`` one model per eta; deterministic.
+    """Train one model per eta of ``etas`` as one stack; deterministic.
 
-    The models for ``etas`` train as one stack: they share the initial
-    weights and every dropout draw and differ only in eta, and each is
-    bitwise the model that ``train`` returns for its eta alone.  Returns one
-    ``Metrics``, or with ``etas`` a list of them in the order of ``etas``.
+    The models share the initial weights and every dropout draw and differ
+    only in eta, and each is bitwise the model that ``train`` returns for its
+    eta alone.  Returns a list of ``Metrics`` in the order of ``etas``; without
+    ``etas``, the stack is ``(cfg.eta,)`` and its one ``Metrics`` is returned.
 
     Model selection is best validation accuracy (earliest epoch on ties) and
     decides the reported test accuracy; the spectral / non-uniformity analysis
     summarizes the final-epoch outputs.
     """
-    cfgs = [cfg] if etas is None else [replace(cfg, eta=eta) for eta in etas]
+    one = etas is None
+    cfgs = [replace(cfg, eta=eta) for eta in ((cfg.eta,) if one else etas)]
     if not cfgs:
         raise ValueError("etas must not be empty")
+    labels = np.asarray(labels, dtype=np.int64)
+    _check_sizes(g, np.shape(features)[0], labels, split)
     inp = _SparseInput(features)
     # a run needs only the CSR copy: when no caller keeps the dense matrix,
     # it is freed before the first epoch and the training heap can reuse it
     del features
-    labels = np.asarray(labels, dtype=np.int64)
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
     a_vec = confidence_weights(g)
     classes = int(labels.max()) + 1
     params = init_params(inp.f.shape[1], cfg.hidden, classes, cfg.seed)
-    if etas is not None:
-        k = len(cfgs)
-        params = GcnParams(np.tile(params.w1, k), np.tile(params.w2, (k, 1, 1)))
+    params = GcnParams(np.tile(params.w1, len(cfgs)), np.tile(params.w2, (len(cfgs), 1, 1)))
     drop_rng = np.random.default_rng((cfg.seed, 1))
     opt = _Adam([params.w1.shape, params.w2.shape], cfg.lr)
 
@@ -509,8 +494,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
     best_epoch, test_acc = np.zeros(len(cfgs), dtype=int), np.zeros(len(cfgs))
     for epoch in range(1, cfg.epochs + 1):
         loss, ce, _, grads, _ = loss_and_grad(
-            params, ahat, inp, labels, split.train, lap, a_vec,
-            cfg if etas is None else cfgs, rng=drop_rng
+            params, ahat, inp, labels, split.train, lap, a_vec, cfgs, rng=drop_rng
         )
         if not np.all(np.isfinite(loss)):
             eta = cfgs[int(np.argmin(np.isfinite(loss)))].eta
@@ -523,21 +507,35 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
         train_acc = accuracy(x_eval, labels, split.train)
         # recorded regularizer is the raw trace on the clean post-update output
         reg = _reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec, False)[0]
-        row = np.array((loss, ce, train_acc, val_loss, val_acc, reg)).reshape(6, -1)
+        row = np.array((loss, ce, train_acc, val_loss, val_acc, reg))
         history.append(row)
         better = row[4] > best_acc  # row 4: each model's validation accuracy
         if better.any():
             best_acc[better], best_epoch[better] = row[4][better], epoch
-            test_acc[better] = np.reshape(accuracy(x_eval, labels, split.test), -1)[better]
+            test_acc[better] = accuracy(x_eval, labels, split.test)[better]
 
     curves = np.array(history).transpose(2, 1, 0).tolist()  # [model][quantity][epoch]
-    x_eval = x_eval.reshape(-1, *x_eval.shape[-2:])
     runs = [Metrics(c, *curves[i], int(best_epoch[i]), float(test_acc[i]), x_eval[i].copy())
             for i, c in enumerate(cfgs)]
     if analysis:
         for m in runs:
             _attach_analysis(m, g, component_spectrum)
-    return runs if etas is not None else runs[0]
+    return runs[0] if one else runs
+
+
+def _check_sizes(g: Graph, feature_rows: int, labels, split: Split) -> None:
+    """Reject features, labels or split indices that do not fit the graph's
+    nodes, and an empty split part, whose mean loss or accuracy is NaN."""
+    for what, size in (("feature rows", feature_rows), ("labels", labels.shape[0])):
+        if size != g.n:
+            raise ValueError(f"{size} {what} for a graph of {g.n} nodes")
+    for name in ("train", "val", "test"):
+        idx = np.asarray(getattr(split, name))
+        if idx.size == 0:
+            raise ValueError(f"split.{name} is empty")
+        if idx.min() < 0 or idx.max() >= g.n:
+            bad = idx.min() if idx.min() < 0 else idx.max()
+            raise ValueError(f"split.{name} index {bad} outside a graph of {g.n} nodes")
 
 
 def _attach_analysis(metrics: Metrics, g: Graph, component_spectrum) -> None:

@@ -3,10 +3,10 @@
 Nothing under ``src/`` calls these: the transport LP over all couplings, the
 edge tuple of a tree bitmask, the unit-weight minimum tree cover, the inverse
 graph Fourier transform, a recorder for the LPs that ``distributional``
-hands to the simplex solver, one branch per regularizer variant, the
-one-model-at-a-time training loop, the all-pairs block-model sampler, the
-dict-lookup induced subgraph and the per-token ``float()`` parse of Cora
-features.
+hands to the simplex solver, one branch per regularizer variant, one model's
+forward pass and loss gradient on plain n x C arrays, the one-model-at-a-time
+training loop, the all-pairs block-model sampler, the dict-lookup induced
+subgraph and the per-token ``float()`` parse of Cora features.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from distsig.graph import (
     normalized_adjacency,
     read_lines,
 )
-from distsig.regularizer import confidence_weights, softmax_vjp
+from distsig.regularizer import confidence_weights, softmax_rows, softmax_vjp
 from distsig.simplex import InfeasibleError, solve_lp
 
 ORACLE_MAX_M = 6
@@ -106,21 +106,18 @@ def recorded_lps(monkeypatch, run):
     return lps
 
 
-def reg_value_and_grad(variant, o, x, lap, a_vec):
-    """Regularizer value and logit gradient, each variant on its own branch.
-
-    The library computes r, r1 and r2 as one weighted trace; this is the
-    per-variant form it must match bit for bit.
-    """
+def reg_one(variant, o, x, lap, a_vec):
+    """One model's regularizer value and logit gradient on n x C logits and
+    probabilities, each variant on its own branch."""
     if variant == "gcn":
-        return (0.0 if o.ndim == 2 else np.zeros(o.shape[0])), None
+        return 0.0, None
     a = a_vec[:, None]
     if variant == "r3":
-        lo = gnn._spmm(lap, o)
-        return gnn._block_sums(o * lo), 2.0 * lo
-    xl = gnn._spmm(lap, x)
-    l1 = gnn._block_sums(x * xl)
-    l2 = gnn._block_sums((x * x) * a)
+        lo = lap @ o
+        return float(np.sum(o * lo)), 2.0 * lo
+    xl = lap @ x
+    l1 = float(np.sum(x * xl))
+    l2 = float(np.sum((x * x) * a))
     if variant == "r":
         return l1 + l2, softmax_vjp(x, 2.0 * (xl + a * x))
     if variant == "r1":
@@ -130,11 +127,77 @@ def reg_value_and_grad(variant, o, x, lap, a_vec):
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def reg_value_and_grad(variant, o, x, lap, a_vec):
+    """Regularizer values and logit gradients of a K x n x C stack, model by model.
+
+    The library computes r, r1 and r2 as one weighted trace over the whole
+    stack; this is the per-variant, per-model form it must match bit for bit.
+    """
+    per_model = [reg_one(variant, om, xm, lap, a_vec) for om, xm in zip(o, x)]
+    values = np.array([v for v, _ in per_model])
+    if variant == "gcn":
+        return values, None
+    return values, np.stack([grad for _, grad in per_model])
+
+
+def forward_one(w1, w2, ahat, inp, dropout=0.0, rng=None):
+    """One model's forward pass on a ``gnn._SparseInput``, weights d x H and H x C.
+
+    Returns (logits, probabilities, hidden layer, hidden mask or None, the
+    transposed input as dropped).  Draws the same uniforms as the library.
+    """
+    if rng is not None and dropout > 0.0:
+        f, f_t = inp.drop(rng, dropout)
+    else:
+        f, f_t = inp.f, inp.f_t
+    hd = ahat @ (f @ w1)
+    np.maximum(hd, 0.0, out=hd)
+    mask1 = None
+    if rng is not None and dropout > 0.0:
+        mask1 = (rng.random(hd.shape) >= dropout) / (1.0 - dropout)
+        hd *= mask1
+    o = ahat @ (hd @ w2)
+    return o, softmax_rows(o), hd, mask1, f_t
+
+
+def loss_and_grad_one(w1, w2, ahat, inp, labels, train_idx, lap, a_vec, cfg, rng=None):
+    """One model's training loss, cross-entropy, weight gradients and
+    probabilities, step by step on n x C arrays.
+
+    The library trains every model as a member of a stack; this is the
+    single-model objective and backward pass it must reproduce bit for bit.
+    """
+    o, x, hd, mask1, f_t = forward_one(w1, w2, ahat, inp, cfg.dropout, rng)
+    n = o.shape[0]
+    ce = -float(np.mean(np.log(np.maximum(x[train_idx, labels[train_idx]], 1e-12))))
+    d_o = np.zeros_like(o)
+    d_o[train_idx] = x[train_idx]
+    d_o[train_idx, labels[train_idx]] -= 1.0
+    d_o /= train_idx.shape[0]
+    reg, reg_grad = reg_one(cfg.variant, o, x, lap, a_vec)
+    if reg_grad is not None:
+        d_o = d_o + (cfg.eta / n) * reg_grad
+    loss = ce + cfg.eta * (reg / n) + 0.5 * cfg.weight_decay * float(np.sum(w1 ** 2))
+    dz2 = ahat @ d_o
+    dw2 = hd.T @ dz2
+    da1 = dz2 @ w2.T
+    if mask1 is not None:
+        da1 *= mask1
+    da1 *= hd > 0.0
+    dw1 = f_t @ (ahat @ da1) + cfg.weight_decay * w1
+    return loss, ce, (dw1, dw2), x
+
+
+def _accuracy(x, labels, idx):
+    return float(np.mean(np.argmax(x[idx], axis=1) == labels[idx]))
+
+
 def train_one(g, features, labels, split, cfg):
     """One model trained alone, epoch by epoch, without the output analysis.
 
     This is the per-run loop that ``gnn.train`` generalizes to a stack of
-    models; the stack must reproduce it bit for bit, model by model.
+    models; the stack must reproduce it bit for bit, model by model.  It
+    shares only the input, the weight initialization and Adam with it.
     """
     inp = gnn._SparseInput(features)
     labels = np.asarray(labels, dtype=np.int64)
@@ -143,32 +206,33 @@ def train_one(g, features, labels, split, cfg):
     a_vec = confidence_weights(g)
     classes = int(labels.max()) + 1
     params = gnn.init_params(inp.f.shape[1], cfg.hidden, classes, cfg.seed)
+    w1, w2 = params.w1, params.w2[0]
     drop_rng = np.random.default_rng((cfg.seed, 1))
-    opt = gnn._Adam([params.w1.shape, params.w2.shape], cfg.lr)
+    opt = gnn._Adam([w1.shape, w2.shape], cfg.lr)
 
     tl, tc, ta, vl, va, rv = [], [], [], [], [], []
     best_acc, best_epoch, test_acc = -1.0, 0, 0.0
     for epoch in range(1, cfg.epochs + 1):
-        loss, ce, _, grads, _ = gnn.loss_and_grad(
-            params, ahat, inp, labels, split.train, lap, a_vec, cfg, rng=drop_rng
+        loss, ce, grads, _ = loss_and_grad_one(
+            w1, w2, ahat, inp, labels, split.train, lap, a_vec, cfg, rng=drop_rng
         )
         if not np.isfinite(loss):
             raise RuntimeError(f"divergence (non-finite loss) at epoch {epoch}")
-        opt.step([params.w1, params.w2], grads)
+        opt.step([w1, w2], grads)
 
-        o_eval, x_eval, _ = gnn.gcn_forward(params, ahat, inp)
+        o_eval, x_eval, *_ = forward_one(w1, w2, ahat, inp)
         p_val = x_eval[split.val, labels[split.val]]
         val_loss = -float(np.mean(np.log(np.maximum(p_val, 1e-12))))
-        val_acc = gnn.accuracy(x_eval, labels, split.val)
+        val_acc = _accuracy(x_eval, labels, split.val)
         tl.append(loss)
         tc.append(ce)
-        ta.append(gnn.accuracy(x_eval, labels, split.train))
+        ta.append(_accuracy(x_eval, labels, split.train))
         vl.append(val_loss)
         va.append(val_acc)
-        rv.append(reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec)[0])
+        rv.append(reg_one(cfg.variant, o_eval, x_eval, lap, a_vec)[0])
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
-            test_acc = gnn.accuracy(x_eval, labels, split.test)
+            test_acc = _accuracy(x_eval, labels, split.test)
     return gnn.Metrics(cfg, tl, tc, ta, vl, va, rv, best_epoch, test_acc, x_eval)
 
 

@@ -150,19 +150,19 @@ def test_criterion_6_gradient_correctness():
     worst = 0.0
     for variant in ("r", "r1", "r2", "r3"):
         cfg = TrainConfig(variant=variant, eta=0.3, dropout=0.0, weight_decay=1e-3)
-        params = GcnParams(rng.standard_normal((6, 4)) * 0.5,
-                           rng.standard_normal((4, 3)) * 0.5)
+        w1, w2 = rng.standard_normal((6, 4)) * 0.5, rng.standard_normal((4, 3)) * 0.5
+        params = GcnParams(w1, w2[None])  # a stack of one; w2[None] views the live w2
         _, _, _, (dw1, dw2), _ = loss_and_grad(
-            params, ahat, f, y, train_idx, lap, a_vec, cfg
+            params, ahat, f, y, train_idx, lap, a_vec, [cfg]
         )
-        for w, dw in ((params.w1, dw1), (params.w2, dw2)):
+        for w, dw in ((w1, dw1), (w2, dw2[0])):
             for i in range(w.shape[0]):
                 for j in range(w.shape[1]):
                     orig = w[i, j]
                     w[i, j] = orig + h
-                    fp = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, cfg)[0]
+                    fp = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, [cfg])[0][0]
                     w[i, j] = orig - h
-                    fm = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, cfg)[0]
+                    fm = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, [cfg])[0][0]
                     w[i, j] = orig
                     num = (fp - fm) / (2.0 * h)
                     rel = abs(num - dw[i, j]) / max(1.0, abs(dw[i, j]))

@@ -52,6 +52,24 @@ def test_traced_run_reports_work_counters(capsys):
     assert metrics["graph.trees_enumerated"] == report["tree_count"]
     assert metrics["spectral.eig_sym.n"] <= 40
 
+    plain_tr = tracing.Tracer()
+    with plain_tr.install(tracing.targets()):
+        assert cli.main(["train", "--blocks", "20,20", "--variant", "r", "--epochs", "3",
+                         "--val-size", "10", "--test-size", "10"]) == 0
+    capsys.readouterr()
+    plain = tracing.layer_metrics(plain_tr)
+    assert plain["gnn.epochs"] == 3
+    # the forward's span name reads its dropout/rng keywords, and an epoch runs
+    # from loss_and_grad to the eval-side regularizer, each called under its
+    # module name with train as the nearest traced caller; passing those
+    # keywords by position, or calling either under another name or from a
+    # traced helper, would zero these spans without any error
+    for run in (plain, metrics):
+        for name in ("gnn.gcn_forward.train.busy_s", "gnn.gcn_forward.eval.busy_s",
+                     "gnn.gcn_backward.busy_s", "regularizer.reg_value_and_grad.busy_s",
+                     "gnn.epoch_ms.p50"):
+            assert run[name] > 0, name
+
 
 def test_cover_search_positional_signature():
     # the lattice-cell counter reads these four arguments by position

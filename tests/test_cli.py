@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -678,6 +679,55 @@ def test_cora_suite_smoke(tmp_path):
     rows = (out / "summary.csv").read_text().splitlines()
     assert rows[0] == "variant,seed,eta,test_acc,hf_col1,near_uniform,near_one"
     assert [row.split(",")[:2] for row in rows[1:]] == [["gcn", "0"], ["r", "0"]]
+
+
+# A -p plugin for a pytest child: shortens TrainConfig's default training and
+# prints each test's outcome, with the exception type of a failure.
+_SHORT_TRAINING = """
+import inspect
+
+import pytest
+
+from distsig.gnn import TrainConfig
+
+_defaults = list(TrainConfig.__init__.__defaults__)
+_defaults[list(inspect.signature(TrainConfig).parameters).index("epochs")] = {epochs}
+TrainConfig.__init__.__defaults__ = tuple(_defaults)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    rep = (yield).get_result()
+    if rep.when == "call" or rep.failed:
+        kind = call.excinfo.typename if rep.failed else rep.outcome
+        print(f"OUTCOME {{item.name}} {{rep.when}} {{kind}}", flush=True)
+"""
+
+
+def test_cora_criteria_run_on_synthetic_data(tmp_path):
+    # criteria 7b, 7c, 8 and 9 skip without the raw data; here their bodies,
+    # the cora fixtures and _CoraRuns run on a 7-class stand-in with short
+    # training.  The data makes no accuracy claim, so each criterion may fail
+    # its assertions, but nothing else
+    _write_citation_files(tmp_path, n=1640, classes=7, dim=14)
+    (tmp_path / "short_training.py").write_text(_SHORT_TRAINING.format(epochs=2))
+    root = Path(__file__).resolve().parents[1]
+    r = subprocess.run(
+        [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-k", "cora", "-q", "-s",
+         "-p", "short_training", "-p", "no:cacheprovider"],
+        capture_output=True, text=True, cwd=root, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(tmp_path)]),
+                 DISTSIG_DATA_DIR=str(tmp_path)))
+    assert r.returncode in (0, 1), r.stdout + r.stderr
+    outcomes = [line.split()[1:] for line in r.stdout.splitlines() if line.startswith("OUTCOME ")]
+    criteria = {"7b": "test_criterion_7b_cora_accuracy", "7c": "test_criterion_7c_cora_ablation",
+                "8": "test_criterion_8_cora_spectral_shrinkage",
+                "9": "test_criterion_9_cora_nonuniformity"}
+    assert sorted(name for name, _, _ in outcomes) == sorted(criteria.values()), r.stdout
+    for num, name in criteria.items():
+        assert [name, "call", "passed"] in outcomes or [name, "call", "AssertionError"] in outcomes, \
+            r.stdout
+        assert re.search(f"ACCEPTANCE {num} (PASS|FAIL): ", r.stdout), num
 
 
 @pytest.mark.parametrize("n, message", [

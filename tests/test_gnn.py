@@ -246,17 +246,17 @@ def test_laplacian_sparse_matches_dense():
 def test_forward_zero_params_uniform():
     g = build_graph(3, [(0, 1), (1, 2)])
     ahat = normalized_adjacency(g)
-    params = GcnParams(np.zeros((4, 5)), np.zeros((5, 2)))
+    params = GcnParams(np.zeros((4, 5)), np.zeros((5, 2))[None])
     o, x, _ = gcn_forward(params, ahat, np.eye(3, 4))
-    assert np.array_equal(o, np.zeros((3, 2)))
-    assert np.allclose(x, 0.5)
+    assert np.array_equal(o[0], np.zeros((3, 2)))
+    assert np.allclose(x[0], 0.5)
 
 
 def test_forward_single_node_identity():
-    params = GcnParams(np.array([[1.0]]), np.array([[1.0]]))
+    params = GcnParams(np.array([[1.0]]), np.array([[1.0]])[None])
     o, x, _ = gcn_forward(params, np.array([[1.0]]), np.array([[1.0]]))
-    assert np.array_equal(o, [[1.0]])
-    assert np.array_equal(x, [[1.0]])
+    assert np.array_equal(o[0], [[1.0]])
+    assert np.array_equal(x[0], [[1.0]])
 
 
 def test_forward_permutation_equivariance():
@@ -270,11 +270,11 @@ def test_forward_permutation_equivariance():
     edges = [tuple(sorted((int(inv[u]), int(inv[v])))) for u, v in g.edges]
     gp = build_graph(g.n, edges)
     op, _, _ = gcn_forward(params, normalized_adjacency(gp), f[perm])
-    assert np.allclose(op, o[perm], atol=1e-12)
+    assert np.allclose(op[0], o[0][perm], atol=1e-12)
 
 
 def test_forward_nonfinite_error():
-    params = GcnParams(np.full((2, 2), 1e200), np.full((2, 2), 1e200))
+    params = GcnParams(np.full((2, 2), 1e200), np.full((2, 2), 1e200)[None])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
             gcn_forward(params, np.eye(2), np.full((2, 2), 1e200))
@@ -349,9 +349,9 @@ def test_shared_dropout_buffer_matches_fresh_input():
     inp = _SparseInput(f)
     rng_shared, rng_fresh = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(3):
-        got = loss_and_grad(params, ahat, inp, y, train_idx, lap, a_vec, cfg, rng=rng_shared)
-        want = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, cfg, rng=rng_fresh)
-        assert got[0] == want[0]
+        got = loss_and_grad(params, ahat, inp, y, train_idx, lap, a_vec, [cfg], rng=rng_shared)
+        want = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, [cfg], rng=rng_fresh)
+        assert got[0][0] == want[0][0]
         assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3]))
         assert np.array_equal(inp.f.toarray(), f)
 
@@ -407,6 +407,35 @@ def test_train_divergence_reports_epoch():
         train(g, f, y, split, cfg, analysis=False)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("features", "39 feature rows for a graph of 40 nodes"),
+    ("labels", "39 labels for a graph of 40 nodes"),
+    ("train-index", "split.train index 40 outside a graph of 40 nodes"),
+    ("test-index", "split.test index -1 outside a graph of 40 nodes"),
+    ("empty-val", "split.val is empty"),
+], ids=["features", "labels", "train-index", "test-index", "empty-val"])
+def test_train_rejects_inputs_that_do_not_fit_the_graph(monkeypatch, case, message):
+    g, f, y, split = _toy_setup()
+    if case == "features":
+        f = f[:-1]
+    elif case == "labels":
+        y = y[:-1]
+    elif case == "train-index":
+        split = replace(split, train=np.append(split.train, g.n))
+    elif case == "test-index":
+        split = replace(split, test=np.insert(split.test, 0, -1))
+    else:
+        split = replace(split, val=split.val[:0])
+
+    def no_work(*args):
+        raise AssertionError("training started before its inputs were checked")
+
+    monkeypatch.setattr("distsig.gnn._SparseInput", no_work)
+    for etas in (None, ETA_GRID):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(g, f, y, split, TrainConfig(epochs=2), etas=etas, analysis=False)
+
+
 def test_final_loss_below_initial_all_variants():
     g, f, y, split = _toy_setup(seed=3)
     for variant in VARIANTS:
@@ -445,20 +474,20 @@ def test_full_gradient_finite_differences():
     rng = np.random.default_rng(8)
     for variant in VARIANTS:
         cfg = TrainConfig(variant=variant, eta=0.3, dropout=0.0, weight_decay=1e-3)
-        params = GcnParams(rng.standard_normal((6, 4)) * 0.5,
-                           rng.standard_normal((4, 3)) * 0.5)
+        w1, w2 = rng.standard_normal((6, 4)) * 0.5, rng.standard_normal((4, 3)) * 0.5
+        params = GcnParams(w1, w2[None])  # a stack of one; w2[None] views the live w2
         _, _, _, (dw1, dw2), _ = loss_and_grad(
-            params, ahat, f, y, train_idx, lap, a_vec, cfg
+            params, ahat, f, y, train_idx, lap, a_vec, [cfg]
         )
         h = 1e-6
-        for w, dw in ((params.w1, dw1), (params.w2, dw2)):
+        for w, dw in ((w1, dw1), (w2, dw2[0])):
             i = int(rng.integers(w.shape[0]))
             j = int(rng.integers(w.shape[1]))
             orig = w[i, j]
             w[i, j] = orig + h
-            fp = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, cfg)[0]
+            fp = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, [cfg])[0][0]
             w[i, j] = orig - h
-            fm = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, cfg)[0]
+            fm = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, [cfg])[0][0]
             w[i, j] = orig
             num = (fp - fm) / (2.0 * h)
             assert abs(num - dw[i, j]) < 1e-4 * max(1.0, abs(dw[i, j])), variant
@@ -477,22 +506,23 @@ def test_gradient_finite_differences_with_dropout():
     a_vec = confidence_weights(g)
     cfg = TrainConfig(variant="r", eta=0.3, dropout=0.3, weight_decay=1e-3)
     rng = np.random.default_rng(8)
-    params = GcnParams(rng.standard_normal((5, 4)) * 0.5, rng.standard_normal((4, 3)) * 0.5)
+    w1, w2 = rng.standard_normal((5, 4)) * 0.5, rng.standard_normal((4, 3)) * 0.5
+    params = GcnParams(w1, w2[None])  # a stack of one; w2[None] views the live w2
 
     def loss(p):
-        return loss_and_grad(p, ahat, f, y, train_idx, lap, a_vec, cfg,
+        return loss_and_grad(p, ahat, f, y, train_idx, lap, a_vec, [cfg],
                              rng=np.random.default_rng(21))
 
     _, _, _, (dw1, dw2), _ = loss(params)
     assert np.any(dw1 != 0.0)
     h = 1e-6
-    for w, dw in ((params.w1, dw1), (params.w2, dw2)):
+    for w, dw in ((w1, dw1), (w2, dw2[0])):
         for i, j in np.ndindex(w.shape):
             orig = w[i, j]
             w[i, j] = orig + h
-            fp = loss(params)[0]
+            fp = loss(params)[0][0]
             w[i, j] = orig - h
-            fm = loss(params)[0]
+            fm = loss(params)[0][0]
             w[i, j] = orig
             num = (fp - fm) / (2.0 * h)
             assert abs(num - dw[i, j]) < 1e-4 * max(1.0, abs(dw[i, j])), (i, j)

@@ -79,9 +79,11 @@ def test_weightdiag_default_mixed_degrees():
 # regularizer; the dense (L + D) quadratic form below is the test oracle.
 
 def _reg(variant, x, g, a):
-    """Regularizer value and logit gradient at probabilities x (logits feed r3 only)."""
-    return _reg_value_and_grad(variant, None, np.asarray(x, dtype=float),
-                               laplacian_sparse(g), a, True)
+    """Regularizer value and logit gradient at probabilities x (logits feed r3 only),
+    as member 0 of a stack of one."""
+    val, grad = _reg_value_and_grad(variant, None, np.asarray(x, dtype=float)[None],
+                                    laplacian_sparse(g), a, True)
+    return val[0], grad[0]
 
 
 def _raw_l0(x, g, a):
@@ -189,14 +191,15 @@ def _graph_with_pendants(rng, n=200, pendants=10):
 def test_reg_equals_per_variant_oracle_bitwise(variant):
     # r, r1 and r2 are one trace with weight pairs; the oracle keeps one
     # branch per variant, and both must agree bit for bit, value and logit
-    # gradient, for one model and for a stack laid out as training lays it
+    # gradient, for a stack of one and a stack of three laid out as training
+    # lays them
     rng = np.random.default_rng(7)
     g = _graph_with_pendants(rng)
     lap, a_vec = laplacian_sparse(g), confidence_weights(g)
     assert np.any(a_vec == 0.0) and np.any(a_vec < 0.0)
     k, c = 3, 4
     for _ in range(50):
-        for o in (3.0 * rng.standard_normal((g.n, c)),
+        for o in (_blocks(3.0 * rng.standard_normal((g.n, c)), 1),
                   _blocks(3.0 * rng.standard_normal((g.n, k * c)), k)):
             x = softmax_rows(o)
             val, grad = _reg_value_and_grad(variant, o, x, lap, a_vec, True)
