@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from distsig.gnn import VARIANTS, TrainConfig, load_cora_dir, make_split, train, tune_eta
+from distsig.gnn import VARIANTS, TrainConfig, load_cora_dir, make_split, tune_eta
 from distsig.graph import GraphError, main_component
 from distsig.regularizer import nonuniformity_counts
 from distsig.spectral import laplacian_spectrum
@@ -56,12 +56,8 @@ def main():
     for variant in variants:
         accs = []
         for seed, split in enumerate(splits):
-            cfg = TrainConfig(variant=variant, seed=seed)
-            if variant == "gcn":
-                m = train(g, features, labels, split, cfg, component_spectrum=spectrum)
-            else:
-                m, _ = tune_eta(g, features, labels, split, cfg,
-                                component_spectrum=spectrum)
+            m, _ = tune_eta(g, features, labels, split, TrainConfig(variant=variant, seed=seed),
+                            component_spectrum=spectrum)
             accs.append(m.test_acc)
             near_u, near_one = nonuniformity_counts(m.final_probs, 0.01)
             rows.append({

@@ -150,13 +150,9 @@ def cmd_spectrum(args) -> int:
     probs = _read_probs(args.probs, g.n) if args.probs else None
     sub, nodes = main_component(g)
     spec = laplacian_spectrum(sub)
-    norm = not args.no_normalize
 
     def coeffs(signal):
-        x = np.asarray(signal, dtype=float)
-        if norm:
-            x = normalize_unless_constant(x)
-        return gft(spec, x)
+        return gft(spec, normalize_unless_constant(signal))
 
     label_sig = y[nodes].astype(float)
     rand_sig = matched_random_signal(y, args.seed)[nodes]
@@ -193,11 +189,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = gnn.TrainConfig(
-        variant=args.variant, eta=args.eta, epochs=args.epochs, seed=args.seed,
-        hidden=args.hidden, lr=args.lr, weight_decay=args.weight_decay,
-        dropout=args.dropout,
-    )
+    cfg = gnn.TrainConfig(variant=args.variant, eta=args.eta, epochs=args.epochs,
+                          seed=args.seed)
     g, f, y = _load_dataset(args)
     cora = args.dataset == "cora"
     per_class = args.per_class if args.per_class is not None else (20 if cora else 5)
@@ -264,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="label/random/prediction spectra as CSV")
     _add_dataset_args(p, with_features=False)
     p.add_argument("--probs", default=None, help="optional .npy probability matrix")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="skip mean-centering + l2 normalization")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_spectrum)
@@ -282,14 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model variant")
     _add_dataset_args(p)
-    p.add_argument("--variant", choices=gnn.VARIANTS, default="gcn")
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=200)
+    defaults = gnn.TrainConfig()
+    p.add_argument("--variant", choices=gnn.VARIANTS, default=defaults.variant)
+    p.add_argument("--eta", type=float, default=defaults.eta)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--dropout", type=float, default=0.5)
     p.add_argument("--per-class", type=int, default=None,
                    help="training nodes per class (default: 20 cora, 5 otherwise)")
     p.add_argument("--val-size", type=int, default=None)

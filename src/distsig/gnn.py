@@ -123,19 +123,6 @@ class Metrics:
 
 # --- datasets -------------------------------------------------------------
 
-def cora_data_dir(data_dir: str | None = None) -> str | None:
-    return data_dir if data_dir is not None else os.environ.get("DISTSIG_DATA_DIR")
-
-
-def cora_available(data_dir: str | None = None) -> bool:
-    d = cora_data_dir(data_dir)
-    if not d:
-        return False
-    return all(
-        os.path.isfile(os.path.join(d, f)) for f in ("cora.content", "cora.cites")
-    )
-
-
 def load_cora(content_path, cites_path):
     """Parse the raw citation-network format.
 
@@ -198,13 +185,16 @@ def load_cora(content_path, cites_path):
 
 
 def load_cora_dir(data_dir: str | None = None):
-    d = cora_data_dir(data_dir)
-    if not d or not cora_available(d):
+    """``load_cora`` on cora.content and cora.cites in ``data_dir``, by
+    default ``DISTSIG_DATA_DIR``; FileNotFoundError when either is missing."""
+    d = data_dir if data_dir is not None else os.environ.get("DISTSIG_DATA_DIR")
+    paths = [os.path.join(d, f) for f in ("cora.content", "cora.cites")] if d else []
+    if not paths or not all(os.path.isfile(p) for p in paths):
         raise FileNotFoundError(
             "raw Cora files not found; set DISTSIG_DATA_DIR to a directory "
             "containing cora.content and cora.cites"
         )
-    return load_cora(os.path.join(d, "cora.content"), os.path.join(d, "cora.cites"))
+    return load_cora(*paths)
 
 
 SBM_FEAT_DIM = 64
@@ -217,8 +207,7 @@ def sbm_features(n: int) -> np.ndarray:
     return f
 
 
-def sbm_dataset(blocks=(50, 50, 50, 50), p_in: float = 0.1, p_out: float = 0.01,
-                seed: int = 0):
+def sbm_dataset(blocks, p_in: float, p_out: float, seed: int):
     g, y = sbm_generate(blocks, p_in, p_out, seed)
     return g, sbm_features(g.n), y
 
@@ -559,7 +548,6 @@ def output_analysis(g: Graph, probs, *, component_spectrum=None) -> dict:
     return {
         "hf_fraction_per_class": hf,
         "nonuniformity_sweep": nonuniformity_sweep(probs),
-        "entries_total": int(probs.size),
     }
 
 
@@ -581,8 +569,11 @@ def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
 
     The grid trains as one stack (``train`` with ``etas``) without the output
     analysis; with ``analysis`` it then runs once, on the chosen run only.
-    The other runs in ``results`` carry no analysis.
+    The other runs in ``results`` carry no analysis.  eta never enters the
+    plain ``gcn`` loss, so a ``gcn`` config trains the one model ``cfg.eta``.
     """
+    if cfg.variant == "gcn":
+        grid = (cfg.eta,)
     # pass the features on without keeping them here (see ``train``)
     dense = [features]
     del features

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import logging
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -21,8 +22,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-log = logging.getLogger(__name__)
 
 COVER_MAX_EDGES = 20  # the cover search holds 2^|E| sets per level
 # Edge lists this long are checked and sorted in numpy.  Measured on a 2-core
@@ -79,11 +78,12 @@ class Graph:
 def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
-    Rejects self-loops, out-of-range endpoints and duplicate edges, naming the
-    offending edge in the error.  A list, tuple or array of at least
-    ``_ARRAY_MIN_EDGES`` integer pairs is checked and sorted in numpy; every
-    other input, and any input with a fault, goes through the edge loop, so
-    the loop is the reference for the result and for every error message.
+    Rejects an edge that is not a pair of integers, self-loops, out-of-range
+    endpoints and duplicate edges, naming the offending edge in the error.  A
+    list, tuple or array of at least ``_ARRAY_MIN_EDGES`` integer pairs is
+    checked and sorted in numpy; every other input, and any input with a
+    fault, goes through the edge loop, so the loop is the reference for the
+    result and for every error message.
     """
     if n < 1:
         raise GraphError(f"node count must be positive, got {n}")
@@ -95,7 +95,10 @@ def build_graph(n: int, edges) -> Graph:
     canon: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        try:  # operator.index refuses floats, strings and numpy bools
+            u, v = map(operator.index, e)
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {e!r} is not a pair of integers") from None
         if u == v:
             raise GraphError(f"self-loop ({u}, {v}) not allowed")
         if not (0 <= u < n and 0 <= v < n):
@@ -204,19 +207,22 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     return build_graph(len(nodes), np.stack([iu[inside], iv[inside]], axis=1))
 
 
-def spanning_tree_count(g: Graph) -> int:
+def spanning_tree_count(g: Graph) -> int | float:
     """Number of spanning trees via the matrix-tree determinant.
 
-    The Laplacian is written straight into a dense array: this count runs
-    once per bound-corpus instance (n <= 6), where building the CSR
-    ``laplacian_sparse`` first costs about 20 times as much.
+    A count beyond float64's range is ``math.inf``.  The Laplacian is written
+    straight into a dense array: this count runs once per bound-corpus
+    instance (n <= 6), where building the CSR ``laplacian_sparse`` first
+    costs about 20 times as much.
     """
     if g.n == 1:
         return 1
     u, v = g.endpoints
     lap = np.diag(g.degrees)
     lap[u, v] = lap[v, u] = -1.0
-    return int(round(np.linalg.det(lap[1:, 1:])))
+    with np.errstate(over="ignore"):
+        det = np.linalg.det(lap[1:, 1:])
+    return int(round(det)) if np.isfinite(det) else math.inf
 
 
 def enumerate_spanning_trees(g: Graph) -> list[int]:

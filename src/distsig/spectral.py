@@ -147,28 +147,20 @@ def high_freq_fraction(eigenvalues, xhat) -> float:
     return energy / total
 
 
-def normalize_signal(x) -> np.ndarray:
-    """Mean-center and scale to unit l2 norm."""
+def normalize_unless_constant(x) -> np.ndarray:
+    """Mean-center and scale to unit l2 norm, unless the signal is constant.
+
+    A constant signal keeps its raw values: all its energy is at frequency
+    zero, and centering it leaves nothing to scale.
+    """
     x = np.asarray(x, dtype=float)
     centered = x - x.mean()
     nrm = float(np.linalg.norm(centered))
     # the rounded mean of a constant need not equal it: centering can leave a
     # tiny constant, which must not be scaled up to norm 1
     if nrm == 0.0 or x.min() == x.max():
-        raise ValueError("cannot normalize a constant/zero signal")
+        return x
     return centered / nrm
-
-
-def normalize_unless_constant(x) -> np.ndarray:
-    """``normalize_signal``, but a constant signal keeps its raw values.
-
-    Such a signal has all its energy at frequency zero, and centering it
-    leaves nothing to scale.
-    """
-    try:
-        return normalize_signal(x)
-    except ValueError:
-        return np.asarray(x, dtype=float)
 
 
 def matched_random_signal(labels, seed: int) -> np.ndarray:

@@ -11,7 +11,6 @@ import pytest
 from distsig import build_graph
 from distsig.gnn import (
     TrainConfig,
-    cora_available,
     load_cora_dir,
     main_component,
     make_split,
@@ -49,9 +48,10 @@ def k4():
 @pytest.fixture(scope="session")
 def cora():
     """Raw Cora dataset, or skip when the files are not on this machine."""
-    if not cora_available():
+    try:
+        return load_cora_dir()
+    except FileNotFoundError:
         pytest.skip("raw Cora files not present (set DISTSIG_DATA_DIR)")
-    return load_cora_dir()
 
 
 class _CoraRuns:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -35,6 +36,40 @@ def test_no_subcommand(capsys):
 def test_unknown_flag(capsys):
     assert main(["bounds", "--bogus", "1"]) == 2
     capsys.readouterr()
+
+
+def test_option_strings_per_subcommand():
+    # the whole CLI surface: a new flag shows up here as a test edit
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+           for name, p in sub.choices.items()}
+    dataset = ["--dataset", "--graph", "--labels", "--data-dir", "--blocks", "--p-in", "--p-out"]
+    assert got == {
+        "spectrum": dataset + ["--probs", "--seed", "--out"],
+        "bounds": ["--trials", "--seed", "--n", "--m", "--summary-only", "--out"],
+        "train": dataset[:2] + ["--features"] + dataset[2:] + [
+            "--variant", "--eta", "--epochs", "--seed", "--per-class", "--val-size",
+            "--test-size", "--tune", "--out"],
+        "analyze": ["--probs", "--tag", "--out"],
+        "gen-sbm": ["--blocks", "--p-in", "--p-out", "--seed", "--out"],
+    }
+    assert sum(map(len, got.values())) == 41
+
+
+def test_train_defaults_build_the_default_config(monkeypatch, capsys):
+    # the train flags take their defaults from TrainConfig, not copies of them
+    seen = []
+    real = gnn.train
+
+    def spy(g, f, y, split, cfg, **kwargs):
+        seen.append(cfg)
+        return real(g, f, y, split, cfg, **kwargs)
+
+    monkeypatch.setattr(gnn, "train", spy)
+    assert main(["train"]) == 0
+    capsys.readouterr()
+    assert seen == [gnn.TrainConfig()]
 
 
 def test_missing_required_out(capsys):
@@ -250,14 +285,18 @@ def test_train_rerun_byte_identical(tmp_path, capsys):
 
 
 def test_train_tune_flag(tmp_path, capsys):
+    args = ["train", "--dataset", "sbm", "--blocks", "20,20", "--variant", "gcn",
+            "--epochs", "8", "--val-size", "10", "--test-size", "20"]
     out = tmp_path / "tuned.json"
-    rc = main(["train", "--dataset", "sbm", "--blocks", "20,20",
-               "--variant", "gcn", "--epochs", "8", "--tune",
-               "--val-size", "10", "--test-size", "20", "--out", str(out)])
-    assert rc == 0
-    # plain model ignores eta, so the tie resolves to the first grid point
-    assert json.loads(out.read_text())["config"]["eta"] == 0.1
+    assert main(args + ["--tune", "--out", str(out)]) == 0
+    assert main(args + ["--out", str(tmp_path / "plain.json")]) == 0
     capsys.readouterr()
+    # the plain model has no eta to tune: it trains once, at the given eta
+    tuned = json.loads(out.read_text())
+    assert tuned["config"]["eta"] == gnn.TrainConfig().eta
+    assert [t["eta"] for t in tuned["tune"]] == [gnn.TrainConfig().eta]
+    assert (tmp_path / "tuned.json.probs.npy").read_bytes() == \
+        (tmp_path / "plain.json.probs.npy").read_bytes()
 
 
 def test_train_tune_records_every_eta(tmp_path, capsys):
@@ -428,14 +467,9 @@ def test_train_rejects_split_size_below_one(tmp_path, capsys, monkeypatch, flag,
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--lr", "-1"], "lr must be finite and > 0, got -1.0"),
-    (["--lr", "0"], "lr must be finite and > 0, got 0.0"),
-    (["--lr", "nan"], "lr must be finite and > 0, got nan"),
-    (["--weight-decay=-0.5"], "weight_decay must be finite and >= 0, got -0.5"),
     (["--variant", "r", "--eta", "-5"], "eta must be finite and >= 0, got -5.0"),
     (["--variant", "r", "--eta", "inf"], "eta must be finite and >= 0, got inf"),
-], ids=["lr-negative", "lr-zero", "lr-nan", "weight-decay-negative", "eta-negative",
-        "eta-inf"])
+], ids=["eta-negative", "eta-inf"])
 def test_train_rejects_bad_optimiser_values(tmp_path, capsys, monkeypatch, flags, message):
     def no_training(*args, **kwargs):
         raise AssertionError("trained despite a bad optimiser value")

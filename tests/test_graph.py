@@ -1,13 +1,17 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distsig import graph
-from distsig.distributional import random_bound_instance, run_bound_corpus
+from distsig.distributional import random_bound_instance, run_bound_corpus, tv_cover
 from distsig.gnn import sbm_dataset
 from distsig.graph import (
     COVER_MAX_EDGES,
+    TREE_CAP,
     Graph,
     GraphError,
     build_graph,
@@ -67,6 +71,15 @@ def test_build_rejects_duplicate_edge():
         build_graph(3, [(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize("edge", [(0, 1, 7), (0.0, 1.9), ("0", "2"), (np.True_, np.False_), (1,)],
+                         ids=["three-values", "floats", "strings", "numpy-bools", "one-value"])
+def test_build_rejects_edges_that_are_not_integer_pairs(edge):
+    # int() would read the first four as edges and fail on the last with an IndexError
+    message = f"edge {edge!r} is not a pair of integers"
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        build_graph(3, [(1, 2), edge])
+
+
 def _build_both_ways(monkeypatch, n, edges):
     """build_graph's outcome with the edge loop only, and with numpy from any size.
 
@@ -105,7 +118,7 @@ def test_array_threshold_splits_the_benchmark_workloads(monkeypatch):
         random_bound_instance((0, i), max_n=6)
     assert sizes == []
     for seed in range(10):
-        sbm_dataset(seed=seed)
+        sbm_dataset((50, 50, 50, 50), 0.1, 0.01, seed)
     assert len(sizes) == 10 and min(sizes) >= graph._ARRAY_MIN_EDGES
 
 
@@ -167,7 +180,7 @@ def test_array_path_reports_first_of_several_faults(monkeypatch):
 
 
 @pytest.mark.parametrize("edges", [
-    [(float(i), i + 1.5) for i in range(40)],                 # floats: int() truncates
+    [(float(i), i + 1.5) for i in range(40)],                 # floats
     np.array([(i, i + 1) for i in range(40)], dtype=float),
     [(i, i + 1) for i in range(39)] + [(2**70, 1)],            # beyond int64
     [(i, i + 1) for i in range(39)] + [(1, 2**63)],
@@ -300,6 +313,18 @@ def test_enumerate_cap_reports_count():
     k8 = build_graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
     with pytest.raises(GraphError, match="262144"):
         enumerate_spanning_trees(k8)
+
+
+def test_tree_count_beyond_float64_is_over_the_cap():
+    # the matrix-tree determinant of this 200-node graph overflows float64
+    g, _ = sbm_generate([50] * 4, 0.5, 0.2, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy's overflow warning stays quiet
+        assert spanning_tree_count(g) == float("inf")
+        for call in (lambda: enumerate_spanning_trees(g),
+                     lambda: tv_cover(g, np.full((g.n, 2), 0.5))):
+            with pytest.raises(GraphError, match=f"^tree count inf exceeds cap {TREE_CAP}$"):
+                call()
 
 
 def test_enumerate_disconnected():

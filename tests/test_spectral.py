@@ -12,7 +12,6 @@ from distsig.spectral import (
     high_freq_fraction,
     laplacian_spectrum,
     matched_random_signal,
-    normalize_signal,
     normalize_unless_constant,
     total_variation,
 )
@@ -366,7 +365,7 @@ def test_hff_star_does_not_depend_on_the_eigenbasis():
     spec = laplacian_spectrum(star)
     assert np.allclose(spec.eigenvalues, [0.0] + [1.0] * 8 + [10.0], atol=1e-12)
     lap = laplacian_sparse(star).toarray()
-    x = normalize_signal(np.arange(10.0) ** 2)
+    x = normalize_unless_constant(np.arange(10.0) ** 2)
     xhat = gft(spec, x)
     ref = high_freq_fraction(spec.eigenvalues, xhat)
     # the straddling cluster's expected share: half its energy, plus the top coefficient
@@ -386,20 +385,17 @@ def test_hff_star_does_not_depend_on_the_eigenbasis():
 
 def test_normalize_signal(rng):
     x = rng.standard_normal(10) + 3.0
-    z = normalize_signal(x)
+    z = normalize_unless_constant(x)
     assert abs(z.mean()) < 1e-12
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        normalize_signal(np.full(5, 7.0))  # constant: zero after centering
-    with pytest.raises(ValueError):
-        normalize_signal(np.full(38, 0.1))  # constant, though its rounded mean is not 0.1
 
 
-def test_normalize_unless_constant_keeps_constant_raw(rng):
-    x = rng.standard_normal(10) + 3.0
-    assert np.array_equal(normalize_unless_constant(x), normalize_signal(x))
+def test_normalize_unless_constant_keeps_constant_raw():
+    # 7.0 is zero after centering; 0.1 x 38 is constant, though its rounded
+    # mean is not 0.1, so centering leaves a tiny constant
     for c in (np.full(5, 7.0), np.full(38, 0.1), np.zeros(4)):
         assert np.array_equal(normalize_unless_constant(c), c)
+    assert np.full(38, 0.1).mean() != 0.1
 
 
 def test_matched_random_signal():
