@@ -19,9 +19,8 @@ import time
 import numpy as np
 
 from distsig.gnn import VARIANTS, TrainConfig, load_cora_dir, make_split, tune_eta
-from distsig.graph import GraphError, main_component
+from distsig.graph import GraphError
 from distsig.regularizer import nonuniformity_counts
-from distsig.spectral import laplacian_spectrum
 
 
 def main():
@@ -47,8 +46,6 @@ def main():
     except ValueError as exc:  # the citation pair is too small for the split
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sub, nodes = main_component(g)
-    spectrum = (nodes, laplacian_spectrum(sub))
     os.makedirs(args.out_dir, exist_ok=True)
 
     rows = []
@@ -56,8 +53,7 @@ def main():
     for variant in variants:
         accs = []
         for seed, split in enumerate(splits):
-            m, _ = tune_eta(g, features, labels, split, TrainConfig(variant=variant, seed=seed),
-                            component_spectrum=spectrum)
+            m, _ = tune_eta(g, features, labels, split, TrainConfig(variant=variant, seed=seed))
             accs.append(m.test_acc)
             near_u, near_one = nonuniformity_counts(m.final_probs, 0.01)
             rows.append({

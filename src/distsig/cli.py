@@ -18,7 +18,6 @@ from . import gnn
 from .distributional import run_bound_corpus
 from .graph import (
     GraphError,
-    main_component,
     read_graph_file,
     read_labels_file,
     sbm_generate,
@@ -29,7 +28,6 @@ from .regularizer import check_prob_matrix, nonuniformity_sweep, write_nonunifor
 from .spectral import (
     export_spectrum_csv,
     gft,
-    laplacian_spectrum,
     matched_random_signal,
     normalize_unless_constant,
 )
@@ -148,24 +146,14 @@ def _write_json(path, payload) -> None:
 def cmd_spectrum(args) -> int:
     g, _, y = _load_dataset(args)
     probs = _read_probs(args.probs, g.n) if args.probs else None
-    sub, nodes = main_component(g)
-    spec = laplacian_spectrum(sub)
-
-    def coeffs(signal):
-        return gft(spec, normalize_unless_constant(signal))
-
-    label_sig = y[nodes].astype(float)
-    rand_sig = matched_random_signal(y, args.seed)[nodes]
-    export_spectrum_csv(f"{args.out}_label.csv", spec.eigenvalues, coeffs(label_sig))
-    export_spectrum_csv(f"{args.out}_random.csv", spec.eigenvalues, coeffs(rand_sig))
-    written = 2
+    nodes, spec = gnn.component_spectrum(g)
+    signals = {"label": y.astype(float), "random": matched_random_signal(y, args.seed)}
     if probs is not None:
-        for s in range(probs.shape[1]):
-            export_spectrum_csv(
-                f"{args.out}_class{s}.csv", spec.eigenvalues, coeffs(probs[nodes, s])
-            )
-            written += 1
-    print(f"wrote {written} spectrum file(s) with prefix {args.out}")
+        signals.update((f"class{s}", probs[:, s]) for s in range(probs.shape[1]))
+    for name, signal in signals.items():
+        export_spectrum_csv(f"{args.out}_{name}.csv", spec.eigenvalues,
+                            gft(spec, normalize_unless_constant(signal[nodes])))
+    print(f"wrote {len(signals)} spectrum file(s) with prefix {args.out}")
     return EXIT_OK
 
 

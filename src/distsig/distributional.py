@@ -8,7 +8,6 @@ notions built on it, and the inequality chains relating them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,14 +147,11 @@ def tv_exact(g: Graph, marginals) -> float:
     n, m = x.shape
     if m ** n > JOINT_TABLE_CAP:
         raise ValueError(f"state space too large: m^n = {m ** n} exceeds cap {JOINT_TABLE_CAP}")
-    states = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
-    cost = np.zeros(states.shape[0])
-    for u, v in g.edges:
-        cost += (states[:, u] != states[:, v]).astype(float)
-    a = np.zeros((n * m, states.shape[0]))
-    for i in range(n):
-        for s in range(m):
-            a[i * m + s] = (states[:, i] == s).astype(float)
+    states = np.indices((m,) * n).reshape(n, -1)  # column j: node labels of joint state j
+    eu, ev = g.endpoints
+    cost = (states[eu] != states[ev]).sum(axis=0, dtype=float)
+    # row i*m + s marks the states that give node i label s
+    a = (states[:, None, :] == np.arange(m)[:, None]).reshape(n * m, -1).astype(float)
     b = x.ravel()
     try:
         _, val = solve_lp(cost, a, b)

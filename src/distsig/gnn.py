@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,6 +151,8 @@ def load_cora(content_path, cites_path):
             rows.append(np.array(fv, dtype=float))
         except ValueError:
             raise GraphError(f"{content_path}:{lineno}: non-numeric feature value") from None
+        if not np.isfinite(rows[-1]).all():  # nan, inf, or beyond float range (1e400)
+            raise GraphError(f"{content_path}:{lineno}: non-finite feature value")
         ids[pid] = len(ids)
         labels_raw.append(label)
     if not ids:
@@ -447,7 +450,7 @@ class _Adam:
 
 
 def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=None,
-          analysis: bool = True, component_spectrum=None):
+          analysis: bool = True):
     """Train one model per eta of ``etas`` as one stack; deterministic.
 
     The models share the initial weights and every dropout draw and differ
@@ -508,7 +511,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
             for i, c in enumerate(cfgs)]
     if analysis:
         for m in runs:
-            _attach_analysis(m, g, component_spectrum)
+            _attach_analysis(m, g)
     return runs[0] if one else runs
 
 
@@ -527,20 +530,30 @@ def _check_sizes(g: Graph, feature_rows: int, labels, split: Split) -> None:
             raise ValueError(f"split.{name} index {bad} outside a graph of {g.n} nodes")
 
 
-def _attach_analysis(metrics: Metrics, g: Graph, component_spectrum) -> None:
-    an = output_analysis(g, metrics.final_probs, component_spectrum=component_spectrum)
+def _attach_analysis(metrics: Metrics, g: Graph) -> None:
+    an = output_analysis(g, metrics.final_probs)
     metrics.hf_fraction_per_class = an["hf_fraction_per_class"]
     metrics.nonuniformity = an["nonuniformity_sweep"]
 
 
-def output_analysis(g: Graph, probs, *, component_spectrum=None) -> dict:
+_SPECTRA = weakref.WeakKeyDictionary()  # graph -> its component_spectrum, while it lives
+
+
+def component_spectrum(g: Graph):
+    """``(nodes, spectrum)`` of ``g``'s main component, decomposed at most once
+    while ``g`` lives; equal live graphs share the (deterministic) result, and
+    every caller gets the same objects, which none may modify."""
+    pair = _SPECTRA.get(g)
+    if pair is None:
+        sub, nodes = main_component(g)
+        pair = _SPECTRA[g] = (nodes, laplacian_spectrum(sub))
+    return pair
+
+
+def output_analysis(g: Graph, probs) -> dict:
     """Spectral profile per class column (on the main component) + count sweep."""
     probs = np.asarray(probs, dtype=float)
-    if component_spectrum is None:
-        sub, nodes = main_component(g)
-        spectrum = laplacian_spectrum(sub)
-    else:
-        nodes, spectrum = component_spectrum
+    nodes, spectrum = component_spectrum(g)
     hf = []
     for s in range(probs.shape[1]):
         col = normalize_unless_constant(probs[nodes, s])
@@ -564,7 +577,7 @@ def best_run(runs: list[Metrics]) -> Metrics:
 
 
 def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
-             analysis: bool = True, component_spectrum=None):
+             analysis: bool = True):
     """Grid-search eta by best validation accuracy; first grid entry wins ties.
 
     The grid trains as one stack (``train`` with ``etas``) without the output
@@ -580,5 +593,5 @@ def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
     results = train(g, dense.pop(), labels, split, cfg, etas=grid, analysis=False)
     best = best_run(results)
     if analysis:
-        _attach_analysis(best, g, component_spectrum)
+        _attach_analysis(best, g)
     return best, results

@@ -3,11 +3,14 @@
 Nothing under ``src/`` calls these: the transport LP over all couplings, the
 edge tuple of a tree bitmask, the unit-weight minimum tree cover, the inverse
 graph Fourier transform, a recorder for the LPs that ``distributional``
-hands to the simplex solver, one branch per regularizer variant, one model's
+hands to the simplex solver, the per-edge and per-(node, label) loop build
+of the joint-coupling LP, one branch per regularizer variant, one model's
 forward pass and loss gradient on plain n x C arrays, the one-model-at-a-time
 training loop, the all-pairs block-model sampler, the dict-lookup induced
 subgraph and the per-token ``float()`` parse of Cora features.
 """
+
+import itertools
 
 import numpy as np
 
@@ -104,6 +107,21 @@ def recorded_lps(monkeypatch, run):
     run()
     monkeypatch.undo()
     return lps
+
+
+def joint_lp_by_loops(g, x):
+    """``tv_exact``'s (cost, A, b): one variable per joint state in
+    ``itertools.product`` order, one marginal row per (node, label)."""
+    n, m = x.shape
+    states = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
+    cost = np.zeros(states.shape[0])
+    for u, v in g.edges:
+        cost += (states[:, u] != states[:, v]).astype(float)
+    a = np.zeros((n * m, states.shape[0]))
+    for i in range(n):
+        for s in range(m):
+            a[i * m + s] = (states[:, i] == s).astype(float)
+    return cost, a, x.ravel()
 
 
 def reg_one(variant, o, x, lap, a_vec):

@@ -490,6 +490,19 @@ def test_train_cora_without_data_dir(tmp_path, capsys, monkeypatch):
     assert "DISTSIG_DATA_DIR" in capsys.readouterr().err
 
 
+def test_train_cora_rejects_non_finite_features(tmp_path, capsys):
+    # the file is rejected as it is read, before training could meet the value
+    _write_citation_files(tmp_path)
+    content = tmp_path / "cora.content"
+    lines = content.read_text().splitlines(keepends=True)
+    pid, _, rest = lines[1].split(" ", 2)
+    lines[1] = f"{pid} nan {rest}"
+    content.write_text("".join(lines))
+    rc = main(["train", "--dataset", "cora", "--data-dir", str(tmp_path), "--epochs", "2"])
+    assert rc == 3
+    assert "cora.content:2: non-finite feature value" in capsys.readouterr().err
+
+
 def test_train_bad_variant(capsys):
     assert main(["train", "--variant", "mystery"]) == 2
     assert main(["train", "--variant", "lap"]) == 2

@@ -25,7 +25,7 @@ from distsig.distributional import (
 )
 from distsig.graph import GraphError, build_graph, laplacian_sparse
 from distsig.simplex import solve_lp
-from oracles import coupling_lp_oracle, recorded_lps, tree_edges
+from oracles import coupling_lp_oracle, joint_lp_by_loops, recorded_lps, tree_edges
 
 
 def _dirichlet_pair(rng, m):
@@ -261,6 +261,18 @@ def test_tv_exact_table_cap():
     x = np.tile([0.5, 0.25, 0.25], (7, 1))
     with pytest.raises(ValueError, match="too large"):
         tv_exact(g, x)
+
+
+def test_tv_exact_lp_bitwise_equal_to_loop_build_on_corpus(monkeypatch):
+    # the numpy build of the joint LP gives the loops' arrays, bit for bit,
+    # on criterion 2's instances
+    for i in range(500):
+        g, nn = random_bound_instance((0, i))
+        lps = recorded_lps(monkeypatch, lambda: tv_exact(g, nn))
+        assert len(lps) == 1
+        for got, want in zip(lps[0], joint_lp_by_loops(g, nn.matrix)):
+            assert got.dtype == want.dtype and got.shape == want.shape, i
+            assert got.tobytes() == want.tobytes(), i
 
 
 def test_tv_exact_joint_reproduces_marginals(triangle, rng, monkeypatch):

@@ -1,4 +1,7 @@
+import gc
+import inspect
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import oracles
+from distsig import cli, gnn, spectral
 from distsig.gnn import (
     ETA_GRID,
     SBM_ETA_GRID,
@@ -17,6 +21,7 @@ from distsig.gnn import (
     VARIANTS,
     accuracy,
     best_run,
+    component_spectrum,
     gcn_forward,
     init_params,
     load_cora,
@@ -149,12 +154,11 @@ def test_load_features_bitwise_equal_to_float_parse(tmp_path):
         rows.append(" ".join([f"p{i}", *map(repr, vals.tolist()), f"c{i % 3}"]))
     rows.append("zero " + " ".join(["0"] * 25) + " c0")
     rows.append("odd 1_0 １ -0 .5 1. +1 1e5 0_0.5 ١ " + " ".join(["0"] * 16) + " c1")
-    rows.append("nans nan inf 1e400 " + " ".join(["1"] * 22) + " c2")
-    rows.append("negs -inf 1e-400 -0 " + " ".join(["0"] * 22) + " c2")
+    rows.append("negs 1e-400 -0 " + " ".join(["0"] * 23) + " c2")
     cp, qp = _write(tmp_path, content="\n".join(rows) + "\n", cites="p0 p1\n")
     _, f, _, _ = load_cora(cp, qp)
     want = oracles.cora_features_by_float(cp)
-    assert f.dtype == want.dtype and f.shape == want.shape == (64, 25)
+    assert f.dtype == want.dtype and f.shape == want.shape == (63, 25)
     assert f.tobytes() == want.tobytes()
 
 
@@ -166,6 +170,16 @@ def test_load_rejects_the_tokens_float_rejects(tmp_path, token):
     with pytest.raises(GraphError) as err:
         load_cora(cp, qp)
     assert str(err.value) == f"{cp}:2: non-numeric feature value"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400", "-inf"])
+def test_load_rejects_non_finite_tokens(tmp_path, token):
+    # float() parses these (1e400 overflows to inf), but no feature may be
+    # non-finite: training would fail on its first forward pass
+    cp, qp = _write(tmp_path, content=f"n1 1 0 1 a\nn2 0 {token} 1 b\n", cites="")
+    with pytest.raises(GraphError) as err:
+        load_cora(cp, qp)
+    assert str(err.value) == f"{cp}:2: non-finite feature value"
 
 
 def test_load_empty_cites_warns(tmp_path, caplog):
@@ -655,3 +669,76 @@ def test_output_analysis_hf_range():
     g, f, y, split = _toy_setup(seed=9)
     m = train(g, f, y, split, TrainConfig(epochs=15))
     assert all(0.0 <= h <= 1.0 for h in m.hf_fraction_per_class)
+
+
+def _count_eig_sym(monkeypatch):
+    """The sizes of the matrices ``spectral.eig_sym`` decomposes from now on."""
+    calls = []
+    real = spectral.eig_sym
+
+    def spy(mat, *args, **kwargs):
+        calls.append(mat.shape[0])
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eig_sym", spy)
+    return calls
+
+
+def test_component_spectrum_dies_with_its_graph(monkeypatch):
+    calls = _count_eig_sym(monkeypatch)
+    g = sbm_dataset((9, 8, 7), 0.5, 0.1, seed=11)[0]
+    nodes, spec = component_spectrum(g)
+    again = component_spectrum(g)
+    assert again[0] is nodes and again[1] is spec and len(calls) == 1
+    twin = build_graph(g.n, g.edges)
+    assert twin is not g and twin in gnn._SPECTRA  # equal graphs share an entry
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None
+    assert twin not in gnn._SPECTRA
+    again = component_spectrum(twin)
+    assert len(calls) == 2
+    assert again[0] == nodes and again[1].eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+
+
+def test_stacked_train_decomposes_once(monkeypatch):
+    g, f, y, split = _toy_setup(seed=5)
+    calls = _count_eig_sym(monkeypatch)
+    runs = train(g, f, y, split, TrainConfig(variant="r", epochs=10), etas=(0.1, 0.2, 0.5))
+    assert len(calls) == 1
+    del g
+    for m in runs:
+        # a new, equal graph for each plain run: each derives its own spectrum
+        g, f, y, split = _toy_setup(seed=5)
+        alone = train(g, f, y, split, m.config)
+        assert m.to_json_dict() == alone.to_json_dict()  # hf_fraction_per_class included
+    assert len(calls) == 4
+
+
+def test_cli_runs_decompose_their_own_graphs(tmp_path, monkeypatch, capsys):
+    # each run reads or builds its graph afresh, and the spectrum dies with
+    # it: a run never reuses an earlier run's eigendecomposition
+    calls = _count_eig_sym(monkeypatch)
+    outs = []
+    for k in range(2):
+        out = tmp_path / f"run{k}.json"
+        assert cli.main(["train", "--blocks", "20,20", "--variant", "r", "--epochs", "2",
+                         "--val-size", "10", "--test-size", "10", "--tune",
+                         "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    capsys.readouterr()
+    assert len(calls) == 2
+    assert outs[0] == outs[1]
+
+
+def test_keyword_parameters_of_the_training_entry_points():
+    # the library's option surface: a new keyword shows up here as a test edit
+    def keywords(fn):
+        return {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                if p.kind is p.KEYWORD_ONLY or p.default is not p.empty}
+
+    assert keywords(train) == {"etas": None, "analysis": True}
+    assert keywords(tune_eta) == {"grid": ETA_GRID, "analysis": True}
+    assert keywords(output_analysis) == {}
+    assert keywords(component_spectrum) == {}
