@@ -25,12 +25,7 @@ from .graph import (
     write_labels_file,
 )
 from .regularizer import check_prob_matrix, nonuniformity_sweep, write_nonuniformity_csv
-from .spectral import (
-    export_spectrum_csv,
-    gft,
-    matched_random_signal,
-    normalize_unless_constant,
-)
+from .spectral import export_spectrum_csv, matched_random_signal
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -146,13 +141,11 @@ def _write_json(path, payload) -> None:
 def cmd_spectrum(args) -> int:
     g, _, y = _load_dataset(args)
     probs = _read_probs(args.probs, g.n) if args.probs else None
-    nodes, spec = gnn.component_spectrum(g)
     signals = {"label": y.astype(float), "random": matched_random_signal(y, args.seed)}
     if probs is not None:
         signals.update((f"class{s}", probs[:, s]) for s in range(probs.shape[1]))
     for name, signal in signals.items():
-        export_spectrum_csv(f"{args.out}_{name}.csv", spec.eigenvalues,
-                            gft(spec, normalize_unless_constant(signal[nodes])))
+        export_spectrum_csv(f"{args.out}_{name}.csv", *gnn.component_gft(g, signal))
     print(f"wrote {len(signals)} spectrum file(s) with prefix {args.out}")
     return EXIT_OK
 

@@ -210,35 +210,51 @@ def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
 def _tree_bound_batch(x, eu, ev, l1, rho, in_tree) -> np.ndarray:
     """``tv_tree_rooted`` for the trees whose edge sets are the rows of in_tree."""
     b, n = in_tree.shape[0], x.shape[0]
-    adj = np.zeros((b, n, n), dtype=bool)
+    adj = np.zeros((b, n, n))
     adj[:, eu, ev] = in_tree
     adj[:, ev, eu] = in_tree
-    # dist[t, a, c] is the tree distance; keep[t, a, c] the retention along
-    # the path a -> c, one step at a time from a, filled in BFS depth order
-    dist = np.full((b, n, n), n, dtype=np.intp)
-    keep = np.ones((b, n, n, x.shape[1]))
-    front = np.broadcast_to(np.eye(n, dtype=bool), (b, n, n)).copy()
-    dist[front] = 0
+    # dist[t, w, a] is the tree distance; keep[t, w, a] the retention along
+    # the path a -> w, one step at a time from a, filled in BFS depth order
+    dist = np.full((b, n, n), n, dtype=np.int16)
+    dist[:, np.arange(n), np.arange(n)] = 0
+    keep = np.ones((b * n * n, x.shape[1]))  # flat [t, w, a]
+    rho = rho.reshape(n * n, -1)
+    # front[t, c, a] is n + c for the nodes c at depth d - 1 from a, else 0,
+    # so adj @ front sums n + c over a node's frontier neighbours: n + c for
+    # one neighbour, 2n or more for two (small integers, so exact)
+    weights = np.arange(n, 2 * n, dtype=float)[:, None]
+    front = np.broadcast_to(np.diag(weights[:, 0]), (b, n, n))
     for d in range(1, n):
-        step = front[:, :, :, None] & adj[:, None, :, :]  # [t, a, c, w]: c -> w
-        front = step.any(axis=2) & (dist == n)
-        t, a, w = np.nonzero(front)
-        if t.size == 0:
+        hit = adj @ front
+        new = np.flatnonzero((hit > 0.0) & (dist == n))
+        if new.size == 0:
             break
-        c = step[t, a, :, w].argmax(axis=1)
-        dist[t, a, w] = d
-        keep[t, a, w] = keep[t, a, c] * rho[c, w]
+        c = hit.ravel()[new].astype(np.intp) - n  # the predecessor of w on the path from a
+        if (c >= n).any():  # two paths from a meet: the edge set has a cycle
+            raise GraphError("tree does not span its host")
+        w = new // n % n
+        dist.ravel()[new] = d
+        keep[new] = keep[new + (c - w) * n] * rho[c * n + w]
+        front = (dist == d) * weights
     if (dist == n).any():
         raise GraphError("tree does not span its host")
+    keep = keep.reshape(b, n, n, -1)
+    # tree edges keep l1; every tree leaves out the same number of host
+    # edges, and off[t, j] is the j-th edge (u, v) that tree t leaves out
+    off = np.nonzero(~in_tree)[1].reshape(b, -1)
+    ou, ov = eu[off], ev[off]
+    tb = np.arange(b)[:, None]
     # the deepest common ancestor of u and v under root r is the node on the
-    # u-v path nearest r: the median of r, u and v
-    k = (dist[:, :, None, :] + dist[:, eu][:, None] + dist[:, ev][:, None]).argmin(axis=-1)
-    tb = np.arange(b)[:, None, None]
-    via = (x[eu] + x[ev] - 2.0 * x[k] * keep[tb, k, eu] * keep[tb, k, ev]).sum(axis=-1)
-    term = np.where(in_tree[:, None, :], l1, via)
+    # u-v path nearest r: the median k[t, j, r] of r, u and v
+    k = (dist[:, None] + (dist[tb, ou] + dist[tb, ov])[:, :, None]).argmin(axis=-1)
+    # the transport term depends on r only through k: take it at every node
+    at = (x[ou] + x[ov])[:, :, None] - 2.0 * x * keep[tb, ou] * keep[tb, ov]
+    term = np.empty((b, eu.size, n))  # [t, e, r]
+    term[:] = l1[:, None]
+    term[tb, off] = np.take_along_axis(at.sum(axis=-1), k, axis=-1)
     total = np.zeros((b, n))
     for e in range(eu.size):  # in g.edges order: the same running sum as one edge at a time
-        total += term[:, :, e]
+        total += term[:, e]
     return total
 
 
@@ -319,8 +335,8 @@ def random_bound_instance(key, max_n: int = 6, max_m: int = 3) -> tuple[Graph, M
     n = int(rng.integers(2, max_n + 1))
     m = int(rng.integers(2, max_m + 1))
     p = float(rng.uniform(0.3, 0.9))
+    iu, ju = np.triu_indices(n, 1)
     while True:
-        iu, ju = np.triu_indices(n, 1)
         keep = rng.random(iu.size) < p
         g = build_graph(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
         if is_connected(g):

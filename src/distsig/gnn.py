@@ -550,14 +550,20 @@ def component_spectrum(g: Graph):
     return pair
 
 
+def component_gft(g: Graph, signal) -> tuple[np.ndarray, np.ndarray]:
+    """The main component's eigenvalues and the transform of ``signal`` on it.
+
+    ``signal`` has one value per node of ``g``; its main-component part is
+    normalized by ``normalize_unless_constant`` before the transform.
+    """
+    nodes, spectrum = component_spectrum(g)
+    return spectrum.eigenvalues, gft(spectrum, normalize_unless_constant(signal[nodes]))
+
+
 def output_analysis(g: Graph, probs) -> dict:
     """Spectral profile per class column (on the main component) + count sweep."""
     probs = np.asarray(probs, dtype=float)
-    nodes, spectrum = component_spectrum(g)
-    hf = []
-    for s in range(probs.shape[1]):
-        col = normalize_unless_constant(probs[nodes, s])
-        hf.append(high_freq_fraction(spectrum.eigenvalues, gft(spectrum, col)))
+    hf = [high_freq_fraction(*component_gft(g, probs[:, s])) for s in range(probs.shape[1])]
     return {
         "hf_fraction_per_class": hf,
         "nonuniformity_sweep": nonuniformity_sweep(probs),

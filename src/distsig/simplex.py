@@ -23,27 +23,31 @@ class UnboundedError(RuntimeError):
 def _pivot(tab, row, col):
     """Scale ``row`` so its ``col`` entry is 1, then clear ``col`` elsewhere.
 
-    Only rows with a nonzero ``col`` entry are updated, each by the same
-    ``row_i -= a_i * row`` as a row-by-row loop, so results (zero signs
-    included) are bitwise equal to it.
+    One subtraction over the whole tableau gives each row with a nonzero
+    ``col`` entry the same ``row_i -= a_i * row`` as a row-by-row loop: one
+    rounded product, then one rounded difference.  The other rows, which the
+    loop skips, subtract a product row of +0.0, and x - (+0.0) is x for every
+    x, so results (zero signs included) are bitwise equal to the loop.
     """
-    tab[row] /= tab[row, col]
+    pivot_row = tab[row]
+    pivot_row /= pivot_row[col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    rows = factors.nonzero()[0]
-    tab[rows] -= factors[rows, None] * tab[row]
+    prod = factors[:, None] * pivot_row
+    prod[factors == 0.0] = 0.0
+    tab -= prod
 
 
 def _run_phase(tab, basis, cost, max_iter):
     """Optimize the tableau in place for the given cost vector.
 
-    tab rows are the constraint rows [coeffs | rhs]; basis maps row -> basic
+    tab rows are the constraint rows [coeffs | rhs], then a zero row that
+    this fills with the reduced costs of ``cost``; basis maps row -> basic
     column.  Returns the reduced-cost row at optimality.
     """
     tol = PIVOT_TOL
-    m, width = tab.shape
-    ncols = width - 1
-    red = np.zeros(width)
+    m, ncols = tab.shape[0] - 1, tab.shape[1] - 1
+    red = tab[m]
     red[:ncols] = cost
     for i in range(m):
         if red[basis[i]] != 0.0:
@@ -55,16 +59,17 @@ def _run_phase(tab, basis, cost, max_iter):
         enter = int(candidates[0])
         # ratio test over the rows with a positive pivot entry, in row order;
         # ties broken by smallest basic variable index (Bland)
-        rows = (tab[:, enter] > tol).nonzero()[0]
-        ratios = tab[rows, -1] / tab[rows, enter]
+        col = tab[:m, enter]
+        rows = (col > tol).nonzero()[0]
+        ratios = tab[:m, -1][rows] / col[rows]
         leave, best, best_var = -1, np.inf, None
         for i, r in zip(rows.tolist(), ratios.tolist()):
             if r < best - tol or (abs(r - best) <= tol and (best_var is None or basis[i] < best_var)):
                 leave, best, best_var = i, r, basis[i]
         if leave < 0:
             raise UnboundedError("unbounded objective")
+        # red[enter] < -tol, so the same elimination updates the reduced costs
         _pivot(tab, leave, enter)
-        red -= red[enter] * tab[leave]
         basis[leave] = enter
     raise RuntimeError("simplex iteration cap exceeded")
 
@@ -87,6 +92,7 @@ def solve_lp(c, a_eq, b_eq):
 
     # phase 1: artificial basis, drive the artificials to zero
     tab = np.hstack([a, np.eye(m), b[:, None]])
+    tab = np.vstack([tab, np.zeros(n + m + 1)])  # room for the reduced costs
     basis = list(range(n, n + m))
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
     red = _run_phase(tab, basis, cost1, max_iter)
@@ -96,6 +102,7 @@ def solve_lp(c, a_eq, b_eq):
 
     # kick residual artificials out of the basis; a row with no real pivot
     # is a redundant constraint and gets dropped
+    tab = tab[:m]  # phase 2 sets up its own reduced costs
     keep = []
     for i in range(m):
         if basis[i] >= n:
@@ -106,6 +113,7 @@ def solve_lp(c, a_eq, b_eq):
             _pivot(tab, i, basis[i])
         keep.append(i)
     tab = np.hstack([tab[keep][:, :n], tab[keep][:, -1:]])
+    tab = np.vstack([tab, np.zeros(n + 1)])
     basis = [basis[i] for i in keep]
 
     _run_phase(tab, basis, c, max_iter)

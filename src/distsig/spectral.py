@@ -125,6 +125,7 @@ def high_freq_fraction(eigenvalues, xhat) -> float:
     that straddles the cut counts by the share of its positions above it:
     the expected split of its energy over uniformly random bases of the
     cluster, so the result does not depend on the basis LAPACK returns.
+    With n = 1 the fraction is 0: the only coefficient sits at eigenvalue 0.
     """
     vals = np.asarray(eigenvalues, dtype=float)
     xhat = np.asarray(xhat, dtype=float)
@@ -134,6 +135,8 @@ def high_freq_fraction(eigenvalues, xhat) -> float:
     if total == 0.0:
         raise ValueError("zero vector has no spectral profile")
     n = xhat.shape[0]
+    if n == 1:
+        return 0.0
     cut = n // 2  # 0-based index of the first position above n/2
     tol = _RESID_TOL * max(1.0, float(np.max(np.abs(vals))))
     starts = np.flatnonzero(np.diff(vals) > tol) + 1  # cluster starts, bar the first

@@ -235,6 +235,28 @@ def test_tree_bound_single_node():
     assert np.array_equal(tv_tree_rooted(g, trees, [[1.0]]), np.zeros((1, 1)))
 
 
+def test_tree_bound_tree_host_and_single_edge_equal_oracle():
+    # no edge is left out of the tree: every term is the plain l1 difference
+    x = np.random.default_rng(4).dirichlet(np.ones(3), size=6)
+    for g in (build_graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]),
+              build_graph(2, [(0, 1)])):
+        trees = enumerate_spanning_trees(g)
+        assert trees == [(1 << g.m) - 1]
+        got = tv_tree_rooted(g, trees, x[:g.n])
+        want = [[tree_rooted_oracle(g, trees[0], r, x[:g.n]) for r in range(g.n)]]
+        assert np.array_equal(got, want)
+
+
+def test_tree_bound_rejects_edge_set_with_even_cycle():
+    # n - 1 edges: the 4-cycle 2-3-4-5 plus edge (0, 1).  From node 2 the
+    # breadth-first search reaches node 4 through both 3 and 5, so a kernel
+    # that sums the frontier neighbours' labels would index past node n - 1
+    g = build_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5), (0, 2)])
+    cycle = sum(1 << i for i, e in enumerate(g.edges) if e != (0, 2))
+    with pytest.raises(GraphError, match="span"):
+        tv_tree_rooted(g, [cycle], np.full((6, 2), 0.5))
+
+
 def test_tree_bound_rejects_non_spanning_edge_set():
     g = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     cycle = 0b1011  # edges (0, 1), (0, 2), (1, 2): node 3 left out

@@ -671,6 +671,15 @@ def test_output_analysis_hf_range():
     assert all(0.0 <= h <= 1.0 for h in m.hf_fraction_per_class)
 
 
+def test_output_analysis_one_node_main_component():
+    # an edgeless graph's main component is node 0 alone: no high frequencies
+    n = 30
+    labels = np.arange(n) % 2
+    split = make_split(labels, 5, 5, 10, seed=0)
+    m = train(build_graph(n, []), np.eye(n), labels, split, TrainConfig(epochs=3))
+    assert m.hf_fraction_per_class == [0.0, 0.0]
+
+
 def _count_eig_sym(monkeypatch):
     """The sizes of the matrices ``spectral.eig_sym`` decomposes from now on."""
     calls = []

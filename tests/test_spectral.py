@@ -341,6 +341,13 @@ def test_hff_strict_index_boundary():
     assert abs(high_freq_fraction(np.arange(4.0), xhat) - 0.5) < 1e-12
 
 
+def test_hff_one_node_is_all_low_frequency():
+    # the only coefficient sits at eigenvalue 0, below any cut
+    assert high_freq_fraction([0.0], [1.0]) == 0.0
+    spec = laplacian_spectrum(build_graph(1, []))
+    assert high_freq_fraction(spec.eigenvalues, gft(spec, np.array([0.7]))) == 0.0
+
+
 def test_hff_rejects_length_mismatch():
     with pytest.raises(ValueError, match="do not match"):
         high_freq_fraction(np.arange(3.0), np.ones(4))
