@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from distsig.gnn import VARIANTS, TrainConfig, load_cora_dir, make_split, tune_eta
+from distsig.gnn import CORA_SPLIT, VARIANTS, TrainConfig, load_cora_dir, make_split, tune_eta
 from distsig.graph import GraphError
 from distsig.regularizer import nonuniformity_counts
 
@@ -42,7 +42,7 @@ def main():
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        splits = [make_split(labels, 20, 500, 1000, seed) for seed in range(args.seeds)]
+        splits = [make_split(labels, *CORA_SPLIT, seed) for seed in range(args.seeds)]
     except ValueError as exc:  # the citation pair is too small for the split
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,9 +3,9 @@
 
 Trains the plain model and the validation-tuned regularized variant over a
 seed sweep on two synthetic setups (an easy 2-block graph and the harder
-4-block one) and prints per-seed test accuracies.  Each seed is one stacked
-``train`` call over eta 0 and the grid: the eta-0 member is bitwise the plain
-model, and the tuned one is the best-validation member of the rest.
+4-block one, ``gnn.SBM_4BLOCK``) and prints per-seed test accuracies.  Each
+seed is one ``gnn.sbm_trend`` call, the protocol that acceptance criterion 7a
+also runs.
 """
 
 import argparse
@@ -14,31 +14,27 @@ import time
 
 import numpy as np
 
-from distsig.gnn import SBM_ETA_GRID, TrainConfig, best_run, make_split, sbm_dataset, train
+from distsig.gnn import SBM_4BLOCK, sbm_trend
 
+# (blocks, p_in, p_out) of each setup
 SETUPS = {
-    "2block": dict(blocks=(100, 100), p_in=0.2, p_out=0.01),
-    "4block": dict(blocks=(50, 50, 50, 50), p_in=0.1, p_out=0.01),
+    "2block": ((100, 100), 0.2, 0.01),
+    "4block": SBM_4BLOCK,
 }
 
 
-def run_setup(name, spec, seeds, variant):
+def run_setup(name, setup, seeds, variant):
     diffs = []
-    print(f"--- {name}: blocks {spec['blocks']}, "
-          f"p_in {spec['p_in']}, p_out {spec['p_out']} ---")
+    blocks, p_in, p_out = setup
+    print(f"--- {name}: blocks {blocks}, p_in {p_in}, p_out {p_out} ---")
     for seed in seeds:
-        g, f, y = sbm_dataset(spec["blocks"], spec["p_in"], spec["p_out"], seed=seed)
-        split = make_split(y, 5, 50, 100, seed)
-        base, *tuned = train(g, f, y, split, TrainConfig(variant=variant, seed=seed),
-                             etas=(0.0,) + SBM_ETA_GRID, analysis=False)
-        best = best_run(tuned)
+        base, best = sbm_trend(setup, seed, variant)
         d = best.test_acc - base.test_acc
         diffs.append(d)
         print(f"seed {seed}: gcn {base.test_acc:.3f}  {variant} {best.test_acc:.3f} "
               f"(eta {best.config.eta})  diff {d:+.3f}")
     print(f"mean diff {np.mean(diffs):+.4f}, "
           f"nonnegative {sum(d >= 0 for d in diffs)}/{len(diffs)}")
-    return diffs
 
 
 def main():

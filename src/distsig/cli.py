@@ -173,11 +173,10 @@ def cmd_train(args) -> int:
     cfg = gnn.TrainConfig(variant=args.variant, eta=args.eta, epochs=args.epochs,
                           seed=args.seed)
     g, f, y = _load_dataset(args)
-    cora = args.dataset == "cora"
-    per_class = args.per_class if args.per_class is not None else (20 if cora else 5)
-    val_size = args.val_size if args.val_size is not None else (500 if cora else 50)
-    test_size = args.test_size if args.test_size is not None else (1000 if cora else 100)
-    split = gnn.make_split(y, per_class, val_size, test_size, args.seed)
+    protocol = gnn.CORA_SPLIT if args.dataset == "cora" else gnn.SBM_SPLIT
+    sizes = [given if given is not None else default for given, default in
+             zip((args.per_class, args.val_size, args.test_size), protocol)]
+    split = gnn.make_split(y, *sizes, args.seed)
     # pass the features on without keeping them here: training holds them
     # as CSR and frees the dense matrix before the first epoch
     dense = [f]
@@ -226,9 +225,15 @@ def _add_dataset_args(p: argparse.ArgumentParser, with_features: bool = True):
         p.add_argument("--features", default=None, help="feature matrix (.npy or text)")
     p.add_argument("--labels", default=None, help="labels file for --dataset file")
     p.add_argument("--data-dir", default=None, help="override DISTSIG_DATA_DIR")
-    p.add_argument("--blocks", default="50,50,50,50", help="SBM block sizes")
-    p.add_argument("--p-in", type=float, default=0.1)
-    p.add_argument("--p-out", type=float, default=0.01)
+    _add_sbm_args(p)
+
+
+def _add_sbm_args(p: argparse.ArgumentParser):
+    """--blocks, --p-in and --p-out, defaulting to ``gnn.SBM_4BLOCK``."""
+    blocks, p_in, p_out = gnn.SBM_4BLOCK
+    p.add_argument("--blocks", default=",".join(map(str, blocks)), help="SBM block sizes")
+    p.add_argument("--p-in", type=float, default=p_in)
+    p.add_argument("--p-out", type=float, default=p_out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=defaults.epochs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--per-class", type=int, default=None,
-                   help="training nodes per class (default: 20 cora, 5 otherwise)")
+                   help=f"training nodes per class (default: {gnn.CORA_SPLIT[0]} cora, "
+                        f"{gnn.SBM_SPLIT[0]} otherwise)")
     p.add_argument("--val-size", type=int, default=None)
     p.add_argument("--test-size", type=int, default=None)
     p.add_argument("--tune", action="store_true", help="grid-search eta on validation")
@@ -274,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gen-sbm", help="sample a block-model graph to files")
-    p.add_argument("--blocks", default="50,50,50,50")
-    p.add_argument("--p-in", type=float, default=0.1)
-    p.add_argument("--p-out", type=float, default=0.01)
+    _add_sbm_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_gen_sbm)

@@ -517,10 +517,15 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
 
 def _check_sizes(g: Graph, feature_rows: int, labels, split: Split) -> None:
     """Reject features, labels or split indices that do not fit the graph's
-    nodes, and an empty split part, whose mean loss or accuracy is NaN."""
+    nodes, a negative label, which the loss would read as the last class, and
+    an empty split part, whose mean loss or accuracy is NaN."""
     for what, size in (("feature rows", feature_rows), ("labels", labels.shape[0])):
         if size != g.n:
             raise ValueError(f"{size} {what} for a graph of {g.n} nodes")
+    negative = labels < 0
+    if negative.any():
+        node = int(np.argmax(negative))
+        raise ValueError(f"node {node} has negative label {labels[node]}")
     for name in ("train", "val", "test"):
         idx = np.asarray(getattr(split, name))
         if idx.size == 0:
@@ -575,11 +580,32 @@ ETA_GRID = (0.1, 0.2, 0.5, 1.0)
 # scales the stable eta range down by the same factor, so their grid reaches
 # one decade below ETA_GRID
 SBM_ETA_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
+# the two accuracy protocols: the 4-block model as sbm_dataset's (blocks,
+# p_in, p_out), and make_split's (per_class, val_size, test_size) for block
+# models and for the citation network
+SBM_4BLOCK = ((50, 50, 50, 50), 0.1, 0.01)
+SBM_SPLIT = (5, 50, 100)
+CORA_SPLIT = (20, 500, 1000)
 
 
 def best_run(runs: list[Metrics]) -> Metrics:
     """The run with the best validation accuracy; the first of equal maxima."""
     return max(runs, key=lambda m: max(m.val_acc))
+
+
+def sbm_trend(setup, seed: int, variant: str) -> tuple[Metrics, Metrics]:
+    """One seed of the block-model trend study: (plain run, tuned run).
+
+    Draws ``sbm_dataset(*setup, seed=seed)`` and its ``SBM_SPLIT`` split and
+    trains one stack over ``(0.0,) + SBM_ETA_GRID`` without the output
+    analysis.  The eta-0 member is bitwise the plain model, and the tuned run
+    is ``best_run`` of the other members, as ``tune_eta`` would pick it.
+    """
+    g, f, y = sbm_dataset(*setup, seed=seed)
+    split = make_split(y, *SBM_SPLIT, seed)
+    base, *tuned = train(g, f, y, split, TrainConfig(variant=variant, seed=seed),
+                         etas=(0.0,) + SBM_ETA_GRID, analysis=False)
+    return base, best_run(tuned)
 
 
 def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,

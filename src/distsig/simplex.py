@@ -53,10 +53,11 @@ def _run_phase(tab, basis, cost, max_iter):
         if red[basis[i]] != 0.0:
             red -= red[basis[i]] * tab[i]
     for _ in range(max_iter):
-        candidates = (red[:ncols] < -tol).nonzero()[0]
-        if candidates.size == 0:
+        # Bland's entering column: the first with a negative reduced cost
+        neg = red[:ncols] < -tol
+        enter = int(np.argmax(neg))
+        if not neg[enter]:
             return red
-        enter = int(candidates[0])
         # ratio test over the rows with a positive pivot entry, in row order;
         # ties broken by smallest basic variable index (Bland)
         col = tab[:m, enter]

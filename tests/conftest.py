@@ -10,6 +10,7 @@ import pytest
 
 from distsig import build_graph
 from distsig.gnn import (
+    CORA_SPLIT,
     TrainConfig,
     load_cora_dir,
     make_split,
@@ -68,7 +69,7 @@ class _CoraRuns:
         self.train_seconds = 0.0
 
     def split(self, seed):
-        return make_split(self.labels, 20, 500, 1000, seed)
+        return make_split(self.labels, *CORA_SPLIT, seed)
 
     def run(self, variant, seed, eta=0.5):
         key = (variant, seed, eta)

@@ -12,7 +12,7 @@ import pytest
 
 from distsig import cli, gnn
 from distsig.cli import main
-from distsig.graph import main_component
+from distsig.graph import main_component, read_graph_file, read_labels_file
 from distsig.spectral import export_spectrum_csv, gft, high_freq_fraction, laplacian_spectrum
 
 
@@ -57,19 +57,32 @@ def test_option_strings_per_subcommand():
     assert sum(map(len, got.values())) == 41
 
 
-def test_train_defaults_build_the_default_config(monkeypatch, capsys):
-    # the train flags take their defaults from TrainConfig, not copies of them
+def test_train_defaults_build_the_default_config(monkeypatch, capsys, tmp_path):
+    # the train flags take their defaults from TrainConfig, and the dataset
+    # and split flags theirs from gnn.SBM_4BLOCK and gnn.SBM_SPLIT, not
+    # copies of them
     seen = []
     real = gnn.train
 
     def spy(g, f, y, split, cfg, **kwargs):
-        seen.append(cfg)
+        seen.append((g, f, y, split, cfg))
         return real(g, f, y, split, cfg, **kwargs)
 
     monkeypatch.setattr(gnn, "train", spy)
     assert main(["train"]) == 0
     capsys.readouterr()
-    assert seen == [gnn.TrainConfig()]
+    [(g, f, y, split, cfg)] = seen
+    assert cfg == gnn.TrainConfig()
+    want_g, want_f, want_y = gnn.sbm_dataset(*gnn.SBM_4BLOCK, seed=0)
+    assert g == want_g and np.array_equal(f, want_f) and np.array_equal(y, want_y)
+    want_split = gnn.make_split(want_y, *gnn.SBM_SPLIT, 0)
+    for part in ("train", "val", "test"):
+        assert np.array_equal(getattr(split, part), getattr(want_split, part))
+    # a bare gen-sbm writes the same graph
+    assert main(["gen-sbm", "--out", str(tmp_path / "g")]) == 0
+    capsys.readouterr()
+    assert read_graph_file(tmp_path / "g.graph") == want_g
+    assert np.array_equal(read_labels_file(tmp_path / "g.labels"), want_y)
 
 
 def test_missing_required_out(capsys):
@@ -726,6 +739,18 @@ def test_cora_suite_smoke(tmp_path):
     rows = (out / "summary.csv").read_text().splitlines()
     assert rows[0] == "variant,seed,eta,test_acc,hf_col1,near_uniform,near_one"
     assert [row.split(",")[:2] for row in rows[1:]] == [["gcn", "0"], ["r", "0"]]
+
+
+def test_sbm_trend_script_runs_the_gate_protocol():
+    # the script's 4-block seed is criterion 7a's seed: one gnn.sbm_trend call
+    r = _run_script("run_sbm_trend.py", "--seeds", "1", "--setup", "4block")
+    assert r.returncode == 0, r.stderr
+    base, best = gnn.sbm_trend(gnn.SBM_4BLOCK, 0, "r")
+    blocks, p_in, p_out = gnn.SBM_4BLOCK
+    lines = r.stdout.splitlines()
+    assert lines[0] == f"--- 4block: blocks {blocks}, p_in {p_in}, p_out {p_out} ---"
+    assert lines[1].startswith(f"seed 0: gcn {base.test_acc:.3f}  r {best.test_acc:.3f} "
+                               f"(eta {best.config.eta})  diff ")
 
 
 # A -p plugin for a pytest child: shortens TrainConfig's default training and

@@ -12,7 +12,9 @@ import oracles
 from distsig import cli, gnn, spectral
 from distsig.gnn import (
     ETA_GRID,
+    SBM_4BLOCK,
     SBM_ETA_GRID,
+    SBM_SPLIT,
     _SparseInput,
     GcnParams,
     Metrics,
@@ -438,7 +440,8 @@ def test_train_divergence_reports_epoch():
     ("train-index", "split.train index 40 outside a graph of 40 nodes"),
     ("test-index", "split.test index -1 outside a graph of 40 nodes"),
     ("empty-val", "split.val is empty"),
-], ids=["features", "labels", "train-index", "test-index", "empty-val"])
+    ("negative-label", "node 0 has negative label -1"),
+], ids=["features", "labels", "train-index", "test-index", "empty-val", "negative-label"])
 def test_train_rejects_inputs_that_do_not_fit_the_graph(monkeypatch, case, message):
     g, f, y, split = _toy_setup()
     if case == "features":
@@ -449,6 +452,8 @@ def test_train_rejects_inputs_that_do_not_fit_the_graph(monkeypatch, case, messa
         split = replace(split, train=np.append(split.train, g.n))
     elif case == "test-index":
         split = replace(split, test=np.insert(split.test, 0, -1))
+    elif case == "negative-label":  # class 0 relabelled -1
+        y = np.where(y == 0, -1, y)
     else:
         split = replace(split, val=split.val[:0])
 
@@ -581,8 +586,8 @@ def test_test_acc_is_the_best_epoch_output():
 
 
 def _stack_cases():
-    g, f, y = sbm_dataset((50, 50, 50, 50), 0.1, 0.01, seed=0)
-    yield g, f, y, make_split(y, 5, 50, 100, seed=0), SBM_ETA_GRID
+    g, f, y = sbm_dataset(*SBM_4BLOCK, seed=0)
+    yield g, f, y, make_split(y, *SBM_SPLIT, seed=0), SBM_ETA_GRID
     g, _, y = sbm_dataset((20, 20, 20), 0.3, 0.05, seed=1)
     yield g, _sparse_features(n=60, d=40, seed=3), y, make_split(y, 5, 15, 20, seed=1), ETA_GRID
 

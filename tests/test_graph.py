@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from distsig import graph
 from distsig.distributional import random_bound_instance, run_bound_corpus, tv_cover
-from distsig.gnn import sbm_dataset
+from distsig.gnn import SBM_4BLOCK, sbm_dataset
 from distsig.graph import (
     COVER_MAX_EDGES,
     TREE_CAP,
@@ -118,7 +118,7 @@ def test_array_threshold_splits_the_benchmark_workloads(monkeypatch):
         random_bound_instance((0, i), max_n=6)
     assert sizes == []
     for seed in range(10):
-        sbm_dataset((50, 50, 50, 50), 0.1, 0.01, seed)
+        sbm_dataset(*SBM_4BLOCK, seed)
     assert len(sizes) == 10 and min(sizes) >= graph._ARRAY_MIN_EDGES
 
 
@@ -143,9 +143,9 @@ def test_array_path_equals_loop_on_valid_lists(monkeypatch):
             if len(edges):
                 assert graph._canonical_edges_array(n, edges) == want.edges
     monkeypatch.setattr(graph, "_ARRAY_MIN_EDGES", 1 << 62)
-    g = sbm_generate([50, 50, 50, 50], 0.1, 0.01, seed=3)[0]
+    g = sbm_generate(*SBM_4BLOCK, seed=3)[0]
     monkeypatch.undo()
-    assert sbm_generate([50, 50, 50, 50], 0.1, 0.01, seed=3)[0] == g
+    assert sbm_generate(*SBM_4BLOCK, seed=3)[0] == g
 
 
 @pytest.mark.parametrize("fault", [(7, 7), (3, 30), (30, 3), (-1, 4), (4, -1),
@@ -426,7 +426,7 @@ def test_sbm_empty():
 
 
 def test_sbm_edge_count_in_range():
-    g, _ = sbm_generate([50, 50, 50, 50], 0.1, 0.01, seed=7)
+    g, _ = sbm_generate(*SBM_4BLOCK, seed=7)
     # mean 640, std ~24.3; 4 sigma
     assert 543 <= g.m <= 737
 
