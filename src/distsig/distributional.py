@@ -24,7 +24,7 @@ from .graph import (
     enumerate_spanning_trees,
     is_connected,
 )
-from .simplex import InfeasibleError, solve_lp
+from .simplex import solve_lp
 
 JOINT_TABLE_CAP = 729  # 3^6 table entries
 
@@ -45,7 +45,8 @@ class Marginals:
             raise ValueError(f"negative entry {np.min(x):.3e}")
         rs = x.sum(axis=1)
         bad = np.argmax(np.abs(rs - 1.0))
-        # solve_lp's phase-1 test (1e-9) fails the joint LP once row sums disagree by more
+        # tv_exact's staircase start is negative only in its last cell, by node
+        # 0's row-sum shortfall on another node; solve_lp refuses below -1e-9
         if abs(rs[bad] - 1.0) > 1e-9:
             raise ValueError(f"row {bad} sums to {rs[bad]!r}, not 1")
         x = np.maximum(x, 0.0)
@@ -140,8 +141,8 @@ def tv_l1_l2(g: Graph, marginals) -> tuple[float, float]:
 def tv_exact(g: Graph, marginals) -> float:
     """Smallest expected edgewise disagreement over all joint couplings.
 
-    Solves the exact linear program on the full joint table; only feasible for
-    m^n within the table cap.
+    Solves the exact linear program on the full joint table, from its
+    north-west-corner staircase; only feasible for m^n within the table cap.
     """
     x = _checked_marginals(g, marginals).matrix
     n, m = x.shape
@@ -150,14 +151,28 @@ def tv_exact(g: Graph, marginals) -> float:
     states = np.indices((m,) * n).reshape(n, -1)  # column j: node labels of joint state j
     eu, ev = g.endpoints
     cost = (states[eu] != states[ev]).sum(axis=0, dtype=float)
-    # row i*m + s marks the states that give node i label s
-    a = (states[:, None, :] == np.arange(m)[:, None]).reshape(n * m, -1).astype(float)
-    b = x.ravel()
+    # a row per (node, label): all labels of node 0, all but the last of the
+    # others, whose last-label rows follow from the joint table's total
+    nodes = np.concatenate([np.zeros(m, dtype=np.intp), np.repeat(np.arange(1, n), m - 1)])
+    labels = np.concatenate([np.arange(m), np.tile(np.arange(m - 1), n - 1)])
+    a = (states[nodes] == labels[:, None]).astype(float)
+    # the north-west-corner staircase: each state the pointers name, from all
+    # at label 0, is a cell; each step takes the least mass left at the pointers
+    # from every node, then moves on the pointer below label m - 1 with the
+    # least mass left (lowest node on ties)
+    mass = x.tolist()
+    at, left, cells = [0] * n, [row[0] for row in mass], [0]
+    for _ in range(n * (m - 1)):
+        t = min(left)
+        left = [r - t for r in left]
+        i = min((r, i) for i, r in enumerate(left) if at[i] < m - 1)[1]
+        at[i] += 1
+        left[i] = mass[i][at[i]]
+        cells.append(cells[-1] + m ** (n - 1 - i))
     try:
-        _, val = solve_lp(cost, a, b)
-    except InfeasibleError as e:
-        raise RuntimeError(f"joint coupling LP infeasible for valid marginals: {e}") from e
-    return max(val, 0.0)
+        return solve_lp(cost, a, x[nodes, labels], cells)[1]
+    except ValueError as e:
+        raise RuntimeError(f"joint coupling LP has no start for valid marginals: {e}") from e
 
 
 def _rho(mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Dense primal simplex with Bland's rule, from a feasible basis the caller gives.
 
 Solves min c.x subject to A x = b, x >= 0.  Sized for the tiny exact
 transport programs in this package (hundreds of variables, tens of rows);
@@ -10,10 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 PIVOT_TOL = 1e-12
-
-
-class InfeasibleError(RuntimeError):
-    pass
+START_TOL = 1e-9  # the most negative start value a basis may give
 
 
 class UnboundedError(RuntimeError):
@@ -75,52 +72,39 @@ def _run_phase(tab, basis, cost, max_iter):
     raise RuntimeError("simplex iteration cap exceeded")
 
 
-def solve_lp(c, a_eq, b_eq):
-    """Return (x, value) minimizing c.x over {x >= 0 : A x = b}.
+def solve_lp(c, a_eq, b_eq, basis):
+    """Return (x, value) minimizing c.x over {x >= 0 : A x = b}, in at most
+    200 * (rows + columns + 10) pivots after the start.
 
-    Each phase is capped at 200 * (rows + columns + 10) pivots.
+    ``basis`` holds one column per row, each pivoted in turn on the unused row
+    with the largest |entry|; a basis that cannot start raises ``ValueError``.
     """
     c = np.asarray(c, dtype=float)
-    a = np.asarray(a_eq, dtype=float).copy()
-    b = np.asarray(b_eq, dtype=float).copy()
-    m, n = a.shape
-    if b.shape != (m,) or c.shape != (n,):
+    m, n = np.shape(a_eq)
+    if np.shape(b_eq) != (m,) or c.shape != (n,):
         raise ValueError("LP dimension mismatch")
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-    max_iter = 200 * (m + n + 10)
+    if len(basis) != m or len(set(basis)) != m or not all(0 <= j < n for j in basis):
+        raise ValueError(f"basis must be {m} distinct columns in [0, {n}), got {list(basis)}")
 
-    # phase 1: artificial basis, drive the artificials to zero
-    tab = np.hstack([a, np.eye(m), b[:, None]])
-    tab = np.vstack([tab, np.zeros(n + m + 1)])  # room for the reduced costs
-    basis = list(range(n, n + m))
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    red = _run_phase(tab, basis, cost1, max_iter)
-    phase1_val = -red[-1]
-    if phase1_val > 1e-9:
-        raise InfeasibleError(f"no feasible point (phase-1 value {phase1_val:.3e})")
+    tab = np.zeros((m + 1, n + 1))  # the last row is room for the reduced costs
+    tab[:m, :n] = a_eq
+    tab[:m, n] = b_eq
+    by_row = [-1] * m
+    for j in basis:
+        size = np.abs(tab[:m, j])
+        size[np.asarray(by_row) >= 0] = 0.0
+        row = int(np.argmax(size))
+        if not size[row] > PIVOT_TOL:
+            raise ValueError(f"basis column {j} has no pivot above {PIVOT_TOL:g} in an unused row")
+        _pivot(tab, row, j)
+        by_row[row] = j
+    start = np.min(tab[:m, n], initial=0.0)
+    if start < -START_TOL:
+        raise ValueError(f"basis start value {start:.3e} is below -{START_TOL:g}")
 
-    # kick residual artificials out of the basis; a row with no real pivot
-    # is a redundant constraint and gets dropped
-    tab = tab[:m]  # phase 2 sets up its own reduced costs
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            cols = (np.abs(tab[i, :n]) > PIVOT_TOL).nonzero()[0]
-            if cols.size == 0:
-                continue
-            basis[i] = int(cols[0])
-            _pivot(tab, i, basis[i])
-        keep.append(i)
-    tab = np.hstack([tab[keep][:, :n], tab[keep][:, -1:]])
-    tab = np.vstack([tab, np.zeros(n + 1)])
-    basis = [basis[i] for i in keep]
-
-    _run_phase(tab, basis, c, max_iter)
+    _run_phase(tab, by_row, c, 200 * (m + n + 10))
     x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        x[bi] = tab[i, -1]
+    x[by_row] = tab[:m, n]
     # degenerate pivots can leave -1e-15 sized dust
     if np.min(x) < -1e-7:
         raise RuntimeError(f"negative component {np.min(x):.3e} in solution")

@@ -1,13 +1,16 @@
 """Independent routes that the tests compare the library against.
 
-Nothing under ``src/`` calls these: the transport LP over all couplings, the
-edge tuple of a tree bitmask, the unit-weight minimum tree cover, the inverse
-graph Fourier transform, a recorder for the LPs that ``distributional``
-hands to the simplex solver, the per-edge and per-(node, label) loop build
-of the joint-coupling LP, one branch per regularizer variant, one model's
-forward pass and loss gradient on plain n x C arrays, the one-model-at-a-time
-training loop, the all-pairs block-model sampler, the dict-lookup induced
-subgraph and the per-token ``float()`` parse of Cora features.
+Nothing under ``src/`` calls these: the two-phase simplex that needs no
+starting basis, the transport LP over all couplings, the edge tuple of a
+tree bitmask, the unit-weight minimum tree cover, the inverse graph Fourier
+transform, a recorder for the LPs that ``distributional`` hands to the
+simplex solver, the per-edge and per-(node, label) loop build of the
+joint-coupling LP and its staircase start, the joint LP on every marginal
+row through the two-phase simplex, one branch per regularizer variant, one
+model's forward pass and loss gradient on plain n x C arrays, the
+one-model-at-a-time training loop, the all-pairs block-model sampler, the
+dict-lookup induced subgraph and the per-token ``float()`` parse of Cora
+features.
 """
 
 import itertools
@@ -27,7 +30,7 @@ from distsig.graph import (
     read_lines,
 )
 from distsig.regularizer import confidence_weights, softmax_rows, softmax_vjp
-from distsig.simplex import InfeasibleError, solve_lp
+from distsig.simplex import PIVOT_TOL, _pivot, _run_phase, solve_lp
 
 ORACLE_MAX_M = 6
 
@@ -48,10 +51,67 @@ def transport_lp(mu, nu):
     return cost, a, np.concatenate([x, y])
 
 
+class InfeasibleError(RuntimeError):
+    pass
+
+
+def solve_lp_two_phase(c, a_eq, b_eq):
+    """Return (x, value) minimizing c.x over {x >= 0 : A x = b}, with no
+    starting basis: phase 1 drives artificial columns out, then phase 2
+    optimizes.  A (near) zero row left after phase 1 is a redundant
+    constraint and is dropped.  Each phase is capped at 200 * (rows +
+    columns + 10) pivots.
+    """
+    c = np.asarray(c, dtype=float)
+    a = np.asarray(a_eq, dtype=float).copy()
+    b = np.asarray(b_eq, dtype=float).copy()
+    m, n = a.shape
+    if b.shape != (m,) or c.shape != (n,):
+        raise ValueError("LP dimension mismatch")
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+    max_iter = 200 * (m + n + 10)
+
+    # phase 1: artificial basis, drive the artificials to zero
+    tab = np.hstack([a, np.eye(m), b[:, None]])
+    tab = np.vstack([tab, np.zeros(n + m + 1)])  # room for the reduced costs
+    basis = list(range(n, n + m))
+    red = _run_phase(tab, basis, np.concatenate([np.zeros(n), np.ones(m)]), max_iter)
+    phase1_val = -red[-1]
+    if phase1_val > 1e-9:
+        raise InfeasibleError(f"no feasible point (phase-1 value {phase1_val:.3e})")
+
+    # kick residual artificials out of the basis; a row with no real pivot
+    # is a redundant constraint and gets dropped
+    tab = tab[:m]  # phase 2 sets up its own reduced costs
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            cols = (np.abs(tab[i, :n]) > PIVOT_TOL).nonzero()[0]
+            if cols.size == 0:
+                continue
+            basis[i] = int(cols[0])
+            _pivot(tab, i, basis[i])
+        keep.append(i)
+    tab = np.hstack([tab[keep][:, :n], tab[keep][:, -1:]])
+    tab = np.vstack([tab, np.zeros(n + 1)])
+    basis = [basis[i] for i in keep]
+
+    _run_phase(tab, basis, c, max_iter)
+    x = np.zeros(n)
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i, -1]
+    if np.min(x) < -1e-7:
+        raise RuntimeError(f"negative component {np.min(x):.3e} in solution")
+    x = np.maximum(x, 0.0)
+    return x, float(c @ x)
+
+
 def coupling_lp_oracle(mu, nu) -> float:
     """Exact transport LP over all couplings; the independent check route."""
     try:
-        _, val = solve_lp(*transport_lp(mu, nu))
+        _, val = solve_lp_two_phase(*transport_lp(mu, nu))
     except InfeasibleError as e:  # pragma: no cover - valid inputs are feasible
         raise RuntimeError(f"coupling LP infeasible: {e}") from e
     return max(val, 0.0)
@@ -96,12 +156,12 @@ def igft(spec, xhat) -> np.ndarray:
 
 
 def recorded_lps(monkeypatch, run):
-    """Every (c, A, b) that ``run()`` hands to the library's solve_lp."""
+    """Every (c, A, b, basis) that ``run()`` hands to the library's solve_lp."""
     lps = []
 
-    def record(c, a, b):
-        lps.append((np.array(c), np.array(a), np.array(b)))
-        return solve_lp(c, a, b)
+    def record(c, a, b, basis):
+        lps.append((np.array(c), np.array(a), np.array(b), np.array(basis)))
+        return solve_lp(c, a, b, basis)
 
     monkeypatch.setattr(distributional, "solve_lp", record)
     run()
@@ -109,19 +169,57 @@ def recorded_lps(monkeypatch, run):
     return lps
 
 
-def joint_lp_by_loops(g, x):
-    """``tv_exact``'s (cost, A, b): one variable per joint state in
-    ``itertools.product`` order, one marginal row per (node, label)."""
-    n, m = x.shape
-    states = np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
+def _joint_states(n, m):
+    """The joint states in ``itertools.product`` order, one row each."""
+    return np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int64)
+
+
+def _joint_cost(g, states):
     cost = np.zeros(states.shape[0])
     for u, v in g.edges:
         cost += (states[:, u] != states[:, v]).astype(float)
+    return cost
+
+
+def joint_lp_by_loops(g, x):
+    """``tv_exact``'s (cost, A, b, basis): one variable per joint state in
+    ``itertools.product`` order; one marginal row per label of node 0, then
+    per label but the last of each other node; and the staircase cells."""
+    n, m = x.shape
+    states = _joint_states(n, m)
+    rows = [(0, s) for s in range(m)] + [(i, s) for i in range(1, n) for s in range(m - 1)]
+    a = np.zeros((len(rows), states.shape[0]))
+    for k, (i, s) in enumerate(rows):
+        a[k] = (states[:, i] == s).astype(float)
+    b = np.array([x[i, s] for i, s in rows])
+    index = {tuple(st): j for j, st in enumerate(states.tolist())}
+    at = [0] * n
+    left = [float(x[i, 0]) for i in range(n)]
+    cells = [index[tuple(at)]]
+    while any(s < m - 1 for s in at):
+        t = min(left)
+        left = [r - t for r in left]
+        movable = [i for i in range(n) if at[i] < m - 1]
+        i = min(movable, key=lambda i: (left[i], i))
+        at[i] += 1
+        left[i] = float(x[i, at[i]])
+        cells.append(index[tuple(at)])
+    return _joint_cost(g, states), a, b, np.array(cells)
+
+
+def tv_exact_two_phase(g, x) -> float:
+    """The joint-coupling LP on every (node, label) marginal row, through
+    the two-phase simplex: ``tv_exact`` with no staircase and no dropped
+    rows."""
+    x = x.matrix if isinstance(x, distributional.Marginals) else np.asarray(x, dtype=float)
+    n, m = x.shape
+    states = _joint_states(n, m)
     a = np.zeros((n * m, states.shape[0]))
     for i in range(n):
         for s in range(m):
             a[i * m + s] = (states[:, i] == s).astype(float)
-    return cost, a, x.ravel()
+    _, val = solve_lp_two_phase(_joint_cost(g, states), a, x.ravel())
+    return max(val, 0.0)
 
 
 def reg_one(variant, o, x, lap, a_vec):

@@ -71,6 +71,20 @@ def test_traced_run_reports_work_counters(capsys):
             assert run[name] > 0, name
 
 
+def test_traced_tv_exact_reports_its_lp():
+    # the tracer wraps distributional.solve_lp and counts its first argument,
+    # the cost vector; calling the solver under another name, or passing the
+    # cost elsewhere, would read 0 calls or 0 columns without any error
+    tracing = _tracing()
+    g, nn = distributional.random_bound_instance((0, 3))
+    tr = tracing.Tracer()
+    with tr.install(tracing.targets()):
+        distributional.tv_exact(g, nn)
+    metrics = tracing.layer_metrics(tr)
+    assert metrics["simplex.solve_lp.calls"] == 1
+    assert metrics["simplex.lp_columns"] == nn.m ** nn.n == 81
+
+
 def test_cover_search_positional_signature():
     # the lattice-cell counter reads these four arguments by position
     params = list(inspect.signature(distributional._min_weight_cover).parameters)

@@ -148,7 +148,7 @@ def test_bounds_prints_worst_margin_table(capsys):
         "3 instances, 0 violation(s); weak-constant pass rate 1.000",
         "inequality               worst margin",
         "2min_le_c1_tg1           +2.586e+00",
-        "2tg_le_tghv_min          -4.441e-16",
+        "2tg_le_tghv_min          +0.000e+00",
         "tg1_le_2tcov             +0.000e+00",
         "tg1_le_2tg               -8.882e-16",
         "tg1_le_c3_sqrt_tg2       +8.207e-01",

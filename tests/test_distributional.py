@@ -25,7 +25,13 @@ from distsig.distributional import (
 )
 from distsig.graph import GraphError, build_graph, laplacian_sparse
 from distsig.simplex import solve_lp
-from oracles import coupling_lp_oracle, joint_lp_by_loops, recorded_lps, tree_edges
+from oracles import (
+    coupling_lp_oracle,
+    joint_lp_by_loops,
+    recorded_lps,
+    tree_edges,
+    tv_exact_two_phase,
+)
 
 
 def _dirichlet_pair(rng, m):
@@ -264,8 +270,9 @@ def test_tv_exact_table_cap():
 
 
 def test_tv_exact_lp_bitwise_equal_to_loop_build_on_corpus(monkeypatch):
-    # the numpy build of the joint LP gives the loops' arrays, bit for bit,
-    # on criterion 2's instances
+    # the numpy build of the joint LP's cost, kept rows, right-hand side and
+    # staircase start gives the loops' arrays, bit for bit, on criterion 2's
+    # instances
     for i in range(500):
         g, nn = random_bound_instance((0, i))
         lps = recorded_lps(monkeypatch, lambda: tv_exact(g, nn))
@@ -288,6 +295,58 @@ def test_tv_exact_joint_reproduces_marginals(triangle, rng, monkeypatch):
     for i in range(3):
         w = table.sum(axis=tuple(a for a in range(3) if a != i))
         assert np.allclose(w / w.sum(), x[i], atol=1e-7)
+
+
+_GAP = 9e-10  # a row-sum gap just inside Marginals' 1e-9
+_PATH3 = [(0, 1), (1, 2)]
+_TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("n, edges, x", [
+    (1, [], [[0.2, 0.3, 0.5]]),
+    (3, _TRIANGLE, [[1.0], [1.0], [1.0]]),
+    (3, _TRIANGLE, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+    (3, _PATH3, [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+    (3, _TRIANGLE, [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]]),
+    (4, _PATH3 + [(2, 3)], [[0.0, 0.25, 0.0, 0.75], [0.0, 0.0, 1.0, 0.0],
+                            [0.25, 0.0, 0.0, 0.75], [0.0, 0.5, 0.5, 0.0]]),
+    (3, _TRIANGLE, [[0.2, 0.3, 0.5]] * 3),
+    (4, _PATH3 + [(0, 3)], [[0.5, 0.5]] * 4),
+    # node 0 short or over: its last cell starts at -_GAP or +_GAP
+    (2, [(0, 1)], [[0.5, 0.5 - _GAP], [1.0, 0.0]]),
+    (2, [(0, 1)], [[0.5, 0.5 + _GAP], [1.0, 0.0]]),
+    # another node over or short, with a zero last label
+    (2, [(0, 1)], [[0.5, 0.5], [1.0 + _GAP, 0.0]]),
+    (2, [(0, 1)], [[0.5, 0.5], [1.0 - _GAP, 0.0]]),
+    (2, [(0, 1)], [[1.0, 0.0], [0.5, 0.5 + _GAP]]),
+    (2, [(0, 1)], [[1.0, 0.0], [0.5, 0.5 - _GAP]]),
+    (3, _PATH3, [[0.3, 0.7], [1.0 + _GAP, 0.0], [1.0, 0.0]]),
+    (3, _PATH3, [[0.3, 0.7], [0.6, 0.4 + _GAP], [1.0, 0.0]]),
+], ids=["one-node", "one-label", "one-hot", "one-hot-m2", "zeros", "zeros-m4",
+        "identical", "identical-m2", "node0-short", "node0-over", "node1-over",
+        "node1-short", "node1-over-onehot0", "node1-short-onehot0", "path-node1-over",
+        "path-node1-over-in-last-label"])
+def test_tv_exact_staircase_edge_cases_equal_two_phase_reference(monkeypatch, n, edges, x):
+    g = build_graph(n, edges)
+    x = np.array(x)
+    lps = recorded_lps(monkeypatch, lambda: tv_exact(g, x))
+    _, a, _, basis = lps[0]
+    assert basis.size == a.shape[0] == n * (x.shape[1] - 1) + 1
+    # exact ties between the masses left pick the lowest node, as the loops do
+    for got, want in zip(lps[0], joint_lp_by_loops(g, x)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert abs(tv_exact(g, x) - tv_exact_two_phase(g, x)) <= 1e-12
+
+
+def test_tv_exact_refuses_a_start_below_the_limit(p2):
+    # rows 9e-10 off 1 in opposite directions pass Marginals, but the
+    # staircase's last cell starts at their gap, -1.8e-9, below solve_lp's
+    # -1e-9 (the two-phase solver's phase 1 refuses these rows too)
+    x = [[0.5, 0.5 - _GAP], [1.0 + _GAP, 0.0]]
+    Marginals(np.array(x))
+    with pytest.raises(RuntimeError, match="joint coupling LP .* for valid marginals: "
+                                           "basis start value -1.800e-09 is below -1e-09"):
+        tv_exact(p2, x)
 
 
 def test_tv_tree_on_tree_equals_l1():
