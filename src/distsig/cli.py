@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import gnn
-from .distributional import run_bound_corpus
+from .distributional import BOUND_CORPUS, run_bound_corpus
 from .graph import (
     GraphError,
     read_graph_file,
@@ -50,6 +50,17 @@ def _parse_blocks(text: str) -> list[int]:
     return blocks
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _read(reader, *args):
     """Run a file reader; a GraphError from a malformed file is an I/O error."""
     try:
@@ -61,7 +72,7 @@ def _read(reader, *args):
 def _load_dataset(args):
     """Resolve --dataset into (graph, features, labels)."""
     if args.dataset == "cora":
-        g, f, y, _ = _read(gnn.load_cora_dir, getattr(args, "data_dir", None))
+        g, f, y, _ = _read(gnn.load_cora_dir, args.data_dir)
         return g, f, y
     if args.dataset == "sbm":
         blocks = _parse_blocks(args.blocks)
@@ -243,15 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="label/random/prediction spectra as CSV")
     _add_dataset_args(p, with_features=False)
     p.add_argument("--probs", default=None, help="optional .npy probability matrix")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bounds", help="fuzz the variation inequality chains")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=6, help="max graph size")
-    p.add_argument("--m", type=int, default=3, help="max alphabet size")
+    p.add_argument("--seed", type=_seed, default=0)
+    max_n, max_m = BOUND_CORPUS
+    p.add_argument("--n", type=int, default=max_n, help=f"max graph size (default {max_n})")
+    p.add_argument("--m", type=int, default=max_m, help=f"max alphabet size (default {max_m})")
     p.add_argument("--summary-only", action="store_true",
                    help="omit per-instance records from the report")
     p.add_argument("--out", default=None, help="JSON report path")
@@ -263,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=gnn.VARIANTS, default=defaults.variant)
     p.add_argument("--eta", type=float, default=defaults.eta)
     p.add_argument("--epochs", type=int, default=defaults.epochs)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--per-class", type=int, default=None,
                    help=f"training nodes per class (default: {gnn.CORA_SPLIT[0]} cora, "
                         f"{gnn.SBM_SPLIT[0]} otherwise)")
@@ -281,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-sbm", help="sample a block-model graph to files")
     _add_sbm_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_gen_sbm)
     return ap

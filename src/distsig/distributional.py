@@ -24,9 +24,11 @@ from .graph import (
     enumerate_spanning_trees,
     is_connected,
 )
-from .simplex import solve_lp
+from .simplex import ROW_SUM_TOL, solve_lp
 
 JOINT_TABLE_CAP = 729  # 3^6 table entries
+# the fuzz corpus's protocol: graphs of at most 6 nodes, at most 3 labels
+BOUND_CORPUS = (6, 3)
 
 
 @dataclass(frozen=True)
@@ -43,13 +45,12 @@ class Marginals:
             raise ValueError("non-finite entries")
         if np.min(x) < -1e-12:
             raise ValueError(f"negative entry {np.min(x):.3e}")
+        x = np.maximum(x, 0.0)
         rs = x.sum(axis=1)
         bad = np.argmax(np.abs(rs - 1.0))
-        # tv_exact's staircase start is negative only in its last cell, by node
-        # 0's row-sum shortfall on another node; solve_lp refuses below -1e-9
-        if abs(rs[bad] - 1.0) > 1e-9:
+        # the joint LP's start limit rests on this tolerance: see simplex.START_TOL
+        if abs(rs[bad] - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"row {bad} sums to {rs[bad]!r}, not 1")
-        x = np.maximum(x, 0.0)
         x.flags.writeable = False
         object.__setattr__(self, "matrix", x)
 
@@ -273,21 +274,18 @@ def _tree_bound_batch(x, eu, ev, l1, rho, in_tree) -> np.ndarray:
     return total
 
 
-def tv_cover(g: Graph, marginals, size_cap: int | None = None,
-             trees: list[int] | None = None) -> tuple[float, list[int]]:
+def tv_cover(g: Graph, marginals, size_cap: int, trees: list[int]) -> tuple[float, list[int]]:
     """Cheapest spanning-tree cover variation within a cover-size cap.
 
     Per-tree variation is the sum of its edges' transport distances (exact on
-    trees); the search over covers is exact within the cap.  Trees are edge
-    bitmasks over ``g.edges``; returns the value and the chosen trees.
+    trees); the search over covers is exact within the cap.  ``trees`` are
+    all spanning trees of ``g`` as edge bitmasks over ``g.edges``, as
+    ``enumerate_spanning_trees`` lists them; returns the value and the chosen
+    trees.
     """
     x = _checked_marginals(g, marginals).matrix
     if g.n == 1:
         return 0.0, [0]
-    if trees is None:
-        trees = enumerate_spanning_trees(g)
-    if size_cap is None:
-        size_cap = cover_size_cap(clique_number_complement(g)[1])
     eu, ev = g.endpoints
     w = wasserstein_sq(x[eu], x[ev]).tolist()
     weights = [sum(w[i] for i in range(g.m) if t >> i & 1) for t in trees]
@@ -344,8 +342,12 @@ def check_tv_bounds(g: Graph, marginals) -> dict:
     }
 
 
-def random_bound_instance(key, max_n: int = 6, max_m: int = 3) -> tuple[Graph, Marginals]:
-    """Seeded random connected graph plus Dirichlet(1,...,1) marginals."""
+def random_bound_instance(key, max_n: int, max_m: int) -> tuple[Graph, Marginals]:
+    """Seeded random connected graph plus Dirichlet(1,...,1) marginals.
+
+    Draws 2..max_n nodes and 2..max_m labels; the fuzz corpus draws with
+    ``BOUND_CORPUS``.
+    """
     rng = np.random.default_rng(key)
     n = int(rng.integers(2, max_n + 1))
     m = int(rng.integers(2, max_m + 1))
@@ -360,8 +362,8 @@ def random_bound_instance(key, max_n: int = 6, max_m: int = 3) -> tuple[Graph, M
     return g, Marginals(x)
 
 
-def run_bound_corpus(trials: int, seed: int, *, max_n: int = 6, max_m: int = 3,
-                     keep_instances: bool = True) -> dict:
+def run_bound_corpus(trials: int, seed: int, *, max_n: int, max_m: int,
+                     keep_instances: bool) -> dict:
     """Fuzz the inequality chains over ``trials`` seeded instances, in order.
 
     Sizes that some instance could not be checked at are refused up front:

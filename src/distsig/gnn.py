@@ -187,9 +187,9 @@ def load_cora(content_path, cites_path):
     return g, f, y, classes
 
 
-def load_cora_dir(data_dir: str | None = None):
-    """``load_cora`` on cora.content and cora.cites in ``data_dir``, by
-    default ``DISTSIG_DATA_DIR``; FileNotFoundError when either is missing."""
+def load_cora_dir(data_dir: str | None):
+    """``load_cora`` on cora.content and cora.cites in ``data_dir``, or in
+    ``DISTSIG_DATA_DIR`` when it is None; FileNotFoundError when either is missing."""
     d = data_dir if data_dir is not None else os.environ.get("DISTSIG_DATA_DIR")
     paths = [os.path.join(d, f) for f in ("cora.content", "cora.cites")] if d else []
     if not paths or not all(os.path.isfile(p) for p in paths):

@@ -140,28 +140,28 @@ def _canonical_edges_array(n, edges) -> tuple[tuple[int, int], ...] | None:
     return tuple(zip(lo.tolist(), hi.tolist()))
 
 
-def _symmetric_csr(g: Graph, off: float, diag: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix with ``off`` on both entries of every edge and ``diag`` on the diagonal."""
+def _symmetric_csr(g: Graph, off: float, diag: np.ndarray) -> sp.csr_array:
+    """CSR array with ``off`` on both entries of every edge and ``diag`` on the diagonal."""
     import scipy.sparse as sp  # loads on the first sparse matrix, not on import
     u, v = g.endpoints
     nodes = np.arange(g.n)
     rows = np.concatenate([u, v, nodes])
     cols = np.concatenate([v, u, nodes])
     data = np.concatenate([np.full(2 * g.m, off), diag])
-    return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    return sp.csr_array((data, (rows, cols)), shape=(g.n, g.n))
 
 
-def laplacian_sparse(g: Graph) -> sp.csr_matrix:
+def laplacian_sparse(g: Graph) -> sp.csr_array:
     """Sparse combinatorial Laplacian D - A (symmetric, PSD)."""
     return _symmetric_csr(g, -1.0, g.degrees)
 
 
-def normalized_adjacency(g: Graph) -> sp.csr_matrix:
+def normalized_adjacency(g: Graph) -> sp.csr_array:
     """Sparse self-loop-augmented normalization D~^{-1/2} (A + I) D~^{-1/2}."""
     import scipy.sparse as sp  # loads on the first sparse matrix, not on import
     at = _symmetric_csr(g, 1.0, np.ones(g.n))
-    dinv = 1.0 / np.sqrt(np.asarray(at.sum(axis=1)).ravel())
-    return sp.csr_matrix(at.multiply(dinv[:, None]).multiply(dinv[None, :]))
+    dinv = 1.0 / np.sqrt(at.sum(axis=1))
+    return sp.csr_array(at.multiply(dinv[:, None]).multiply(dinv[None, :]))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -212,7 +212,7 @@ def spanning_tree_count(g: Graph) -> int | float:
 
     A count beyond float64's range is ``math.inf``.  The Laplacian is written
     straight into a dense array: this count runs once per bound-corpus
-    instance (n <= 6), where building the CSR ``laplacian_sparse`` first
+    instance (a few nodes), where building the CSR ``laplacian_sparse`` first
     costs about 20 times as much.
     """
     if g.n == 1:

@@ -10,7 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 PIVOT_TOL = 1e-12
-START_TOL = 1e-9  # the most negative start value a basis may give
+# START_TOL is the most negative start value a basis may give.  tv_exact's
+# staircase start is negative only in its last cell, by at most the gap
+# between two row sums that ``Marginals`` admits, each within ROW_SUM_TOL
+# of 1, plus the rounding of the start's few additions of masses <= 1.
+ROW_SUM_TOL = 1e-9
+START_TOL = 2 * ROW_SUM_TOL + 1e-12
 
 
 class UnboundedError(RuntimeError):

@@ -48,7 +48,7 @@ def k4():
 def cora():
     """Raw Cora dataset, or skip when the files are not on this machine."""
     try:
-        return load_cora_dir()
+        return load_cora_dir(None)
     except FileNotFoundError:
         pytest.skip("raw Cora files not present (set DISTSIG_DATA_DIR)")
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from distsig.distributional import optimal_coupling, run_bound_corpus, wasserstein_sq
+from distsig.distributional import BOUND_CORPUS, optimal_coupling, run_bound_corpus, wasserstein_sq
 from distsig.gnn import (
     SBM_4BLOCK,
     SBM_ETA_GRID,
@@ -45,7 +45,9 @@ def _line(num, ok, detail):
 @pytest.fixture(scope="module")
 def bound_corpus():
     t0 = time.perf_counter()
-    out = run_bound_corpus(CORPUS_TRIALS, CORPUS_SEED, keep_instances=False)
+    max_n, max_m = BOUND_CORPUS
+    out = run_bound_corpus(CORPUS_TRIALS, CORPUS_SEED, max_n=max_n, max_m=max_m,
+                           keep_instances=False)
     out["_elapsed"] = time.perf_counter() - t0
     return out
 

@@ -1,7 +1,8 @@
-"""The benchmark tracer (perfbench/tracing.py) patches distsig by name.
+"""The benchmark tracer (perfbench/tracing.py) patches distsig by name, and
+the workloads (perfbench/workloads.py) call it by position and keyword.
 
-A rename inside distsig would otherwise only show up as a crash or as zeroed
-per-layer metrics of a traced benchmark run.
+A rename or a signature change inside distsig would otherwise only show up
+as a crash, as failed ops or as zeroed per-layer metrics of a benchmark run.
 """
 
 import importlib.util
@@ -10,19 +11,25 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from distsig import cli, distributional, gnn, spectral
 from distsig.graph import sbm_generate
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench(name):
+    """Load perfbench/<name>.py as the module perfbench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = tracing  # dataclasses resolve their module by name
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _perfbench("tracing")
 
 
 def _targets():
@@ -40,7 +47,8 @@ def test_traced_run_reports_work_counters(capsys):
     tracing = _tracing()
     tr = tracing.Tracer()
     with tr.install(tracing.targets()):
-        report = distributional.check_tv_bounds(*distributional.random_bound_instance((0, 1)))
+        report = distributional.check_tv_bounds(*distributional.random_bound_instance(
+            (0, 1), *distributional.BOUND_CORPUS))
         assert cli.main(["train", "--blocks", "20,20", "--variant", "r", "--epochs", "2",
                          "--val-size", "10", "--test-size", "10", "--tune"]) == 0
     capsys.readouterr()
@@ -76,7 +84,7 @@ def test_traced_tv_exact_reports_its_lp():
     # the cost vector; calling the solver under another name, or passing the
     # cost elsewhere, would read 0 calls or 0 columns without any error
     tracing = _tracing()
-    g, nn = distributional.random_bound_instance((0, 3))
+    g, nn = distributional.random_bound_instance((0, 3), *distributional.BOUND_CORPUS)
     tr = tracing.Tracer()
     with tr.install(tracing.targets()):
         distributional.tv_exact(g, nn)
@@ -140,3 +148,15 @@ def test_eig_sym_receives_dense_matrix(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert len(seen) == 3
     assert all(type(m) is np.ndarray and m.ndim == 2 for m in seen), [type(m) for m in seen]
+
+
+@pytest.mark.parametrize("name", ["Corpus", "SbmTrend"])
+def test_cheap_workloads_run_a_round_without_failed_ops(name):
+    # the corpus draws pooled instances by position and runs the corpus by
+    # keyword; the trend loop calls train and tune_eta by keyword.  cora_tune
+    # is left out: its set-up writes a 31 MB stand-in and its round takes
+    # seconds
+    workload = getattr(_perfbench("workloads"), name)()
+    rd = workload.run_round(workload.setup(0), 0)
+    assert rd.attempted > 0
+    assert rd.failed == 0, rd.failures

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from distsig.distributional import (
+    BOUND_CORPUS,
     _rho,
     random_bound_instance,
     tv_tree_rooted,
@@ -156,7 +157,7 @@ def cover_lattice_oracle(masks, weights, n_edges, size_cap):
 
 
 def _criterion_2_instance(i):
-    g, nn = random_bound_instance((0, i))
+    g, nn = random_bound_instance((0, i), *BOUND_CORPUS)
     trees = enumerate_spanning_trees(g)
     return g, nn.matrix, trees
 

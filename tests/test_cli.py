@@ -57,6 +57,23 @@ def test_option_strings_per_subcommand():
     assert sum(map(len, got.values())) == 41
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--out", "{out}"],
+    ["bounds", "--out", "{out}"],
+    # missing input files would exit 3 if the seed were checked after reading
+    ["train", "--dataset", "file", "--graph", "{missing}", "--labels", "{missing}",
+     "--out", "{out}"],
+    ["gen-sbm", "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_refused_up_front(tmp_path, capsys, argv):
+    argv = [a.format(out=tmp_path / "out", missing=tmp_path / "missing") for a in argv]
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_defaults_build_the_default_config(monkeypatch, capsys, tmp_path):
     # the train flags take their defaults from TrainConfig, and the dataset
     # and split flags theirs from gnn.SBM_4BLOCK and gnn.SBM_SPLIT, not

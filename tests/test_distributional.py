@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distsig
-from distsig import distributional
+from distsig import distributional, simplex
 from distsig.distributional import (
+    BOUND_CORPUS,
     Marginals,
     check_tv_bounds,
     optimal_coupling,
@@ -23,8 +24,15 @@ from distsig.distributional import (
     tv_tree_rooted,
     wasserstein_sq,
 )
-from distsig.graph import GraphError, build_graph, laplacian_sparse
-from distsig.simplex import solve_lp
+from distsig.graph import (
+    GraphError,
+    build_graph,
+    clique_number_complement,
+    cover_size_cap,
+    enumerate_spanning_trees,
+    laplacian_sparse,
+)
+from distsig.simplex import ROW_SUM_TOL, solve_lp
 from oracles import (
     coupling_lp_oracle,
     joint_lp_by_loops,
@@ -209,7 +217,8 @@ def test_tv_l1_l2_bitwise_equal_to_edge_loop():
             l2 += float((diff * diff).sum())
         return l1, l2
 
-    cases = [(g, nn.matrix) for g, nn in map(random_bound_instance, ((0, i) for i in range(100)))]
+    cases = [(g, nn.matrix) for g, nn in
+             (random_bound_instance((0, i), *BOUND_CORPUS) for i in range(100))]
     rng = np.random.default_rng(12)
     for m in (8, 9, 17, 100):  # alphabets long enough for pairwise row sums
         g = build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12) if (i + j) % 3])
@@ -226,7 +235,7 @@ def test_tv_l1_l2_size_mismatch(triangle):
 
 def test_tv_l2_le_l1_random(rng):
     for _ in range(20):
-        g, nn = random_bound_instance(int(rng.integers(1 << 30)))
+        g, nn = random_bound_instance(int(rng.integers(1 << 30)), *BOUND_CORPUS)
         l1, l2 = tv_l1_l2(g, nn)
         assert l2 <= l1 + 1e-9
 
@@ -234,7 +243,7 @@ def test_tv_l2_le_l1_random(rng):
 def test_tv_l2_matches_laplacian_trace_on_corpus():
     # the squared-l2 variation equals Tr(X^T L X) on criterion 2's instances
     for i in range(500):
-        g, nn = random_bound_instance((0, i))
+        g, nn = random_bound_instance((0, i), *BOUND_CORPUS)
         x = nn.matrix
         _, l2 = tv_l1_l2(g, nn)
         trace = float(np.sum(x * (laplacian_sparse(g).toarray() @ x)))
@@ -274,7 +283,7 @@ def test_tv_exact_lp_bitwise_equal_to_loop_build_on_corpus(monkeypatch):
     # staircase start gives the loops' arrays, bit for bit, on criterion 2's
     # instances
     for i in range(500):
-        g, nn = random_bound_instance((0, i))
+        g, nn = random_bound_instance((0, i), *BOUND_CORPUS)
         lps = recorded_lps(monkeypatch, lambda: tv_exact(g, nn))
         assert len(lps) == 1
         for got, want in zip(lps[0], joint_lp_by_loops(g, nn.matrix)):
@@ -338,15 +347,36 @@ def test_tv_exact_staircase_edge_cases_equal_two_phase_reference(monkeypatch, n,
     assert abs(tv_exact(g, x) - tv_exact_two_phase(g, x)) <= 1e-12
 
 
-def test_tv_exact_refuses_a_start_below_the_limit(p2):
-    # rows 9e-10 off 1 in opposite directions pass Marginals, but the
-    # staircase's last cell starts at their gap, -1.8e-9, below solve_lp's
-    # -1e-9 (the two-phase solver's phase 1 refuses these rows too)
-    x = [[0.5, 0.5 - _GAP], [1.0 + _GAP, 0.0]]
-    Marginals(np.array(x))
+_EDGE_GAP = 0.999 * ROW_SUM_TOL  # a row-sum gap at the edge of what Marginals admits
+
+
+@pytest.mark.parametrize("n, edges, x, lowest", [
+    (2, [(0, 1)], [[0.5, 0.5 - _EDGE_GAP], [1.0 + _EDGE_GAP, 0.0]], -2 * _EDGE_GAP),
+    (2, [(0, 1)], [[0.5, 0.5 + _EDGE_GAP], [1.0 - _EDGE_GAP, 0.0]], 2 * _EDGE_GAP),
+    (3, _PATH3, [[0.5, 0.5 - _EDGE_GAP], [0.5, 0.5], [1.0 + _EDGE_GAP, 0.0]], -2 * _EDGE_GAP),
+], ids=["node0-short", "node0-over", "path-node2-over"])
+def test_tv_exact_solves_rows_at_the_row_sum_tolerance(monkeypatch, n, edges, x, lowest):
+    # rows that Marginals admits, off 1 in opposite directions, with a zero
+    # last label on the other node: the staircase's lowest start value is
+    # node 0's row sum minus the other's, down to -2 * ROW_SUM_TOL, which
+    # simplex.START_TOL admits
+    g, x = build_graph(n, edges), np.array(x)
+    Marginals(x)
+    starts = []
+    real = simplex._run_phase
+    monkeypatch.setattr(simplex, "_run_phase",
+                        lambda tab, *args: starts.append(tab[:-1, -1].min()) or real(tab, *args))
+    assert abs(tv_exact(g, x) - 0.5) <= 1e-8
+    assert abs(starts[0] - lowest) <= 1e-15
+
+
+def test_tv_exact_reports_a_start_beyond_the_limit(monkeypatch, p2):
+    # under a limit of one row-sum tolerance the same rows are refused, and
+    # tv_exact names the solver's reason
+    monkeypatch.setattr(simplex, "START_TOL", ROW_SUM_TOL)
     with pytest.raises(RuntimeError, match="joint coupling LP .* for valid marginals: "
-                                           "basis start value -1.800e-09 is below -1e-09"):
-        tv_exact(p2, x)
+                                           "basis start value -1.998e-09 is below -1e-09"):
+        tv_exact(p2, [[0.5, 0.5 - _EDGE_GAP], [1.0 + _EDGE_GAP, 0.0]])
 
 
 def test_tv_tree_on_tree_equals_l1():
@@ -396,14 +426,20 @@ def test_tv_tree_edge_limit_is_the_int64_mask():
                 tv_tree_rooted(g, [tree], x)
 
 
+def _cover_cap(g):
+    """The cover-size cap that check_tv_bounds passes to tv_cover."""
+    return cover_size_cap(clique_number_complement(g)[1])
+
+
 def test_tv_cover_single_node():
-    assert tv_cover(build_graph(1, []), [[1.0]]) == (0.0, [0])
+    g = build_graph(1, [])
+    assert tv_cover(g, [[1.0]], _cover_cap(g), enumerate_spanning_trees(g)) == (0.0, [0])
 
 
 def test_tv_cover_tree_graph():
     g = build_graph(3, [(0, 1), (1, 2)])
     x = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-    val, cover = tv_cover(g, x)
+    val, cover = tv_cover(g, x, _cover_cap(g), enumerate_spanning_trees(g))
     l1, _ = tv_l1_l2(g, x)
     assert abs(val - 0.5 * l1) < 1e-12
     assert len(cover) == 1
@@ -411,7 +447,7 @@ def test_tv_cover_tree_graph():
 
 
 def test_tv_cover_triangle_worked_example(triangle):
-    val, cover = tv_cover(triangle, DELTA_TRIANGLE, size_cap=3)
+    val, cover = tv_cover(triangle, DELTA_TRIANGLE, 3, enumerate_spanning_trees(triangle))
     assert abs(val - 2.0) < 1e-12
     # witness: two trees that share the zero-variation edge (0,1)
     assert len(cover) == 2
@@ -424,7 +460,7 @@ def test_tv_cover_triangle_worked_example(triangle):
 
 def test_tv_cover_identical_marginals(triangle):
     x = np.tile([0.2, 0.8], (3, 1))
-    val, _ = tv_cover(triangle, x)
+    val, _ = tv_cover(triangle, x, _cover_cap(triangle), enumerate_spanning_trees(triangle))
     assert val == 0.0
 
 
@@ -432,16 +468,17 @@ def test_tv_cover_monotone_in_cap():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     rng = np.random.default_rng(11)
     x = np.vstack([rng.dirichlet(np.ones(2)) for _ in range(4)])
-    v1, _ = tv_cover(g, x, size_cap=1) if _cover_exists(g, x, 1) else (np.inf, None)
-    v2, _ = tv_cover(g, x, size_cap=2)
-    v3, _ = tv_cover(g, x, size_cap=3)
+    trees = enumerate_spanning_trees(g)
+    v1, _ = tv_cover(g, x, 1, trees) if _cover_exists(g, x, 1, trees) else (np.inf, None)
+    v2, _ = tv_cover(g, x, 2, trees)
+    v3, _ = tv_cover(g, x, 3, trees)
     assert v3 <= v2 + 1e-12
     assert v2 <= v1 + 1e-12
 
 
-def _cover_exists(g, x, cap):
+def _cover_exists(g, x, cap, trees):
     try:
-        tv_cover(g, x, size_cap=cap)
+        tv_cover(g, x, cap, trees)
         return True
     except GraphError:
         return False
@@ -489,7 +526,7 @@ def test_bounds_compute_clique_constant_once(triangle, monkeypatch):
 
 
 def test_bounds_same_report_for_plain_rows_checked_once(monkeypatch):
-    g, nn = random_bound_instance((0, 3))
+    g, nn = random_bound_instance((0, 3), *BOUND_CORPUS)
     want = json.dumps(check_tv_bounds(g, nn))
     checks = []
     real = Marginals.__post_init__
@@ -506,7 +543,8 @@ def test_bounds_same_report_for_plain_rows_checked_once(monkeypatch):
 def test_bound_check_leaves_scipy_optimize_unimported():
     # importing scipy.optimize adds about 26 MB of resident memory
     code = ("import sys, distsig\n"
-            "distsig.check_tv_bounds(*distsig.random_bound_instance((0, 0)))\n"
+            "from distsig.distributional import BOUND_CORPUS\n"
+            "distsig.check_tv_bounds(*distsig.random_bound_instance((0, 0), *BOUND_CORPUS))\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
     src = str(Path(distsig.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -516,14 +554,15 @@ def test_bound_check_leaves_scipy_optimize_unimported():
 
 
 def test_random_instance_deterministic():
-    g1, n1 = random_bound_instance((5, 17))
-    g2, n2 = random_bound_instance((5, 17))
+    g1, n1 = random_bound_instance((5, 17), *BOUND_CORPUS)
+    g2, n2 = random_bound_instance((5, 17), *BOUND_CORPUS)
     assert g1.edges == g2.edges
     assert np.array_equal(n1.matrix, n2.matrix)
 
 
 def test_corpus_small_clean():
-    out = run_bound_corpus(30, seed=123, keep_instances=False)
+    out = run_bound_corpus(30, seed=123, max_n=BOUND_CORPUS[0], max_m=BOUND_CORPUS[1],
+                           keep_instances=False)
     assert out["violation_count"] == 0
     assert out["violations"] == []
     assert all(v >= -1e-9 for v in out["worst_margins"].values())

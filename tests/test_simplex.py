@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from distsig.distributional import Marginals, random_bound_instance, tv_exact
+from distsig.distributional import BOUND_CORPUS, Marginals, random_bound_instance, tv_exact
 from distsig.graph import build_graph
 from distsig.simplex import PIVOT_TOL, UnboundedError, solve_lp
 from oracles import InfeasibleError, recorded_lps, solve_lp_two_phase, tv_exact_two_phase
@@ -101,8 +101,8 @@ def test_dimension_mismatch():
     # column 2 repeats column 0, so nothing is left to pivot it on
     ([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]], [1.0, 0.0], [0, 2], "column 2 has no pivot above 1e-12"),
     ([[1.0, 1.0, 0.0], [0.0, 0.0, 1e-13]], [1.0, 0.0], [0, 2], "column 2 has no pivot above 1e-12"),
-    # x1 = -2e-9 at the start
-    ([[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0 + 2e-9], [0, 1], "start value -2.000e-09 is below -1e-09"),
+    # x1 = -3e-9 at the start, beyond the -2.001e-9 that row-sum gaps can give
+    ([[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0 + 3e-9], [0, 1], "start value -3.000e-09 is below -2.001e-09"),
 ])
 def test_bad_basis_refused_before_any_optimization(monkeypatch, a, b, basis, match):
     ran = []
@@ -275,7 +275,7 @@ def _corpus_with_quarters(count):
     """Criterion 2's first ``count`` instances, each followed by its
     quarter-rounded marginals where those stay on the simplex."""
     for i in range(count):
-        g, nn = random_bound_instance((0, i))
+        g, nn = random_bound_instance((0, i), *BOUND_CORPUS)
         yield g, nn
         quarters = _quarter_marginals(nn.matrix)
         if quarters is not None:
