@@ -61,6 +61,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _tag(text: str) -> str:
+    """A --tag value: the CSV writes it raw, so it holds no CSV syntax."""
+    if any(c in text for c in ',"\r\n'):
+        raise argparse.ArgumentTypeError(
+            f"must not hold a comma, a double quote or a line break, got {text!r}")
+    return text
+
+
 def _read(reader, *args):
     """Run a file reader; a GraphError from a malformed file is an I/O error."""
     try:
@@ -287,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="non-uniformity count sweep of saved outputs")
     p.add_argument("--probs", required=True, help=".npy probability matrix")
-    p.add_argument("--tag", default="model", help="model tag column value")
+    p.add_argument("--tag", type=_tag, default="model", help="model tag column value")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_analyze)
 

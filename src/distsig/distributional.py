@@ -23,6 +23,7 @@ from .graph import (
     cover_size_cap,
     enumerate_spanning_trees,
     is_connected,
+    tree_edge_matrix,
 )
 from .simplex import ROW_SUM_TOL, solve_lp
 
@@ -187,7 +188,6 @@ def _rho(mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:
 
 
 _TREE_BATCH = 64  # trees per vectorized step of tv_tree_rooted
-_MAX_TREE_EDGES = 63  # edge indices of an int64 bitmask
 
 
 def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
@@ -200,20 +200,11 @@ def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
     the tree from the root: the endpoint masses minus twice the mass retained
     from their deepest common ancestor.  On tree edges this collapses to the
     plain l1 difference.  Trees are processed in batches of ``_TREE_BATCH``.
-    The masks are int64, so the host may have at most 63 edges.
+    ``tree_edge_matrix`` checks and decodes the masks.
     """
-    if g.m > _MAX_TREE_EDGES:
-        raise GraphError(f"tree bounds take at most {_MAX_TREE_EDGES} edges "
-                         f"(int64 edge masks), got {g.m}")
     x = _checked_marginals(g, marginals).matrix
-    for t in map(int, trees):
-        if t >> g.m:
-            raise GraphError(f"tree mask {t:#x} uses edges absent from the host's {g.m} edges")
-        if t.bit_count() != g.n - 1:
-            raise GraphError(f"spanning tree needs {g.n - 1} edges, got {t.bit_count()}")
-    masks = np.array(trees, dtype=np.int64)
+    in_tree = tree_edge_matrix(g, trees)
     eu, ev = g.endpoints
-    in_tree = (masks[:, None] >> np.arange(g.m)) & 1 == 1
     l1 = 2.0 * wasserstein_sq(x[eu], x[ev])
     rho = _rho(x[:, None, :], x[None, :, :])  # rho[a, b]: the step a -> b
     out = np.empty((len(trees), g.n))
@@ -280,15 +271,21 @@ def tv_cover(g: Graph, marginals, size_cap: int, trees: list[int]) -> tuple[floa
     Per-tree variation is the sum of its edges' transport distances (exact on
     trees); the search over covers is exact within the cap.  ``trees`` are
     all spanning trees of ``g`` as edge bitmasks over ``g.edges``, as
-    ``enumerate_spanning_trees`` lists them; returns the value and the chosen
-    trees.
+    ``enumerate_spanning_trees`` lists them; ``tree_edge_matrix`` refuses
+    them as it does for ``tv_tree_rooted``.  Returns the value and the
+    chosen trees.
     """
     x = _checked_marginals(g, marginals).matrix
+    in_tree = tree_edge_matrix(g, trees)
     if g.n == 1:
         return 0.0, [0]
+    if g.m == 0:  # a disconnected host: only an empty tree list passes the check
+        return 0.0, []
     eu, ev = g.endpoints
-    w = wasserstein_sq(x[eu], x[ev]).tolist()
-    weights = [sum(w[i] for i in range(g.m) if t >> i & 1) for t in trees]
+    w = wasserstein_sq(x[eu], x[ev])
+    # a running sum in edge order: the additions of a per-tree sum, since
+    # adding a left-out edge's 0.0 to a sum of terms >= 0 changes no bit
+    weights = np.where(in_tree, w, 0.0).cumsum(axis=1)[:, -1]
     res = _min_weight_cover(trees, weights, g.m, size_cap)
     if res is None:
         raise GraphError(f"no cover within cap {size_cap}")

@@ -39,6 +39,8 @@ from .spectral import gft, high_freq_fraction, laplacian_spectrum, normalize_unl
 log = logging.getLogger(__name__)
 
 VARIANTS = ("gcn", "r", "r1", "r2", "r3")
+HIDDEN = 16  # hidden-layer width
+LR = 0.01  # Adam's learning rate
 # (smoothness, confidence) weights of the softmax-output traces
 TRACE_WEIGHTS = {"r": (1.0, 1.0), "r1": (1.0, 0.0), "r2": (0.0, 1.0)}
 
@@ -47,9 +49,7 @@ TRACE_WEIGHTS = {"r": (1.0, 1.0), "r1": (1.0, 0.0), "r2": (0.0, 1.0)}
 class TrainConfig:
     variant: str = "gcn"
     eta: float = 0.5
-    hidden: int = 16
     epochs: int = 200
-    lr: float = 0.01
     weight_decay: float = 5e-4
     dropout: float = 0.5
     seed: int = 0
@@ -59,10 +59,8 @@ class TrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.epochs < 1 or self.hidden < 1:
-            raise ValueError("epochs and hidden width must be positive")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
@@ -108,7 +106,7 @@ class Metrics:
         from dataclasses import asdict
 
         return {
-            "config": asdict(self.config),
+            "config": {**asdict(self.config), "hidden": HIDDEN, "lr": LR},
             "per_epoch": [
                 {"loss": l, "ce": ce, "acc_train": at, "loss_val": lv, "acc_val": av,
                  "reg": r}
@@ -476,10 +474,10 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
     lap = laplacian_sparse(g)
     a_vec = confidence_weights(g)
     classes = int(labels.max()) + 1
-    params = init_params(inp.f.shape[1], cfg.hidden, classes, cfg.seed)
+    params = init_params(inp.f.shape[1], HIDDEN, classes, cfg.seed)
     params = GcnParams(np.tile(params.w1, len(cfgs)), np.tile(params.w2, (len(cfgs), 1, 1)))
     drop_rng = np.random.default_rng((cfg.seed, 1))
-    opt = _Adam([params.w1.shape, params.w2.shape], cfg.lr)
+    opt = _Adam([params.w1.shape, params.w2.shape], LR)
 
     history = []  # per epoch: loss, ce, train acc, val loss, val acc, reg; one column per model
     best_acc = np.full(len(cfgs), -1.0)

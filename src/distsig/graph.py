@@ -5,7 +5,9 @@ canonically sorted tuple of (u, v) edges with u < v.  This module is the one
 place where edges become index arrays (``Graph.endpoints`` and the numpy path
 of ``build_graph``) and matrices: the sparse Laplacian (densified for
 eigendecompositions), the dense Laplacian minor of the matrix-tree count, and
-the sparse propagation matrix for training.  A spanning tree is an int bitmask over ``edges`` (bit i is edge i).
+the sparse propagation matrix for training.  A spanning tree is an int
+bitmask over ``edges`` (bit i is edge i); ``tree_edge_matrix`` is the one
+place a list of them is checked and decoded.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ COVER_MAX_EDGES = 20  # the cover search holds 2^|E| sets per level
 _ARRAY_MIN_EDGES = 32
 _ARRAY_MAX_N = 1 << 31  # edge keys min·n + max stay below 2^62
 TREE_CAP = 10000  # most spanning trees enumerate_spanning_trees lists
+_MAX_TREE_EDGES = 63  # edge indices of an int64 bitmask
 CLIQUE_MAX_N = 32  # most nodes clique_number_complement searches
 _COVER_CHUNK = 1 << 14  # (set, candidate mask) cells per vectorized cover-search step
 _SBM_CHUNK = 1 << 20  # node pairs per uniform draw of sbm_generate
@@ -243,6 +246,33 @@ def enumerate_spanning_trees(g: Graph) -> list[int]:
              for idx in itertools.combinations(range(g.m), g.n - 1) if _acyclic(g, idx)]
     assert len(found) == count, f"enumeration found {len(found)}, Kirchhoff says {count}"
     return found
+
+
+def tree_edge_matrix(g: Graph, trees) -> np.ndarray:
+    """The ``(len(trees), g.m)`` boolean table of which edges each tree holds.
+
+    ``trees`` are edge bitmasks over ``g.edges``, as ``enumerate_spanning_trees``
+    lists them.  A host over ``_MAX_TREE_EDGES`` edges is refused (the table
+    is decoded from int64 masks), and so is the first tree, in list order,
+    whose mask is not an integer, holds a bit at or above ``g.m`` (as a
+    negative mask does) or does not hold exactly ``g.n - 1`` edges.
+    """
+    if g.m > _MAX_TREE_EDGES:
+        raise GraphError(f"tree bounds take at most {_MAX_TREE_EDGES} edges "
+                         f"(int64 edge masks), got {g.m}")
+    masks = []
+    for t in trees:
+        try:  # operator.index refuses floats, strings and numpy bools
+            t = operator.index(t)
+        except TypeError:
+            raise GraphError(f"tree mask {t!r} is not an integer") from None
+        if t >> g.m:
+            raise GraphError(f"tree mask {t:#x} uses edges absent from the host's {g.m} edges")
+        if t.bit_count() != g.n - 1:
+            raise GraphError(f"spanning tree needs {g.n - 1} edges, got {t.bit_count()}")
+        masks.append(t)
+    masks = np.array(masks, dtype=np.int64)
+    return (masks[:, None] >> np.arange(g.m)) & 1 == 1
 
 
 def _acyclic(g: Graph, idx) -> bool:

@@ -2,15 +2,15 @@
 
 Nothing under ``src/`` calls these: the two-phase simplex that needs no
 starting basis, the transport LP over all couplings, the edge tuple of a
-tree bitmask, the unit-weight minimum tree cover, the inverse graph Fourier
-transform, a recorder for the LPs that ``distributional`` hands to the
-simplex solver, the per-edge and per-(node, label) loop build of the
-joint-coupling LP and its staircase start, the joint LP on every marginal
-row through the two-phase simplex, one branch per regularizer variant, one
-model's forward pass and loss gradient on plain n x C arrays, the
-one-model-at-a-time training loop, the all-pairs block-model sampler, the
-dict-lookup induced subgraph and the per-token ``float()`` parse of Cora
-features.
+tree bitmask, the tree cover weighted by one Python sum per tree, the
+unit-weight minimum tree cover, the inverse graph Fourier transform, a
+recorder for the LPs that ``distributional`` hands to the simplex solver,
+the per-edge and per-(node, label) loop build of the joint-coupling LP and
+its staircase start, the joint LP on every marginal row through the
+two-phase simplex, one branch per regularizer variant, one model's forward
+pass and loss gradient on plain n x C arrays, the one-model-at-a-time
+training loop, the all-pairs block-model sampler, the dict-lookup induced
+subgraph and the per-token ``float()`` parse of Cora features.
 """
 
 import itertools
@@ -120,6 +120,16 @@ def coupling_lp_oracle(mu, nu) -> float:
 def tree_edges(g, mask: int) -> tuple:
     """The sorted edge tuple of a tree given as a bitmask over ``g.edges``."""
     return tuple(e for i, e in enumerate(g.edges) if mask >> i & 1)
+
+
+def tv_cover_by_tree_sums(g, x, size_cap, trees):
+    """``tv_cover``'s value, chosen trees and per-tree weights, each weight one
+    Python sum over the tree's edges in ``g.edges`` order; ``x`` is n x m."""
+    eu, ev = g.endpoints
+    w = distributional.wasserstein_sq(x[eu], x[ev]).tolist()
+    weights = [sum(w[i] for i in range(g.m) if t >> i & 1) for t in trees]
+    val, idx = _min_weight_cover(trees, weights, g.m, size_cap)
+    return val, [trees[i] for i in idx], weights
 
 
 def covers(cover, g) -> bool:
@@ -321,10 +331,10 @@ def train_one(g, features, labels, split, cfg):
     lap = laplacian_sparse(g)
     a_vec = confidence_weights(g)
     classes = int(labels.max()) + 1
-    params = gnn.init_params(inp.f.shape[1], cfg.hidden, classes, cfg.seed)
+    params = gnn.init_params(inp.f.shape[1], gnn.HIDDEN, classes, cfg.seed)
     w1, w2 = params.w1, params.w2[0]
     drop_rng = np.random.default_rng((cfg.seed, 1))
-    opt = gnn._Adam([w1.shape, w2.shape], cfg.lr)
+    opt = gnn._Adam([w1.shape, w2.shape], gnn.LR)
 
     tl, tc, ta, vl, va, rv = [], [], [], [], [], []
     best_acc, best_epoch, test_acc = -1.0, 0, 0.0

@@ -53,8 +53,11 @@ def test_traced_run_reports_work_counters(capsys):
                          "--val-size", "10", "--test-size", "10", "--tune"]) == 0
     capsys.readouterr()
     metrics = tracing.layer_metrics(tr)
-    for name in ("graph.trees_enumerated", "simplex.lp_columns", "spectral.eig_sym.n",
-                 "gnn.feature_nnz", "gnn.epochs"):
+    # the bound check must reach the cover search and the rooted-tree bound
+    # through the module globals the tracer patches
+    for name in ("graph.trees_enumerated", "graph._min_weight_cover.calls",
+                 "graph.cover_lattice_cells", "distributional.tv_tree_rooted.calls",
+                 "simplex.lp_columns", "spectral.eig_sym.n", "gnn.feature_nnz", "gnn.epochs"):
         assert metrics[name] > 0, name
     assert metrics["gnn.epochs"] == 2  # the eta grid trains as one stack
     assert metrics["graph.trees_enumerated"] == report["tree_count"]

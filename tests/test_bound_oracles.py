@@ -2,18 +2,21 @@
 
 The oracles are the earlier straightforward implementations: a pruned
 backtracking search for the spanning trees, a per-(tree, root) walk for the
-rooted-tree bound and a DP over the whole subset lattice for the cover
-search.  The library versions must agree with them on the first 100
-instances of acceptance criterion 2's corpus.
+rooted-tree bound, a DP over the whole subset lattice for the cover search
+and one Python sum per tree for the cover's weights.  The library versions
+must agree with them on the first 100 instances of acceptance criterion 2's
+corpus.
 """
 
 import numpy as np
 import pytest
 
+from distsig import distributional
 from distsig.distributional import (
     BOUND_CORPUS,
     _rho,
     random_bound_instance,
+    tv_cover,
     tv_tree_rooted,
 )
 from distsig.graph import (
@@ -21,9 +24,10 @@ from distsig.graph import (
     _min_weight_cover,
     build_graph,
     clique_number_complement,
+    cover_size_cap,
     enumerate_spanning_trees,
 )
-from oracles import covers, min_tree_cover, tree_edges
+from oracles import covers, min_tree_cover, tree_edges, tv_cover_by_tree_sums
 
 ORACLE_INSTANCES = 100
 
@@ -286,6 +290,28 @@ def test_cover_search_k6():
     want = cover_lattice_oracle(masks, weights, g.m, 5)
     _assert_witness(_min_weight_cover(masks, weights, g.m, 5),
                     masks, weights, g.m, 5, want)
+
+
+def test_tv_cover_bitwise_equal_to_tree_sums_on_corpus_and_k6(monkeypatch):
+    # the weights tv_cover hands to the cover search, and its value and trees
+    handed = []
+    search = distributional._min_weight_cover
+
+    def record(masks, weights, n_edges, size_cap):
+        handed.append(np.array(weights))
+        return search(masks, weights, n_edges, size_cap)
+
+    monkeypatch.setattr(distributional, "_min_weight_cover", record)
+    k6 = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    cases = [_criterion_2_instance(i) for i in range(ORACLE_INSTANCES)]
+    cases.append((k6, np.random.default_rng(8).dirichlet(np.ones(3), size=6),
+                   enumerate_spanning_trees(k6)))
+    for i, (g, x, trees) in enumerate(cases):
+        cap = cover_size_cap(clique_number_complement(g)[1])
+        val, chosen, weights = tv_cover_by_tree_sums(g, x, cap, trees)
+        assert tv_cover(g, x, cap, trees) == (val, chosen), i
+        assert np.array_equal(handed[-1], weights), i
+    assert len(handed) == len(cases)
 
 
 def test_cover_search_cap_without_cover():

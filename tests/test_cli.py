@@ -555,6 +555,20 @@ def test_analyze_csv(tmp_path, capsys):
     assert all(line.endswith(",demo") for line in lines[1:])
 
 
+@pytest.mark.parametrize("tag", ["a,b", 'say "hi"', "a\rb", "a,b\nx"],
+                         ids=["comma", "quote", "carriage-return", "newline"])
+def test_analyze_refuses_a_tag_that_would_break_the_csv(tmp_path, capsys, tag):
+    pp = tmp_path / "probs.npy"
+    np.save(pp, np.full((4, 2), 0.5))
+    assert main(["analyze", "--probs", str(pp), "--tag", tag,
+                 "--out", str(tmp_path / "nu.csv")]) == 2
+    captured = capsys.readouterr()
+    assert ("argument --tag: must not hold a comma, a double quote or a line break, "
+            f"got {tag!r}") in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["probs.npy"]
+
+
 def _write_archive(path):
     with open(path, "wb") as fh:
         np.savez(fh, probs=np.full((12, 3), 1.0 / 3.0))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -422,8 +423,35 @@ def test_tv_tree_edge_limit_is_the_int64_mask():
         if g.m <= 63:
             assert abs(tv_tree_rooted(g, [tree], x)[0, 0] - tv_l1_l2(g, x)[0]) < 1e-12
         else:
-            with pytest.raises(GraphError, match="at most 63 edges.*got 69"):
-                tv_tree_rooted(g, [tree], x)
+            for notion in _tree_notions(g, x):
+                with pytest.raises(GraphError, match="at most 63 edges.*got 69"):
+                    notion([tree])
+
+
+def _tree_notions(g, x):
+    """The rooted-tree bound and the tree cover on g and x, as functions of the trees."""
+    return (lambda trees: tv_tree_rooted(g, trees, x),
+            lambda trees: tv_cover(g, x, 3, trees))
+
+
+@pytest.mark.parametrize("mask, message", [
+    # one bit, and a foreign one: the foreign bit is named, not the count
+    (1 << 3, "tree mask 0x8 uses edges absent from the host's 3 edges"),
+    (-1, "tree mask -0x1 uses edges absent from the host's 3 edges"),
+    (1 << 63, "tree mask 0x8000000000000000 uses edges absent from the host's 3 edges"),
+    (3.0, "tree mask 3.0 is not an integer"),
+    (0b001, "spanning tree needs 2 edges, got 1"),
+], ids=["foreign-bit", "negative", "bit-63", "float", "too-few-edges"])
+def test_tree_notions_refuse_the_same_masks(triangle, mask, message):
+    for notion in _tree_notions(triangle, DELTA_TRIANGLE):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            notion([0b101, mask])
+
+
+def test_tree_notions_refuse_the_first_bad_mask_in_list_order(triangle):
+    for notion in _tree_notions(triangle, DELTA_TRIANGLE):
+        with pytest.raises(GraphError, match="^spanning tree needs 2 edges, got 1$"):
+            notion([0b001, 1 << 3])
 
 
 def _cover_cap(g):
@@ -434,6 +462,16 @@ def _cover_cap(g):
 def test_tv_cover_single_node():
     g = build_graph(1, [])
     assert tv_cover(g, [[1.0]], _cover_cap(g), enumerate_spanning_trees(g)) == (0.0, [0])
+    with pytest.raises(GraphError, match="absent"):
+        tv_cover(g, [[1.0]], _cover_cap(g), [1])
+
+
+def test_tv_cover_edgeless_host_takes_only_an_empty_tree_list():
+    g = build_graph(2, [])
+    x = [[1.0, 0.0], [0.0, 1.0]]
+    assert tv_cover(g, x, 3, []) == (0.0, [])
+    with pytest.raises(GraphError, match="absent"):
+        tv_cover(g, x, 3, [1])
 
 
 def test_tv_cover_tree_graph():
