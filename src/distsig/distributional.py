@@ -193,22 +193,22 @@ _TREE_BATCH = 64  # trees per vectorized step of tv_tree_rooted
 def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
     """Upper-bound variation induced by each rooted spanning tree.
 
-    ``trees`` are edge bitmasks over ``g.edges``, as ``enumerate_spanning_trees``
-    lists them.  Returns a ``(len(trees), g.n)`` array whose entry ``[t, r]``
-    is tree t rooted at node r.  Each graph edge contributes the mass that
-    provably must move between its endpoints once transport is routed through
-    the tree from the root: the endpoint masses minus twice the mass retained
-    from their deepest common ancestor.  On tree edges this collapses to the
-    plain l1 difference.  Trees are processed in batches of ``_TREE_BATCH``.
-    ``tree_edge_matrix`` checks and decodes the masks.
+    ``trees`` is a boolean ``(trees, g.m)`` edge table over ``g.edges``, as
+    ``enumerate_spanning_trees`` lists it, and ``tree_edge_matrix`` checks
+    it.  Returns a ``(len(trees), g.n)`` array whose entry ``[t, r]`` is tree
+    t rooted at node r.  Each graph edge contributes the mass that provably
+    must move between its endpoints once transport is routed through the tree
+    from the root: the endpoint masses minus twice the mass retained from
+    their deepest common ancestor.  On tree edges this collapses to the plain
+    l1 difference.  Trees are processed in batches of ``_TREE_BATCH``.
     """
     x = _checked_marginals(g, marginals).matrix
     in_tree = tree_edge_matrix(g, trees)
     eu, ev = g.endpoints
     l1 = 2.0 * wasserstein_sq(x[eu], x[ev])
     rho = _rho(x[:, None, :], x[None, :, :])  # rho[a, b]: the step a -> b
-    out = np.empty((len(trees), g.n))
-    for lo in range(0, len(trees), _TREE_BATCH):
+    out = np.empty((len(in_tree), g.n))
+    for lo in range(0, len(in_tree), _TREE_BATCH):
         out[lo:lo + _TREE_BATCH] = _tree_bound_batch(
             x, eu, ev, l1, rho, in_tree[lo:lo + _TREE_BATCH])
     return out
@@ -226,9 +226,8 @@ def _tree_bound_batch(x, eu, ev, l1, rho, in_tree) -> np.ndarray:
     dist[:, np.arange(n), np.arange(n)] = 0
     keep = np.ones((b * n * n, x.shape[1]))  # flat [t, w, a]
     rho = rho.reshape(n * n, -1)
-    # front[t, c, a] is n + c for the nodes c at depth d - 1 from a, else 0,
-    # so adj @ front sums n + c over a node's frontier neighbours: n + c for
-    # one neighbour, 2n or more for two (small integers, so exact)
+    # front[t, c, a] is n + c for the nodes c at depth d - 1 from a, else 0, so
+    # adj @ front is n + c at a new node w, c its one tree neighbour (exact)
     weights = np.arange(n, 2 * n, dtype=float)[:, None]
     front = np.broadcast_to(np.diag(weights[:, 0]), (b, n, n))
     for d in range(1, n):
@@ -237,14 +236,10 @@ def _tree_bound_batch(x, eu, ev, l1, rho, in_tree) -> np.ndarray:
         if new.size == 0:
             break
         c = hit.ravel()[new].astype(np.intp) - n  # the predecessor of w on the path from a
-        if (c >= n).any():  # two paths from a meet: the edge set has a cycle
-            raise GraphError("tree does not span its host")
         w = new // n % n
         dist.ravel()[new] = d
         keep[new] = keep[new + (c - w) * n] * rho[c * n + w]
         front = (dist == d) * weights
-    if (dist == n).any():
-        raise GraphError("tree does not span its host")
     keep = keep.reshape(b, n, n, -1)
     # tree edges keep l1; every tree leaves out the same number of host
     # edges, and off[t, j] is the j-th edge (u, v) that tree t leaves out
@@ -265,32 +260,32 @@ def _tree_bound_batch(x, eu, ev, l1, rho, in_tree) -> np.ndarray:
     return total
 
 
-def tv_cover(g: Graph, marginals, size_cap: int, trees: list[int]) -> tuple[float, list[int]]:
+def tv_cover(g: Graph, marginals, size_cap: int, trees) -> tuple[float, list[int]]:
     """Cheapest spanning-tree cover variation within a cover-size cap.
 
     Per-tree variation is the sum of its edges' transport distances (exact on
-    trees); the search over covers is exact within the cap.  ``trees`` are
-    all spanning trees of ``g`` as edge bitmasks over ``g.edges``, as
-    ``enumerate_spanning_trees`` lists them; ``tree_edge_matrix`` refuses
-    them as it does for ``tv_tree_rooted``.  Returns the value and the
-    chosen trees.
+    trees); the search over covers is exact within the cap.  ``trees`` is
+    the boolean edge table of all spanning trees of ``g``, as
+    ``enumerate_spanning_trees`` lists it; ``tree_edge_matrix`` refuses the
+    rows that ``tv_tree_rooted`` refuses.  Returns the value and the sorted
+    indices of the chosen rows (none on a host without edges).
     """
     x = _checked_marginals(g, marginals).matrix
+    if g.m > COVER_MAX_EDGES:
+        raise GraphError(f"cover search infeasible for {g.m} edges (limit {COVER_MAX_EDGES})")
     in_tree = tree_edge_matrix(g, trees)
-    if g.n == 1:
-        return 0.0, [0]
-    if g.m == 0:  # a disconnected host: only an empty tree list passes the check
+    if g.m == 0:  # one node, or a disconnected host with no trees
         return 0.0, []
     eu, ev = g.endpoints
     w = wasserstein_sq(x[eu], x[ev])
     # a running sum in edge order: the additions of a per-tree sum, since
     # adding a left-out edge's 0.0 to a sum of terms >= 0 changes no bit
     weights = np.where(in_tree, w, 0.0).cumsum(axis=1)[:, -1]
-    res = _min_weight_cover(trees, weights, g.m, size_cap)
+    masks = in_tree @ (1 << np.arange(g.m, dtype=np.int64))  # bit i of row t: edge i
+    res = _min_weight_cover(masks, weights, g.m, size_cap)
     if res is None:
         raise GraphError(f"no cover within cap {size_cap}")
-    val, idx = res
-    return val, [trees[i] for i in idx]
+    return res
 
 
 # --- inequality chains ----------------------------------------------------

@@ -5,14 +5,13 @@ canonically sorted tuple of (u, v) edges with u < v.  This module is the one
 place where edges become index arrays (``Graph.endpoints`` and the numpy path
 of ``build_graph``) and matrices: the sparse Laplacian (densified for
 eigendecompositions), the dense Laplacian minor of the matrix-tree count, and
-the sparse propagation matrix for training.  A spanning tree is an int
-bitmask over ``edges`` (bit i is edge i); ``tree_edge_matrix`` is the one
-place a list of them is checked and decoded.
+the sparse propagation matrix for training.  A spanning tree is a row of a
+boolean ``(trees, |E|)`` edge table (entry i is edge i); ``_spans`` is the one
+spanning test and ``tree_edge_matrix`` the one check of a table.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -35,7 +34,7 @@ COVER_MAX_EDGES = 20  # the cover search holds 2^|E| sets per level
 _ARRAY_MIN_EDGES = 32
 _ARRAY_MAX_N = 1 << 31  # edge keys min·n + max stay below 2^62
 TREE_CAP = 10000  # most spanning trees enumerate_spanning_trees lists
-_MAX_TREE_EDGES = 63  # edge indices of an int64 bitmask
+_TREE_CHUNK = 1 << 12  # candidate edge subsets per spanning test of enumerate_spanning_trees
 CLIQUE_MAX_N = 32  # most nodes clique_number_complement searches
 _COVER_CHUNK = 1 << 14  # (set, candidate mask) cells per vectorized cover-search step
 _SBM_CHUNK = 1 << 20  # node pairs per uniform draw of sbm_generate
@@ -199,11 +198,19 @@ def main_component(g: Graph) -> tuple[Graph, list[int]]:
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
-    nodes = sorted(set(int(v) for v in nodes))
+    """The subgraph on ``nodes`` in increasing order; refuses the first bad id."""
+    ids = []
+    for v in nodes:
+        try:  # operator.index refuses floats, strings and numpy bools
+            ids.append(operator.index(v))
+        except TypeError:
+            raise GraphError(f"node {v!r} is not an integer node id (n={g.n})") from None
+        if not 0 <= ids[-1] < g.n:
+            raise GraphError(f"node {v} out of range for n={g.n}")
+    nodes = sorted(set(ids))
     # nodes of g get their position in ``nodes``, the others -1
-    first, stop = bisect.bisect_left(nodes, 0), bisect.bisect_left(nodes, g.n)
     index = np.full(g.n, -1)
-    index[nodes[first:stop]] = np.arange(first, stop)
+    index[nodes] = np.arange(len(nodes))
     u, v = g.endpoints
     iu, iv = index[u], index[v]
     inside = (iu >= 0) & (iv >= 0)
@@ -216,10 +223,8 @@ def spanning_tree_count(g: Graph) -> int | float:
     A count beyond float64's range is ``math.inf``.  The Laplacian is written
     straight into a dense array: this count runs once per bound-corpus
     instance (a few nodes), where building the CSR ``laplacian_sparse`` first
-    costs about 20 times as much.
+    costs about 20 times as much.  One node's empty minor has determinant 1.
     """
-    if g.n == 1:
-        return 1
     u, v = g.endpoints
     lap = np.diag(g.degrees)
     lap[u, v] = lap[v, u] = -1.0
@@ -228,66 +233,65 @@ def spanning_tree_count(g: Graph) -> int | float:
     return int(round(det)) if np.isfinite(det) else math.inf
 
 
-def enumerate_spanning_trees(g: Graph) -> list[int]:
-    """All spanning trees, as edge bitmasks over ``g.edges`` (bit i is edge i).
+def enumerate_spanning_trees(g: Graph) -> np.ndarray:
+    """All spanning trees, as the read-only ``(trees, g.m)`` boolean edge table.
 
     A matrix-tree count runs first so that more than ``TREE_CAP`` trees are
-    refused before any enumeration work happens.  The trees are the acyclic
-    (n - 1)-edge subsets of ``g.edges``; all C(|E|, n - 1) subsets are tested,
-    in combination order, which on the sorted edge tuple is the order of the
-    trees' sorted edge tuples.
+    refused before any enumeration work happens.  The trees are the
+    (n - 1)-edge subsets of ``g.edges`` that pass ``_spans``; all C(|E|, n - 1)
+    subsets are tested, ``_TREE_CHUNK`` at a time, in combination order,
+    which on the sorted edge tuple is the order of the trees' sorted edge tuples.
     """
     if not is_connected(g):
         raise GraphError("graph disconnected")
     count = spanning_tree_count(g)
     if count > TREE_CAP:
         raise GraphError(f"tree count {count} exceeds cap {TREE_CAP}")
-    found = [sum(1 << i for i in idx)
-             for idx in itertools.combinations(range(g.m), g.n - 1) if _acyclic(g, idx)]
-    assert len(found) == count, f"enumeration found {len(found)}, Kirchhoff says {count}"
-    return found
+    subsets = itertools.combinations(range(g.m), g.n - 1)
+    found = []
+    while chunk := list(itertools.islice(subsets, _TREE_CHUNK)):
+        rows = np.zeros((len(chunk), g.m), dtype=bool)
+        rows[np.arange(len(chunk))[:, None], np.array(chunk, dtype=np.intp)] = True
+        found.append(rows[_spans(g, rows)])
+    trees = np.concatenate(found)
+    trees.flags.writeable = False
+    assert len(trees) == count, f"enumeration found {len(trees)}, Kirchhoff says {count}"
+    return trees
+
+
+def _spans(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """Whether each row's edges (a boolean ``(k, g.m)`` table) reach every node.
+
+    Each of n - 1 passes spreads the reach from node 0 by one step: the row's
+    edges that touch a reached node, then the nodes they touch, two batched
+    products of small integers, so exact.
+    """
+    inc = np.zeros((g.m, g.n))  # the edge-node incidence matrix
+    inc[np.arange(g.m)[:, None], np.stack(g.endpoints, axis=1)] = 1.0
+    reach = np.repeat(np.eye(1, g.n), len(rows), axis=0)  # node 0 only
+    for _ in range(g.n - 1):
+        reach = np.minimum(reach + (rows * (reach @ inc.T)) @ inc, 1.0)
+    return reach.all(axis=1)
 
 
 def tree_edge_matrix(g: Graph, trees) -> np.ndarray:
-    """The ``(len(trees), g.m)`` boolean table of which edges each tree holds.
+    """``trees`` as a checked ``(len(trees), g.m)`` boolean edge table.
 
-    ``trees`` are edge bitmasks over ``g.edges``, as ``enumerate_spanning_trees``
-    lists them.  A host over ``_MAX_TREE_EDGES`` edges is refused (the table
-    is decoded from int64 masks), and so is the first tree, in list order,
-    whose mask is not an integer, holds a bit at or above ``g.m`` (as a
-    negative mask does) or does not hold exactly ``g.n - 1`` edges.
+    The one check of a tree table, as ``enumerate_spanning_trees`` lists it.
+    A table that is not boolean, not 2-D or not ``g.m`` wide is refused, and
+    then the first row, in table order, that does not hold exactly
+    ``g.n - 1`` edges or whose edges do not span ``g`` (``_spans``).
     """
-    if g.m > _MAX_TREE_EDGES:
-        raise GraphError(f"tree bounds take at most {_MAX_TREE_EDGES} edges "
-                         f"(int64 edge masks), got {g.m}")
-    masks = []
-    for t in trees:
-        try:  # operator.index refuses floats, strings and numpy bools
-            t = operator.index(t)
-        except TypeError:
-            raise GraphError(f"tree mask {t!r} is not an integer") from None
-        if t >> g.m:
-            raise GraphError(f"tree mask {t:#x} uses edges absent from the host's {g.m} edges")
-        if t.bit_count() != g.n - 1:
-            raise GraphError(f"spanning tree needs {g.n - 1} edges, got {t.bit_count()}")
-        masks.append(t)
-    masks = np.array(masks, dtype=np.int64)
-    return (masks[:, None] >> np.arange(g.m)) & 1 == 1
-
-
-def _acyclic(g: Graph, idx) -> bool:
-    """Whether the edges ``g.edges[i]``, i in idx, form a forest (union-find)."""
-    root = list(range(g.n))
-    for i in idx:
-        u, v = g.edges[i]
-        while root[u] != u:
-            u = root[u]
-        while root[v] != v:
-            v = root[v]
-        if u == v:
-            return False
-        root[u] = v
-    return True
+    table = np.asarray(trees)
+    if table.dtype != bool or table.ndim != 2 or table.shape[1] != g.m:
+        raise GraphError(f"trees must be a boolean (trees, {g.m}) edge table, "
+                         f"got {table.dtype} of shape {table.shape}")
+    sizes = table.sum(axis=1)
+    for t in np.flatnonzero((sizes != g.n - 1) | ~_spans(g, table)):  # the first bad row
+        if sizes[t] != g.n - 1:
+            raise GraphError(f"tree {t} holds {sizes[t]} edges, a spanning tree needs {g.n - 1}")
+        raise GraphError(f"tree {t} does not span its host")
+    return table
 
 
 def clique_number_complement(g: Graph) -> tuple[int, int]:

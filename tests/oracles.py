@@ -2,15 +2,16 @@
 
 Nothing under ``src/`` calls these: the two-phase simplex that needs no
 starting basis, the transport LP over all couplings, the edge tuple of a
-tree bitmask, the tree cover weighted by one Python sum per tree, the
-unit-weight minimum tree cover, the inverse graph Fourier transform, a
-recorder for the LPs that ``distributional`` hands to the simplex solver,
-the per-edge and per-(node, label) loop build of the joint-coupling LP and
-its staircase start, the joint LP on every marginal row through the
-two-phase simplex, one branch per regularizer variant, one model's forward
-pass and loss gradient on plain n x C arrays, the one-model-at-a-time
-training loop, the all-pairs block-model sampler, the dict-lookup induced
-subgraph and the per-token ``float()`` parse of Cora features.
+row of the boolean tree edge table, the Python-int bitmask of each row, the
+tree cover weighted by one Python sum per tree, the unit-weight minimum tree
+cover, the inverse graph Fourier transform, a recorder for the LPs that
+``distributional`` hands to the simplex solver, the per-edge and
+per-(node, label) loop build of the joint-coupling LP and its staircase
+start, the joint LP on every marginal row through the two-phase simplex, one
+branch per regularizer variant, one model's forward pass and loss gradient
+on plain n x C arrays, the one-model-at-a-time training loop, the all-pairs
+block-model sampler, the dict-lookup induced subgraph and the per-token
+``float()`` parse of Cora features.
 """
 
 import itertools
@@ -117,19 +118,25 @@ def coupling_lp_oracle(mu, nu) -> float:
     return max(val, 0.0)
 
 
-def tree_edges(g, mask: int) -> tuple:
-    """The sorted edge tuple of a tree given as a bitmask over ``g.edges``."""
-    return tuple(e for i, e in enumerate(g.edges) if mask >> i & 1)
+def tree_edges(g, row) -> tuple:
+    """The sorted edge tuple of a tree given as a boolean row over ``g.edges``."""
+    return tuple(e for e, held in zip(g.edges, row, strict=True) if held)
+
+
+def tree_masks(trees) -> list[int]:
+    """Each row of a boolean tree edge table as a Python int, bit i for entry i."""
+    return [sum(1 << i for i, held in enumerate(row) if held) for row in trees]
 
 
 def tv_cover_by_tree_sums(g, x, size_cap, trees):
-    """``tv_cover``'s value, chosen trees and per-tree weights, each weight one
-    Python sum over the tree's edges in ``g.edges`` order; ``x`` is n x m."""
+    """``tv_cover``'s value, chosen row indices and per-tree weights, each
+    weight one Python sum over the tree's edges in ``g.edges`` order; ``x`` is
+    n x m."""
     eu, ev = g.endpoints
     w = distributional.wasserstein_sq(x[eu], x[ev]).tolist()
-    weights = [sum(w[i] for i in range(g.m) if t >> i & 1) for t in trees]
-    val, idx = _min_weight_cover(trees, weights, g.m, size_cap)
-    return val, [trees[i] for i in idx], weights
+    weights = [sum(w[i] for i in range(g.m) if t[i]) for t in trees]
+    val, idx = _min_weight_cover(tree_masks(trees), weights, g.m, size_cap)
+    return val, idx, weights
 
 
 def covers(cover, g) -> bool:
@@ -140,17 +147,18 @@ def covers(cover, g) -> bool:
     return covered.issuperset(set(g.edges))
 
 
-def min_tree_cover(g) -> list[int]:
-    """Smallest set of spanning trees covering every edge, within the default cap."""
+def min_tree_cover(g) -> np.ndarray:
+    """Smallest set of spanning trees covering every edge, within the default
+    cap, as rows of the tree edge table."""
     trees = enumerate_spanning_trees(g)
     _, c1 = clique_number_complement(g)
     size_cap = cover_size_cap(c1)
     # unit weights: minimum total weight == minimum cover size
-    res = _min_weight_cover(trees, [1.0] * len(trees), g.m, size_cap)
+    res = _min_weight_cover(tree_masks(trees), [1.0] * len(trees), g.m, size_cap)
     if res is None:
         raise GraphError(f"no cover within cap {size_cap}")
     _, idx = res
-    cover = [trees[i] for i in idx]
+    cover = trees[idx]
     assert covers(cover, g)
     if 1 <= c1 <= size_cap:
         assert len(cover) <= c1, f"cover size {len(cover)} > c1 {c1}"

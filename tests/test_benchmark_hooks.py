@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from distsig import cli, distributional, gnn, spectral
-from distsig.graph import sbm_generate
+from distsig.graph import cover_size_cap, sbm_generate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -61,6 +61,12 @@ def test_traced_run_reports_work_counters(capsys):
         assert metrics[name] > 0, name
     assert metrics["gnn.epochs"] == 2  # the eta grid trains as one stack
     assert metrics["graph.trees_enumerated"] == report["tree_count"]
+    # the cover search gets one packed mask per tree over the host's edges;
+    # a mask list of another length, such as the table's transpose, would
+    # skew this count without failing the search
+    host_edges = len(report["graph"]["edges"])
+    assert metrics["graph.cover_lattice_cells"] == (
+        cover_size_cap(report["c1"]) * report["tree_count"] * 2 ** host_edges)
     assert metrics["spectral.eig_sym.n"] <= 40
 
     plain_tr = tracing.Tracer()

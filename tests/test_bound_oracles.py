@@ -27,7 +27,7 @@ from distsig.graph import (
     cover_size_cap,
     enumerate_spanning_trees,
 )
-from oracles import covers, min_tree_cover, tree_edges, tv_cover_by_tree_sums
+from oracles import covers, min_tree_cover, tree_edges, tree_masks, tv_cover_by_tree_sums
 
 ORACLE_INSTANCES = 100
 
@@ -97,7 +97,7 @@ def bfs_parents(n, edges, v0):
 
 
 def tree_rooted_oracle(g, tree, v0, x):
-    """Rooted-tree bound of one tree (an edge bitmask) at one root, walking each root path."""
+    """Rooted-tree bound of one tree (a boolean edge row) at one root, walking each root path."""
     edges = tree_edges(g, tree)
     parent = bfs_parents(g.n, edges, v0)
     paths = []
@@ -192,7 +192,7 @@ def _edge_tuples(g, trees):
 def test_tree_enumeration_equals_oracle_on_corpus():
     for i in range(ORACLE_INSTANCES):
         g, _, trees = _criterion_2_instance(i)
-        assert all(0 <= t < 1 << g.m for t in trees)
+        assert trees.dtype == bool and trees.shape[1] == g.m and not trees.flags.writeable
         assert _edge_tuples(g, trees) == spanning_trees_oracle(g), i
 
 
@@ -207,7 +207,7 @@ def test_tree_enumeration_single_node():
     g = build_graph(1, [])
     trees = enumerate_spanning_trees(g)
     assert _edge_tuples(g, trees) == [()] == spanning_trees_oracle(g)
-    assert trees == [0]
+    assert trees.shape == (1, 0)
 
 
 # --- rooted-tree bound -----------------------------------------------------
@@ -246,25 +246,38 @@ def test_tree_bound_tree_host_and_single_edge_equal_oracle():
     for g in (build_graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]),
               build_graph(2, [(0, 1)])):
         trees = enumerate_spanning_trees(g)
-        assert trees == [(1 << g.m) - 1]
+        assert trees.tolist() == [[True] * g.m]
         got = tv_tree_rooted(g, trees, x[:g.n])
         want = [[tree_rooted_oracle(g, trees[0], r, x[:g.n]) for r in range(g.n)]]
         assert np.array_equal(got, want)
 
 
+def test_tree_bound_over_63_edges_equals_oracle():
+    # a 70-node cycle has 70 edges and 70 trees, each leaving one edge out
+    g = build_graph(70, [(i, (i + 1) % 70) for i in range(70)])
+    x = np.random.default_rng(6).dirichlet(np.ones(2), size=70)
+    trees = enumerate_spanning_trees(g)
+    assert trees.shape == (70, 70)
+    got = tv_tree_rooted(g, trees, x)
+    for t in range(0, 70, 9):
+        want = [tree_rooted_oracle(g, trees[t], r, x) for r in range(0, 70, 5)]
+        assert np.array_equal(got[t, ::5], want), t
+
+
 def test_tree_bound_rejects_edge_set_with_even_cycle():
-    # n - 1 edges: the 4-cycle 2-3-4-5 plus edge (0, 1).  From node 2 the
-    # breadth-first search reaches node 4 through both 3 and 5, so a kernel
-    # that sums the frontier neighbours' labels would index past node n - 1
+    # n - 1 edges: the 4-cycle 2-3-4-5 plus edge (0, 1).  The table check
+    # must refuse it: from node 2 the breadth-first search, which sums the
+    # frontier neighbours' labels, would reach node 4 through both 3 and 5
+    # and index past node n - 1
     g = build_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5), (0, 2)])
-    cycle = sum(1 << i for i, e in enumerate(g.edges) if e != (0, 2))
+    cycle = [e != (0, 2) for e in g.edges]
     with pytest.raises(GraphError, match="span"):
         tv_tree_rooted(g, [cycle], np.full((6, 2), 0.5))
 
 
 def test_tree_bound_rejects_non_spanning_edge_set():
     g = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    cycle = 0b1011  # edges (0, 1), (0, 2), (1, 2): node 3 left out
+    cycle = [True, True, False, True, False, False]  # (0, 1), (0, 2), (1, 2): no node 3
     with pytest.raises(GraphError, match="span"):
         tv_tree_rooted(g, [cycle], np.full((4, 2), 0.5))
 
@@ -273,8 +286,9 @@ def test_tree_bound_rejects_non_spanning_edge_set():
 
 def test_cover_search_matches_lattice_oracle_on_corpus():
     for i in range(ORACLE_INSTANCES):
-        g, x, masks = _criterion_2_instance(i)
-        weights = _tree_weights(g, x, masks)
+        g, x, trees = _criterion_2_instance(i)
+        masks = tree_masks(trees)
+        weights = _tree_weights(g, x, trees)
         cap = max(clique_number_complement(g)[1], 3)
         want = cover_lattice_oracle(masks, weights, g.m, cap)
         res = _min_weight_cover(masks, weights, g.m, cap)
@@ -284,21 +298,23 @@ def test_cover_search_matches_lattice_oracle_on_corpus():
 def test_cover_search_k6():
     g = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
     x = np.random.default_rng(8).dirichlet(np.ones(3), size=6)
-    masks = enumerate_spanning_trees(g)
-    assert (len(masks), g.m) == (1296, 15)
-    weights = _tree_weights(g, x, masks)
+    trees = enumerate_spanning_trees(g)
+    assert trees.shape == (1296, 15)
+    masks = tree_masks(trees)
+    weights = _tree_weights(g, x, trees)
     want = cover_lattice_oracle(masks, weights, g.m, 5)
     _assert_witness(_min_weight_cover(masks, weights, g.m, 5),
                     masks, weights, g.m, 5, want)
 
 
 def test_tv_cover_bitwise_equal_to_tree_sums_on_corpus_and_k6(monkeypatch):
-    # the weights tv_cover hands to the cover search, and its value and trees
+    # the masks and weights tv_cover hands to the cover search, and its value
+    # and chosen rows
     handed = []
     search = distributional._min_weight_cover
 
     def record(masks, weights, n_edges, size_cap):
-        handed.append(np.array(weights))
+        handed.append((masks.tolist(), np.array(weights)))
         return search(masks, weights, n_edges, size_cap)
 
     monkeypatch.setattr(distributional, "_min_weight_cover", record)
@@ -310,14 +326,15 @@ def test_tv_cover_bitwise_equal_to_tree_sums_on_corpus_and_k6(monkeypatch):
         cap = cover_size_cap(clique_number_complement(g)[1])
         val, chosen, weights = tv_cover_by_tree_sums(g, x, cap, trees)
         assert tv_cover(g, x, cap, trees) == (val, chosen), i
-        assert np.array_equal(handed[-1], weights), i
+        assert handed[-1][0] == tree_masks(trees), i
+        assert np.array_equal(handed[-1][1], weights), i
     assert len(handed) == len(cases)
 
 
 def test_cover_search_cap_without_cover():
     # a 4-cycle needs two spanning trees
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    masks = enumerate_spanning_trees(g)
+    masks = tree_masks(enumerate_spanning_trees(g))
     assert _min_weight_cover(masks, [1.0] * len(masks), g.m, 1) is None
     assert cover_lattice_oracle(masks, [1.0] * len(masks), g.m, 1) is None
     assert _min_weight_cover(masks, [1.0] * len(masks), g.m, 2)[0] == 2.0
@@ -342,6 +359,6 @@ def test_min_tree_cover_unit_weights(n, edges, size):
     cover = min_tree_cover(g)
     assert covers(cover, g)
     assert len(cover) == size
-    masks = enumerate_spanning_trees(g)
+    masks = tree_masks(enumerate_spanning_trees(g))
     cap = max(clique_number_complement(g)[1], 3)
     assert cover_lattice_oracle(masks, [1.0] * len(masks), g.m, cap) == size

@@ -26,6 +26,7 @@ from distsig.distributional import (
     wasserstein_sq,
 )
 from distsig.graph import (
+    COVER_MAX_EDGES,
     GraphError,
     build_graph,
     clique_number_complement,
@@ -380,52 +381,54 @@ def test_tv_exact_reports_a_start_beyond_the_limit(monkeypatch, p2):
         tv_exact(p2, [[0.5, 0.5 - _EDGE_GAP], [1.0 + _EDGE_GAP, 0.0]])
 
 
+# a row of the triangle's tree table, over its edges (0, 1), (0, 2), (1, 2)
+TRIANGLE_PATH = [True, False, True]  # edges (0, 1), (1, 2)
+
+
 def test_tv_tree_on_tree_equals_l1():
     g = build_graph(4, [(0, 1), (1, 2), (1, 3)])
     rng = np.random.default_rng(9)
     x = np.vstack([rng.dirichlet(np.ones(3)) for _ in range(4)])
     l1, _ = tv_l1_l2(g, x)
-    tree = (1 << g.m) - 1  # every edge of g
+    tree = [True] * g.m  # every edge of g
     for v0 in range(4):
         assert abs(tv_tree_rooted(g, [tree], x)[0, v0] - l1) < 1e-12
 
 
 def test_tv_tree_triangle_worked_example(triangle):
-    tree = 0b101  # edges (0, 1), (1, 2)
-    assert abs(tv_tree_rooted(triangle, [tree], DELTA_TRIANGLE)[0, 0] - 4.0) < 1e-12
+    assert abs(tv_tree_rooted(triangle, [TRIANGLE_PATH], DELTA_TRIANGLE)[0, 0] - 4.0) < 1e-12
 
 
 def test_tv_tree_identical_marginals(triangle):
-    tree = 0b101  # edges (0, 1), (1, 2)
     x = np.tile([0.6, 0.4], (3, 1))
-    assert abs(tv_tree_rooted(triangle, [tree], x)[0, 2]) < 1e-12
+    assert abs(tv_tree_rooted(triangle, [TRIANGLE_PATH], x)[0, 2]) < 1e-12
 
 
 def test_tv_tree_rejects_foreign_tree(triangle):
     g2 = build_graph(3, [(0, 1), (1, 2)])  # no (0,2) edge
-    tree = 0b101  # bit 2 names a third edge, which g2 does not have
-    with pytest.raises(GraphError, match="absent"):
-        tv_tree_rooted(g2, [tree], DELTA_TRIANGLE)[0, 0]
+    # a row of the triangle's table has an entry for a third edge
+    with pytest.raises(GraphError, match=r"^trees must be a boolean \(trees, 2\) edge table, "
+                                         r"got bool of shape \(1, 3\)$"):
+        tv_tree_rooted(g2, [TRIANGLE_PATH], DELTA_TRIANGLE)
 
 
 def test_tv_tree_rejects_wrong_edge_count(triangle):
-    for tree, got in ((0b111, 3), (0b001, 1)):
-        with pytest.raises(GraphError, match=f"needs 2 edges, got {got}"):
-            tv_tree_rooted(triangle, [0b101, tree], DELTA_TRIANGLE)
+    for tree, got in (([True, True, True], 3), ([True, False, False], 1)):
+        with pytest.raises(GraphError, match=f"^tree 1 holds {got} edges, a spanning tree needs 2$"):
+            tv_tree_rooted(triangle, [TRIANGLE_PATH, tree], DELTA_TRIANGLE)
 
 
-def test_tv_tree_edge_limit_is_the_int64_mask():
-    # a path is its own one spanning tree, so its bound at any root is its l1
+def test_tree_notions_on_a_path_over_63_edges():
+    # a path is its own one spanning tree, so its bound at any root is its
+    # l1; the cover search refuses the host before it reads the table
     for n in (64, 70):
         g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
         x = np.vstack([np.linspace(0.1, 0.9, n), np.linspace(0.9, 0.1, n)]).T
-        tree = (1 << g.m) - 1
-        if g.m <= 63:
-            assert abs(tv_tree_rooted(g, [tree], x)[0, 0] - tv_l1_l2(g, x)[0]) < 1e-12
-        else:
-            for notion in _tree_notions(g, x):
-                with pytest.raises(GraphError, match="at most 63 edges.*got 69"):
-                    notion([tree])
+        assert abs(tv_tree_rooted(g, [[True] * g.m], x)[0, 0] - tv_l1_l2(g, x)[0]) < 1e-12
+        for trees in ([[True] * g.m], [[1.0] * g.m]):
+            with pytest.raises(GraphError, match=rf"^cover search infeasible for {g.m} edges "
+                                                 rf"\(limit {COVER_MAX_EDGES}\)$"):
+                tv_cover(g, x, 3, trees)
 
 
 def _tree_notions(g, x):
@@ -434,24 +437,41 @@ def _tree_notions(g, x):
             lambda trees: tv_cover(g, x, 3, trees))
 
 
-@pytest.mark.parametrize("mask, message", [
-    # one bit, and a foreign one: the foreign bit is named, not the count
-    (1 << 3, "tree mask 0x8 uses edges absent from the host's 3 edges"),
-    (-1, "tree mask -0x1 uses edges absent from the host's 3 edges"),
-    (1 << 63, "tree mask 0x8000000000000000 uses edges absent from the host's 3 edges"),
-    (3.0, "tree mask 3.0 is not an integer"),
-    (0b001, "spanning tree needs 2 edges, got 1"),
-], ids=["foreign-bit", "negative", "bit-63", "float", "too-few-edges"])
-def test_tree_notions_refuse_the_same_masks(triangle, mask, message):
+@pytest.mark.parametrize("trees, message", [
+    # one entry more than the host has edges
+    ([[True, False, True, False]] * 2,
+     "trees must be a boolean (trees, 3) edge table, got bool of shape (2, 4)"),
+    ([TRIANGLE_PATH, [1.0, 0.0, 1.0]],
+     "trees must be a boolean (trees, 3) edge table, got float64 of shape (2, 3)"),
+    (np.array([TRIANGLE_PATH], dtype=np.int64),
+     "trees must be a boolean (trees, 3) edge table, got int64 of shape (1, 3)"),
+    (TRIANGLE_PATH, "trees must be a boolean (trees, 3) edge table, got bool of shape (3,)"),
+    ([TRIANGLE_PATH, [True, False, False]], "tree 1 holds 1 edges, a spanning tree needs 2"),
+], ids=["foreign-bit", "float", "int", "one-row-1d", "too-few-edges"])
+def test_tree_notions_refuse_the_same_masks(triangle, trees, message):
     for notion in _tree_notions(triangle, DELTA_TRIANGLE):
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
-            notion([0b101, mask])
+            notion(trees)
 
 
-def test_tree_notions_refuse_the_first_bad_mask_in_list_order(triangle):
-    for notion in _tree_notions(triangle, DELTA_TRIANGLE):
-        with pytest.raises(GraphError, match="^spanning tree needs 2 edges, got 1$"):
-            notion([0b001, 1 << 3])
+# rows of K4's tree table, over its edges (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+K4_STAR = [True, True, True, False, False, False]  # the star at node 0
+K4_CYCLE = [True, True, False, True, False, False]  # the triangle 0-1-2; node 3 left out
+K4_SHORT = [True, False, False, False, False, False]
+
+
+def test_tree_notions_refuse_a_cycle_of_n_minus_1_edges(k4):
+    for notion in _tree_notions(k4, np.full((4, 2), 0.5)):
+        with pytest.raises(GraphError, match="^tree 1 does not span its host$"):
+            notion([K4_STAR, K4_CYCLE])
+
+
+def test_tree_notions_refuse_the_first_bad_mask_in_list_order(k4):
+    for notion in _tree_notions(k4, np.full((4, 2), 0.5)):
+        with pytest.raises(GraphError, match="^tree 1 holds 1 edges, a spanning tree needs 3$"):
+            notion([K4_STAR, K4_SHORT, K4_CYCLE])
+        with pytest.raises(GraphError, match="^tree 1 does not span its host$"):
+            notion([K4_STAR, K4_CYCLE, K4_SHORT])
 
 
 def _cover_cap(g):
@@ -460,40 +480,45 @@ def _cover_cap(g):
 
 
 def test_tv_cover_single_node():
+    # no edge to cover: no tree is chosen, whatever the table holds
     g = build_graph(1, [])
-    assert tv_cover(g, [[1.0]], _cover_cap(g), enumerate_spanning_trees(g)) == (0.0, [0])
-    with pytest.raises(GraphError, match="absent"):
-        tv_cover(g, [[1.0]], _cover_cap(g), [1])
+    for trees in (enumerate_spanning_trees(g), np.zeros((0, 0), dtype=bool)):
+        assert tv_cover(g, [[1.0]], _cover_cap(g), trees) == (0.0, [])
+    assert check_tv_bounds(g, [[1.0]])["cover_size"] == 0
+    with pytest.raises(GraphError, match="edge table"):
+        tv_cover(g, [[1.0]], _cover_cap(g), [[True]])
 
 
 def test_tv_cover_edgeless_host_takes_only_an_empty_tree_list():
     g = build_graph(2, [])
     x = [[1.0, 0.0], [0.0, 1.0]]
-    assert tv_cover(g, x, 3, []) == (0.0, [])
-    with pytest.raises(GraphError, match="absent"):
-        tv_cover(g, x, 3, [1])
+    assert tv_cover(g, x, 3, np.zeros((0, 0), dtype=bool)) == (0.0, [])
+    with pytest.raises(GraphError, match="^tree 0 holds 0 edges, a spanning tree needs 1$"):
+        tv_cover(g, x, 3, np.zeros((1, 0), dtype=bool))
 
 
 def test_tv_cover_tree_graph():
     g = build_graph(3, [(0, 1), (1, 2)])
     x = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-    val, cover = tv_cover(g, x, _cover_cap(g), enumerate_spanning_trees(g))
+    trees = enumerate_spanning_trees(g)
+    val, cover = tv_cover(g, x, _cover_cap(g), trees)
     l1, _ = tv_l1_l2(g, x)
     assert abs(val - 0.5 * l1) < 1e-12
-    assert len(cover) == 1
-    assert set(tree_edges(g, cover[0])) == set(g.edges)
+    assert cover == [0]
+    assert set(tree_edges(g, trees[0])) == set(g.edges)
 
 
 def test_tv_cover_triangle_worked_example(triangle):
-    val, cover = tv_cover(triangle, DELTA_TRIANGLE, 3, enumerate_spanning_trees(triangle))
+    trees = enumerate_spanning_trees(triangle)
+    val, cover = tv_cover(triangle, DELTA_TRIANGLE, 3, trees)
     assert abs(val - 2.0) < 1e-12
     # witness: two trees that share the zero-variation edge (0,1)
     assert len(cover) == 2
     union = set()
     for t in cover:
-        union |= set(tree_edges(triangle, t))
+        union |= set(tree_edges(triangle, trees[t]))
     assert union == set(triangle.edges)
-    assert all((0, 1) in tree_edges(triangle, t) for t in cover)
+    assert all((0, 1) in tree_edges(triangle, trees[t]) for t in cover)
 
 
 def test_tv_cover_identical_marginals(triangle):

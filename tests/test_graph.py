@@ -202,8 +202,21 @@ def test_induced_subgraph_equals_dict_oracle():
         n = int(rng.integers(1, 80))
         m = int(rng.integers(0, n * (n - 1) // 2 + 1))
         g = build_graph(n, _random_edges(rng, n, m))
-        nodes = rng.choice(n + 5, int(rng.integers(1, n + 5)), replace=True) - 2
+        nodes = rng.choice(n, int(rng.integers(1, n + 5)), replace=True)
         assert induced_subgraph(g, nodes) == induced_subgraph_by_dict(g, nodes)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([1, 2, 99, -5], "node 99 out of range for n=3"),
+    ([1, -1], "node -1 out of range for n=3"),
+    (np.array([0, 3]), "node 3 out of range for n=3"),
+    ([0, 1.0], "node 1.0 is not an integer node id (n=3)"),
+    ([np.True_], f"node {np.True_!r} is not an integer node id (n=3)"),
+    (["1"], "node '1' is not an integer node id (n=3)"),
+], ids=["first-of-two", "negative", "array", "float", "numpy-bool", "string"])
+def test_induced_subgraph_refuses_ids_outside_the_graph(p3, nodes, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        induced_subgraph(p3, nodes)
 
 
 def test_graph_and_labels_file_bytes(tmp_path):
@@ -297,10 +310,10 @@ def test_spanning_tree_count_k4(k4):
 
 def test_enumerate_triangle(triangle):
     trees = enumerate_spanning_trees(triangle)
-    assert len(trees) == 3
+    assert trees.shape == (3, 3) and trees.dtype == bool
+    assert not trees.flags.writeable
     for t in trees:
         assert len(tree_edges(triangle, t)) == 2
-        assert 0 <= t < 1 << triangle.m
 
 
 def test_enumerate_path_is_itself(p3):
@@ -325,6 +338,17 @@ def test_tree_count_beyond_float64_is_over_the_cap():
             enumerate_spanning_trees(g)
 
 
+def test_spanning_test_equals_component_search():
+    # every edge subset of a few corpus hosts and of K6: _spans against the
+    # depth-first component search of the subgraph that the subset keeps
+    k6 = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    hosts = [random_bound_instance((0, i), *BOUND_CORPUS)[0] for i in range(20)] + [k6]
+    for g in hosts:
+        rows = np.arange(1 << g.m)[:, None] >> np.arange(g.m) & 1 == 1
+        want = [is_connected(Graph(g.n, tree_edges(g, r))) for r in rows]
+        assert graph._spans(g, rows).tolist() == want, g
+
+
 def test_enumerate_disconnected():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(GraphError, match="disconnected"):
@@ -338,12 +362,12 @@ def test_enumerate_matches_kirchhoff(rng):
             continue
         trees = enumerate_spanning_trees(g)
         assert len(trees) == spanning_tree_count(g)
-        assert len(set(trees)) == len(trees)
+        assert len(np.unique(trees, axis=0)) == len(trees)
 
 
 def test_tree_cover_covers(triangle):
-    t1 = 0b101  # edges (0, 1), (1, 2)
-    t2 = 0b011  # edges (0, 1), (0, 2)
+    t1 = [True, False, True]  # edges (0, 1), (1, 2)
+    t2 = [True, True, False]  # edges (0, 1), (0, 2)
     assert covers([t1, t2], triangle)
     assert not covers([t1], triangle)
 
