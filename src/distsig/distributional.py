@@ -23,7 +23,6 @@ from .graph import (
     cover_size_cap,
     enumerate_spanning_trees,
     is_connected,
-    tree_edge_matrix,
 )
 from .simplex import ROW_SUM_TOL, solve_lp
 
@@ -190,20 +189,19 @@ def _rho(mu_a: np.ndarray, mu_b: np.ndarray) -> np.ndarray:
 _TREE_BATCH = 64  # trees per vectorized step of tv_tree_rooted
 
 
-def tv_tree_rooted(g: Graph, trees, marginals) -> np.ndarray:
+def tv_tree_rooted(g: Graph, marginals) -> np.ndarray:
     """Upper-bound variation induced by each rooted spanning tree.
 
-    ``trees`` is a boolean ``(trees, g.m)`` edge table over ``g.edges``, as
-    ``enumerate_spanning_trees`` lists it, and ``tree_edge_matrix`` checks
-    it.  Returns a ``(len(trees), g.n)`` array whose entry ``[t, r]`` is tree
-    t rooted at node r.  Each graph edge contributes the mass that provably
-    must move between its endpoints once transport is routed through the tree
-    from the root: the endpoint masses minus twice the mass retained from
-    their deepest common ancestor.  On tree edges this collapses to the plain
-    l1 difference.  Trees are processed in batches of ``_TREE_BATCH``.
+    Returns a ``(trees, g.n)`` array whose entry ``[t, r]`` is row t of
+    ``g.spanning_trees`` rooted at node r.  Each graph edge contributes the
+    mass that provably must move between its endpoints once transport is
+    routed through the tree from the root: the endpoint masses minus twice
+    the mass retained from their deepest common ancestor.  On tree edges this
+    collapses to the plain l1 difference.  Trees are processed in batches of
+    ``_TREE_BATCH``.
     """
     x = _checked_marginals(g, marginals).matrix
-    in_tree = tree_edge_matrix(g, trees)
+    in_tree = g.spanning_trees
     eu, ev = g.endpoints
     l1 = 2.0 * wasserstein_sq(x[eu], x[ev])
     rho = _rho(x[:, None, :], x[None, :, :])  # rho[a, b]: the step a -> b
@@ -260,21 +258,20 @@ def _tree_bound_batch(x, eu, ev, l1, rho, in_tree) -> np.ndarray:
     return total
 
 
-def tv_cover(g: Graph, marginals, size_cap: int, trees) -> tuple[float, list[int]]:
+def tv_cover(g: Graph, marginals, size_cap: int) -> tuple[float, list[int]]:
     """Cheapest spanning-tree cover variation within a cover-size cap.
 
     Per-tree variation is the sum of its edges' transport distances (exact on
-    trees); the search over covers is exact within the cap.  ``trees`` is
-    the boolean edge table of all spanning trees of ``g``, as
-    ``enumerate_spanning_trees`` lists it; ``tree_edge_matrix`` refuses the
-    rows that ``tv_tree_rooted`` refuses.  Returns the value and the sorted
-    indices of the chosen rows (none on a host without edges).
+    trees); the search over covers of ``g.spanning_trees`` is exact within
+    the cap.  A host over ``COVER_MAX_EDGES`` edges is refused before its
+    trees are listed.  Returns the value and the sorted indices of the chosen
+    rows (none on a single node).
     """
     x = _checked_marginals(g, marginals).matrix
     if g.m > COVER_MAX_EDGES:
         raise GraphError(f"cover search infeasible for {g.m} edges (limit {COVER_MAX_EDGES})")
-    in_tree = tree_edge_matrix(g, trees)
-    if g.m == 0:  # one node, or a disconnected host with no trees
+    in_tree = g.spanning_trees
+    if g.m == 0:  # one node: no edge to cover
         return 0.0, []
     eu, ev = g.endpoints
     w = wasserstein_sq(x[eu], x[ev])
@@ -300,10 +297,12 @@ def check_tv_bounds(g: Graph, marginals) -> dict:
     nn = _checked_marginals(g, marginals)
     tg1, tg2 = tv_l1_l2(g, nn)
     tg = tv_exact(g, nn)
+    # enumerated here, before the bounds read the cached table, so that a
+    # traced run times the enumeration and counts its trees under its own name
     trees = enumerate_spanning_trees(g)
-    tghv_min = float(tv_tree_rooted(g, trees, nn).min())
+    tghv_min = float(tv_tree_rooted(g, nn).min())
     _, c1 = clique_number_complement(g)
-    tcov, cover = tv_cover(g, nn, size_cap=cover_size_cap(c1), trees=trees)
+    tcov, cover = tv_cover(g, nn, size_cap=cover_size_cap(c1))
     c3 = math.sqrt(nn.m * g.m)
     checks = [
         ("tg2_le_tg1", tg2, tg1),

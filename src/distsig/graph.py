@@ -6,8 +6,9 @@ place where edges become index arrays (``Graph.endpoints`` and the numpy path
 of ``build_graph``) and matrices: the sparse Laplacian (densified for
 eigendecompositions), the dense Laplacian minor of the matrix-tree count, and
 the sparse propagation matrix for training.  A spanning tree is a row of a
-boolean ``(trees, |E|)`` edge table (entry i is edge i); ``_spans`` is the one
-spanning test and ``tree_edge_matrix`` the one check of a table.
+boolean ``(trees, |E|)`` edge table (entry i is edge i); a graph lists its
+own trees once, as ``Graph.spanning_trees``, and ``_spans`` is the one
+spanning test, the enumeration's filter.
 """
 
 from __future__ import annotations
@@ -67,6 +68,33 @@ class Graph:
         d = np.bincount(np.concatenate(self.endpoints), minlength=self.n).astype(float)
         d.flags.writeable = False
         return d
+
+    @cached_property
+    def spanning_trees(self) -> np.ndarray:
+        """All spanning trees, as the read-only ``(trees, m)`` boolean edge table.
+
+        A matrix-tree count runs first so that more than ``TREE_CAP`` trees
+        are refused before any enumeration work happens; a disconnected graph
+        is refused before that.  The trees are the (n - 1)-edge subsets of
+        ``edges`` that pass ``_spans``; all C(|E|, n - 1) subsets are tested,
+        ``_TREE_CHUNK`` at a time, in combination order, which on the sorted
+        edge tuple is the order of the trees' sorted edge tuples.
+        """
+        if not is_connected(self):
+            raise GraphError("graph disconnected")
+        count = spanning_tree_count(self)
+        if count > TREE_CAP:
+            raise GraphError(f"tree count {count} exceeds cap {TREE_CAP}")
+        subsets = itertools.combinations(range(self.m), self.n - 1)
+        found = []
+        while chunk := list(itertools.islice(subsets, _TREE_CHUNK)):
+            rows = np.zeros((len(chunk), self.m), dtype=bool)
+            rows[np.arange(len(chunk))[:, None], np.array(chunk, dtype=np.intp)] = True
+            found.append(rows[_spans(self, rows)])
+        trees = np.concatenate(found)
+        trees.flags.writeable = False
+        assert len(trees) == count, f"enumeration found {len(trees)}, Kirchhoff says {count}"
+        return trees
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -234,29 +262,8 @@ def spanning_tree_count(g: Graph) -> int | float:
 
 
 def enumerate_spanning_trees(g: Graph) -> np.ndarray:
-    """All spanning trees, as the read-only ``(trees, g.m)`` boolean edge table.
-
-    A matrix-tree count runs first so that more than ``TREE_CAP`` trees are
-    refused before any enumeration work happens.  The trees are the
-    (n - 1)-edge subsets of ``g.edges`` that pass ``_spans``; all C(|E|, n - 1)
-    subsets are tested, ``_TREE_CHUNK`` at a time, in combination order,
-    which on the sorted edge tuple is the order of the trees' sorted edge tuples.
-    """
-    if not is_connected(g):
-        raise GraphError("graph disconnected")
-    count = spanning_tree_count(g)
-    if count > TREE_CAP:
-        raise GraphError(f"tree count {count} exceeds cap {TREE_CAP}")
-    subsets = itertools.combinations(range(g.m), g.n - 1)
-    found = []
-    while chunk := list(itertools.islice(subsets, _TREE_CHUNK)):
-        rows = np.zeros((len(chunk), g.m), dtype=bool)
-        rows[np.arange(len(chunk))[:, None], np.array(chunk, dtype=np.intp)] = True
-        found.append(rows[_spans(g, rows)])
-    trees = np.concatenate(found)
-    trees.flags.writeable = False
-    assert len(trees) == count, f"enumeration found {len(trees)}, Kirchhoff says {count}"
-    return trees
+    """``g.spanning_trees``: all spanning trees of ``g`` as one edge table."""
+    return g.spanning_trees
 
 
 def _spans(g: Graph, rows: np.ndarray) -> np.ndarray:
@@ -272,26 +279,6 @@ def _spans(g: Graph, rows: np.ndarray) -> np.ndarray:
     for _ in range(g.n - 1):
         reach = np.minimum(reach + (rows * (reach @ inc.T)) @ inc, 1.0)
     return reach.all(axis=1)
-
-
-def tree_edge_matrix(g: Graph, trees) -> np.ndarray:
-    """``trees`` as a checked ``(len(trees), g.m)`` boolean edge table.
-
-    The one check of a tree table, as ``enumerate_spanning_trees`` lists it.
-    A table that is not boolean, not 2-D or not ``g.m`` wide is refused, and
-    then the first row, in table order, that does not hold exactly
-    ``g.n - 1`` edges or whose edges do not span ``g`` (``_spans``).
-    """
-    table = np.asarray(trees)
-    if table.dtype != bool or table.ndim != 2 or table.shape[1] != g.m:
-        raise GraphError(f"trees must be a boolean (trees, {g.m}) edge table, "
-                         f"got {table.dtype} of shape {table.shape}")
-    sizes = table.sum(axis=1)
-    for t in np.flatnonzero((sizes != g.n - 1) | ~_spans(g, table)):  # the first bad row
-        if sizes[t] != g.n - 1:
-            raise GraphError(f"tree {t} holds {sizes[t]} edges, a spanning tree needs {g.n - 1}")
-        raise GraphError(f"tree {t} does not span its host")
-    return table
 
 
 def clique_number_complement(g: Graph) -> tuple[int, int]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsig import cli, distributional, gnn, spectral
+from distsig import cli, distributional, gnn, graph, spectral
 from distsig.graph import cover_size_cap, sbm_generate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -86,6 +86,26 @@ def test_traced_run_reports_work_counters(capsys):
                      "gnn.gcn_backward.busy_s", "regularizer.reg_value_and_grad.busy_s",
                      "gnn.epoch_ms.p50"):
             assert run[name] > 0, name
+
+
+def test_traced_enumeration_runs_inside_its_span(monkeypatch):
+    # the bounds read the host's cached trees; if the first listing ran
+    # inside a bound, the tree count would still match, but its time would
+    # show up as that bound's self time
+    tracing = _tracing()
+    tr = tracing.Tracer()
+    innermost = []
+    real = graph._spans
+
+    def spy(g, rows):
+        innermost.append(tr.spans[tr._stack[-1]].name if tr._stack else None)
+        return real(g, rows)
+
+    monkeypatch.setattr(graph, "_spans", spy)
+    with tr.install(tracing.targets()):
+        distributional.check_tv_bounds(*distributional.random_bound_instance(
+            (0, 1), *distributional.BOUND_CORPUS))
+    assert innermost == ["graph.enumerate_spanning_trees"]
 
 
 def test_traced_tv_exact_reports_its_lp():

@@ -215,29 +215,31 @@ def test_tree_enumeration_single_node():
 def test_tree_bound_bitwise_equal_to_oracle_on_corpus():
     for i in range(ORACLE_INSTANCES):
         g, x, trees = _criterion_2_instance(i)
-        got = tv_tree_rooted(g, trees, x)
+        got = tv_tree_rooted(g, x)
         assert got.shape == (len(trees), g.n)
         want = np.array([[tree_rooted_oracle(g, t, r, x) for r in range(g.n)]
                          for t in trees])
         assert np.array_equal(got, want), i
 
 
-def test_tree_bound_batches_agree_on_k6():
+def test_tree_bound_batches_agree_on_k6(monkeypatch):
     # 1,296 trees span many batches; every row must equal its own oracle
     g = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
     x = np.random.default_rng(5).dirichlet(np.ones(4), size=6)
     trees = enumerate_spanning_trees(g)
-    got = tv_tree_rooted(g, trees, x)
+    got = tv_tree_rooted(g, x)
     for t in range(0, len(trees), 97):
         want = [tree_rooted_oracle(g, trees[t], r, x) for r in range(6)]
         assert np.array_equal(got[t], want), t
-    assert np.array_equal(got[100:103], tv_tree_rooted(g, trees[100:103], x))
+    # the batch size splits the work, not the values
+    for batch in (7, len(trees)):
+        monkeypatch.setattr(distributional, "_TREE_BATCH", batch)
+        assert np.array_equal(tv_tree_rooted(g, x), got), batch
 
 
 def test_tree_bound_single_node():
     g = build_graph(1, [])
-    trees = enumerate_spanning_trees(g)
-    assert np.array_equal(tv_tree_rooted(g, trees, [[1.0]]), np.zeros((1, 1)))
+    assert np.array_equal(tv_tree_rooted(g, [[1.0]]), np.zeros((1, 1)))
 
 
 def test_tree_bound_tree_host_and_single_edge_equal_oracle():
@@ -247,7 +249,7 @@ def test_tree_bound_tree_host_and_single_edge_equal_oracle():
               build_graph(2, [(0, 1)])):
         trees = enumerate_spanning_trees(g)
         assert trees.tolist() == [[True] * g.m]
-        got = tv_tree_rooted(g, trees, x[:g.n])
+        got = tv_tree_rooted(g, x[:g.n])
         want = [[tree_rooted_oracle(g, trees[0], r, x[:g.n]) for r in range(g.n)]]
         assert np.array_equal(got, want)
 
@@ -258,28 +260,10 @@ def test_tree_bound_over_63_edges_equals_oracle():
     x = np.random.default_rng(6).dirichlet(np.ones(2), size=70)
     trees = enumerate_spanning_trees(g)
     assert trees.shape == (70, 70)
-    got = tv_tree_rooted(g, trees, x)
+    got = tv_tree_rooted(g, x)
     for t in range(0, 70, 9):
         want = [tree_rooted_oracle(g, trees[t], r, x) for r in range(0, 70, 5)]
         assert np.array_equal(got[t, ::5], want), t
-
-
-def test_tree_bound_rejects_edge_set_with_even_cycle():
-    # n - 1 edges: the 4-cycle 2-3-4-5 plus edge (0, 1).  The table check
-    # must refuse it: from node 2 the breadth-first search, which sums the
-    # frontier neighbours' labels, would reach node 4 through both 3 and 5
-    # and index past node n - 1
-    g = build_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5), (0, 2)])
-    cycle = [e != (0, 2) for e in g.edges]
-    with pytest.raises(GraphError, match="span"):
-        tv_tree_rooted(g, [cycle], np.full((6, 2), 0.5))
-
-
-def test_tree_bound_rejects_non_spanning_edge_set():
-    g = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    cycle = [True, True, False, True, False, False]  # (0, 1), (0, 2), (1, 2): no node 3
-    with pytest.raises(GraphError, match="span"):
-        tv_tree_rooted(g, [cycle], np.full((4, 2), 0.5))
 
 
 # --- cover search ----------------------------------------------------------
@@ -325,7 +309,7 @@ def test_tv_cover_bitwise_equal_to_tree_sums_on_corpus_and_k6(monkeypatch):
     for i, (g, x, trees) in enumerate(cases):
         cap = cover_size_cap(clique_number_complement(g)[1])
         val, chosen, weights = tv_cover_by_tree_sums(g, x, cap, trees)
-        assert tv_cover(g, x, cap, trees) == (val, chosen), i
+        assert tv_cover(g, x, cap) == (val, chosen), i
         assert handed[-1][0] == tree_masks(trees), i
         assert np.array_equal(handed[-1][1], weights), i
     assert len(handed) == len(cases)

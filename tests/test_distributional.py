@@ -1,6 +1,6 @@
 import json
+import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distsig
-from distsig import distributional, simplex
+from distsig import distributional, graph, simplex
 from distsig.distributional import (
     BOUND_CORPUS,
     Marginals,
@@ -381,8 +381,9 @@ def test_tv_exact_reports_a_start_beyond_the_limit(monkeypatch, p2):
         tv_exact(p2, [[0.5, 0.5 - _EDGE_GAP], [1.0 + _EDGE_GAP, 0.0]])
 
 
-# a row of the triangle's tree table, over its edges (0, 1), (0, 2), (1, 2)
-TRIANGLE_PATH = [True, False, True]  # edges (0, 1), (1, 2)
+# the row of the triangle's tree table with edges (0, 1), (1, 2), over its
+# edges (0, 1), (0, 2), (1, 2)
+TRIANGLE_PATH = 1
 
 
 def test_tv_tree_on_tree_equals_l1():
@@ -390,88 +391,70 @@ def test_tv_tree_on_tree_equals_l1():
     rng = np.random.default_rng(9)
     x = np.vstack([rng.dirichlet(np.ones(3)) for _ in range(4)])
     l1, _ = tv_l1_l2(g, x)
-    tree = [True] * g.m  # every edge of g
+    got = tv_tree_rooted(g, x)  # g is its own one spanning tree
+    assert got.shape == (1, 4)
     for v0 in range(4):
-        assert abs(tv_tree_rooted(g, [tree], x)[0, v0] - l1) < 1e-12
+        assert abs(got[0, v0] - l1) < 1e-12
 
 
 def test_tv_tree_triangle_worked_example(triangle):
-    assert abs(tv_tree_rooted(triangle, [TRIANGLE_PATH], DELTA_TRIANGLE)[0, 0] - 4.0) < 1e-12
+    assert triangle.spanning_trees[TRIANGLE_PATH].tolist() == [True, False, True]
+    got = tv_tree_rooted(triangle, DELTA_TRIANGLE)
+    assert got.shape == (3, 3)
+    assert abs(got[TRIANGLE_PATH, 0] - 4.0) < 1e-12
 
 
 def test_tv_tree_identical_marginals(triangle):
     x = np.tile([0.6, 0.4], (3, 1))
-    assert abs(tv_tree_rooted(triangle, [TRIANGLE_PATH], x)[0, 2]) < 1e-12
-
-
-def test_tv_tree_rejects_foreign_tree(triangle):
-    g2 = build_graph(3, [(0, 1), (1, 2)])  # no (0,2) edge
-    # a row of the triangle's table has an entry for a third edge
-    with pytest.raises(GraphError, match=r"^trees must be a boolean \(trees, 2\) edge table, "
-                                         r"got bool of shape \(1, 3\)$"):
-        tv_tree_rooted(g2, [TRIANGLE_PATH], DELTA_TRIANGLE)
-
-
-def test_tv_tree_rejects_wrong_edge_count(triangle):
-    for tree, got in (([True, True, True], 3), ([True, False, False], 1)):
-        with pytest.raises(GraphError, match=f"^tree 1 holds {got} edges, a spanning tree needs 2$"):
-            tv_tree_rooted(triangle, [TRIANGLE_PATH, tree], DELTA_TRIANGLE)
+    assert abs(tv_tree_rooted(triangle, x)[TRIANGLE_PATH, 2]) < 1e-12
 
 
 def test_tree_notions_on_a_path_over_63_edges():
     # a path is its own one spanning tree, so its bound at any root is its
-    # l1; the cover search refuses the host before it reads the table
+    # l1; the cover search refuses the host before it lists the trees
     for n in (64, 70):
         g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
         x = np.vstack([np.linspace(0.1, 0.9, n), np.linspace(0.9, 0.1, n)]).T
-        assert abs(tv_tree_rooted(g, [[True] * g.m], x)[0, 0] - tv_l1_l2(g, x)[0]) < 1e-12
-        for trees in ([[True] * g.m], [[1.0] * g.m]):
-            with pytest.raises(GraphError, match=rf"^cover search infeasible for {g.m} edges "
-                                                 rf"\(limit {COVER_MAX_EDGES}\)$"):
-                tv_cover(g, x, 3, trees)
+        with pytest.raises(GraphError, match=rf"^cover search infeasible for {g.m} edges "
+                                             rf"\(limit {COVER_MAX_EDGES}\)$"):
+            tv_cover(g, x, 3)
+        assert "spanning_trees" not in vars(g)  # not yet listed
+        assert abs(tv_tree_rooted(g, x)[0, 0] - tv_l1_l2(g, x)[0]) < 1e-12
 
 
-def _tree_notions(g, x):
-    """The rooted-tree bound and the tree cover on g and x, as functions of the trees."""
-    return (lambda trees: tv_tree_rooted(g, trees, x),
-            lambda trees: tv_cover(g, x, 3, trees))
+def test_tree_notions_refuse_a_disconnected_host():
+    # both bounds read the host's own trees, so both refuse what the
+    # enumeration refuses, edgeless hosts included
+    x = np.full((4, 2), 0.5)
+    for g in (build_graph(2, []), build_graph(4, [(0, 1), (2, 3)])):
+        for notion in (lambda: tv_tree_rooted(g, x[:g.n]), lambda: tv_cover(g, x[:g.n], 3)):
+            with pytest.raises(GraphError, match="^graph disconnected$"):
+                notion()
 
 
-@pytest.mark.parametrize("trees, message", [
-    # one entry more than the host has edges
-    ([[True, False, True, False]] * 2,
-     "trees must be a boolean (trees, 3) edge table, got bool of shape (2, 4)"),
-    ([TRIANGLE_PATH, [1.0, 0.0, 1.0]],
-     "trees must be a boolean (trees, 3) edge table, got float64 of shape (2, 3)"),
-    (np.array([TRIANGLE_PATH], dtype=np.int64),
-     "trees must be a boolean (trees, 3) edge table, got int64 of shape (1, 3)"),
-    (TRIANGLE_PATH, "trees must be a boolean (trees, 3) edge table, got bool of shape (3,)"),
-    ([TRIANGLE_PATH, [True, False, False]], "tree 1 holds 1 edges, a spanning tree needs 2"),
-], ids=["foreign-bit", "float", "int", "one-row-1d", "too-few-edges"])
-def test_tree_notions_refuse_the_same_masks(triangle, trees, message):
-    for notion in _tree_notions(triangle, DELTA_TRIANGLE):
-        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
-            notion(trees)
+def test_bounds_enumerate_each_host_once(monkeypatch):
+    # the enumeration is the one caller of the spanning test: one call per
+    # chunk of candidate subsets, and none from either bound
+    calls = []
+    real = graph._spans
 
+    def counting(g, rows):
+        calls.append(len(rows))
+        return real(g, rows)
 
-# rows of K4's tree table, over its edges (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
-K4_STAR = [True, True, True, False, False, False]  # the star at node 0
-K4_CYCLE = [True, True, False, True, False, False]  # the triangle 0-1-2; node 3 left out
-K4_SHORT = [True, False, False, False, False, False]
-
-
-def test_tree_notions_refuse_a_cycle_of_n_minus_1_edges(k4):
-    for notion in _tree_notions(k4, np.full((4, 2), 0.5)):
-        with pytest.raises(GraphError, match="^tree 1 does not span its host$"):
-            notion([K4_STAR, K4_CYCLE])
-
-
-def test_tree_notions_refuse_the_first_bad_mask_in_list_order(k4):
-    for notion in _tree_notions(k4, np.full((4, 2), 0.5)):
-        with pytest.raises(GraphError, match="^tree 1 holds 1 edges, a spanning tree needs 3$"):
-            notion([K4_STAR, K4_SHORT, K4_CYCLE])
-        with pytest.raises(GraphError, match="^tree 1 does not span its host$"):
-            notion([K4_STAR, K4_CYCLE, K4_SHORT])
+    monkeypatch.setattr(graph, "_spans", counting)
+    monkeypatch.setattr(graph, "_TREE_CHUNK", 64)  # K5's 210 candidate subsets take 4 chunks
+    k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    hosts = [build_graph(3, [(0, 1), (0, 2), (1, 2)]), k5]
+    for g in hosts:
+        calls.clear()
+        r = check_tv_bounds(g, np.full((g.n, 2), 0.5))
+        subsets = math.comb(g.m, g.n - 1)
+        assert calls == [min(graph._TREE_CHUNK, subsets - lo)
+                         for lo in range(0, subsets, graph._TREE_CHUNK)]
+        trees = enumerate_spanning_trees(g)
+        assert trees is g.spanning_trees and not trees.flags.writeable
+        assert r["tree_count"] == len(trees)
 
 
 def _cover_cap(g):
@@ -480,37 +463,25 @@ def _cover_cap(g):
 
 
 def test_tv_cover_single_node():
-    # no edge to cover: no tree is chosen, whatever the table holds
+    # no edge to cover: no tree is chosen
     g = build_graph(1, [])
-    for trees in (enumerate_spanning_trees(g), np.zeros((0, 0), dtype=bool)):
-        assert tv_cover(g, [[1.0]], _cover_cap(g), trees) == (0.0, [])
+    assert tv_cover(g, [[1.0]], _cover_cap(g)) == (0.0, [])
     assert check_tv_bounds(g, [[1.0]])["cover_size"] == 0
-    with pytest.raises(GraphError, match="edge table"):
-        tv_cover(g, [[1.0]], _cover_cap(g), [[True]])
-
-
-def test_tv_cover_edgeless_host_takes_only_an_empty_tree_list():
-    g = build_graph(2, [])
-    x = [[1.0, 0.0], [0.0, 1.0]]
-    assert tv_cover(g, x, 3, np.zeros((0, 0), dtype=bool)) == (0.0, [])
-    with pytest.raises(GraphError, match="^tree 0 holds 0 edges, a spanning tree needs 1$"):
-        tv_cover(g, x, 3, np.zeros((1, 0), dtype=bool))
 
 
 def test_tv_cover_tree_graph():
     g = build_graph(3, [(0, 1), (1, 2)])
     x = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-    trees = enumerate_spanning_trees(g)
-    val, cover = tv_cover(g, x, _cover_cap(g), trees)
+    val, cover = tv_cover(g, x, _cover_cap(g))
     l1, _ = tv_l1_l2(g, x)
     assert abs(val - 0.5 * l1) < 1e-12
     assert cover == [0]
-    assert set(tree_edges(g, trees[0])) == set(g.edges)
+    assert set(tree_edges(g, g.spanning_trees[0])) == set(g.edges)
 
 
 def test_tv_cover_triangle_worked_example(triangle):
-    trees = enumerate_spanning_trees(triangle)
-    val, cover = tv_cover(triangle, DELTA_TRIANGLE, 3, trees)
+    trees = triangle.spanning_trees
+    val, cover = tv_cover(triangle, DELTA_TRIANGLE, 3)
     assert abs(val - 2.0) < 1e-12
     # witness: two trees that share the zero-variation edge (0,1)
     assert len(cover) == 2
@@ -523,7 +494,7 @@ def test_tv_cover_triangle_worked_example(triangle):
 
 def test_tv_cover_identical_marginals(triangle):
     x = np.tile([0.2, 0.8], (3, 1))
-    val, _ = tv_cover(triangle, x, _cover_cap(triangle), enumerate_spanning_trees(triangle))
+    val, _ = tv_cover(triangle, x, _cover_cap(triangle))
     assert val == 0.0
 
 
@@ -531,17 +502,16 @@ def test_tv_cover_monotone_in_cap():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     rng = np.random.default_rng(11)
     x = np.vstack([rng.dirichlet(np.ones(2)) for _ in range(4)])
-    trees = enumerate_spanning_trees(g)
-    v1, _ = tv_cover(g, x, 1, trees) if _cover_exists(g, x, 1, trees) else (np.inf, None)
-    v2, _ = tv_cover(g, x, 2, trees)
-    v3, _ = tv_cover(g, x, 3, trees)
+    v1, _ = tv_cover(g, x, 1) if _cover_exists(g, x, 1) else (np.inf, None)
+    v2, _ = tv_cover(g, x, 2)
+    v3, _ = tv_cover(g, x, 3)
     assert v3 <= v2 + 1e-12
     assert v2 <= v1 + 1e-12
 
 
-def _cover_exists(g, x, cap, trees):
+def _cover_exists(g, x, cap):
     try:
-        tv_cover(g, x, cap, trees)
+        tv_cover(g, x, cap)
         return True
     except GraphError:
         return False
