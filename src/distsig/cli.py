@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_USAGE
     try:
+        # every subcommand's --out is a path or prefix: refuse it before any work
+        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise CliError(f"--out {args.out}: its directory does not exist", EXIT_IO)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

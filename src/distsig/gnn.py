@@ -41,6 +41,8 @@ log = logging.getLogger(__name__)
 VARIANTS = ("gcn", "r", "r1", "r2", "r3")
 HIDDEN = 16  # hidden-layer width
 LR = 0.01  # Adam's learning rate
+DROPOUT = 0.5  # training's input and hidden dropout rate
+WEIGHT_DECAY = 5e-4  # L2 weight on W1
 # (smoothness, confidence) weights of the softmax-output traces
 TRACE_WEIGHTS = {"r": (1.0, 1.0), "r1": (1.0, 0.0), "r2": (0.0, 1.0)}
 
@@ -50,19 +52,13 @@ class TrainConfig:
     variant: str = "gcn"
     eta: float = 0.5
     epochs: int = 200
-    weight_decay: float = 5e-4
-    dropout: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
 
@@ -106,7 +102,8 @@ class Metrics:
         from dataclasses import asdict
 
         return {
-            "config": {**asdict(self.config), "hidden": HIDDEN, "lr": LR},
+            "config": {**asdict(self.config), "dropout": DROPOUT,
+                       "weight_decay": WEIGHT_DECAY, "hidden": HIDDEN, "lr": LR},
             "per_epoch": [
                 {"loss": l, "ce": ce, "acc_train": at, "loss_val": lv, "acc_val": av,
                  "reg": r}
@@ -242,7 +239,7 @@ def make_split(labels, per_class: int, val_size: int, test_size: int, seed: int)
 
 # --- model ----------------------------------------------------------------
 
-def init_params(feat_dim: int, hidden: int, classes: int, seed: int) -> GcnParams:
+def init_params(feat_dim: int, classes: int, seed: int) -> GcnParams:
     """Glorot-uniform weights of one model, as a stack of one."""
     rng = np.random.default_rng((seed, 0))
 
@@ -250,7 +247,7 @@ def init_params(feat_dim: int, hidden: int, classes: int, seed: int) -> GcnParam
         lim = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
-    return GcnParams(glorot(feat_dim, hidden), glorot(hidden, classes)[None])
+    return GcnParams(glorot(feat_dim, HIDDEN), glorot(HIDDEN, classes)[None])
 
 
 class _SparseInput:
@@ -388,19 +385,16 @@ def _masked_nll(x, labels, idx):
 
 
 def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_vec,
-                  cfgs: list[TrainConfig], rng=None):
-    """Full training objective and its parameter gradients.
+                  variant: str, eta, rng=None):
+    """Full training objective and its parameter gradients: (loss, ce, grads).
 
     Cross-entropy is averaged over the training nodes and the regularizer trace
-    over all nodes, so eta trades off comparable per-node quantities; the raw
-    (unaveraged) trace is still returned for logging.  Weight decay acts on W1
-    only.  ``cfgs`` holds one config per model of the stack, differing only in
-    eta, and the loss, cross-entropy and trace are (K,) arrays.
+    over all nodes, so eta trades off comparable per-node quantities.  Weight
+    decay acts on W1 only.  ``eta`` is a (K,) array, one weight per model of
+    the stack, and the loss and cross-entropy are (K,) arrays.
     """
     k = params.w2.shape[0]
-    base = cfgs[0]
-    eta = np.array([c.eta for c in cfgs])
-    o, x, cache = gcn_forward(params, ahat, features, dropout=base.dropout, rng=rng)
+    o, x, cache = gcn_forward(params, ahat, features, dropout=DROPOUT, rng=rng)
     n = o.shape[-2]
     ce = _masked_nll(x, labels, train_idx)
     d_o = np.zeros_like(o)
@@ -408,15 +402,15 @@ def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_v
     d_o[:, train_idx, labels[train_idx]] -= 1.0
     d_o /= train_idx.shape[0]
 
-    reg, reg_grad = _reg_value_and_grad(base.variant, o, x, lap, a_vec, True)
+    reg, reg_grad = _reg_value_and_grad(variant, o, x, lap, a_vec, True)
     if reg_grad is not None:
         d_o = d_o + (eta / n)[:, None, None] * reg_grad
     w1_sq = _block_sums(_blocks(params.w1 ** 2, k))
     with np.errstate(over="ignore", invalid="ignore"):  # train reports a non-finite loss
-        loss = ce + eta * (reg / n) + 0.5 * base.weight_decay * w1_sq
+        loss = ce + eta * (reg / n) + 0.5 * WEIGHT_DECAY * w1_sq
     dw1, dw2 = gcn_backward(params, ahat, cache, d_o)
-    dw1 = dw1 + base.weight_decay * params.w1
-    return loss, ce, reg, (dw1, dw2), x
+    dw1 = dw1 + WEIGHT_DECAY * params.w1
+    return loss, ce, (dw1, dw2)
 
 
 def accuracy(probs, labels, idx):
@@ -429,10 +423,9 @@ def accuracy(probs, labels, idx):
 class _Adam:
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, shapes, lr):
+    def __init__(self, shapes):
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
-        self.lr = lr
         self.t = 0
 
     def step(self, weights, grads):
@@ -444,7 +437,7 @@ class _Adam:
             v += (1 - self.b2) * (g * g)
             mh = m / (1 - self.b1 ** self.t)
             vh = v / (1 - self.b2 ** self.t)
-            w -= self.lr * mh / (np.sqrt(vh) + self.eps)
+            w -= LR * mh / (np.sqrt(vh) + self.eps)
 
 
 def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=None,
@@ -474,21 +467,22 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
     lap = laplacian_sparse(g)
     a_vec = confidence_weights(g)
     classes = int(labels.max()) + 1
-    params = init_params(inp.f.shape[1], HIDDEN, classes, cfg.seed)
+    params = init_params(inp.f.shape[1], classes, cfg.seed)
     params = GcnParams(np.tile(params.w1, len(cfgs)), np.tile(params.w2, (len(cfgs), 1, 1)))
     drop_rng = np.random.default_rng((cfg.seed, 1))
-    opt = _Adam([params.w1.shape, params.w2.shape], LR)
+    opt = _Adam([params.w1.shape, params.w2.shape])
+    eta = np.array([c.eta for c in cfgs])
 
     history = []  # per epoch: loss, ce, train acc, val loss, val acc, reg; one column per model
     best_acc = np.full(len(cfgs), -1.0)
     best_epoch, test_acc = np.zeros(len(cfgs), dtype=int), np.zeros(len(cfgs))
     for epoch in range(1, cfg.epochs + 1):
-        loss, ce, _, grads, _ = loss_and_grad(
-            params, ahat, inp, labels, split.train, lap, a_vec, cfgs, rng=drop_rng
+        loss, ce, grads = loss_and_grad(
+            params, ahat, inp, labels, split.train, lap, a_vec, cfg.variant, eta, rng=drop_rng
         )
         if not np.all(np.isfinite(loss)):
-            eta = cfgs[int(np.argmin(np.isfinite(loss)))].eta
-            raise RuntimeError(f"divergence (non-finite loss) at epoch {epoch}, eta {eta}")
+            first = cfgs[int(np.argmin(np.isfinite(loss)))]
+            raise RuntimeError(f"divergence (non-finite loss) at epoch {epoch}, eta {first.eta}")
         opt.step([params.w1, params.w2], grads)
 
         o_eval, x_eval, _ = gcn_forward(params, ahat, inp)

@@ -9,9 +9,10 @@ cover, the inverse graph Fourier transform, a recorder for the LPs that
 per-(node, label) loop build of the joint-coupling LP and its staircase
 start, the joint LP on every marginal row through the two-phase simplex, one
 branch per regularizer variant, one model's forward pass and loss gradient
-on plain n x C arrays, the one-model-at-a-time training loop, the all-pairs
-block-model sampler, the dict-lookup induced subgraph and the per-token
-``float()`` parse of Cora features.
+on plain n x C arrays (at ``gnn.DROPOUT`` and ``gnn.WEIGHT_DECAY`` as read
+at call time, so a test may patch them), the one-model-at-a-time training
+loop, the all-pairs block-model sampler, the dict-lookup induced subgraph
+and the per-token ``float()`` parse of Cora features.
 """
 
 import itertools
@@ -274,20 +275,22 @@ def reg_value_and_grad(variant, o, x, lap, a_vec):
     return values, np.stack([grad for _, grad in per_model])
 
 
-def forward_one(w1, w2, ahat, inp, dropout=0.0, rng=None):
+def forward_one(w1, w2, ahat, inp, rng=None):
     """One model's forward pass on a ``gnn._SparseInput``, weights d x H and H x C.
 
     Returns (logits, probabilities, hidden layer, hidden mask or None, the
-    transposed input as dropped).  Draws the same uniforms as the library.
+    transposed input as dropped).  With ``rng``, drops at ``gnn.DROPOUT`` as
+    read at call time, with the same uniforms as the library.
     """
-    if rng is not None and dropout > 0.0:
+    dropout = gnn.DROPOUT if rng is not None else 0.0
+    if dropout > 0.0:
         f, f_t = inp.drop(rng, dropout)
     else:
         f, f_t = inp.f, inp.f_t
     hd = ahat @ (f @ w1)
     np.maximum(hd, 0.0, out=hd)
     mask1 = None
-    if rng is not None and dropout > 0.0:
+    if dropout > 0.0:
         mask1 = (rng.random(hd.shape) >= dropout) / (1.0 - dropout)
         hd *= mask1
     o = ahat @ (hd @ w2)
@@ -300,8 +303,10 @@ def loss_and_grad_one(w1, w2, ahat, inp, labels, train_idx, lap, a_vec, cfg, rng
 
     The library trains every model as a member of a stack; this is the
     single-model objective and backward pass it must reproduce bit for bit.
+    ``cfg`` gives the variant and eta; dropout and weight decay are
+    ``gnn.DROPOUT`` and ``gnn.WEIGHT_DECAY`` as read at call time.
     """
-    o, x, hd, mask1, f_t = forward_one(w1, w2, ahat, inp, cfg.dropout, rng)
+    o, x, hd, mask1, f_t = forward_one(w1, w2, ahat, inp, rng)
     n = o.shape[0]
     ce = -float(np.mean(np.log(np.maximum(x[train_idx, labels[train_idx]], 1e-12))))
     d_o = np.zeros_like(o)
@@ -311,14 +316,14 @@ def loss_and_grad_one(w1, w2, ahat, inp, labels, train_idx, lap, a_vec, cfg, rng
     reg, reg_grad = reg_one(cfg.variant, o, x, lap, a_vec)
     if reg_grad is not None:
         d_o = d_o + (cfg.eta / n) * reg_grad
-    loss = ce + cfg.eta * (reg / n) + 0.5 * cfg.weight_decay * float(np.sum(w1 ** 2))
+    loss = ce + cfg.eta * (reg / n) + 0.5 * gnn.WEIGHT_DECAY * float(np.sum(w1 ** 2))
     dz2 = ahat @ d_o
     dw2 = hd.T @ dz2
     da1 = dz2 @ w2.T
     if mask1 is not None:
         da1 *= mask1
     da1 *= hd > 0.0
-    dw1 = f_t @ (ahat @ da1) + cfg.weight_decay * w1
+    dw1 = f_t @ (ahat @ da1) + gnn.WEIGHT_DECAY * w1
     return loss, ce, (dw1, dw2), x
 
 
@@ -339,10 +344,10 @@ def train_one(g, features, labels, split, cfg):
     lap = laplacian_sparse(g)
     a_vec = confidence_weights(g)
     classes = int(labels.max()) + 1
-    params = gnn.init_params(inp.f.shape[1], gnn.HIDDEN, classes, cfg.seed)
+    params = gnn.init_params(inp.f.shape[1], classes, cfg.seed)
     w1, w2 = params.w1, params.w2[0]
     drop_rng = np.random.default_rng((cfg.seed, 1))
-    opt = gnn._Adam([w1.shape, w2.shape], gnn.LR)
+    opt = gnn._Adam([w1.shape, w2.shape])
 
     tl, tc, ta, vl, va, rv = [], [], [], [], [], []
     best_acc, best_epoch, test_acc = -1.0, 0, 0.0

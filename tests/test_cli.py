@@ -2,9 +2,11 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -86,10 +88,16 @@ def test_train_defaults_build_the_default_config(monkeypatch, capsys, tmp_path):
         return real(g, f, y, split, cfg, **kwargs)
 
     monkeypatch.setattr(gnn, "train", spy)
-    assert main(["train"]) == 0
+    assert main(["train", "--out", str(tmp_path / "run.json")]) == 0
     capsys.readouterr()
     [(g, f, y, split, cfg)] = seen
     assert cfg == gnn.TrainConfig()
+    # a run chooses these four; the rest of the set-up is module constants,
+    # which the JSON config still records
+    assert [f.name for f in fields(gnn.TrainConfig)] == ["variant", "eta", "epochs", "seed"]
+    config = json.loads((tmp_path / "run.json").read_text())["config"]
+    assert config == {"variant": "gcn", "eta": 0.5, "epochs": 200, "seed": 0,
+                      "dropout": 0.5, "weight_decay": 0.0005, "hidden": 16, "lr": 0.01}
     want_g, want_f, want_y = gnn.sbm_dataset(*gnn.SBM_4BLOCK, seed=0)
     assert g == want_g and np.array_equal(f, want_f) and np.array_equal(y, want_y)
     want_split = gnn.make_split(want_y, *gnn.SBM_SPLIT, 0)
@@ -100,6 +108,40 @@ def test_train_defaults_build_the_default_config(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
     assert read_graph_file(tmp_path / "g.graph") == want_g
     assert np.array_equal(read_labels_file(tmp_path / "g.labels"), want_y)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["bounds", "--trials", "200"],
+    ["train"],
+    ["analyze", "--probs", "{tmp}/p.npy"],
+    ["gen-sbm"],
+], ids=lambda argv: argv[0])
+def test_out_in_a_missing_directory_is_refused_before_any_work(monkeypatch, tmp_path, capsys,
+                                                               argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("_load_dataset", "run_bound_corpus", "_read_probs", "sbm_generate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "missing" / "x"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {out}: its directory does not exist\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_cli_commands_parse():
+    # every command line of README's CLI block names only flags the parser has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("distsig ")]
+    assert {argv[0] for argv in argvs} == {"spectrum", "bounds", "train", "analyze", "gen-sbm"}
+    parser = cli.build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
 
 
 def test_missing_required_out(capsys):

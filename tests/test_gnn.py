@@ -277,7 +277,7 @@ def test_forward_single_node_identity():
 
 def test_forward_permutation_equivariance():
     g, f, _ = sbm_dataset((10, 10), 0.4, 0.1, seed=6)
-    params = init_params(f.shape[1], 8, 3, seed=2)
+    params = init_params(f.shape[1], 3, seed=2)
     o, _, _ = gcn_forward(params, normalized_adjacency(g), f)
 
     perm = np.random.default_rng(0).permutation(g.n)
@@ -300,11 +300,11 @@ def test_forward_dropout_only_with_rng():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     ahat = normalized_adjacency(g)
     f = np.eye(4)
-    params = init_params(4, 6, 2, seed=0)
-    o1, _, _ = gcn_forward(params, ahat, f, dropout=0.5)
-    o2, _, _ = gcn_forward(params, ahat, f, dropout=0.5)
+    params = init_params(4, 2, seed=0)
+    o1, _, _ = gcn_forward(params, ahat, f, dropout=gnn.DROPOUT)
+    o2, _, _ = gcn_forward(params, ahat, f, dropout=gnn.DROPOUT)
     assert np.array_equal(o1, o2)  # no rng handed in: dropout inert
-    o3, _, c3 = gcn_forward(params, ahat, f, dropout=0.5,
+    o3, _, c3 = gcn_forward(params, ahat, f, dropout=gnn.DROPOUT,
                             rng=np.random.default_rng(1))
     assert "mask1" in c3
 
@@ -319,14 +319,14 @@ def test_input_dropout_draws_one_uniform_per_stored_entry():
     ahat = normalized_adjacency(g)
     f = _sparse_features()
     nnz = np.count_nonzero(f)
-    params = init_params(f.shape[1], 7, 3, seed=1)
+    params = init_params(f.shape[1], 3, seed=1)
     p = 0.4
     rng = np.random.default_rng(11)
     _, _, cache = gcn_forward(params, ahat, f, dropout=p, rng=rng)
 
     ref = np.random.default_rng(11)
     keep0 = ref.random(nnz) >= p  # stored entries in CSR (row-major) order
-    keep1 = ref.random((g.n, 7)) >= p
+    keep1 = ref.random((g.n, gnn.HIDDEN)) >= p
     assert rng.bit_generator.state == ref.bit_generator.state
     assert np.array_equal(cache["mask1"], keep1 / (1.0 - p))
 
@@ -342,7 +342,7 @@ def test_forward_dense_and_csr_inputs_agree_bitwise():
     g, _, _ = sbm_dataset((15, 15), 0.3, 0.05, seed=2)
     ahat = normalized_adjacency(g)
     f = _sparse_features()
-    params = init_params(f.shape[1], 7, 3, seed=1)
+    params = init_params(f.shape[1], 3, seed=1)
     for kw in ({}, {"dropout": 0.5}):
         o_d, x_d, _ = gcn_forward(params, ahat, f, rng=np.random.default_rng(3), **kw)
         o_s, x_s, _ = gcn_forward(params, ahat, sp.csr_array(f),
@@ -360,15 +360,15 @@ def test_shared_dropout_buffer_matches_fresh_input():
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
     a_vec = confidence_weights(g)
-    cfg = TrainConfig(variant="r", eta=0.3, dropout=0.4)
-    params = init_params(f.shape[1], 7, 3, seed=1)
+    eta = np.array([0.3])
+    params = init_params(f.shape[1], 3, seed=1)
     inp = _SparseInput(f)
     rng_shared, rng_fresh = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(3):
-        got = loss_and_grad(params, ahat, inp, y, train_idx, lap, a_vec, [cfg], rng=rng_shared)
-        want = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, [cfg], rng=rng_fresh)
+        got = loss_and_grad(params, ahat, inp, y, train_idx, lap, a_vec, "r", eta, rng=rng_shared)
+        want = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, "r", eta, rng=rng_fresh)
         assert got[0][0] == want[0][0]
-        assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3]))
+        assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
         assert np.array_equal(inp.f.toarray(), f)
 
 
@@ -417,17 +417,17 @@ def test_train_deterministic():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("weight_decay", -0.5, "weight_decay must be finite and >= 0, got -0.5"),
     ("epochs", 0, "epochs must be >= 1, got 0"),
-], ids=["weight-decay-negative", "epochs-zero"])
+], ids=["epochs-zero"])
 def test_train_config_rejects_bad_optimiser_values(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         TrainConfig(**{field: value})
 
 
-def test_train_divergence_reports_epoch():
+def test_train_divergence_reports_epoch(monkeypatch):
     g, f, y, split = _toy_setup()
-    cfg = TrainConfig(variant="gcn", weight_decay=1e308, epochs=5)
+    monkeypatch.setattr(gnn, "WEIGHT_DECAY", 1e308)
+    cfg = TrainConfig(variant="gcn", epochs=5)
     with pytest.raises(RuntimeError, match="epoch 1"):
         train(g, f, y, split, cfg, analysis=False)
 
@@ -472,9 +472,11 @@ def test_final_loss_below_initial_all_variants():
         assert m.train_loss[-1] < m.train_loss[0], variant
 
 
-def test_recorded_ce_is_the_loss_without_reg_and_decay():
+def test_recorded_ce_is_the_loss_without_reg_and_decay(monkeypatch):
     g, f, y, split = _toy_setup(seed=4)
-    m = train(g, f, y, split, TrainConfig(epochs=10, weight_decay=0.0), analysis=False)
+    with monkeypatch.context() as mp:
+        mp.setattr(gnn, "WEIGHT_DECAY", 0.0)
+        m = train(g, f, y, split, TrainConfig(epochs=10), analysis=False)
     assert m.train_ce == m.train_loss
     m = train(g, f, y, split, TrainConfig(variant="r", eta=0.3, epochs=10), analysis=False)
     assert all(ce != loss for ce, loss in zip(m.train_ce, m.train_loss))
@@ -500,22 +502,20 @@ def test_full_gradient_finite_differences():
     lap = laplacian_sparse(g)
     a_vec = confidence_weights(g)
     rng = np.random.default_rng(8)
+    eta = np.array([0.3])
     for variant in VARIANTS:
-        cfg = TrainConfig(variant=variant, eta=0.3, dropout=0.0, weight_decay=1e-3)
         w1, w2 = rng.standard_normal((6, 4)) * 0.5, rng.standard_normal((4, 3)) * 0.5
         params = GcnParams(w1, w2[None])  # a stack of one; w2[None] views the live w2
-        _, _, _, (dw1, dw2), _ = loss_and_grad(
-            params, ahat, f, y, train_idx, lap, a_vec, [cfg]
-        )
+        _, _, (dw1, dw2) = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, variant, eta)
         h = 1e-6
         for w, dw in ((w1, dw1), (w2, dw2[0])):
             i = int(rng.integers(w.shape[0]))
             j = int(rng.integers(w.shape[1]))
             orig = w[i, j]
             w[i, j] = orig + h
-            fp = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, [cfg])[0][0]
+            fp = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, variant, eta)[0][0]
             w[i, j] = orig - h
-            fm = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, [cfg])[0][0]
+            fm = loss_and_grad(params, ahat, f, y, train_idx, lap, a_vec, variant, eta)[0][0]
             w[i, j] = orig
             num = (fp - fm) / (2.0 * h)
             assert abs(num - dw[i, j]) < 1e-4 * max(1.0, abs(dw[i, j])), variant
@@ -532,16 +532,15 @@ def test_gradient_finite_differences_with_dropout():
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
     a_vec = confidence_weights(g)
-    cfg = TrainConfig(variant="r", eta=0.3, dropout=0.3, weight_decay=1e-3)
     rng = np.random.default_rng(8)
     w1, w2 = rng.standard_normal((5, 4)) * 0.5, rng.standard_normal((4, 3)) * 0.5
     params = GcnParams(w1, w2[None])  # a stack of one; w2[None] views the live w2
 
     def loss(p):
-        return loss_and_grad(p, ahat, f, y, train_idx, lap, a_vec, [cfg],
+        return loss_and_grad(p, ahat, f, y, train_idx, lap, a_vec, "r", np.array([0.3]),
                              rng=np.random.default_rng(21))
 
-    _, _, _, (dw1, dw2), _ = loss(params)
+    _, _, (dw1, dw2) = loss(params)
     assert np.any(dw1 != 0.0)
     h = 1e-6
     for w, dw in ((w1, dw1), (w2, dw2[0])):
@@ -591,12 +590,14 @@ def _stack_cases():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_stacked_train_equals_one_run_per_eta(variant):
+def test_stacked_train_equals_one_run_per_eta(monkeypatch, variant):
     # the stack shares the initial weights and every dropout draw, and each
-    # per-model sum runs over one contiguous block, so the bits are the same
+    # per-model sum runs over one contiguous block, so the bits are the same;
+    # at dropout 0 the stack runs without masks
     for g, f, y, split, grid in _stack_cases():
         for dropout in (0.5, 0.0):
-            cfg = TrainConfig(variant=variant, epochs=30, dropout=dropout, seed=2)
+            monkeypatch.setattr(gnn, "DROPOUT", dropout)
+            cfg = TrainConfig(variant=variant, epochs=30, seed=2)
             runs = train(g, f, y, split, cfg, etas=grid, analysis=False)
             assert [m.config for m in runs] == [replace(cfg, eta=eta) for eta in grid]
             runs.append(train(g, f, y, split, cfg, analysis=False))  # no stack
