@@ -318,6 +318,9 @@ def main(argv=None) -> int:
         # every subcommand's --out is a path or prefix: refuse it before any work
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise CliError(f"--out {args.out}: its directory does not exist", EXIT_IO)
+        # spectrum and gen-sbm take --out as a prefix, so there a directory name is fine
+        if args.command in ("bounds", "train", "analyze") and os.path.isdir(args.out or ""):
+            raise CliError(f"--out {args.out}: is a directory", EXIT_IO)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -31,6 +31,24 @@ JOINT_TABLE_CAP = 729  # 3^6 table entries
 BOUND_CORPUS = (6, 3)
 
 
+def _prob_rows(x, tol: float) -> np.ndarray:
+    """``x`` as a new float n x m matrix, n, m >= 1, of probability rows: entries
+    finite and none below -tol, clipped to 0, then every row summing to 1 within tol."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError(f"need an n x m matrix with n, m >= 1, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite entries")
+    if np.min(x) < -tol:
+        raise ValueError(f"negative entry {np.min(x):.3e}")
+    x = np.maximum(x, 0.0)
+    rs = x.sum(axis=1)
+    bad = int(np.argmax(np.abs(rs - 1.0)))
+    if abs(rs[bad] - 1.0) > tol:
+        raise ValueError(f"row {bad} sums to {float(rs[bad])!r}, not 1")
+    return x
+
+
 @dataclass(frozen=True)
 class Marginals:
     """One distribution per node, stacked as a row-stochastic n x m matrix."""
@@ -38,19 +56,8 @@ class Marginals:
     matrix: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.matrix, dtype=float)
-        if x.ndim != 2 or x.shape[1] < 1:
-            raise ValueError(f"need an n x m matrix, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite entries")
-        if np.min(x) < -1e-12:
-            raise ValueError(f"negative entry {np.min(x):.3e}")
-        x = np.maximum(x, 0.0)
-        rs = x.sum(axis=1)
-        bad = np.argmax(np.abs(rs - 1.0))
         # the joint LP's start limit rests on this tolerance: see simplex.START_TOL
-        if abs(rs[bad] - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"row {bad} sums to {rs[bad]!r}, not 1")
+        x = _prob_rows(self.matrix, ROW_SUM_TOL)
         x.flags.writeable = False
         object.__setattr__(self, "matrix", x)
 

@@ -430,14 +430,16 @@ class _Adam:
 
     def step(self, weights, grads):
         self.t += 1
-        for w, g, m, v in zip(weights, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * (g * g)
-            mh = m / (1 - self.b1 ** self.t)
-            vh = v / (1 - self.b2 ** self.t)
-            w -= LR * mh / (np.sqrt(vh) + self.eps)
+        # an overflow leaves non-finite moments quietly, for train's divergence check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w, g, m, v in zip(weights, grads, self.m, self.v):
+                m *= self.b1
+                m += (1 - self.b1) * g
+                v *= self.b2
+                v += (1 - self.b2) * (g * g)
+                mh = m / (1 - self.b1 ** self.t)
+                vh = v / (1 - self.b2 ** self.t)
+                w -= LR * mh / (np.sqrt(vh) + self.eps)
 
 
 def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=None,
@@ -480,10 +482,15 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
         loss, ce, grads = loss_and_grad(
             params, ahat, inp, labels, split.train, lap, a_vec, cfg.variant, eta, rng=drop_rng
         )
-        if not np.all(np.isfinite(loss)):
-            first = cfgs[int(np.argmin(np.isfinite(loss)))]
-            raise RuntimeError(f"divergence (non-finite loss) at epoch {epoch}, eta {first.eta}")
         opt.step([params.w1, params.w2], grads)
+        # v holds g * g, so it leaves float range no later than m; each model
+        # owns one HIDDEN-column block of w1 and one slice of w2
+        finite = (np.isfinite(loss) & np.isfinite(opt.v[1]).all(axis=(1, 2))
+                  & np.isfinite(opt.v[0]).reshape(-1, len(cfgs), HIDDEN).all(axis=(0, 2)))
+        if not finite.all():
+            first = cfgs[int(np.argmin(finite))]
+            raise RuntimeError(f"divergence (non-finite loss or Adam moment) at epoch {epoch}, "
+                               f"eta {first.eta}")
 
         o_eval, x_eval, _ = gcn_forward(params, ahat, inp)
         val_loss = _masked_nll(x_eval, labels, split.val)

@@ -15,7 +15,7 @@ import logging
 
 import numpy as np
 
-from .distributional import wasserstein_sq
+from .distributional import _prob_rows, wasserstein_sq
 from .graph import Graph
 
 log = logging.getLogger(__name__)
@@ -24,21 +24,9 @@ EPS_SWEEP = (0.005, 0.01, 0.02, 0.05)
 
 
 def check_prob_matrix(x) -> np.ndarray:
-    """Validate a row-stochastic matrix: entries in [0, 1], rows summing to 1, within 1e-7."""
+    """A clipped copy of a row-stochastic matrix, checked by ``Marginals``' rule within 1e-7."""
     # 1e-7, not Marginals' 1e-9: float32 softmax rows cast to float64 miss a sum of 1 by more
-    tol = 1e-7
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"need an n x m matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite entries")
-    if np.min(x) < -tol or np.max(x) > 1.0 + tol:
-        raise ValueError("entries outside [0, 1]")
-    rs = x.sum(axis=1)
-    bad = int(np.argmax(np.abs(rs - 1.0)))
-    if abs(rs[bad] - 1.0) > tol:
-        raise ValueError(f"row {bad} sums to {float(rs[bad])!r}, not 1")
-    return x
+    return _prob_rows(x, 1e-7)
 
 
 def confidence_weights(g: Graph) -> np.ndarray:

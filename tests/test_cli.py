@@ -133,6 +133,38 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(monkeypatch, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--trials", "200"],
+    ["train"],
+    ["analyze", "--probs", "{tmp}/p.npy"],
+], ids=lambda argv: argv[0])
+def test_out_that_is_a_directory_is_refused_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    # spectrum and gen-sbm take --out as a prefix, so a directory name is fine there
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("_load_dataset", "run_bound_corpus", "_read_probs"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "adir"
+    out.mkdir()
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {out}: is a directory\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+def test_train_divergence_exits_70_before_any_output(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert main(["train", "--variant", "r", "--eta", "1e300", "--epochs", "3",
+                 "--out", str(out)]) == 70
+    captured = capsys.readouterr()
+    assert captured.err == ("internal error: RuntimeError: divergence (non-finite loss or "
+                            "Adam moment) at epoch 1, eta 1e+300\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_readme_cli_commands_parse():
     # every command line of README's CLI block names only flags the parser has
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -34,6 +34,7 @@ from distsig.graph import (
     enumerate_spanning_trees,
     laplacian_sparse,
 )
+from distsig.regularizer import check_prob_matrix
 from distsig.simplex import ROW_SUM_TOL, solve_lp
 from oracles import (
     coupling_lp_oracle,
@@ -56,6 +57,39 @@ def test_marginals_validation():
     with pytest.raises(ValueError, match="row 1"):
         Marginals(np.array([[0.5, 0.5], [0.9, 0.0]]))
     assert not nn.matrix.flags.writeable
+
+
+def _rows_with(i, j, value):
+    """The rows [[0.5, 0.5], [0.25, 0.75]] with entry (i, j) set to value(tol)."""
+    def make(tol):
+        x = np.array([[0.5, 0.5], [0.25, 0.75]])
+        x[i, j] = value(tol)
+        return x
+    return make
+
+
+# both entry points to the one row rule, each at its own tolerance
+ROW_CHECKS = {"Marginals": (lambda x: Marginals(x).matrix, ROW_SUM_TOL),
+              "check_prob_matrix": (check_prob_matrix, 1e-7)}
+
+
+@pytest.mark.parametrize("entry", ROW_CHECKS)
+@pytest.mark.parametrize("make, message", [
+    (lambda tol: np.zeros((0, 3)), r"got shape \(0, 3\)$"),
+    (lambda tol: np.zeros((3, 0)), r"got shape \(3, 0\)$"),
+    (lambda tol: np.full(3, 1.0), r"got shape \(3,\)$"),
+    (_rows_with(0, 0, lambda tol: np.nan), "^non-finite entries$"),
+    (_rows_with(0, 0, lambda tol: -2 * tol), "^negative entry -"),
+    (_rows_with(1, 1, lambda tol: 0.75 + 2 * tol), r"^row 1 sums to 1\.0+\d+, not 1$"),
+], ids=["empty-rows", "empty-columns", "1-D", "nan", "below-minus-tol", "row-sum-off-by-2tol"])
+def test_both_row_checks_refuse_the_same_matrices(entry, make, message):
+    check, tol = ROW_CHECKS[entry]
+    with pytest.raises(ValueError, match=message):
+        check(make(tol))
+    # an entry within tol below 0 passes, clipped to 0 in a new array
+    x = np.array([[-tol / 2, 1.0 + tol / 2], [0.25, 0.75]])
+    got = check(x)
+    assert got[0, 0] == 0.0 and np.array_equal(got[1:], x[1:]) and got is not x
 
 
 # --- pairwise transport ----------------------------------------------------

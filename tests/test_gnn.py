@@ -1,6 +1,7 @@
 import gc
 import inspect
 import json
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -613,6 +614,15 @@ def test_stacked_divergence_names_epoch_and_first_eta():
     with pytest.raises(RuntimeError, match=r"at epoch 1, eta 1e\+308$"):
         train(g, f, y, split, TrainConfig(variant="r", epochs=5), etas=(0.1, 1e308),
               analysis=False)
+
+
+def test_adam_moment_overflow_is_divergence_without_a_numpy_warning():
+    # eta 1e300 keeps the loss finite, but the gradient's square overflows in Adam
+    g, f, y, split = _toy_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"Adam moment\) at epoch 1, eta 1e\+300$"):
+            train(g, f, y, split, TrainConfig(variant="r", eta=1e300, epochs=3), analysis=False)
 
 
 def test_tune_eta_tie_prefers_first():

@@ -1,4 +1,5 @@
 import re
+import time
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from distsig.gnn import SBM_4BLOCK, sbm_dataset
 from distsig.graph import (
     COVER_MAX_EDGES,
     TREE_CAP,
+    TREE_SUBSET_CAP,
     Graph,
     GraphError,
     build_graph,
@@ -336,6 +338,23 @@ def test_tree_count_beyond_float64_is_over_the_cap():
         assert spanning_tree_count(g) == float("inf")
         with pytest.raises(GraphError, match=f"^tree count inf exceeds cap {TREE_CAP}$"):
             enumerate_spanning_trees(g)
+
+
+def test_enumeration_refuses_too_many_candidate_subsets_at_once():
+    # a 40-node path whose six chords close triangles: 3^6 = 729 trees, under
+    # TREE_CAP, among C(45, 39) = 8,145,060 edge subsets to test
+    g = build_graph(40, [(i, i + 1) for i in range(39)] + [(3 * j, 3 * j + 2) for j in range(6)])
+    assert spanning_tree_count(g) == 729
+    start = time.perf_counter()
+    with pytest.raises(GraphError,
+                       match=f"^8145060 candidate edge subsets exceed cap {TREE_SUBSET_CAP}$"):
+        enumerate_spanning_trees(g)
+    assert time.perf_counter() - start < 1.0
+    # still enumerated: K6, whose C(15, 5) = 3,003 subsets are the most a
+    # bound-corpus host can have, and a 70-node cycle
+    k6 = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    cycle = build_graph(70, [(i, (i + 1) % 70) for i in range(70)])
+    assert [len(enumerate_spanning_trees(h)) for h in (k6, cycle)] == [6 ** 4, 70]
 
 
 def test_spanning_test_equals_component_search():
