@@ -20,7 +20,6 @@ import numpy as np
 
 from distsig.gnn import CORA_SPLIT, VARIANTS, TrainConfig, load_cora_dir, make_split, tune_eta
 from distsig.graph import GraphError
-from distsig.regularizer import nonuniformity_counts
 
 
 def main():
@@ -55,7 +54,8 @@ def main():
         for seed, split in enumerate(splits):
             m, _ = tune_eta(g, features, labels, split, TrainConfig(variant=variant, seed=seed))
             accs.append(m.test_acc)
-            near_u, near_one = nonuniformity_counts(m.final_probs, 0.01)
+            [sweep] = [r for r in m.nonuniformity if r["epsilon"] == 0.01]
+            near_u, near_one = sweep["near_uniform"], sweep["near_one"]
             rows.append({
                 "variant": variant,
                 "seed": seed,

@@ -150,6 +150,11 @@ def _read_probs(path, n):
         raise CliError(f"{path}: not a probability matrix: {e}", EXIT_IO) from None
 
 
+def _refuse_directory(path) -> None:
+    if os.path.isdir(path):
+        raise CliError(f"--out {path}: is a directory", EXIT_IO)
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -164,6 +169,8 @@ def cmd_spectrum(args) -> int:
     signals = {"label": y.astype(float), "random": matched_random_signal(y, args.seed)}
     if probs is not None:
         signals.update((f"class{s}", probs[:, s]) for s in range(probs.shape[1]))
+    for name in signals:  # a class file per --probs column joins main's checks
+        _refuse_directory(f"{args.out}_{name}.csv")
     for name, signal in signals.items():
         export_spectrum_csv(f"{args.out}_{name}.csv", *gnn.component_gft(g, signal))
     print(f"wrote {len(signals)} spectrum file(s) with prefix {args.out}")
@@ -308,6 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the names each subcommand writes from --out ("" is --out itself, not a prefix)
+_OUTPUTS = {"spectrum": ("_label.csv", "_random.csv"), "bounds": ("",), "analyze": ("",),
+            "train": ("", ".probs.npy"), "gen-sbm": (".graph", ".labels")}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -316,11 +328,11 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else EXIT_USAGE
     try:
         # every subcommand's --out is a path or prefix: refuse it before any work
-        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise CliError(f"--out {args.out}: its directory does not exist", EXIT_IO)
-        # spectrum and gen-sbm take --out as a prefix, so there a directory name is fine
-        if args.command in ("bounds", "train", "analyze") and os.path.isdir(args.out or ""):
-            raise CliError(f"--out {args.out}: is a directory", EXIT_IO)
+        if args.out is not None:
+            if not os.path.isdir(os.path.dirname(args.out) or "."):
+                raise CliError(f"--out {args.out}: its directory does not exist", EXIT_IO)
+            for suffix in _OUTPUTS[args.command]:
+                _refuse_directory(args.out + suffix)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -22,7 +22,6 @@ from .graph import (
     clique_number_complement,
     cover_size_cap,
     enumerate_spanning_trees,
-    is_connected,
 )
 from .simplex import ROW_SUM_TOL, solve_lp
 
@@ -354,7 +353,7 @@ def random_bound_instance(key, max_n: int, max_m: int) -> tuple[Graph, Marginals
     while True:
         keep = rng.random(iu.size) < p
         g = build_graph(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
-        if is_connected(g):
+        if len(g.components) == 1:
             break
     x = rng.dirichlet(np.ones(m), size=n)
     return g, Marginals(x)

@@ -74,6 +74,28 @@ class Graph:
         return d
 
     @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components as sorted node tuples, ordered by smallest member."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        seen = [False] * self.n
+        comps = []
+        for s in range(self.n):
+            if seen[s]:
+                continue
+            stack, comp = [s], []
+            while stack:
+                u = stack.pop()
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+                    stack.extend(adj[u])
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
+    @cached_property
     def spanning_trees(self) -> np.ndarray:
         """All spanning trees, as the read-only ``(trees, m)`` boolean edge table.
 
@@ -85,7 +107,7 @@ class Graph:
         ``_TREE_CHUNK`` at a time, in combination order, which on the sorted
         edge tuple is the order of the trees' sorted edge tuples.
         """
-        if not is_connected(self):
+        if len(self.components) > 1:
             raise GraphError("graph disconnected")
         count = spanning_tree_count(self)
         if count > TREE_CAP:
@@ -103,14 +125,6 @@ class Graph:
         trees.flags.writeable = False
         assert len(trees) == count, f"enumeration found {len(trees)}, Kirchhoff says {count}"
         return trees
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -178,58 +192,32 @@ def _canonical_edges_array(n, edges) -> tuple[tuple[int, int], ...] | None:
     return tuple(zip(lo.tolist(), hi.tolist()))
 
 
-def _symmetric_csr(g: Graph, off: float, diag: np.ndarray) -> sp.csr_array:
-    """CSR array with ``off`` on both entries of every edge and ``diag`` on the diagonal."""
+def _symmetric_csr(g: Graph, off: np.ndarray, diag: np.ndarray) -> sp.csr_array:
+    """CSR array with ``off[i]`` on both entries of edge i and ``diag`` on the diagonal."""
     import scipy.sparse as sp  # loads on the first sparse matrix, not on import
     u, v = g.endpoints
     nodes = np.arange(g.n)
     rows = np.concatenate([u, v, nodes])
     cols = np.concatenate([v, u, nodes])
-    data = np.concatenate([np.full(2 * g.m, off), diag])
+    data = np.concatenate([off, off, diag])
     return sp.csr_array((data, (rows, cols)), shape=(g.n, g.n))
 
 
 def laplacian_sparse(g: Graph) -> sp.csr_array:
     """Sparse combinatorial Laplacian D - A (symmetric, PSD)."""
-    return _symmetric_csr(g, -1.0, g.degrees)
+    return _symmetric_csr(g, np.full(g.m, -1.0), g.degrees)
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_array:
     """Sparse self-loop-augmented normalization D~^{-1/2} (A + I) D~^{-1/2}."""
-    import scipy.sparse as sp  # loads on the first sparse matrix, not on import
-    at = _symmetric_csr(g, 1.0, np.ones(g.n))
-    dinv = 1.0 / np.sqrt(at.sum(axis=1))
-    return sp.csr_array(at.multiply(dinv[:, None]).multiply(dinv[None, :]))
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted node lists, ordered by smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.neighbors[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    dinv = 1.0 / np.sqrt(g.degrees + 1.0)
+    u, v = g.endpoints
+    return _symmetric_csr(g, dinv[u] * dinv[v], dinv * dinv)
 
 
 def main_component(g: Graph) -> tuple[Graph, list[int]]:
     """Largest component as an induced subgraph plus its (sorted) node list."""
-    comps = connected_components(g)
-    nodes = max(comps, key=len)
+    nodes = list(max(g.components, key=len))
     return induced_subgraph(g, nodes), nodes
 
 

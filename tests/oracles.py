@@ -11,8 +11,9 @@ start, the joint LP on every marginal row through the two-phase simplex, one
 branch per regularizer variant, one model's forward pass and loss gradient
 on plain n x C arrays (at ``gnn.DROPOUT`` and ``gnn.WEIGHT_DECAY`` as read
 at call time, so a test may patch them), the one-model-at-a-time training
-loop, the all-pairs block-model sampler, the dict-lookup induced subgraph
-and the per-token ``float()`` parse of Cora features.
+loop, the all-pairs block-model sampler, the dict-lookup induced subgraph,
+the propagation matrix scaled by its CSR row sums and the per-token
+``float()`` parse of Cora features.
 """
 
 import itertools
@@ -395,6 +396,20 @@ def induced_subgraph_by_dict(g, nodes):
     index = {v: i for i, v in enumerate(nodes)}
     sub = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
     return build_graph(len(nodes), sub)
+
+
+def normalized_adjacency_by_row_sums(g):
+    """``graph.normalized_adjacency`` from the CSR array of A + I: its row
+    sums are the degrees plus one, and two ``multiply`` calls scale rows and
+    columns by their inverse square roots."""
+    import scipy.sparse as sp
+    u, v = g.endpoints
+    nodes = np.arange(g.n)
+    at = sp.csr_array((np.ones(2 * g.m + g.n),
+                       (np.concatenate([u, v, nodes]), np.concatenate([v, u, nodes]))),
+                      shape=(g.n, g.n))
+    dinv = 1.0 / np.sqrt(at.sum(axis=1))
+    return sp.csr_array(at.multiply(dinv[:, None]).multiply(dinv[None, :]))
 
 
 def cora_features_by_float(content_path):

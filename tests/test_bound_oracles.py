@@ -82,13 +82,16 @@ def spanning_trees_oracle(g):
 
 def bfs_parents(n, edges, v0):
     """Parent of every node of the tree on nodes 0..n-1 rooted at v0 (-1 at the root)."""
-    neighbors = build_graph(n, edges).neighbors
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
     parent = [-1] * n
     seen = {v0}
     queue = [v0]
     while queue:
         u = queue.pop(0)
-        for w in neighbors[u]:
+        for w in adj[u]:
             if w not in seen:
                 seen.add(w)
                 parent[w] = u

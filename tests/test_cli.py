@@ -133,26 +133,52 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(monkeypatch, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["bounds", "--trials", "200"],
-    ["train"],
-    ["analyze", "--probs", "{tmp}/p.npy"],
-], ids=lambda argv: argv[0])
-def test_out_that_is_a_directory_is_refused_before_any_work(monkeypatch, tmp_path, capsys, argv):
-    # spectrum and gen-sbm take --out as a prefix, so a directory name is fine there
+@pytest.mark.parametrize("argv, suffix", [
+    pytest.param(["bounds", "--trials", "200"], "", id="bounds"),
+    pytest.param(["train"], "", id="train"),
+    pytest.param(["train"], ".probs.npy", id="train-probs"),
+    pytest.param(["analyze", "--probs", "{tmp}/p.npy"], "", id="analyze"),
+    pytest.param(["spectrum"], "_label.csv", id="spectrum-label"),
+    pytest.param(["spectrum"], "_random.csv", id="spectrum-random"),
+    pytest.param(["gen-sbm"], ".graph", id="gen-sbm-graph"),
+    pytest.param(["gen-sbm"], ".labels", id="gen-sbm-labels"),
+])
+def test_out_that_is_a_directory_is_refused_before_any_work(monkeypatch, tmp_path, capsys,
+                                                            argv, suffix):
+    # spectrum and gen-sbm take --out as a prefix, so a directory name is fine
+    # there, but not for a file they derive from it
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("_load_dataset", "run_bound_corpus", "_read_probs"):
+    for name in ("_load_dataset", "run_bound_corpus", "_read_probs", "sbm_generate"):
         monkeypatch.setattr(cli, name, no_work)
-    out = tmp_path / "adir"
-    out.mkdir()
+    out = tmp_path / "out"
+    made = tmp_path / f"out{suffix}"
+    made.mkdir()
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(out)]) == 3
     captured = capsys.readouterr()
-    assert captured.err == f"error: --out {out}: is a directory\n"
+    assert captured.err == f"error: --out {made}: is a directory\n"
     assert captured.out == ""
-    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [made] and list(made.iterdir()) == []
+
+
+def test_spectrum_class_file_that_is_a_directory_is_refused_before_the_decomposition(
+        monkeypatch, tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("decomposition started before the class files were checked")
+
+    monkeypatch.setattr(gnn, "component_spectrum", no_work)
+    probs = tmp_path / "p.npy"
+    np.save(probs, np.full((10, 3), 1.0 / 3.0))
+    made = tmp_path / "spec_class2.csv"
+    made.mkdir()
+    assert main(["spectrum", "--blocks", "5,5", "--probs", str(probs),
+                 "--out", str(tmp_path / "spec")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {made}: is a directory\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [probs, made] and list(made.iterdir()) == []
 
 
 def test_train_divergence_exits_70_before_any_output(tmp_path, capsys):
@@ -838,12 +864,15 @@ def test_cora_suite_smoke(tmp_path):
     assert r.returncode == 0, r.stderr
     assert sorted(p.name for p in out.iterdir()) == ["gcn_seed0.json", "r_seed0.json",
                                                      "summary.csv"]
-    for v in ("gcn", "r"):
-        run = json.loads((out / f"{v}_seed0.json").read_text())
-        assert run["config"]["variant"] == v and len(run["per_epoch"]) == 200
     rows = (out / "summary.csv").read_text().splitlines()
     assert rows[0] == "variant,seed,eta,test_acc,hf_col1,near_uniform,near_one"
     assert [row.split(",")[:2] for row in rows[1:]] == [["gcn", "0"], ["r", "0"]]
+    for v, row in zip(("gcn", "r"), rows[1:]):
+        run = json.loads((out / f"{v}_seed0.json").read_text())
+        assert run["config"]["variant"] == v and len(run["per_epoch"]) == 200
+        # the summary's counts are the run's own sweep at epsilon 0.01
+        [swept] = [r for r in run["nonuniformity_sweep"] if r["epsilon"] == 0.01]
+        assert row.split(",")[5:] == [str(swept["near_uniform"]), str(swept["near_one"])]
 
 
 def test_sbm_trend_script_runs_the_gate_protocol():

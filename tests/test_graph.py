@@ -18,10 +18,8 @@ from distsig.graph import (
     GraphError,
     build_graph,
     clique_number_complement,
-    connected_components,
     enumerate_spanning_trees,
     induced_subgraph,
-    is_connected,
     laplacian_sparse,
     main_component,
     normalized_adjacency,
@@ -36,6 +34,7 @@ from oracles import (
     covers,
     induced_subgraph_by_dict,
     min_tree_cover,
+    normalized_adjacency_by_row_sums,
     sbm_generate_all_pairs,
     tree_edges,
 )
@@ -289,12 +288,59 @@ def test_normalized_adjacency_range(rng):
 
 def test_components_and_main():
     g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-    comps = connected_components(g)
-    assert sorted(map(len, comps)) == [2, 3]
-    assert not is_connected(g)
+    assert g.components == ((0, 1, 2), (3, 4))
     sub, nodes = main_component(g)
     assert nodes == [0, 1, 2]
     assert sub.n == 3 and sub.m == 2
+
+
+def _structure_graphs():
+    """Seeded graphs for the structure oracles: one node, edgeless, isolated
+    nodes, one component, many components, and block models of both kinds."""
+    rng = np.random.default_rng(11)
+    graphs = [build_graph(1, []), build_graph(5, []), build_graph(2, [(0, 1)]),
+              build_graph(6, [(1, 4), (2, 4)]),
+              build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])]
+    for n, p in ((8, 0.1), (8, 0.3), (20, 0.05), (20, 0.2), (40, 0.04), (60, 0.1)):
+        iu, ju = np.triu_indices(n, 1)
+        keep = rng.random(iu.size) < p
+        graphs.append(build_graph(n, np.stack([iu[keep], ju[keep]], axis=1)))
+    graphs += [sbm_generate([5, 5, 5], 0.5, 0.0, seed=1)[0], sbm_generate([30], 0.3, 0.3, 2)[0]]
+    return graphs
+
+
+def test_components_match_scipy_labels():
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components as scipy_components
+    for g in _structure_graphs():
+        edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+        adj = sp.coo_array((np.ones(g.m), (edges[:, 0], edges[:, 1])), shape=(g.n, g.n))
+        count, labels = scipy_components(adj, directed=False)
+        groups = [tuple(np.flatnonzero(labels == c).tolist()) for c in range(count)]
+        assert g.components == tuple(sorted(groups)), g
+    assert len(build_graph(1, []).components) == 1
+    assert len(build_graph(5, []).components) == 5
+
+
+def test_main_component_nodes_are_a_list():
+    # a list indexes signal[nodes] as one axis; a tuple would index several
+    for g in _structure_graphs():
+        sub, nodes = main_component(g)
+        assert type(nodes) is list and nodes == list(max(g.components, key=len))
+        assert sub.n == len(nodes)
+
+
+def _csr_bytes(a):
+    return [(x.dtype.str, x.tobytes()) for x in (a.indptr, a.indices, a.data)]
+
+
+def test_normalized_adjacency_bitwise_equal_to_row_sum_oracle():
+    # cora_tune's stand-in layout: 7 blocks over 2,708 nodes, p_in 0.0084, p_out 0.00035
+    cora_layout = sbm_generate([387] * 6 + [386], 0.0084, 0.00035, seed=0)[0]
+    for g in _structure_graphs() + [cora_layout]:
+        ahat, want = normalized_adjacency(g), normalized_adjacency_by_row_sums(g)
+        assert ahat.shape == want.shape and _csr_bytes(ahat) == _csr_bytes(want), g
+    assert any(g.degrees.min() == 0 for g in _structure_graphs())
 
 
 def test_induced_subgraph(triangle):
@@ -364,7 +410,7 @@ def test_spanning_test_equals_component_search():
     hosts = [random_bound_instance((0, i), *BOUND_CORPUS)[0] for i in range(20)] + [k6]
     for g in hosts:
         rows = np.arange(1 << g.m)[:, None] >> np.arange(g.m) & 1 == 1
-        want = [is_connected(Graph(g.n, tree_edges(g, r))) for r in rows]
+        want = [len(Graph(g.n, tree_edges(g, r)).components) == 1 for r in rows]
         assert graph._spans(g, rows).tolist() == want, g
 
 
@@ -377,7 +423,7 @@ def test_enumerate_disconnected():
 def test_enumerate_matches_kirchhoff(rng):
     for seed in range(5):
         g, _ = sbm_generate([5], 0.8, 0.8, seed=seed)
-        if not is_connected(g):
+        if len(g.components) > 1:
             continue
         trees = enumerate_spanning_trees(g)
         assert len(trees) == spanning_tree_count(g)
@@ -456,8 +502,7 @@ def test_clique_complement_brute_force(rng):
 def test_sbm_two_cliques():
     g, labels = sbm_generate([5, 5], 1.0, 0.0, seed=0)
     assert list(labels) == [0] * 5 + [1] * 5
-    comps = connected_components(g)
-    assert sorted(map(len, comps)) == [5, 5]
+    assert g.components == (tuple(range(5)), tuple(range(5, 10)))
     assert g.m == 2 * 10  # two K5s
 
 
@@ -565,9 +610,9 @@ def test_laplacian_row_sums_zero(n, seed):
 @settings(max_examples=40, deadline=None)
 def test_spanning_trees_are_valid_trees(seed):
     g, _ = sbm_generate([5], 0.7, 0.7, seed=seed)
-    if not is_connected(g):
+    if len(g.components) > 1:
         return
     for t in enumerate_spanning_trees(g):
         assert len(tree_edges(g, t)) == g.n - 1
         sub = Graph(g.n, tree_edges(g, t))
-        assert is_connected(sub)
+        assert len(sub.components) == 1
