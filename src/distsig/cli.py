@@ -70,6 +70,13 @@ def _tag(text: str) -> str:
     return text
 
 
+def _path(text: str) -> str:
+    """A file or directory path value: an empty string names none."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _read(reader, *args):
     """Run a file reader; a GraphError from a malformed file is an I/O error."""
     try:
@@ -247,11 +254,11 @@ def cmd_gen_sbm(args) -> int:
 
 def _add_dataset_args(p: argparse.ArgumentParser, with_features: bool = True):
     p.add_argument("--dataset", choices=("cora", "sbm", "file"), default="sbm")
-    p.add_argument("--graph", default=None, help="graph file for --dataset file")
+    p.add_argument("--graph", type=_path, help="graph file for --dataset file")
     if with_features:
-        p.add_argument("--features", default=None, help="feature matrix (.npy or text)")
-    p.add_argument("--labels", default=None, help="labels file for --dataset file")
-    p.add_argument("--data-dir", default=None, help="override DISTSIG_DATA_DIR")
+        p.add_argument("--features", type=_path, help="feature matrix (.npy or text)")
+    p.add_argument("--labels", type=_path, help="labels file for --dataset file")
+    p.add_argument("--data-dir", type=_path, help="override DISTSIG_DATA_DIR")
     _add_sbm_args(p)
 
 
@@ -269,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="label/random/prediction spectra as CSV")
     _add_dataset_args(p, with_features=False)
-    p.add_argument("--probs", default=None, help="optional .npy probability matrix")
+    p.add_argument("--probs", type=_path, help="optional .npy probability matrix")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", required=True, help="output path prefix")
+    p.add_argument("--out", type=_path, required=True, help="output path prefix")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bounds", help="fuzz the variation inequality chains")
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=max_m, help=f"max alphabet size (default {max_m})")
     p.add_argument("--summary-only", action="store_true",
                    help="omit per-instance records from the report")
-    p.add_argument("--out", default=None, help="JSON report path")
+    p.add_argument("--out", type=_path, help="JSON report path")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("train", help="train one model variant")
@@ -298,19 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-size", type=int, default=None)
     p.add_argument("--test-size", type=int, default=None)
     p.add_argument("--tune", action="store_true", help="grid-search eta on validation")
-    p.add_argument("--out", default=None, help="metrics JSON path (+ .probs.npy)")
+    p.add_argument("--out", type=_path, help="metrics JSON path (+ .probs.npy)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("analyze", help="non-uniformity count sweep of saved outputs")
-    p.add_argument("--probs", required=True, help=".npy probability matrix")
+    p.add_argument("--probs", type=_path, required=True, help=".npy probability matrix")
     p.add_argument("--tag", type=_tag, default="model", help="model tag column value")
-    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--out", type=_path, required=True, help="CSV output path")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gen-sbm", help="sample a block-model graph to files")
     _add_sbm_args(p)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", required=True, help="output path prefix")
+    p.add_argument("--out", type=_path, required=True, help="output path prefix")
     p.set_defaults(func=cmd_gen_sbm)
     return ap
 

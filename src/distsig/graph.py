@@ -216,29 +216,18 @@ def normalized_adjacency(g: Graph) -> sp.csr_array:
 
 
 def main_component(g: Graph) -> tuple[Graph, list[int]]:
-    """Largest component as an induced subgraph plus its (sorted) node list."""
+    """Largest component as an induced subgraph plus its (sorted) node list.
+
+    A component holds both ends of each of its edges, so one end decides
+    which edges are inside.  The nodes are a list: a tuple would index
+    ``signal[nodes]`` as several axes.
+    """
     nodes = list(max(g.components, key=len))
-    return induced_subgraph(g, nodes), nodes
-
-
-def induced_subgraph(g: Graph, nodes) -> Graph:
-    """The subgraph on ``nodes`` in increasing order; refuses the first bad id."""
-    ids = []
-    for v in nodes:
-        try:  # operator.index refuses floats, strings and numpy bools
-            ids.append(operator.index(v))
-        except TypeError:
-            raise GraphError(f"node {v!r} is not an integer node id (n={g.n})") from None
-        if not 0 <= ids[-1] < g.n:
-            raise GraphError(f"node {v} out of range for n={g.n}")
-    nodes = sorted(set(ids))
-    # nodes of g get their position in ``nodes``, the others -1
     index = np.full(g.n, -1)
     index[nodes] = np.arange(len(nodes))
-    u, v = g.endpoints
-    iu, iv = index[u], index[v]
-    inside = (iu >= 0) & (iv >= 0)
-    return build_graph(len(nodes), np.stack([iu[inside], iv[inside]], axis=1))
+    iu, iv = index[g.endpoints[0]], index[g.endpoints[1]]
+    inside = iu >= 0
+    return build_graph(len(nodes), np.stack([iu[inside], iv[inside]], axis=1)), nodes
 
 
 def spanning_tree_count(g: Graph) -> int | float:

@@ -43,10 +43,8 @@ def confidence_weights(g: Graph) -> np.ndarray:
 
 
 def softmax_rows(o: np.ndarray) -> np.ndarray:
-    """Rowwise softmax with max subtraction; rejects non-finite input."""
+    """Rowwise softmax with max subtraction of finite logits (``gcn_forward`` checks them)."""
     o = np.asarray(o, dtype=float)
-    if not np.all(np.isfinite(o)):
-        raise ValueError("non-finite logits")
     # a maximum is exact in any order (a tie of -0.0 and 0.0 only flips the
     # sign of a zero in z, and exp maps both to 1), so a running maximum over
     # the columns gives the same output without a reduction's per-row cost

@@ -391,7 +391,8 @@ def sbm_generate_all_pairs(block_sizes, p_in, p_out, seed):
 
 
 def induced_subgraph_by_dict(g, nodes):
-    """``graph.induced_subgraph`` with a dict lookup per edge."""
+    """The subgraph on ``nodes``, relabelled in increasing order, with a dict lookup
+    per edge: the reference for ``graph.main_component``."""
     nodes = sorted(set(int(v) for v in nodes))
     index = {v: i for i, v in enumerate(nodes)}
     sub = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]

@@ -40,12 +40,17 @@ def test_unknown_flag(capsys):
     capsys.readouterr()
 
 
-def test_option_strings_per_subcommand():
-    # the whole CLI surface: a new flag shows up here as a test edit
+def _subcommands():
+    """Subcommand name -> its parser, from ``cli.build_parser()``."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_option_strings_per_subcommand():
+    # the whole CLI surface: a new flag shows up here as a test edit
     got = {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
-           for name, p in sub.choices.items()}
+           for name, p in _subcommands().items()}
     dataset = ["--dataset", "--graph", "--labels", "--data-dir", "--blocks", "--p-in", "--p-out"]
     assert got == {
         "spectrum": dataset + ["--probs", "--seed", "--out"],
@@ -57,6 +62,48 @@ def test_option_strings_per_subcommand():
         "gen-sbm": ["--blocks", "--p-in", "--p-out", "--seed", "--out"],
     }
     assert sum(map(len, got.values())) == 41
+
+
+def test_every_path_option_takes_the_path_type():
+    # a string option is a path unless named here: a new path option without
+    # cli._path would take an empty value and do something different per command
+    not_paths = {"blocks"}
+    paths = []
+    for name, p in _subcommands().items():
+        for a in p._actions:
+            if a.type is cli._path:
+                paths.append(f"{name} {a.option_strings[0]}")
+            elif a.nargs != 0 and a.type in (None, str) and a.choices is None:
+                assert a.dest in not_paths, f"{name} {a.option_strings[0]} takes no cli._path"
+    assert sorted(paths) == [
+        "analyze --out", "analyze --probs", "bounds --out", "gen-sbm --out",
+        "spectrum --data-dir", "spectrum --graph", "spectrum --labels", "spectrum --out",
+        "spectrum --probs", "train --data-dir", "train --features", "train --graph",
+        "train --labels", "train --out"]
+
+
+def _empty_path_cases():
+    return [pytest.param(name, a.option_strings[0], id=f"{name} {a.option_strings[0]}")
+            for name, p in _subcommands().items() for a in p._actions if a.type is cli._path]
+
+
+@pytest.mark.parametrize("command, option", _empty_path_cases())
+def test_empty_path_is_refused_before_any_work(monkeypatch, tmp_path, capsys, command, option):
+    # refused while parsing: otherwise an empty --out means something different
+    # to each command, and an empty --features or --probs means no file at all
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the empty path was refused")
+
+    for name in ("_load_dataset", "run_bound_corpus", "_read_probs", "sbm_generate"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    required = {"spectrum": ["--out", "spec"], "analyze": ["--probs", "p.npy", "--out", "a.csv"],
+                "gen-sbm": ["--out", "g"]}
+    assert main([command, *required.get(command, []), option, ""]) == 2
+    captured = capsys.readouterr()
+    assert f"argument {option}: must not be empty" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,7 +19,6 @@ from distsig.graph import (
     build_graph,
     clique_number_complement,
     enumerate_spanning_trees,
-    induced_subgraph,
     laplacian_sparse,
     main_component,
     normalized_adjacency,
@@ -197,29 +196,6 @@ def test_non_integer_pair_inputs_take_the_loop(monkeypatch, edges):
     assert graph._canonical_edges_array(41, edges) is None
 
 
-def test_induced_subgraph_equals_dict_oracle():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        n = int(rng.integers(1, 80))
-        m = int(rng.integers(0, n * (n - 1) // 2 + 1))
-        g = build_graph(n, _random_edges(rng, n, m))
-        nodes = rng.choice(n, int(rng.integers(1, n + 5)), replace=True)
-        assert induced_subgraph(g, nodes) == induced_subgraph_by_dict(g, nodes)
-
-
-@pytest.mark.parametrize("nodes, message", [
-    ([1, 2, 99, -5], "node 99 out of range for n=3"),
-    ([1, -1], "node -1 out of range for n=3"),
-    (np.array([0, 3]), "node 3 out of range for n=3"),
-    ([0, 1.0], "node 1.0 is not an integer node id (n=3)"),
-    ([np.True_], f"node {np.True_!r} is not an integer node id (n=3)"),
-    (["1"], "node '1' is not an integer node id (n=3)"),
-], ids=["first-of-two", "negative", "array", "float", "numpy-bool", "string"])
-def test_induced_subgraph_refuses_ids_outside_the_graph(p3, nodes, message):
-    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
-        induced_subgraph(p3, nodes)
-
-
 def test_graph_and_labels_file_bytes(tmp_path):
     path = tmp_path / "g.graph"
     write_graph_file(path, build_graph(5, [(3, 4), (0, 2), (2, 1), (0, 1)]))
@@ -330,6 +306,27 @@ def test_main_component_nodes_are_a_list():
         assert sub.n == len(nodes)
 
 
+def test_induced_subgraph_equals_dict_oracle():
+    # main_component against the dict-lookup subgraph on its largest component
+    rng = np.random.default_rng(2)
+    graphs = _structure_graphs() + [
+        build_graph(7, [(0, 1), (1, 2), (4, 5), (5, 6)]),  # two largest of equal size
+        build_graph(8, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)]),
+        # cora_tune's stand-in layout: 7 blocks over 2,708 nodes, p_in 0.0084, p_out 0.00035
+        sbm_generate([387] * 6 + [386], 0.0084, 0.00035, seed=0)[0],
+    ]
+    for _ in range(40):
+        n = int(rng.integers(1, 90))
+        m = int(rng.integers(0, 2 * n))  # sparse, so most draws have several components
+        graphs.append(build_graph(n, _random_edges(rng, n, min(m, n * (n - 1) // 2))))
+    assert any(len(g.components) > 2 for g in graphs)
+    for g in graphs:
+        comp = max(g.components, key=len)
+        got = main_component(g)
+        want = (induced_subgraph_by_dict(g, comp), list(comp))
+        assert got == want and repr(got) == repr(want), g
+
+
 def _csr_bytes(a):
     return [(x.dtype.str, x.tobytes()) for x in (a.indptr, a.indices, a.data)]
 
@@ -343,9 +340,10 @@ def test_normalized_adjacency_bitwise_equal_to_row_sum_oracle():
     assert any(g.degrees.min() == 0 for g in _structure_graphs())
 
 
-def test_induced_subgraph(triangle):
-    sub = induced_subgraph(triangle, [0, 2])
-    assert sub.n == 2 and sub.edges == ((0, 1),)
+def test_induced_subgraph():
+    # the main component of a triangle on nodes 1..3 beside an isolated node 0
+    sub, nodes = main_component(build_graph(4, [(1, 2), (1, 3), (2, 3)]))
+    assert nodes == [1, 2, 3] and sub.n == 3 and sub.edges == ((0, 1), (0, 2), (1, 2))
 
 
 def test_spanning_tree_count_triangle(triangle):
