@@ -18,16 +18,17 @@ import time
 
 import numpy as np
 
+from distsig.cli import _path
 from distsig.gnn import CORA_SPLIT, VARIANTS, TrainConfig, load_cora_dir, make_split, tune_eta
 from distsig.graph import GraphError
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--data-dir", default=None, help="override DISTSIG_DATA_DIR")
+    ap.add_argument("--data-dir", type=_path, default=None, help="override DISTSIG_DATA_DIR")
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--variants", default=",".join(VARIANTS))
-    ap.add_argument("--out-dir", default="cora_runs")
+    ap.add_argument("--out-dir", type=_path, default="cora_runs")
     args = ap.parse_args()
     if args.seeds < 1:
         ap.error(f"--seeds must be >= 1, got {args.seeds}")

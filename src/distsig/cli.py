@@ -16,8 +16,9 @@ import warnings
 import numpy as np
 
 from . import gnn
-from .distributional import BOUND_CORPUS, run_bound_corpus
+from .distributional import BOUND_CORPUS, JOINT_TABLE_CAP, run_bound_corpus
 from .graph import (
+    COVER_MAX_EDGES,
     GraphError,
     read_graph_file,
     read_labels_file,
@@ -41,13 +42,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_blocks(text: str) -> list[int]:
+def _blocks(text: str) -> list[int]:
+    """A --blocks value: comma-separated block sizes, at least one."""
     try:
         blocks = [int(b) for b in text.split(",") if b.strip()]
     except ValueError:
-        raise CliError(f"bad --blocks value {text!r}", EXIT_USAGE) from None
+        raise argparse.ArgumentTypeError(f"invalid block sizes: {text!r}") from None
     if not blocks:
-        raise CliError("empty --blocks value", EXIT_USAGE)
+        raise argparse.ArgumentTypeError(f"names no block size: {text!r}")
     return blocks
 
 
@@ -85,28 +87,30 @@ def _read(reader, *args):
         raise CliError(str(e), EXIT_IO) from None
 
 
+def _given(values, defaults) -> list:
+    """Each of ``values``, or the default at its position where it is None."""
+    return [default if given is None else given for given, default in zip(values, defaults)]
+
+
 def _load_dataset(args):
     """Resolve --dataset into (graph, features, labels)."""
     if args.dataset == "cora":
         g, f, y, _ = _read(gnn.load_cora_dir, args.data_dir)
         return g, f, y
     if args.dataset == "sbm":
-        blocks = _parse_blocks(args.blocks)
-        g, f, y = gnn.sbm_dataset(blocks, args.p_in, args.p_out, args.seed)
-        return g, f, y
-    if args.dataset == "file":
-        if not args.graph or not args.labels:
-            raise CliError("--dataset file needs --graph and --labels", EXIT_USAGE)
-        g = _read(read_graph_file, args.graph)
-        y = _read(read_labels_file, args.labels)
-        if y.shape[0] != g.n:
-            raise CliError(
-                f"label count {y.shape[0]} does not match graph size {g.n}", EXIT_IO
-            )
-        feat_path = getattr(args, "features", None)
-        f = _read_matrix(feat_path, "feature", g.n) if feat_path else gnn.sbm_features(g.n)
-        return g, f, y
-    raise CliError(f"unknown dataset {args.dataset!r}", EXIT_USAGE)
+        return gnn.sbm_dataset(*_given((args.blocks, args.p_in, args.p_out), gnn.SBM_4BLOCK),
+                               args.seed)
+    if not args.graph or not args.labels:
+        raise CliError("--dataset file needs --graph and --labels", EXIT_USAGE)
+    g = _read(read_graph_file, args.graph)
+    y = _read(read_labels_file, args.labels)
+    if y.shape[0] != g.n:
+        raise CliError(
+            f"label count {y.shape[0]} does not match graph size {g.n}", EXIT_IO
+        )
+    feat_path = getattr(args, "features", None)
+    f = _read_matrix(feat_path, "feature", g.n) if feat_path else gnn.sbm_features(g.n)
+    return g, f, y
 
 
 def _read_matrix(path, kind, n):
@@ -208,8 +212,7 @@ def cmd_train(args) -> int:
                           seed=args.seed)
     g, f, y = _load_dataset(args)
     protocol = gnn.CORA_SPLIT if args.dataset == "cora" else gnn.SBM_SPLIT
-    sizes = [given if given is not None else default for given, default in
-             zip((args.per_class, args.val_size, args.test_size), protocol)]
+    sizes = _given((args.per_class, args.val_size, args.test_size), protocol)
     split = gnn.make_split(y, *sizes, args.seed)
     # pass the features on without keeping them here: training holds them
     # as CSR and frees the dense matrix before the first epoch
@@ -242,8 +245,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen_sbm(args) -> int:
-    blocks = _parse_blocks(args.blocks)
-    g, y = sbm_generate(blocks, args.p_in, args.p_out, args.seed)
+    g, y = sbm_generate(*_given((args.blocks, args.p_in, args.p_out), gnn.SBM_4BLOCK),
+                        args.seed)
     write_graph_file(f"{args.out}.graph", g)
     write_labels_file(f"{args.out}.labels", y)
     print(f"wrote {args.out}.graph ({g.n} nodes, {g.m} edges) and {args.out}.labels")
@@ -253,28 +256,41 @@ def cmd_gen_sbm(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 def _add_dataset_args(p: argparse.ArgumentParser, with_features: bool = True):
-    p.add_argument("--dataset", choices=("cora", "sbm", "file"), default="sbm")
-    p.add_argument("--graph", type=_path, help="graph file for --dataset file")
+    p.add_argument("--dataset", choices=tuple(_DATASET_OPTIONS), default="sbm",
+                   help="cora: raw citation files; sbm: a block model sampled with --seed; "
+                        "file: --graph and --labels (default sbm).  An option that only "
+                        "another dataset reads exits 2")
+    p.add_argument("--graph", type=_path, help="graph file (--dataset file)")
     if with_features:
-        p.add_argument("--features", type=_path, help="feature matrix (.npy or text)")
-    p.add_argument("--labels", type=_path, help="labels file for --dataset file")
-    p.add_argument("--data-dir", type=_path, help="override DISTSIG_DATA_DIR")
+        p.add_argument("--features", type=_path,
+                       help="feature matrix, .npy or text (--dataset file; default one-hot "
+                            "node ids)")
+    p.add_argument("--labels", type=_path, help="labels file (--dataset file)")
+    p.add_argument("--data-dir", type=_path,
+                   help="directory of cora.content and cora.cites (--dataset cora; default "
+                        "$DISTSIG_DATA_DIR)")
     _add_sbm_args(p)
 
 
 def _add_sbm_args(p: argparse.ArgumentParser):
-    """--blocks, --p-in and --p-out, defaulting to ``gnn.SBM_4BLOCK``."""
+    """--blocks, --p-in and --p-out; an unset one takes its ``gnn.SBM_4BLOCK`` value."""
     blocks, p_in, p_out = gnn.SBM_4BLOCK
-    p.add_argument("--blocks", default=",".join(map(str, blocks)), help="SBM block sizes")
-    p.add_argument("--p-in", type=float, default=p_in)
-    p.add_argument("--p-out", type=float, default=p_out)
+    p.add_argument("--blocks", type=_blocks,
+                   help=f"comma-separated block sizes (default {','.join(map(str, blocks))})")
+    p.add_argument("--p-in", type=float,
+                   help=f"edge probability within a block (default {p_in})")
+    p.add_argument("--p-out", type=float,
+                   help=f"edge probability between blocks, at most --p-in (default {p_out})")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="distsig")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="label/random/prediction spectra as CSV")
+    p = sub.add_parser("spectrum", help="label/random/prediction spectra as CSV",
+                       description="One spectrum CSV per signal on the main connected "
+                                   "component: the labels, a label-frequency-matched random "
+                                   "signal, and each --probs column.")
     _add_dataset_args(p, with_features=False)
     p.add_argument("--probs", type=_path, help="optional .npy probability matrix")
     p.add_argument("--seed", type=_seed, default=0)
@@ -285,8 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=_seed, default=0)
     max_n, max_m = BOUND_CORPUS
-    p.add_argument("--n", type=int, default=max_n, help=f"max graph size (default {max_n})")
-    p.add_argument("--m", type=int, default=max_m, help=f"max alphabet size (default {max_m})")
+    p.add_argument("--n", type=int, default=max_n,
+                   help=f"max graph size, >= 2, with n(n-1)/2 <= {COVER_MAX_EDGES}, the "
+                        f"cover-search edge limit (default {max_n})")
+    p.add_argument("--m", type=int, default=max_m,
+                   help=f"max alphabet size, >= 2, with m^n <= {JOINT_TABLE_CAP}, the "
+                        f"joint-table cap (default {max_m})")
     p.add_argument("--summary-only", action="store_true",
                    help="omit per-instance records from the report")
     p.add_argument("--out", type=_path, help="JSON report path")
@@ -304,7 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{gnn.SBM_SPLIT[0]} otherwise)")
     p.add_argument("--val-size", type=int, default=None)
     p.add_argument("--test-size", type=int, default=None)
-    p.add_argument("--tune", action="store_true", help="grid-search eta on validation")
+    p.add_argument("--tune", action="store_true",
+                   help="grid-search eta over gnn.ETA_GRID on validation accuracy; the output "
+                        "analysis runs on the chosen eta only, and the JSON adds 'tune', one "
+                        "{eta, best_val_acc, best_epoch} per grid eta; variant gcn trains the "
+                        "one model at --eta")
     p.add_argument("--out", type=_path, help="metrics JSON path (+ .probs.npy)")
     p.set_defaults(func=cmd_train)
 
@@ -325,6 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 # the names each subcommand writes from --out ("" is --out itself, not a prefix)
 _OUTPUTS = {"spectrum": ("_label.csv", "_random.csv"), "bounds": ("",), "analyze": ("",),
             "train": ("", ".probs.npy"), "gen-sbm": (".graph", ".labels")}
+# the options each --dataset value reads; main refuses the other rows' options
+_DATASET_OPTIONS = {"cora": ("data_dir",), "sbm": ("blocks", "p_in", "p_out"),
+                    "file": ("graph", "labels", "features")}
 
 
 def main(argv=None) -> int:
@@ -340,6 +367,12 @@ def main(argv=None) -> int:
                 raise CliError(f"--out {args.out}: its directory does not exist", EXIT_IO)
             for suffix in _OUTPUTS[args.command]:
                 _refuse_directory(args.out + suffix)
+        dataset = getattr(args, "dataset", None)  # gen-sbm reads its options without one
+        for reader, options in _DATASET_OPTIONS.items():
+            for dest in options:
+                if dataset not in (None, reader) and getattr(args, dest, None) is not None:
+                    raise CliError(f"--{dest.replace('_', '-')} is read only by --dataset "
+                                   f"{reader}, not by --dataset {dataset}", EXIT_USAGE)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -184,15 +184,23 @@ def load_cora(content_path, cites_path):
 
 def load_cora_dir(data_dir: str | None):
     """``load_cora`` on cora.content and cora.cites in ``data_dir``, or in
-    ``DISTSIG_DATA_DIR`` when it is None; FileNotFoundError when either is missing."""
+    ``DISTSIG_DATA_DIR`` when it is None.
+
+    FileNotFoundError when no directory is given, or when either file is
+    missing from it; the message names the directory and the missing files.
+    """
     d = data_dir if data_dir is not None else os.environ.get("DISTSIG_DATA_DIR")
-    paths = [os.path.join(d, f) for f in ("cora.content", "cora.cites")] if d else []
-    if not paths or not all(os.path.isfile(p) for p in paths):
+    if not d:
         raise FileNotFoundError(
-            "raw Cora files not found; set DISTSIG_DATA_DIR to a directory "
-            "containing cora.content and cora.cites"
+            "raw Cora files not found: set DISTSIG_DATA_DIR, or pass --data-dir, to a "
+            "directory containing cora.content and cora.cites"
         )
-    return load_cora(*paths)
+    names = ("cora.content", "cora.cites")
+    missing = [f for f in names if not os.path.isfile(os.path.join(d, f))]
+    if missing:
+        raise FileNotFoundError(f"raw Cora files not found: no {' and no '.join(missing)} "
+                                f"in {d}")
+    return load_cora(*(os.path.join(d, f) for f in names))
 
 
 SBM_FEAT_DIM = 64

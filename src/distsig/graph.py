@@ -306,11 +306,8 @@ def _min_weight_cover(masks, weights, n_edges, size_cap):
     evaluated only at the sets reachable from the full edge set, level by
     level, in chunks of at most ``_COVER_CHUNK`` cells.  Exact because weights
     are >= 0.  Returns (cost, sorted indices) or None when no cover fits the
-    cap.
+    cap.  The caller keeps n_edges within ``COVER_MAX_EDGES``.
     """
-    if n_edges > COVER_MAX_EDGES:
-        raise GraphError(
-            f"cover search infeasible for {n_edges} edges (limit {COVER_MAX_EDGES})")
     full = (1 << n_edges) - 1
     if full == 0:
         return 0.0, []

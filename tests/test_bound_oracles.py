@@ -20,7 +20,6 @@ from distsig.distributional import (
     tv_tree_rooted,
 )
 from distsig.graph import (
-    GraphError,
     _min_weight_cover,
     build_graph,
     clique_number_complement,
@@ -329,11 +328,6 @@ def test_cover_search_cap_without_cover():
 
 def test_cover_search_no_edges():
     assert _min_weight_cover([0], [0.5], 0, 3) == (0.0, [])
-
-
-def test_cover_search_edge_limit():
-    with pytest.raises(GraphError, match="limit"):
-        _min_weight_cover([1], [1.0], 21, 3)
 
 
 @pytest.mark.parametrize("n, edges, size", [

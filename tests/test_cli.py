@@ -65,16 +65,16 @@ def test_option_strings_per_subcommand():
 
 
 def test_every_path_option_takes_the_path_type():
-    # a string option is a path unless named here: a new path option without
+    # every option that takes a plain string is a path: a new path option without
     # cli._path would take an empty value and do something different per command
-    not_paths = {"blocks"}
     paths = []
     for name, p in _subcommands().items():
         for a in p._actions:
             if a.type is cli._path:
                 paths.append(f"{name} {a.option_strings[0]}")
-            elif a.nargs != 0 and a.type in (None, str) and a.choices is None:
-                assert a.dest in not_paths, f"{name} {a.option_strings[0]} takes no cli._path"
+            else:
+                assert a.nargs == 0 or a.type not in (None, str) or a.choices is not None, \
+                    f"{name} {a.option_strings[0]} takes no cli._path"
     assert sorted(paths) == [
         "analyze --out", "analyze --probs", "bounds --out", "gen-sbm --out",
         "spectrum --data-dir", "spectrum --graph", "spectrum --labels", "spectrum --out",
@@ -104,6 +104,59 @@ def test_empty_path_is_refused_before_any_work(monkeypatch, tmp_path, capsys, co
     assert f"argument {option}: must not be empty" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _dataset_option_cases():
+    """(subcommand, --dataset value, option, the dataset that reads it) for
+    every dataset option of every subcommand that takes --dataset."""
+    readers = {dest: name for name, dests in cli._DATASET_OPTIONS.items() for dest in dests}
+    cases = []
+    for command, p in _subcommands().items():
+        actions = {a.dest: a for a in p._actions}
+        if "dataset" not in actions:
+            continue
+        for dataset in actions["dataset"].choices:
+            for dest, reader in readers.items():
+                if dest in actions:
+                    option = actions[dest].option_strings[0]
+                    cases.append(pytest.param(command, dataset, option, reader,
+                                              id=f"{command} {dataset} {option}"))
+    return cases
+
+
+_DATASET_VALUES = {"--data-dir": "data", "--graph": "g.graph", "--labels": "g.labels",
+                   "--features": "f.npy", "--blocks": "5,5", "--p-in": "0.5", "--p-out": "0.1"}
+
+
+@pytest.mark.parametrize("command, dataset, option, reader", _dataset_option_cases())
+def test_dataset_takes_only_the_options_it_reads(monkeypatch, tmp_path, capsys, command,
+                                                 dataset, option, reader):
+    # an option that only another dataset reads would be dropped without a word,
+    # so it is refused before any file is read or written
+    loads = []
+
+    def no_load(*args, **kwargs):
+        loads.append(args)
+        raise AssertionError("the dataset was loaded")
+
+    for module, name in ((gnn, "load_cora_dir"), (cli, "read_graph_file"),
+                         (gnn, "sbm_dataset")):
+        monkeypatch.setattr(module, name, no_load)
+    monkeypatch.chdir(tmp_path)
+    # the default dataset is left out of argv, as a user would leave it out
+    argv = [command] + ([] if dataset == "sbm" else ["--dataset", dataset])
+    if dataset == "file":
+        argv += ["--graph", "g.graph", "--labels", "g.labels"]
+    rc = main(argv + [option, _DATASET_VALUES[option], "--out", "o"])
+    captured = capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
+    if reader == dataset:  # not refused: the run goes on to load its dataset
+        assert len(loads) == 1 and rc == 70, captured.err
+    else:
+        assert rc == 2
+        assert captured.err == (f"error: {option} is read only by --dataset {reader}, "
+                                f"not by --dataset {dataset}\n")
+        assert captured.out == "" and loads == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -667,6 +720,26 @@ def test_train_cora_without_data_dir(tmp_path, capsys, monkeypatch):
     assert "DISTSIG_DATA_DIR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_train_cora_names_the_directory_without_the_files(tmp_path, capsys, monkeypatch,
+                                                          source):
+    # a directory was given, so the message names it, not the variable to set
+    monkeypatch.delenv("DISTSIG_DATA_DIR", raising=False)
+    argv = ["train", "--dataset", "cora", "--epochs", "5"]
+    if source == "flag":
+        argv += ["--data-dir", str(tmp_path)]
+    else:
+        monkeypatch.setenv("DISTSIG_DATA_DIR", str(tmp_path))
+    (tmp_path / "cora.cites").write_text("")
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: raw Cora files not found: no cora.content in {tmp_path}\n"
+    (tmp_path / "cora.cites").unlink()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == ("error: raw Cora files not found: no cora.content and "
+                                       f"no cora.cites in {tmp_path}\n")
+
+
 def test_train_cora_rejects_non_finite_features(tmp_path, capsys):
     # the file is rejected as it is read, before training could meet the value
     _write_citation_files(tmp_path)
@@ -1011,9 +1084,12 @@ def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message):
     ("run_cora_suite.py", ["--variants", "gcn,bogus"], "got 'gcn,bogus'"),
     ("run_cora_suite.py", ["--variants", "lap"], "got 'lap'"),
     ("run_cora_suite.py", ["--seeds", "0"], "--seeds must be >= 1, got 0"),
+    ("run_cora_suite.py", ["--out-dir", ""], "argument --out-dir: must not be empty"),
+    ("run_cora_suite.py", ["--data-dir", ""], "argument --data-dir: must not be empty"),
     ("run_sbm_trend.py", ["--seeds", "0"], "--seeds must be >= 1, got 0"),
     ("run_sbm_trend.py", ["--variant", "lap"], "invalid choice: 'lap'"),
-], ids=["suite-unknown-variant", "suite-lap", "suite-seeds-0", "trend-seeds-0", "trend-lap"])
+], ids=["suite-unknown-variant", "suite-lap", "suite-seeds-0", "suite-empty-out-dir",
+        "suite-empty-data-dir", "trend-seeds-0", "trend-lap"])
 def test_script_rejects_bad_arguments_before_any_work(tmp_path, script, args, message):
     # the citation files are valid, so the suite would train if it got that far
     _write_citation_files(tmp_path, n=30)
