@@ -53,15 +53,25 @@ def _blocks(text: str) -> list[int]:
     return blocks
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy's generators take only nonnegative integers."""
+def _int_at_least(text: str, low: int) -> int:
+    """An int value of at least ``low``; anything else is a usage error."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only nonnegative integers."""
+    return _int_at_least(text, 0)
+
+
+def _positive(text: str) -> int:
+    """A split size: an empty part would leave a model untrained or unscored."""
+    return _int_at_least(text, 1)
 
 
 def _tag(text: str) -> str:
@@ -166,6 +176,21 @@ def _refuse_directory(path) -> None:
         raise CliError(f"--out {path}: is a directory", EXIT_IO)
 
 
+def _refuse_input(path, args) -> None:
+    """Refuse an output name derived from --out that names an input file."""
+    for dest in _INPUTS:
+        given = getattr(args, dest, None)
+        if given is None:
+            continue
+        if os.path.exists(path) and os.path.exists(given):
+            same = os.path.samefile(path, given)
+        else:
+            same = os.path.realpath(path) == os.path.realpath(given)
+        if same:
+            raise CliError(f"--out {args.out} would overwrite {path}, the "
+                           f"--{dest} input", EXIT_USAGE)
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -182,6 +207,7 @@ def cmd_spectrum(args) -> int:
         signals.update((f"class{s}", probs[:, s]) for s in range(probs.shape[1]))
     for name in signals:  # a class file per --probs column joins main's checks
         _refuse_directory(f"{args.out}_{name}.csv")
+        _refuse_input(f"{args.out}_{name}.csv", args)
     for name, signal in signals.items():
         export_spectrum_csv(f"{args.out}_{name}.csv", *gnn.component_gft(g, signal))
     print(f"wrote {len(signals)} spectrum file(s) with prefix {args.out}")
@@ -319,11 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=defaults.eta)
     p.add_argument("--epochs", type=int, default=defaults.epochs)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--per-class", type=int, default=None,
-                   help=f"training nodes per class (default: {gnn.CORA_SPLIT[0]} cora, "
-                        f"{gnn.SBM_SPLIT[0]} otherwise)")
-    p.add_argument("--val-size", type=int, default=None)
-    p.add_argument("--test-size", type=int, default=None)
+    cora, sbm = gnn.CORA_SPLIT, gnn.SBM_SPLIT
+    p.add_argument("--per-class", type=_positive, default=None,
+                   help=f"training nodes per class, >= 1 (default: {cora[0]} cora, "
+                        f"{sbm[0]} otherwise)")
+    p.add_argument("--val-size", type=_positive, default=None,
+                   help=f"validation nodes, >= 1 (default: {cora[1]} cora, {sbm[1]} otherwise)")
+    p.add_argument("--test-size", type=_positive, default=None,
+                   help=f"test nodes, >= 1 (default: {cora[2]} cora, {sbm[2]} otherwise)")
     p.add_argument("--tune", action="store_true",
                    help="grid-search eta over gnn.ETA_GRID on validation accuracy; the output "
                         "analysis runs on the chosen eta only, and the JSON adds 'tune', one "
@@ -349,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 # the names each subcommand writes from --out ("" is --out itself, not a prefix)
 _OUTPUTS = {"spectrum": ("_label.csv", "_random.csv"), "bounds": ("",), "analyze": ("",),
             "train": ("", ".probs.npy"), "gen-sbm": (".graph", ".labels")}
+# the options that name input files; no name derived from --out may be one of them
+_INPUTS = ("graph", "labels", "features", "probs")
 # the options each --dataset value reads; main refuses the other rows' options
 _DATASET_OPTIONS = {"cora": ("data_dir",), "sbm": ("blocks", "p_in", "p_out"),
                     "file": ("graph", "labels", "features")}
@@ -367,6 +398,7 @@ def main(argv=None) -> int:
                 raise CliError(f"--out {args.out}: its directory does not exist", EXIT_IO)
             for suffix in _OUTPUTS[args.command]:
                 _refuse_directory(args.out + suffix)
+                _refuse_input(args.out + suffix, args)
         dataset = getattr(args, "dataset", None)  # gen-sbm reads its options without one
         for reader, options in _DATASET_OPTIONS.items():
             for dest in options:

@@ -8,6 +8,7 @@ notions built on it, and the inequality chains relating them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -343,16 +344,20 @@ def random_bound_instance(key, max_n: int, max_m: int) -> tuple[Graph, Marginals
     """Seeded random connected graph plus Dirichlet(1,...,1) marginals.
 
     Draws 2..max_n nodes and 2..max_m labels; the fuzz corpus draws with
-    ``BOUND_CORPUS``.
+    ``BOUND_CORPUS``.  The draw order is fixed, because criterion 2's
+    instances and ``perfbench/corpus_pool.json`` rest on it: n, then m,
+    then the edge probability p; then, per try, one uniform per node pair
+    (i < j) in row-major order, keeping the pairs below p, until the graph
+    is connected; then the n Dirichlet rows.
     """
     rng = np.random.default_rng(key)
     n = int(rng.integers(2, max_n + 1))
     m = int(rng.integers(2, max_m + 1))
     p = float(rng.uniform(0.3, 0.9))
-    iu, ju = np.triu_indices(n, 1)
+    pairs = list(itertools.combinations(range(n), 2))
     while True:
-        keep = rng.random(iu.size) < p
-        g = build_graph(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
+        keep = (rng.random(len(pairs)) < p).tolist()
+        g = build_graph(n, list(itertools.compress(pairs, keep)))
         if len(g.components) == 1:
             break
     x = rng.dirichlet(np.ones(m), size=n)

@@ -12,8 +12,9 @@ branch per regularizer variant, one model's forward pass and loss gradient
 on plain n x C arrays (at ``gnn.DROPOUT`` and ``gnn.WEIGHT_DECAY`` as read
 at call time, so a test may patch them), the one-model-at-a-time training
 loop, the all-pairs block-model sampler, the dict-lookup induced subgraph,
-the propagation matrix scaled by its CSR row sums and the per-token
-``float()`` parse of Cora features.
+the propagation matrix scaled by its CSR row sums, the per-token
+``float()`` parse of Cora features and the fuzz-instance draw that lists
+its candidate pairs with ``np.triu_indices``.
 """
 
 import itertools
@@ -388,6 +389,23 @@ def sbm_generate_all_pairs(block_sizes, p_in, p_out, seed):
     keep = u < p
     edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
     return build_graph(n, edges), labels
+
+
+def random_bound_instance_by_triu(key, max_n, max_m):
+    """``distributional.random_bound_instance`` with the candidate pairs as the two
+    ``np.triu_indices`` index arrays, zipped per try: the reference for its draw."""
+    rng = np.random.default_rng(key)
+    n = int(rng.integers(2, max_n + 1))
+    m = int(rng.integers(2, max_m + 1))
+    p = float(rng.uniform(0.3, 0.9))
+    iu, ju = np.triu_indices(n, 1)
+    while True:
+        keep = rng.random(iu.size) < p
+        g = build_graph(n, list(zip(iu[keep].tolist(), ju[keep].tolist())))
+        if len(g.components) == 1:
+            break
+    x = rng.dirichlet(np.ones(m), size=n)
+    return g, distributional.Marginals(x)
 
 
 def induced_subgraph_by_dict(g, nodes):

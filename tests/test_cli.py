@@ -281,6 +281,66 @@ def test_spectrum_class_file_that_is_a_directory_is_refused_before_the_decomposi
     assert sorted(tmp_path.iterdir()) == [probs, made] and list(made.iterdir()) == []
 
 
+def _input_files(d):
+    """A block-model graph and labels, a feature matrix and a probability matrix in ``d``."""
+    assert main(["gen-sbm", "--blocks", "5,5", "--out", str(d / "g")]) == 0
+    np.save(d / "run.probs.npy", np.eye(10))
+    np.save(d / "p.npy", np.full((10, 2), 0.5))
+    (d / "p_label.csv").write_bytes((d / "g.labels").read_bytes())
+    return {f: f.read_bytes() for f in d.iterdir()}
+
+
+@pytest.mark.parametrize("argv, written, option", [
+    pytest.param(["train", "--dataset", "file", "--graph", "{tmp}/g.graph", "--labels",
+                  "{tmp}/g.labels", "--out", "{tmp}/./g.graph"], "{tmp}/./g.graph", "graph",
+                 id="train-out-is-graph"),
+    pytest.param(["train", "--dataset", "file", "--graph", "{tmp}/g.graph", "--labels",
+                  "{tmp}/g.labels", "--features", "{tmp}/run.probs.npy", "--out", "{tmp}/run"],
+                 "{tmp}/run.probs.npy", "features", id="train-probs-is-features"),
+    pytest.param(["spectrum", "--dataset", "file", "--graph", "{tmp}/g.graph", "--labels",
+                  "{tmp}/p_label.csv", "--out", "{tmp}/p"], "{tmp}/p_label.csv", "labels",
+                 id="spectrum-label-is-labels"),
+    pytest.param(["analyze", "--probs", "{tmp}/p.npy", "--out", "{tmp}/p.npy"], "{tmp}/p.npy",
+                 "probs", id="analyze-out-is-probs"),
+])
+def test_out_that_names_an_input_is_refused_before_any_work(monkeypatch, tmp_path, capsys,
+                                                            argv, written, option):
+    before = _input_files(tmp_path)
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked against the inputs")
+
+    for name in ("_load_dataset", "_read_probs"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    out = argv[argv.index("--out") + 1]
+    assert captured.err == (f"error: --out {out} would overwrite {written.format(tmp=tmp_path)}, "
+                            f"the --{option} input\n")
+    assert captured.out == ""
+    assert {f: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_spectrum_class_file_that_names_an_input_is_refused_before_the_decomposition(
+        monkeypatch, tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("decomposition started before the class files were checked")
+
+    monkeypatch.setattr(gnn, "component_spectrum", no_work)
+    probs = tmp_path / "spec_class0.csv"
+    np.savetxt(probs, np.full((10, 2), 0.5))
+    before = probs.read_bytes()
+    assert main(["spectrum", "--blocks", "5,5", "--probs", str(probs),
+                 "--out", str(tmp_path / "spec")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --out {tmp_path / 'spec'} would overwrite {probs}, "
+                            "the --probs input\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [probs] and probs.read_bytes() == before
+
+
 def test_train_divergence_exits_70_before_any_output(tmp_path, capsys):
     out = tmp_path / "run.json"
     assert main(["train", "--variant", "r", "--eta", "1e300", "--epochs", "3",
@@ -682,18 +742,30 @@ def test_train_rejects_bad_feature_file(tmp_path, capsys, name, make, message):
     ("--test-size", "0", "test_size must be >= 1, got 0"),
 ])
 def test_train_rejects_split_size_below_one(tmp_path, capsys, monkeypatch, flag, value, message):
-    # refused before any training: a run with an empty split would report an
-    # untrained model or a nan accuracy
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained despite a bad split size")
+    # refused while parsing: a run with an empty split would report an
+    # untrained model or a nan accuracy, and loading the dataset first is waste
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started despite a bad split size")
 
-    monkeypatch.setattr(gnn, "train", no_training)
+    monkeypatch.setattr(gnn, "train", no_work)
+    monkeypatch.setattr(cli, "_load_dataset", no_work)
     out = tmp_path / "run.json"
     rc = main(["train", "--blocks", "20,20", "--epochs", "3", "--val-size", "10",
                "--test-size", "10", flag, value, "--out", str(out)])
+    parsed = f"argument {flag}: must be >= 1, got {value}"
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert parsed in capsys.readouterr().err
     assert not out.exists()
+    # the files are never opened: a missing graph still exits 2, not 3
+    assert main(["train", "--dataset", "file", "--graph", str(tmp_path / "missing.graph"),
+                 "--labels", str(tmp_path / "missing.labels"), flag, value]) == 2
+    assert parsed in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # make_split keeps its own check, in its parameter's name, for library callers
+    sizes = [5, 10, 10]
+    sizes[("--per-class", "--val-size", "--test-size").index(flag)] = int(value)
+    with pytest.raises(ValueError, match=message):
+        gnn.make_split(np.repeat([0, 1], 20), *sizes, 0)
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -905,25 +977,6 @@ def test_npy_layouts_load_to_the_same_values(tmp_path, capsys, layout):
     assert (tmp_path / "l.json").read_bytes() == (tmp_path / "c.json").read_bytes()
     assert (tmp_path / "l.json.probs.npy").read_bytes() == \
         (tmp_path / "c.json.probs.npy").read_bytes()
-
-
-def test_analyze_may_overwrite_its_mapped_input(tmp_path, capsys):
-    # every entry is read before the output is opened, so the truncated map is
-    # never read; a read past the new end of file would kill the process with
-    # SIGBUS, hence the child process
-    probs = np.random.default_rng(5).dirichlet(np.ones(4), size=12)
-    np.save(tmp_path / "p.npy", probs)
-    np.save(tmp_path / "q.npy", probs)
-    assert main(["analyze", "--probs", str(tmp_path / "q.npy"),
-                 "--out", str(tmp_path / "q.csv")]) == 0
-    capsys.readouterr()
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    r = subprocess.run([sys.executable, "-m", "distsig", "analyze", "--probs",
-                        str(tmp_path / "p.npy"), "--out", str(tmp_path / "p.npy")],
-                       capture_output=True, text=True,
-                       env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert r.returncode == 0, r.stderr
-    assert (tmp_path / "p.npy").read_bytes() == (tmp_path / "q.csv").read_bytes()
 
 
 def test_analyze_missing_probs(tmp_path, capsys):

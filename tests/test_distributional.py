@@ -39,6 +39,7 @@ from distsig.simplex import ROW_SUM_TOL, solve_lp
 from oracles import (
     coupling_lp_oracle,
     joint_lp_by_loops,
+    random_bound_instance_by_triu,
     recorded_lps,
     tree_edges,
     tv_exact_two_phase,
@@ -625,6 +626,21 @@ def test_random_instance_deterministic():
     g2, n2 = random_bound_instance((5, 17), *BOUND_CORPUS)
     assert g1.edges == g2.edges
     assert np.array_equal(n1.matrix, n2.matrix)
+
+
+@pytest.mark.parametrize("keys, sizes", [
+    ([(0, i) for i in range(1000)] + [(i, 0) for i in range(1000)], BOUND_CORPUS),
+    (range(300), (2, 2)),
+    (range(300), (5, 3)),
+], ids=["corpus-keys", "ints-2x2", "ints-5x3"])
+def test_random_instance_matches_the_triu_draw(keys, sizes):
+    # the corpus pool and criterion 2's instances rest on this draw: the same
+    # edges and bitwise the same rows as the np.triu_indices listing
+    for key in keys:
+        g, nn = random_bound_instance(key, *sizes)
+        g_ref, nn_ref = random_bound_instance_by_triu(key, *sizes)
+        assert g.edges == g_ref.edges, key
+        assert nn.matrix.tobytes() == nn_ref.matrix.tobytes(), key
 
 
 def test_corpus_small_clean():
