@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from distsig.cli import _path
-from distsig.gnn import CORA_SPLIT, VARIANTS, TrainConfig, load_cora_dir, make_split, tune_eta
+from distsig.gnn import (CORA_SPLIT, VARIANTS, TrainConfig, cora_files, load_cora, make_split,
+                         tune_eta)
 from distsig.graph import GraphError
 
 
@@ -35,9 +36,11 @@ def main():
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants or any(v not in VARIANTS for v in variants):
         ap.error(f"--variants must name some of {','.join(VARIANTS)}, got {args.variants!r}")
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        ap.error(f"--out-dir {args.out_dir}: exists and is not a directory")
 
     try:
-        g, features, labels, _ = load_cora_dir(args.data_dir)
+        g, features, labels, _ = load_cora(*cora_files(args.data_dir))
     except (FileNotFoundError, GraphError) as exc:  # no files, or malformed ones
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -105,7 +105,7 @@ def _given(values, defaults) -> list:
 def _load_dataset(args):
     """Resolve --dataset into (graph, features, labels)."""
     if args.dataset == "cora":
-        g, f, y, _ = _read(gnn.load_cora_dir, args.data_dir)
+        g, f, y, _ = _read(gnn.load_cora, *gnn.cora_files(args.data_dir))
         return g, f, y
     if args.dataset == "sbm":
         return gnn.sbm_dataset(*_given((args.blocks, args.p_in, args.p_out), gnn.SBM_4BLOCK),
@@ -171,15 +171,17 @@ def _read_probs(path, n):
         raise CliError(f"{path}: not a probability matrix: {e}", EXIT_IO) from None
 
 
-def _refuse_directory(path) -> None:
+def _refuse_output(path, args) -> None:
+    """Refuse a name derived from --out whose directory is missing, that is a
+    directory, or that names a file the run reads."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise CliError(f"--out {args.out}: its directory does not exist", EXIT_IO)
     if os.path.isdir(path):
         raise CliError(f"--out {path}: is a directory", EXIT_IO)
-
-
-def _refuse_input(path, args) -> None:
-    """Refuse an output name derived from --out that names an input file."""
-    for dest in _INPUTS:
-        given = getattr(args, dest, None)
+    inputs = [(f"--{dest}", getattr(args, dest, None)) for dest in _INPUTS]
+    if getattr(args, "dataset", None) == "cora":
+        inputs += [("--data-dir", f) for f in gnn.cora_files(args.data_dir)]
+    for option, given in inputs:
         if given is None:
             continue
         if os.path.exists(path) and os.path.exists(given):
@@ -187,8 +189,8 @@ def _refuse_input(path, args) -> None:
         else:
             same = os.path.realpath(path) == os.path.realpath(given)
         if same:
-            raise CliError(f"--out {args.out} would overwrite {path}, the "
-                           f"--{dest} input", EXIT_USAGE)
+            raise CliError(f"--out {args.out} would overwrite {path}, the {option} input",
+                           EXIT_USAGE)
 
 
 def _write_json(path, payload) -> None:
@@ -206,8 +208,7 @@ def cmd_spectrum(args) -> int:
     if probs is not None:
         signals.update((f"class{s}", probs[:, s]) for s in range(probs.shape[1]))
     for name in signals:  # a class file per --probs column joins main's checks
-        _refuse_directory(f"{args.out}_{name}.csv")
-        _refuse_input(f"{args.out}_{name}.csv", args)
+        _refuse_output(f"{args.out}_{name}.csv", args)
     for name, signal in signals.items():
         export_spectrum_csv(f"{args.out}_{name}.csv", *gnn.component_gft(g, signal))
     print(f"wrote {len(signals)} spectrum file(s) with prefix {args.out}")
@@ -244,10 +245,8 @@ def cmd_train(args) -> int:
     # as CSR and frees the dense matrix before the first epoch
     dense = [f]
     del f
-    if args.tune:
-        metrics, runs = gnn.tune_eta(g, dense.pop(), y, split, cfg)
-    else:
-        metrics = gnn.train(g, dense.pop(), y, split, cfg)
+    metrics, runs = gnn.tune_eta(g, dense.pop(), y, split, cfg,
+                                 gnn.ETA_GRID if args.tune else (cfg.eta,))
     print(
         f"variant={metrics.config.variant} eta={metrics.config.eta} "
         f"test_acc={metrics.test_acc:.4f} best_epoch={metrics.best_epoch}"
@@ -392,19 +391,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_USAGE
     try:
-        # every subcommand's --out is a path or prefix: refuse it before any work
-        if args.out is not None:
-            if not os.path.isdir(os.path.dirname(args.out) or "."):
-                raise CliError(f"--out {args.out}: its directory does not exist", EXIT_IO)
-            for suffix in _OUTPUTS[args.command]:
-                _refuse_directory(args.out + suffix)
-                _refuse_input(args.out + suffix, args)
         dataset = getattr(args, "dataset", None)  # gen-sbm reads its options without one
         for reader, options in _DATASET_OPTIONS.items():
             for dest in options:
                 if dataset not in (None, reader) and getattr(args, dest, None) is not None:
                     raise CliError(f"--{dest.replace('_', '-')} is read only by --dataset "
                                    f"{reader}, not by --dataset {dataset}", EXIT_USAGE)
+        # every subcommand's --out is a path or prefix: refuse it before any work
+        if args.out is not None:
+            for suffix in _OUTPUTS[args.command]:
+                _refuse_output(args.out + suffix, args)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -182,9 +182,9 @@ def load_cora(content_path, cites_path):
     return g, f, y, classes
 
 
-def load_cora_dir(data_dir: str | None):
-    """``load_cora`` on cora.content and cora.cites in ``data_dir``, or in
-    ``DISTSIG_DATA_DIR`` when it is None.
+def cora_files(data_dir: str | None) -> tuple[str, str]:
+    """The paths of cora.content and cora.cites in ``data_dir``, or in
+    ``DISTSIG_DATA_DIR`` when it is None: ``load_cora``'s two arguments.
 
     FileNotFoundError when no directory is given, or when either file is
     missing from it; the message names the directory and the missing files.
@@ -200,7 +200,7 @@ def load_cora_dir(data_dir: str | None):
     if missing:
         raise FileNotFoundError(f"raw Cora files not found: no {' and no '.join(missing)} "
                                 f"in {d}")
-    return load_cora(*(os.path.join(d, f) for f in names))
+    return tuple(os.path.join(d, f) for f in names)
 
 
 SBM_FEAT_DIM = 64

@@ -12,7 +12,8 @@ from distsig import build_graph
 from distsig.gnn import (
     CORA_SPLIT,
     TrainConfig,
-    load_cora_dir,
+    cora_files,
+    load_cora,
     make_split,
     train,
     tune_eta,
@@ -48,7 +49,7 @@ def k4():
 def cora():
     """Raw Cora dataset, or skip when the files are not on this machine."""
     try:
-        return load_cora_dir(None)
+        return load_cora(*cora_files(None))
     except FileNotFoundError:
         pytest.skip("raw Cora files not present (set DISTSIG_DATA_DIR)")
 

@@ -139,7 +139,8 @@ def test_dataset_takes_only_the_options_it_reads(monkeypatch, tmp_path, capsys, 
         loads.append(args)
         raise AssertionError("the dataset was loaded")
 
-    for module, name in ((gnn, "load_cora_dir"), (cli, "read_graph_file"),
+    # with --dataset cora, main's --out check names the Cora files first
+    for module, name in ((gnn, "cora_files"), (gnn, "load_cora"), (cli, "read_graph_file"),
                          (gnn, "sbm_dataset")):
         monkeypatch.setattr(module, name, no_load)
     monkeypatch.chdir(tmp_path)
@@ -263,6 +264,23 @@ def test_out_that_is_a_directory_is_refused_before_any_work(monkeypatch, tmp_pat
     assert list(tmp_path.iterdir()) == [made] and list(made.iterdir()) == []
 
 
+def test_outputs_table_names_every_file_a_subcommand_writes(tmp_path, capsys):
+    # every --out refusal reads cli._OUTPUTS, so a file written without an
+    # entry there would escape all of them
+    probs = tmp_path / "train" / "o.probs.npy"
+    runs = {"bounds": ["--trials", "2"], "gen-sbm": [], "train": ["--epochs", "2"],
+            "analyze": ["--probs", str(probs)], "spectrum": ["--probs", str(probs)]}
+    for command, args in runs.items():  # train writes the probabilities the last two read
+        d = tmp_path / command
+        d.mkdir()
+        assert main([command, *args, "--out", str(d / "o")]) == 0
+        want = {"o" + suffix for suffix in cli._OUTPUTS[command]}
+        if command == "spectrum":
+            want |= {f"o_class{s}.csv" for s in range(np.load(probs).shape[1])}
+        assert {f.name for f in d.iterdir()} == want, command
+    capsys.readouterr()
+
+
 def test_spectrum_class_file_that_is_a_directory_is_refused_before_the_decomposition(
         monkeypatch, tmp_path, capsys):
     def no_work(*args, **kwargs):
@@ -339,6 +357,34 @@ def test_spectrum_class_file_that_names_an_input_is_refused_before_the_decomposi
                             "the --probs input\n")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [probs] and probs.read_bytes() == before
+
+
+@pytest.mark.parametrize("name, source", [
+    ("cora.cites", "flag"), ("./cora.content", "flag"), ("cora.cites", "environment"),
+], ids=["cites", "dot-content", "environment-cites"])
+def test_out_that_names_a_cora_file_is_refused_before_any_work(monkeypatch, tmp_path, capsys,
+                                                               name, source):
+    # --data-dir, or DISTSIG_DATA_DIR in its place, is an input like --graph
+    _write_citation_files(tmp_path, n=30)
+    before = {f: f.read_bytes() for f in tmp_path.iterdir()}
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the Cora files were read before --out was checked")
+
+    monkeypatch.setattr(gnn, "load_cora", no_load)
+    monkeypatch.delenv("DISTSIG_DATA_DIR", raising=False)
+    argv = ["train", "--dataset", "cora", "--epochs", "2", "--per-class", "2",
+            "--val-size", "5", "--test-size", "5"]
+    if source == "flag":
+        argv += ["--data-dir", str(tmp_path)]
+    else:
+        monkeypatch.setenv("DISTSIG_DATA_DIR", str(tmp_path))
+    out = f"{tmp_path}/{name}"
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {out} would overwrite {out}, the --data-dir input\n"
+    assert captured.out == ""
+    assert {f: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
 def test_train_divergence_exits_70_before_any_output(tmp_path, capsys):
@@ -1139,17 +1185,22 @@ def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message):
     ("run_cora_suite.py", ["--seeds", "0"], "--seeds must be >= 1, got 0"),
     ("run_cora_suite.py", ["--out-dir", ""], "argument --out-dir: must not be empty"),
     ("run_cora_suite.py", ["--data-dir", ""], "argument --data-dir: must not be empty"),
+    ("run_cora_suite.py", ["--out-dir", "{tmp}/cora.cites"],
+     "--out-dir {tmp}/cora.cites: exists and is not a directory"),
     ("run_sbm_trend.py", ["--seeds", "0"], "--seeds must be >= 1, got 0"),
     ("run_sbm_trend.py", ["--variant", "lap"], "invalid choice: 'lap'"),
 ], ids=["suite-unknown-variant", "suite-lap", "suite-seeds-0", "suite-empty-out-dir",
-        "suite-empty-data-dir", "trend-seeds-0", "trend-lap"])
+        "suite-empty-data-dir", "suite-out-dir-is-a-file", "trend-seeds-0", "trend-lap"])
 def test_script_rejects_bad_arguments_before_any_work(tmp_path, script, args, message):
     # the citation files are valid, so the suite would train if it got that far
     _write_citation_files(tmp_path, n=30)
+    before = {f: f.read_bytes() for f in tmp_path.iterdir()}
     out = tmp_path / "runs"
-    if script == "run_cora_suite.py":
-        args += ["--data-dir", str(tmp_path), "--out-dir", str(out)]
+    args = [a.format(tmp=tmp_path) for a in args]
+    if script == "run_cora_suite.py":  # the case's own value is the last, so it wins
+        args = ["--data-dir", str(tmp_path), "--out-dir", str(out), *args]
     r = _run_script(script, *args)
     assert r.returncode == 2, r.stderr
-    assert r.stdout == "" and message in r.stderr.splitlines()[-1]
+    assert r.stdout == "" and message.format(tmp=tmp_path) in r.stderr.splitlines()[-1]
     assert not out.exists()
+    assert {f: f.read_bytes() for f in tmp_path.iterdir()} == before
