@@ -11,14 +11,13 @@ the near-uniform/near-one entry counts of the final outputs.
 
 import argparse
 import csv
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
-from distsig.cli import _path
+from distsig.cli import _path, _positive, _write_json
 from distsig.gnn import (CORA_SPLIT, VARIANTS, TrainConfig, cora_files, load_cora, make_split,
                          tune_eta)
 from distsig.graph import GraphError
@@ -27,17 +26,19 @@ from distsig.graph import GraphError
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--data-dir", type=_path, default=None, help="override DISTSIG_DATA_DIR")
-    ap.add_argument("--seeds", type=int, default=5)
+    ap.add_argument("--seeds", type=_positive, default=5)
     ap.add_argument("--variants", default=",".join(VARIANTS))
     ap.add_argument("--out-dir", type=_path, default="cora_runs")
     args = ap.parse_args()
-    if args.seeds < 1:
-        ap.error(f"--seeds must be >= 1, got {args.seeds}")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants or any(v not in VARIANTS for v in variants):
         ap.error(f"--variants must name some of {','.join(VARIANTS)}, got {args.variants!r}")
-    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
-        ap.error(f"--out-dir {args.out_dir}: exists and is not a directory")
+    part = args.out_dir  # its nearest existing part: makedirs needs a directory there
+    while not os.path.exists(part) and os.path.dirname(part) not in ("", part):
+        part = os.path.dirname(part)
+    if os.path.exists(part) and not os.path.isdir(part):
+        where = "" if part == args.out_dir else f" {part}"
+        ap.error(f"--out-dir {args.out_dir}:{where} exists and is not a directory")
 
     try:
         g, features, labels, _ = load_cora(*cora_files(args.data_dir))
@@ -69,9 +70,8 @@ def main():
                 "near_uniform": near_u,
                 "near_one": near_one,
             })
-            path = os.path.join(args.out_dir, f"{variant}_seed{seed}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(m.to_json_dict(), fh, indent=2, sort_keys=True)
+            _write_json(os.path.join(args.out_dir, f"{variant}_seed{seed}.json"),
+                        m.to_json_dict())
             print(f"{variant} seed {seed}: acc {m.test_acc:.4f} (eta {m.config.eta}), "
                   f"hf {m.hf_fraction_per_class[0]:.4f}, "
                   f"near-uniform {near_u}, near-one {near_one}")

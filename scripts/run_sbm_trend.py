@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from distsig.cli import _positive
 from distsig.gnn import SBM_4BLOCK, sbm_trend
 
 # (blocks, p_in, p_out) of each setup
@@ -39,12 +40,10 @@ def run_setup(name, setup, seeds, variant):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--seeds", type=int, default=10)
+    ap.add_argument("--seeds", type=_positive, default=10)
     ap.add_argument("--variant", default="r", choices=("r", "r1", "r2", "r3"))
     ap.add_argument("--setup", default="all", choices=("all",) + tuple(SETUPS))
     args = ap.parse_args()
-    if args.seeds < 1:
-        ap.error(f"--seeds must be >= 1, got {args.seeds}")
 
     t0 = time.perf_counter()
     names = tuple(SETUPS) if args.setup == "all" else (args.setup,)

@@ -16,9 +16,8 @@ import warnings
 import numpy as np
 
 from . import gnn
-from .distributional import BOUND_CORPUS, JOINT_TABLE_CAP, run_bound_corpus
+from .distributional import BOUND_CORPUS, run_bound_corpus
 from .graph import (
-    COVER_MAX_EDGES,
     GraphError,
     read_graph_file,
     read_labels_file,
@@ -70,7 +69,7 @@ def _seed(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """A split size: an empty part would leave a model untrained or unscored."""
+    """A split size or a script's --seeds: a count of 0 leaves nothing to train or score."""
     return _int_at_least(text, 1)
 
 
@@ -216,10 +215,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    report = run_bound_corpus(
-        args.trials, args.seed, max_n=args.n, max_m=args.m,
-        keep_instances=not args.summary_only,
-    )
+    max_n, max_m = BOUND_CORPUS
+    report = run_bound_corpus(args.trials, args.seed, max_n=max_n, max_m=max_m,
+                              keep_instances=not args.summary_only)
     if args.out:
         _write_json(args.out, report)
     print(
@@ -322,16 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_path, required=True, help="output path prefix")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("bounds", help="fuzz the variation inequality chains")
+    max_n, max_m = BOUND_CORPUS
+    p = sub.add_parser("bounds", help="fuzz the variation inequality chains",
+                       description="Check the variation inequality chains on --trials seeded "
+                                   "instances of the corpus protocol: connected graphs of at "
+                                   f"most {max_n} nodes with marginals over at most {max_m} "
+                                   "labels.")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=_seed, default=0)
-    max_n, max_m = BOUND_CORPUS
-    p.add_argument("--n", type=int, default=max_n,
-                   help=f"max graph size, >= 2, with n(n-1)/2 <= {COVER_MAX_EDGES}, the "
-                        f"cover-search edge limit (default {max_n})")
-    p.add_argument("--m", type=int, default=max_m,
-                   help=f"max alphabet size, >= 2, with m^n <= {JOINT_TABLE_CAP}, the "
-                        f"joint-table cap (default {max_m})")
     p.add_argument("--summary-only", action="store_true",
                    help="omit per-instance records from the report")
     p.add_argument("--out", type=_path, help="JSON report path")

@@ -22,6 +22,7 @@ from .graph import (
     build_graph,
     clique_number_complement,
     cover_size_cap,
+    edge_sum,
     enumerate_spanning_trees,
 )
 from .simplex import ROW_SUM_TOL, solve_lp
@@ -136,13 +137,10 @@ def tv_l1_l2(g: Graph, marginals) -> tuple[float, float]:
     The squared form equals the Laplacian trace Tr(X^T L X).
     """
     x = _checked_marginals(g, marginals).matrix
-    if g.m == 0:
-        return 0.0, 0.0
     eu, ev = g.endpoints
     d = x[eu] - x[ev]
-    # running sums in edge order: the same additions as one edge at a time
-    l1 = np.cumsum(2.0 * wasserstein_sq(x[eu], x[ev]))[-1]
-    l2 = np.cumsum((d * d).sum(axis=-1))[-1]
+    l1 = edge_sum(2.0 * wasserstein_sq(x[eu], x[ev]))
+    l2 = edge_sum((d * d).sum(axis=-1))
     return float(l1), float(l2)
 
 
@@ -259,10 +257,7 @@ def _tree_bound_batch(x, eu, ev, l1, rho, in_tree) -> np.ndarray:
     term = np.empty((b, eu.size, n))  # [t, e, r]
     term[:] = l1[:, None]
     term[tb, off] = np.take_along_axis(at.sum(axis=-1), k, axis=-1)
-    total = np.zeros((b, n))
-    for e in range(eu.size):  # in g.edges order: the same running sum as one edge at a time
-        total += term[:, e]
-    return total
+    return edge_sum(term.transpose(0, 2, 1))
 
 
 def tv_cover(g: Graph, marginals, size_cap: int) -> tuple[float, list[int]]:
@@ -278,13 +273,10 @@ def tv_cover(g: Graph, marginals, size_cap: int) -> tuple[float, list[int]]:
     if g.m > COVER_MAX_EDGES:
         raise GraphError(f"cover search infeasible for {g.m} edges (limit {COVER_MAX_EDGES})")
     in_tree = g.spanning_trees
-    if g.m == 0:  # one node: no edge to cover
-        return 0.0, []
     eu, ev = g.endpoints
     w = wasserstein_sq(x[eu], x[ev])
-    # a running sum in edge order: the additions of a per-tree sum, since
-    # adding a left-out edge's 0.0 to a sum of terms >= 0 changes no bit
-    weights = np.where(in_tree, w, 0.0).cumsum(axis=1)[:, -1]
+    # a left-out edge's 0.0 changes no bit of a sum of terms >= 0
+    weights = edge_sum(np.where(in_tree, w, 0.0))
     masks = in_tree @ (1 << np.arange(g.m, dtype=np.int64))  # bit i of row t: edge i
     res = _min_weight_cover(masks, weights, g.m, size_cap)
     if res is None:

@@ -5,10 +5,11 @@ canonically sorted tuple of (u, v) edges with u < v.  This module is the one
 place where edges become index arrays (``Graph.endpoints`` and the numpy path
 of ``build_graph``) and matrices: the sparse Laplacian (densified for
 eigendecompositions), the dense Laplacian minor of the matrix-tree count, and
-the sparse propagation matrix for training.  A spanning tree is a row of a
-boolean ``(trees, |E|)`` edge table (entry i is edge i); a graph lists its
-own trees once, as ``Graph.spanning_trees``, and ``_spans`` is the one
-spanning test, the enumeration's filter.
+the sparse propagation matrix for training; ``edge_sum`` is the one sum of
+per-edge values.  A spanning tree is a row of a boolean ``(trees, |E|)``
+edge table (entry i is edge i); a graph lists its own trees once, as
+``Graph.spanning_trees``, and ``_spans`` is the one spanning test, the
+enumeration's filter.
 """
 
 from __future__ import annotations
@@ -190,6 +191,19 @@ def _canonical_edges_array(n, edges) -> tuple[tuple[int, int], ...] | None:
         return None
     lo, hi = np.divmod(keys, n)
     return tuple(zip(lo.tolist(), hi.tolist()))
+
+
+def edge_sum(values):
+    """Sum the last axis, one value per edge, one edge at a time in ``edges`` order.
+
+    A running sum makes the same additions as a loop over the edges, so the
+    result does not depend on the other axes' shape (``np.sum`` adds in
+    pairs).  A scalar for a 1-D input; no edges sum to 0.0.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] == 0:
+        return np.zeros(values.shape[:-1])[()]
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
 def _symmetric_csr(g: Graph, off: np.ndarray, diag: np.ndarray) -> sp.csr_array:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, laplacian_sparse
+from .graph import Graph, edge_sum, laplacian_sparse
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,9 @@ def total_variation(g: Graph, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ValueError(f"signal length {x.shape} does not match n={g.n}")
-    if g.m == 0:
-        return 0.0
     eu, ev = g.endpoints
     d = x[eu] - x[ev]
-    # a running sum in edge order: the same additions as one edge at a time
-    return float(np.cumsum(d * d)[-1])
+    return float(edge_sum(d * d))
 
 
 def high_freq_fraction(eigenvalues, xhat) -> float:

@@ -36,8 +36,10 @@ def test_no_subcommand(capsys):
 
 
 def test_unknown_flag(capsys):
-    assert main(["bounds", "--bogus", "1"]) == 2
-    capsys.readouterr()
+    # --n and --m went: bounds always runs the BOUND_CORPUS protocol
+    for argv in (["bounds", "--bogus", "1"], ["bounds", "--n", "4"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _subcommands():
@@ -54,14 +56,14 @@ def test_option_strings_per_subcommand():
     dataset = ["--dataset", "--graph", "--labels", "--data-dir", "--blocks", "--p-in", "--p-out"]
     assert got == {
         "spectrum": dataset + ["--probs", "--seed", "--out"],
-        "bounds": ["--trials", "--seed", "--n", "--m", "--summary-only", "--out"],
+        "bounds": ["--trials", "--seed", "--summary-only", "--out"],
         "train": dataset[:2] + ["--features"] + dataset[2:] + [
             "--variant", "--eta", "--epochs", "--seed", "--per-class", "--val-size",
             "--test-size", "--tune", "--out"],
         "analyze": ["--probs", "--tag", "--out"],
         "gen-sbm": ["--blocks", "--p-in", "--p-out", "--seed", "--out"],
     }
-    assert sum(map(len, got.values())) == 41
+    assert sum(map(len, got.values())) == 39
 
 
 def test_every_path_option_takes_the_path_type():
@@ -494,12 +496,9 @@ def test_bounds_rerun_byte_identical(tmp_path, capsys):
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
 
+# the size limits are run_bound_corpus's own; tests/test_graph.py checks them
 @pytest.mark.parametrize("flags, limit", [
     (["--trials", "0"], "trials must be >= 1"),
-    (["--n", "1"], "must be >= 2"),
-    (["--m", "1"], "must be >= 2"),
-    (["--n", "6", "--m", "4"], "joint-table cap 729"),
-    (["--n", "7"], "cover-search limit 20"),
 ])
 def test_bounds_rejects_sizes_beyond_limits(tmp_path, capsys, flags, limit):
     out = tmp_path / "report.json"
@@ -1074,7 +1073,7 @@ def _write_citation_files(d, n=1560, classes=3, dim=24, seed=0):
     d.joinpath("cora.cites").write_text("".join(cites))
 
 
-def test_cora_suite_smoke(tmp_path):
+def test_cora_suite_smoke(tmp_path, capsys):
     # the code path behind criteria 7b-9, on a synthetic stand-in for the data
     _write_citation_files(tmp_path)
     out = tmp_path / "runs"
@@ -1092,6 +1091,12 @@ def test_cora_suite_smoke(tmp_path):
         # the summary's counts are the run's own sweep at epsilon 0.01
         [swept] = [r for r in run["nonuniformity_sweep"] if r["epsilon"] == 0.01]
         assert row.split(",")[5:] == [str(swept["near_uniform"]), str(swept["near_one"])]
+    # a run file is written as train --out writes the same run
+    train = tmp_path / "train.json"
+    assert main(["train", "--dataset", "cora", "--data-dir", str(tmp_path), "--variant", "gcn",
+                 "--seed", "0", "--out", str(train)]) == 0
+    capsys.readouterr()
+    assert (out / "gcn_seed0.json").read_bytes() == train.read_bytes()
 
 
 def test_sbm_trend_script_runs_the_gate_protocol():
@@ -1182,15 +1187,18 @@ def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message):
 @pytest.mark.parametrize("script, args, message", [
     ("run_cora_suite.py", ["--variants", "gcn,bogus"], "got 'gcn,bogus'"),
     ("run_cora_suite.py", ["--variants", "lap"], "got 'lap'"),
-    ("run_cora_suite.py", ["--seeds", "0"], "--seeds must be >= 1, got 0"),
+    ("run_cora_suite.py", ["--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
     ("run_cora_suite.py", ["--out-dir", ""], "argument --out-dir: must not be empty"),
     ("run_cora_suite.py", ["--data-dir", ""], "argument --data-dir: must not be empty"),
     ("run_cora_suite.py", ["--out-dir", "{tmp}/cora.cites"],
      "--out-dir {tmp}/cora.cites: exists and is not a directory"),
-    ("run_sbm_trend.py", ["--seeds", "0"], "--seeds must be >= 1, got 0"),
+    ("run_cora_suite.py", ["--out-dir", "{tmp}/cora.cites/sub"],
+     "--out-dir {tmp}/cora.cites/sub: {tmp}/cora.cites exists and is not a directory"),
+    ("run_sbm_trend.py", ["--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
     ("run_sbm_trend.py", ["--variant", "lap"], "invalid choice: 'lap'"),
 ], ids=["suite-unknown-variant", "suite-lap", "suite-seeds-0", "suite-empty-out-dir",
-        "suite-empty-data-dir", "suite-out-dir-is-a-file", "trend-seeds-0", "trend-lap"])
+        "suite-empty-data-dir", "suite-out-dir-is-a-file", "suite-out-dir-below-a-file",
+        "trend-seeds-0", "trend-lap"])
 def test_script_rejects_bad_arguments_before_any_work(tmp_path, script, args, message):
     # the citation files are valid, so the suite would train if it got that far
     _write_citation_files(tmp_path, n=30)

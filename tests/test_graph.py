@@ -122,6 +122,17 @@ def test_array_threshold_splits_the_benchmark_workloads(monkeypatch):
     assert len(sizes) == 10 and min(sizes) >= graph._ARRAY_MIN_EDGES
 
 
+@pytest.mark.parametrize("max_n, max_m, limit", [
+    (1, 3, "must be >= 2"),
+    (6, 1, "must be >= 2"),
+    (6, 4, "joint-table cap 729"),
+    (7, 3, "cover-search limit 20"),
+], ids=["n-1", "m-1", "n6-m4", "n-7"])
+def test_bound_corpus_refuses_sizes_beyond_limits(max_n, max_m, limit):
+    with pytest.raises(ValueError, match=re.escape(limit)):
+        run_bound_corpus(1, 0, max_n=max_n, max_m=max_m, keep_instances=False)
+
+
 def test_array_path_equals_loop_on_valid_lists(monkeypatch):
     rng = np.random.default_rng(5)
     cases = [(1, np.zeros((0, 2), dtype=np.int64)), (1, []), (2, [(1, 0)]), (40, [])]
