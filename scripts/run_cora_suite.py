@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from distsig.cli import _path, _positive, _write_json
+from distsig.cli import EXIT_IO, EXIT_USAGE, _path, _positive, _write_json
 from distsig.gnn import (CORA_SPLIT, VARIANTS, TrainConfig, cora_files, load_cora, make_split,
                          tune_eta)
 from distsig.graph import GraphError
@@ -44,12 +44,12 @@ def main():
         g, features, labels, _ = load_cora(*cora_files(args.data_dir))
     except (FileNotFoundError, GraphError) as exc:  # no files, or malformed ones
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_IO
     try:
         splits = [make_split(labels, *CORA_SPLIT, seed) for seed in range(args.seeds)]
     except ValueError as exc:  # the citation pair is too small for the split
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_USAGE
     os.makedirs(args.out_dir, exist_ok=True)
 
     rows = []

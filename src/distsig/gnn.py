@@ -26,7 +26,6 @@ import numpy as np
 from .graph import (
     Graph,
     GraphError,
-    build_graph,
     laplacian_sparse,
     main_component,
     normalized_adjacency,
@@ -178,7 +177,7 @@ def load_cora(content_path, cites_path):
     f = np.stack(rows)
     rs = f.sum(axis=1)[:, None]
     np.divide(f, rs, out=f, where=rs > 0)
-    g = build_graph(len(ids), sorted(edges))
+    g = Graph(len(ids), tuple(sorted(edges)))  # (min, max) pairs without self-loops
     return g, f, y, classes
 
 

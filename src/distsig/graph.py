@@ -2,14 +2,13 @@
 
 Everything here treats a graph as an immutable value: a node count plus a
 canonically sorted tuple of (u, v) edges with u < v.  This module is the one
-place where edges become index arrays (``Graph.endpoints`` and the numpy path
-of ``build_graph``) and matrices: the sparse Laplacian (densified for
-eigendecompositions), the dense Laplacian minor of the matrix-tree count, and
-the sparse propagation matrix for training; ``edge_sum`` is the one sum of
-per-edge values.  A spanning tree is a row of a boolean ``(trees, |E|)``
-edge table (entry i is edge i); a graph lists its own trees once, as
-``Graph.spanning_trees``, and ``_spans`` is the one spanning test, the
-enumeration's filter.
+place where edges become index arrays (``Graph.endpoints``) and matrices: the
+sparse Laplacian (densified for eigendecompositions), the dense Laplacian
+minor of the matrix-tree count, and the sparse propagation matrix for
+training; ``edge_sum`` is the one sum of per-edge values.  A spanning tree is
+a row of a boolean ``(trees, |E|)`` edge table (entry i is edge i); a graph
+lists its own trees once, as ``Graph.spanning_trees``, and ``_spans`` is the
+one spanning test, the enumeration's filter.
 """
 
 from __future__ import annotations
@@ -27,14 +26,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 COVER_MAX_EDGES = 20  # the cover search holds 2^|E| sets per level
-# Edge lists this long are checked and sorted in numpy.  Measured on a 2-core
-# Xeon (Python 3.11, numpy 2.4): a 10-edge bound-corpus graph builds in 11 us
-# by the loop and 30 us in numpy; the two break even at about 36 edges for a
-# list of tuples and about 20 for an array; a 4x50 block model (643 edges)
-# builds in 1.03 ms by the loop and 0.09 ms in numpy.  Above COVER_MAX_EDGES,
-# so the bound corpus always takes the loop.
-_ARRAY_MIN_EDGES = 32
-_ARRAY_MAX_N = 1 << 31  # edge keys min·n + max stay below 2^62
 TREE_CAP = 10000  # most spanning trees enumerate_spanning_trees lists
 # most candidate edge subsets, C(|E|, n - 1), that enumerate_spanning_trees
 # tests: measured on a 2-core Xeon (Python 3.11, numpy 2.4), 2^20 of them
@@ -52,7 +43,13 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on nodes 0..n-1."""
+    """Simple undirected graph on nodes 0..n-1.
+
+    ``edges`` must already be canonical: Python-int pairs (u, v) with
+    0 <= u < v < n, sorted, without repeats.  Only a producer that builds
+    such a tuple by construction calls ``Graph`` directly; any other edge
+    list goes through ``build_graph``, which checks and sorts it.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -132,19 +129,12 @@ def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
     Rejects an edge that is not a pair of integers, self-loops, out-of-range
-    endpoints and duplicate edges, naming the offending edge in the error.  A
-    list, tuple or array of at least ``_ARRAY_MIN_EDGES`` integer pairs is
-    checked and sorted in numpy; every other input, and any input with a
-    fault, goes through the edge loop, so the loop is the reference for the
-    result and for every error message.
+    endpoints and duplicate edges, naming the first offending edge in the
+    error.  This is the check for edge lists from outside the library: files,
+    callers and the bound corpus's draws.
     """
     if n < 1:
         raise GraphError(f"node count must be positive, got {n}")
-    sized = isinstance(edges, (list, tuple)) or isinstance(edges, np.ndarray) and edges.ndim > 0
-    if sized and len(edges) >= _ARRAY_MIN_EDGES:
-        fast = _canonical_edges_array(n, edges)
-        if fast is not None:
-            return Graph(n, fast)
     canon: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for e in edges:
@@ -162,35 +152,6 @@ def build_graph(n: int, edges) -> Graph:
         seen.add(key)
         canon.append(key)
     return Graph(n, tuple(sorted(canon)))
-
-
-def _canonical_edges_array(n, edges) -> tuple[tuple[int, int], ...] | None:
-    """``build_graph``'s sorted edge tuple, computed in numpy, or None.
-
-    None when ``edges`` is not an integer (m, 2) array (floats, objects,
-    ragged rows, ints beyond int64) or holds a self-loop, an out-of-range
-    endpoint or a repeat: the loop then handles it.  Each edge becomes the key
-    min·n + max, and the sorted keys are the sorted (min, max) pairs.
-    """
-    if not isinstance(n, (int, np.integer)) or n > _ARRAY_MAX_N:
-        return None
-    try:
-        a = np.asarray(edges)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if (a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "iu"
-            or not np.can_cast(a.dtype, np.int64)):
-        return None
-    u, v = a[:, 0].astype(np.int64), a[:, 1].astype(np.int64)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    if (lo == hi).any() or (lo < 0).any() or (hi >= n).any():
-        return None
-    keys = lo * n + hi
-    keys.sort()
-    if (keys[1:] == keys[:-1]).any():
-        return None
-    lo, hi = np.divmod(keys, n)
-    return tuple(zip(lo.tolist(), hi.tolist()))
 
 
 def edge_sum(values):
@@ -241,7 +202,8 @@ def main_component(g: Graph) -> tuple[Graph, list[int]]:
     index[nodes] = np.arange(len(nodes))
     iu, iv = index[g.endpoints[0]], index[g.endpoints[1]]
     inside = iu >= 0
-    return build_graph(len(nodes), np.stack([iu[inside], iv[inside]], axis=1)), nodes
+    # a sorted edge subset, relabelled in node order, stays sorted
+    return Graph(len(nodes), tuple(zip(iu[inside].tolist(), iv[inside].tolist()))), nodes
 
 
 def spanning_tree_count(g: Graph) -> int | float:
@@ -418,6 +380,8 @@ def sbm_generate(block_sizes, p_in: float, p_out: float, seed: int) -> tuple[Gra
     if any(b <= 0 for b in block_sizes):
         raise GraphError("block sizes must be positive")
     n = sum(block_sizes)
+    if n < 1:
+        raise GraphError(f"node count must be positive, got {n}")
     labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
     rng = np.random.default_rng(seed)
     rows = np.arange(n)
@@ -435,8 +399,9 @@ def sbm_generate(block_sizes, p_in: float, p_out: float, seed: int) -> tuple[Gra
         keep = (labels[i] == labels[j]) | (u[cand] < p_out)
         heads.append(i[keep])
         tails.append(j[keep])
-    edges = np.stack([np.concatenate(heads), np.concatenate(tails)], axis=1)
-    return build_graph(n, edges), labels
+    # pairs in row-major (i < j) order are already canonical
+    edges = zip(np.concatenate(heads).tolist(), np.concatenate(tails).tolist())
+    return Graph(n, tuple(edges)), labels
 
 
 # --- file formats ---------------------------------------------------------

@@ -1160,13 +1160,14 @@ def test_cora_criteria_run_on_synthetic_data(tmp_path):
         assert re.search(f"ACCEPTANCE {num} (PASS|FAIL): ", r.stdout), num
 
 
-@pytest.mark.parametrize("n, message", [
-    (None, "error: raw Cora files not found"),
-    (30, "error: class 0 has 10 nodes, fewer than per_class=20"),
-    ("no-label", "error: {}:2: malformed content line"),
+@pytest.mark.parametrize("n, message, code", [
+    (None, "error: raw Cora files not found", cli.EXIT_IO),
+    (30, "error: class 0 has 10 nodes, fewer than per_class=20", cli.EXIT_USAGE),
+    ("no-label", "error: {}:2: malformed content line", cli.EXIT_IO),
 ], ids=["no-data", "split-does-not-fit", "malformed-content"])
-def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message):
-    # the 20/500/1000 split is checked for every seed before the spectrum
+def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message, code):
+    # the 20/500/1000 split is checked for every seed before the spectrum;
+    # the exit codes are those of distsig train for the same data
     if n == "no-label":  # the second content line lost its label
         _write_citation_files(tmp_path, n=30)
         content = tmp_path / "cora.content"
@@ -1179,7 +1180,7 @@ def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message):
     out = tmp_path / "runs"
     r = _run_script("run_cora_suite.py", "--data-dir", str(tmp_path), "--seeds", "2",
                     "--out-dir", str(out))
-    assert r.returncode == 1
+    assert r.returncode == code
     assert r.stdout == "" and r.stderr.startswith(message) and r.stderr.count("\n") == 1
     assert not out.exists()
 

@@ -216,6 +216,28 @@ def test_load_repeated_citation_collapses(tmp_path):
     assert g.edges == ((0, 1),)
 
 
+def test_load_builds_the_graph_build_graph_builds(tmp_path):
+    # the loader builds its Graph directly; over citations in both
+    # directions, repeats and a self-citation it must be build_graph's
+    # canonical graph of the distinct pairs, as written
+    rng = np.random.default_rng(2)
+    n = 20
+    names = [f"p{k}" for k in rng.permutation(n)]  # node i is content line i
+    pairs = [tuple(rng.integers(0, n, 2).tolist()) for _ in range(40)]
+    pairs += [pairs[0], pairs[1][::-1], (3, 3)]
+    content = "".join(f"{name} 1 0 c{i % 2}\n" for i, name in enumerate(names))
+    cp, qp = _write(tmp_path, content=content,
+                    cites="".join(f"{names[a]} {names[b]}\n" for a, b in pairs))
+    g, _, _, _ = load_cora(cp, qp)
+    first = {}
+    for a, b in pairs:
+        if a != b:
+            first.setdefault(frozenset((a, b)), (a, b))
+    assert len(first) >= 32
+    assert g == build_graph(n, list(first.values()))
+    assert all(type(u) is int and type(v) is int for u, v in g.edges)
+
+
 def test_sbm_features_wrap():
     f = sbm_features(70)
     assert f.shape == (70, 64)

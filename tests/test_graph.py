@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from distsig import graph
 from distsig.distributional import BOUND_CORPUS, random_bound_instance, run_bound_corpus
-from distsig.gnn import SBM_4BLOCK, sbm_dataset
+from distsig.gnn import SBM_4BLOCK
 from distsig.graph import (
-    COVER_MAX_EDGES,
     TREE_CAP,
     TREE_SUBSET_CAP,
     Graph,
@@ -80,19 +79,12 @@ def test_build_rejects_edges_that_are_not_integer_pairs(edge):
         build_graph(3, [(1, 2), edge])
 
 
-def _build_both_ways(monkeypatch, n, edges):
-    """build_graph's outcome with the edge loop only, and with numpy from any size.
-
-    Each outcome is the Graph, or the type and message of what was raised.
-    """
-    out = []
-    for cut in (1 << 62, 0):
-        monkeypatch.setattr(graph, "_ARRAY_MIN_EDGES", cut)
-        try:
-            out.append(build_graph(n, edges))
-        except (ValueError, TypeError, IndexError) as e:  # GraphError is a ValueError
-            out.append((type(e), str(e)))
-    return out
+def _outcome(n, edges):
+    """build_graph's Graph, or the type and message of what it raised."""
+    try:
+        return build_graph(n, edges)
+    except (ValueError, TypeError, IndexError) as e:  # GraphError is a ValueError
+        return type(e), str(e)
 
 
 def _random_edges(rng, n, m):
@@ -101,25 +93,6 @@ def _random_edges(rng, n, m):
     pick = rng.choice(iu.size, m, replace=False)
     flip = rng.random(m) < 0.5
     return np.stack([np.where(flip, ju[pick], iu[pick]), np.where(flip, iu[pick], ju[pick])], 1)
-
-
-def test_array_threshold_splits_the_benchmark_workloads(monkeypatch):
-    # the bound corpus refuses sizes whose complete graph exceeds the cover
-    # search's limit, so its graphs stay on the loop; the default 4x50 block
-    # model takes the numpy path
-    assert COVER_MAX_EDGES < graph._ARRAY_MIN_EDGES
-    with pytest.raises(ValueError, match="cover-search"):
-        run_bound_corpus(1, 0, max_n=7, max_m=BOUND_CORPUS[1], keep_instances=False)
-    sizes = []
-    real = graph._canonical_edges_array
-    monkeypatch.setattr(graph, "_canonical_edges_array",
-                        lambda n, edges: sizes.append(len(edges)) or real(n, edges))
-    for i in range(40):
-        random_bound_instance((0, i), *BOUND_CORPUS)
-    assert sizes == []
-    for seed in range(10):
-        sbm_dataset(*SBM_4BLOCK, seed)
-    assert len(sizes) == 10 and min(sizes) >= graph._ARRAY_MIN_EDGES
 
 
 @pytest.mark.parametrize("max_n, max_m, limit", [
@@ -133,7 +106,9 @@ def test_bound_corpus_refuses_sizes_beyond_limits(max_n, max_m, limit):
         run_bound_corpus(1, 0, max_n=max_n, max_m=max_m, keep_instances=False)
 
 
-def test_array_path_equals_loop_on_valid_lists(monkeypatch):
+def test_array_path_equals_loop_on_valid_lists():
+    # an edge list given as an integer array of any width, a list or a tuple
+    # builds one Graph, sorted, with Python-int endpoints
     rng = np.random.default_rng(5)
     cases = [(1, np.zeros((0, 2), dtype=np.int64)), (1, []), (2, [(1, 0)]), (40, [])]
     for _ in range(30):
@@ -144,25 +119,21 @@ def test_array_path_equals_loop_on_valid_lists(monkeypatch):
         a = np.asarray(a, dtype=np.int64).reshape(-1, 2)
         forms = [a, a.astype(np.int32), a.astype(np.uint32), a.tolist(),
                  [tuple(e) for e in a.tolist()], [tuple(e) for e in a], tuple(map(tuple, a))]
-        want = None
+        want = Graph(n, tuple(sorted(map(tuple, np.sort(a, axis=1).tolist()))))
         for edges in forms:
-            loop, fast = _build_both_ways(monkeypatch, n, edges)
-            assert isinstance(loop, Graph) and fast == loop
-            assert all(type(u) is int and type(v) is int for u, v in fast.edges)
-            want = want or loop
-            assert loop == want
-            if len(edges):
-                assert graph._canonical_edges_array(n, edges) == want.edges
-    monkeypatch.setattr(graph, "_ARRAY_MIN_EDGES", 1 << 62)
+            g = build_graph(n, edges)
+            assert g == want
+            assert all(type(u) is int and type(v) is int for u, v in g.edges)
+    # the block-model sampler builds its graph directly, as build_graph would
     g = sbm_generate(*SBM_4BLOCK, seed=3)[0]
-    monkeypatch.undo()
-    assert sbm_generate(*SBM_4BLOCK, seed=3)[0] == g
+    assert build_graph(g.n, np.array(g.edges)[::-1]) == g
 
 
 @pytest.mark.parametrize("fault", [(7, 7), (3, 30), (30, 3), (-1, 4), (4, -1),
                                    "repeat", "flipped"])
 @pytest.mark.parametrize("where", [0, 20, -1])
-def test_array_path_rejects_like_loop(monkeypatch, fault, where):
+def test_array_path_rejects_like_loop(fault, where):
+    # a faulty list and its array raise the same GraphError
     rng = np.random.default_rng(11)
     base = [tuple(e) for e in _random_edges(rng, 30, 40).tolist()]
     edges = list(base)
@@ -173,21 +144,19 @@ def test_array_path_rejects_like_loop(monkeypatch, fault, where):
     else:
         bad = fault
     edges.insert(where if where >= 0 else len(edges), bad)
-    loop, fast = _build_both_ways(monkeypatch, 30, edges)
-    assert loop[0] is GraphError
-    assert fast == loop
-    assert graph._canonical_edges_array(30, edges) is None
-    assert _build_both_ways(monkeypatch, 30, np.array(edges)) == [loop, loop]
+    got = _outcome(30, edges)
+    assert got[0] is GraphError
+    assert _outcome(30, np.array(edges)) == got
 
 
-def test_array_path_reports_first_of_several_faults(monkeypatch):
+def test_array_path_reports_first_of_several_faults():
     edges = [(i, i + 1) for i in range(40)]
     edges[7] = (6, 5)        # repeats edge 5, (5, 6), flipped
     edges[12] = (12, 12)     # self-loop
     edges[-1] = (0, 99)      # out of range
-    loop, fast = _build_both_ways(monkeypatch, 41, edges)
-    assert loop == (GraphError, "duplicate edge (6, 5)")
-    assert fast == loop
+    want = (GraphError, "duplicate edge (6, 5)")
+    assert _outcome(41, edges) == want
+    assert _outcome(41, np.array(edges)) == want
 
 
 @pytest.mark.parametrize("edges", [
@@ -201,10 +170,8 @@ def test_array_path_reports_first_of_several_faults(monkeypatch):
     [(str(i), str(i + 1)) for i in range(40)],
     np.array([(i % 2 == 0, i % 2 == 1) for i in range(40)]),   # bools
 ])
-def test_non_integer_pair_inputs_take_the_loop(monkeypatch, edges):
-    loop, fast = _build_both_ways(monkeypatch, 41, edges)
-    assert fast == loop
-    assert graph._canonical_edges_array(41, edges) is None
+def test_non_integer_pair_inputs_take_the_loop(edges):
+    assert _outcome(41, edges)[0] is GraphError
 
 
 def test_graph_and_labels_file_bytes(tmp_path):
@@ -539,6 +506,8 @@ def test_sbm_rejects_bad_probs():
         sbm_generate([5, 5], 0.1, 0.5, seed=0)
     with pytest.raises(GraphError):
         sbm_generate([5, 5], 1.2, 0.1, seed=0)
+    with pytest.raises(GraphError, match=r"^node count must be positive, got 0$"):
+        sbm_generate([], 0.1, 0.01, seed=0)
 
 
 @pytest.mark.parametrize("chunk", [7, graph._SBM_CHUNK])
