@@ -202,12 +202,12 @@ def _write_json(path, payload) -> None:
 
 def cmd_spectrum(args) -> int:
     g, _, y = _load_dataset(args)
-    probs = _read_probs(args.probs, g.n) if args.probs else None
     signals = {"label": y.astype(float), "random": matched_random_signal(y, args.seed)}
-    if probs is not None:
-        signals.update((f"class{s}", probs[:, s]) for s in range(probs.shape[1]))
-    for name in signals:  # a class file per --probs column joins main's checks
-        _refuse_output(f"{args.out}_{name}.csv", args)
+    if args.probs:
+        probs = _read_probs(args.probs, g.n)
+        for s in range(probs.shape[1]):  # main refused the label and random files
+            _refuse_output(f"{args.out}_class{s}.csv", args)
+            signals[f"class{s}"] = probs[:, s]
     for name, signal in signals.items():
         export_spectrum_csv(f"{args.out}_{name}.csv", *gnn.component_gft(g, signal))
     print(f"wrote {len(signals)} spectrum file(s) with prefix {args.out}")
@@ -239,17 +239,15 @@ def cmd_train(args) -> int:
     protocol = gnn.CORA_SPLIT if args.dataset == "cora" else gnn.SBM_SPLIT
     sizes = _given((args.per_class, args.val_size, args.test_size), protocol)
     split = gnn.make_split(y, *sizes, args.seed)
-    # pass the features on without keeping them here: training holds them
-    # as CSR and frees the dense matrix before the first epoch
-    dense = [f]
-    del f
-    metrics, runs = gnn.tune_eta(g, dense.pop(), y, split, cfg,
-                                 gnn.ETA_GRID if args.tune else (cfg.eta,))
+    metrics, runs = gnn.tune_eta(g, f, y, split, cfg,
+                                 gnn.ETA_GRID if args.tune else (cfg.eta,), analysis=False)
+    del f  # the dense features go before the output analysis, the run's memory peak
     print(
         f"variant={metrics.config.variant} eta={metrics.config.eta} "
         f"test_acc={metrics.test_acc:.4f} best_epoch={metrics.best_epoch}"
     )
     if args.out:
+        gnn._attach_analysis(metrics, g)
         report = metrics.to_json_dict()
         if args.tune:
             report["tune"] = [{"eta": m.config.eta, "best_val_acc": max(m.val_acc),
@@ -350,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"test nodes, >= 1 (default: {cora[2]} cora, {sbm[2]} otherwise)")
     p.add_argument("--tune", action="store_true",
                    help="grid-search eta over gnn.ETA_GRID on validation accuracy; the output "
-                        "analysis runs on the chosen eta only, and the JSON adds 'tune', one "
-                        "{eta, best_val_acc, best_epoch} per grid eta; variant gcn trains the "
-                        "one model at --eta")
+                        "analysis runs on the chosen eta only, and only with --out, whose JSON "
+                        "adds 'tune', one {eta, best_val_acc, best_epoch} per grid eta; "
+                        "variant gcn trains the one model at --eta")
     p.add_argument("--out", type=_path, help="metrics JSON path (+ .probs.npy)")
     p.set_defaults(func=cmd_train)
 

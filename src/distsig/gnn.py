@@ -469,9 +469,6 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
     labels = np.asarray(labels, dtype=np.int64)
     _check_sizes(g, np.shape(features)[0], labels, split)
     inp = _SparseInput(features)
-    # a run needs only the CSR copy: when no caller keeps the dense matrix,
-    # it is freed before the first epoch and the training heap can reuse it
-    del features
     ahat = normalized_adjacency(g)
     lap = laplacian_sparse(g)
     a_vec = confidence_weights(g)
@@ -625,10 +622,7 @@ def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
     """
     if cfg.variant == "gcn":
         grid = (cfg.eta,)
-    # pass the features on without keeping them here (see ``train``)
-    dense = [features]
-    del features
-    results = train(g, dense.pop(), labels, split, cfg, etas=grid, analysis=False)
+    results = train(g, features, labels, split, cfg, etas=grid, analysis=False)
     best = best_run(results)
     if analysis:
         _attach_analysis(best, g)

@@ -41,7 +41,7 @@ def test_trace_targets_resolve():
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
-def test_traced_run_reports_work_counters(capsys):
+def test_traced_run_reports_work_counters(tmp_path, capsys):
     # each counter hook reads a return value or an argument of the call it
     # wraps; a changed type there would zero the metric without any error
     tracing = _tracing()
@@ -50,7 +50,8 @@ def test_traced_run_reports_work_counters(capsys):
         report = distributional.check_tv_bounds(*distributional.random_bound_instance(
             (0, 1), *distributional.BOUND_CORPUS))
         assert cli.main(["train", "--blocks", "20,20", "--variant", "r", "--epochs", "2",
-                         "--val-size", "10", "--test-size", "10", "--tune"]) == 0
+                         "--val-size", "10", "--test-size", "10", "--tune",
+                         "--out", str(tmp_path / "run.json")]) == 0
     capsys.readouterr()
     metrics = tracing.layer_metrics(tr)
     # the bound check must reach the cover search and the rooted-tree bound

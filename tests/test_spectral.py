@@ -205,7 +205,8 @@ def test_no_lapack_load_on_import(run_python):
 
 def test_no_scipy_load_off_the_training_path(run_python):
     # bounds, analyze and gen-sbm never build a sparse matrix, so they pay for
-    # no scipy; training loads scipy.sparse with its first sparse matrix
+    # no scipy; training loads scipy.sparse with its first sparse matrix, and
+    # without --out it analyses nothing, so it decomposes nothing
     out = run_python("""
         import os, sys, tempfile
         import numpy as np
@@ -216,6 +217,9 @@ def test_no_scipy_load_off_the_training_path(run_python):
         def scipy_modules():
             return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+        decompositions = []
+        real_eig_sym = distsig.spectral.eig_sym
+        distsig.spectral.eig_sym = lambda mat: decompositions.append(1) or real_eig_sym(mat)
         with tempfile.TemporaryDirectory() as d:
             probs = os.path.join(d, "p.npy")
             np.save(probs, np.full((5, 2), 0.5))
@@ -223,10 +227,12 @@ def test_no_scipy_load_off_the_training_path(run_python):
             assert main(["gen-sbm", "--blocks", "5,5", "--out", os.path.join(d, "g")]) == 0
             assert main(["analyze", "--probs", probs, "--out", os.path.join(d, "a.csv")]) == 0
             untrained = scipy_modules()
-            assert main(["train", "--dataset", "sbm", "--epochs", "1"]) == 0
-            print(untrained, "scipy.sparse" in sys.modules)
+            for extra in ([], ["--tune"]):
+                assert main(["train", "--dataset", "sbm", "--epochs", "1", *extra]) == 0
+            print(untrained, "scipy.sparse" in sys.modules, "scipy.linalg" in sys.modules,
+                  len(decompositions))
     """)
-    assert out.splitlines()[-1] == "[] True"
+    assert out.splitlines()[-1] == "[] True False 0"
 
 
 def test_known_small_spectra(p3, c4, k4):
