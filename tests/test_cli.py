@@ -563,6 +563,16 @@ def test_spectrum_rejects_bad_probability_file(tmp_path, capsys, make, message):
     assert list(tmp_path.glob("s_*.csv")) == []
 
 
+def test_spectrum_rerun_byte_identical(tmp_path, capsys):
+    args = ["spectrum", "--dataset", "sbm", "--blocks", "15,15", "--seed", "8",
+            "--p-in", "0.4", "--p-out", "0.05"]
+    assert main(args + ["--out", str(tmp_path / "x")]) == 0
+    assert main(args + ["--out", str(tmp_path / "y")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "x_label.csv").read_bytes() == (tmp_path / "y_label.csv").read_bytes()
+    assert (tmp_path / "x_random.csv").read_bytes() == (tmp_path / "y_random.csv").read_bytes()
+
+
 # --- train -----------------------------------------------------------------
 
 def test_train_sbm_writes_metrics(tmp_path, capsys):
@@ -579,6 +589,17 @@ def test_train_sbm_writes_metrics(tmp_path, capsys):
     probs = np.load(tmp_path / "run.json.probs.npy")
     assert probs.shape == (60, 2)
     assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+def test_train_rerun_byte_identical(tmp_path, capsys):
+    args = ["train", "--dataset", "sbm", "--blocks", "20,20", "--epochs", "10",
+            "--seed", "9", "--val-size", "10", "--test-size", "20"]
+    assert main(args + ["--out", str(tmp_path / "m1.json")]) == 0
+    assert main(args + ["--out", str(tmp_path / "m2.json")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+    assert (tmp_path / "m1.json.probs.npy").read_bytes() == \
+        (tmp_path / "m2.json.probs.npy").read_bytes()
 
 
 def test_train_tune_flag(tmp_path, capsys):
