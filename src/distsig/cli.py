@@ -208,8 +208,9 @@ def cmd_spectrum(args) -> int:
         for s in range(probs.shape[1]):  # main refused the label and random files
             _refuse_output(f"{args.out}_class{s}.csv", args)
             signals[f"class{s}"] = probs[:, s]
-    for name, signal in signals.items():
-        export_spectrum_csv(f"{args.out}_{name}.csv", *gnn.component_gft(g, signal))
+    vals, coefs = gnn.component_coefficients(g, np.column_stack(list(signals.values())))
+    for name, c in zip(signals, coefs.T):
+        export_spectrum_csv(f"{args.out}_{name}.csv", vals, c)
     print(f"wrote {len(signals)} spectrum file(s) with prefix {args.out}")
     return EXIT_OK
 
@@ -247,7 +248,7 @@ def cmd_train(args) -> int:
         f"test_acc={metrics.test_acc:.4f} best_epoch={metrics.best_epoch}"
     )
     if args.out:
-        gnn._attach_analysis(metrics, g)
+        gnn.attach_analysis(g, [metrics])
         report = metrics.to_json_dict()
         if args.tune:
             report["tune"] = [{"eta": m.config.eta, "best_val_acc": max(m.val_acc),

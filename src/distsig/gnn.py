@@ -15,10 +15,10 @@ At eta 0 every variant trains the plain model bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +33,9 @@ from .graph import (
     sbm_generate,
 )
 from .regularizer import confidence_weights, nonuniformity_sweep, softmax_rows, softmax_vjp
-from .spectral import gft, high_freq_fraction, laplacian_spectrum, normalize_unless_constant
+from .spectral import high_freq_fraction, laplacian_coefficients, normalize_unless_constant
+# not called here: perfbench/tracing.py patches these two names in this module
+from .spectral import gft, laplacian_spectrum  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -460,7 +462,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
 
     Model selection is best validation accuracy (earliest epoch on ties) and
     decides the reported test accuracy; the spectral / non-uniformity analysis
-    summarizes the final-epoch outputs.
+    summarizes the final-epoch outputs, with one decomposition for the stack.
     """
     one = etas is None
     cfgs = [replace(cfg, eta=eta) for eta in ((cfg.eta,) if one else etas)]
@@ -513,8 +515,7 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
     runs = [Metrics(c, *curves[i], int(best_epoch[i]), float(test_acc[i]), x_eval[i].copy())
             for i, c in enumerate(cfgs)]
     if analysis:
-        for m in runs:
-            _attach_analysis(m, g)
+        attach_analysis(g, runs)
     return runs[0] if one else runs
 
 
@@ -538,44 +539,34 @@ def _check_sizes(g: Graph, feature_rows: int, labels, split: Split) -> None:
             raise ValueError(f"split.{name} index {bad} outside a graph of {g.n} nodes")
 
 
-def _attach_analysis(metrics: Metrics, g: Graph) -> None:
-    an = output_analysis(g, metrics.final_probs)
-    metrics.hf_fraction_per_class = an["hf_fraction_per_class"]
-    metrics.nonuniformity = an["nonuniformity_sweep"]
+def component_coefficients(g: Graph, signals) -> tuple[np.ndarray, np.ndarray]:
+    """The main component's Laplacian eigenvalues and the coefficients of each
+    column of ``signals`` in its eigenbasis, from one decomposition.
 
-
-_SPECTRA = weakref.WeakKeyDictionary()  # graph -> its component_spectrum, while it lives
-
-
-def component_spectrum(g: Graph):
-    """``(nodes, spectrum)`` of ``g``'s main component, decomposed at most once
-    while ``g`` lives; equal live graphs share the (deterministic) result, and
-    every caller gets the same objects, which none may modify."""
-    pair = _SPECTRA.get(g)
-    if pair is None:
-        sub, nodes = main_component(g)
-        pair = _SPECTRA[g] = (nodes, laplacian_spectrum(sub))
-    return pair
-
-
-def component_gft(g: Graph, signal) -> tuple[np.ndarray, np.ndarray]:
-    """The main component's eigenvalues and the transform of ``signal`` on it.
-
-    ``signal`` has one value per node of ``g``; its main-component part is
-    normalized by ``normalize_unless_constant`` before the transform.
+    ``signals`` has one row per node of ``g``; the main-component part of each
+    column is normalized by ``normalize_unless_constant`` before the transform.
     """
-    nodes, spectrum = component_spectrum(g)
-    return spectrum.eigenvalues, gft(spectrum, normalize_unless_constant(signal[nodes]))
+    sub, nodes = main_component(g)
+    columns = np.asarray(signals, dtype=float)[nodes].T.copy()
+    return laplacian_coefficients(
+        sub, np.column_stack([normalize_unless_constant(c) for c in columns]))
 
 
-def output_analysis(g: Graph, probs) -> dict:
-    """Spectral profile per class column (on the main component) + count sweep."""
-    probs = np.asarray(probs, dtype=float)
-    hf = [high_freq_fraction(*component_gft(g, probs[:, s])) for s in range(probs.shape[1])]
-    return {
-        "hf_fraction_per_class": hf,
-        "nonuniformity_sweep": nonuniformity_sweep(probs),
-    }
+def output_analysis(g: Graph, *probs) -> list[dict]:
+    """Spectral profile per class column (on the main component) and count
+    sweep of each probability matrix; one decomposition serves all of them."""
+    probs = [np.asarray(p, dtype=float) for p in probs]
+    vals, coefs = component_coefficients(g, np.hstack(probs))
+    hf = iter([high_freq_fraction(vals, c) for c in coefs.T])
+    return [{"hf_fraction_per_class": list(itertools.islice(hf, p.shape[1])),
+             "nonuniformity_sweep": nonuniformity_sweep(p)} for p in probs]
+
+
+def attach_analysis(g: Graph, runs: list[Metrics]) -> None:
+    """Attach ``output_analysis`` of each run's final outputs, from one call."""
+    for m, an in zip(runs, output_analysis(g, *(m.final_probs for m in runs))):
+        m.hf_fraction_per_class = an["hf_fraction_per_class"]
+        m.nonuniformity = an["nonuniformity_sweep"]
 
 
 ETA_GRID = (0.1, 0.2, 0.5, 1.0)
@@ -625,5 +616,5 @@ def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,
     results = train(g, features, labels, split, cfg, etas=grid, analysis=False)
     best = best_run(results)
     if analysis:
-        _attach_analysis(best, g)
+        attach_analysis(g, [best])
     return best, results

@@ -24,8 +24,9 @@ class Spectrum:
 # eigenpair residual bound per unit of operator scale; eigenvalues closer
 # than this (scaled) are one eigenspace as far as the checks can tell
 _RESID_TOL = 1e-8
-# rows per block of eig_sym's input checks: slices of 256 x n, not n x n
-_CHECK_ROWS = 256
+# rows (columns) per block of eig_sym's row (column) passes: slices of 64 x n
+# instead of n x n temporaries, which the allocator may keep after they are freed
+_CHECK_ROWS = 64
 
 
 def _column_signs(u: np.ndarray) -> np.ndarray:
@@ -36,43 +37,180 @@ def _column_signs(u: np.ndarray) -> np.ndarray:
     return np.where(u[k, np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
-def eig_sym(mat: np.ndarray) -> Spectrum:
-    """Full symmetric eigendecomposition with a deterministic sign convention.
+def _checked_scale(mat: np.ndarray) -> float:
+    """max(1, largest |entry|) of ``mat``, which must be a non-empty, square,
+    finite and symmetric matrix (ValueError otherwise).
 
-    Ascending eigenvalues and checked orthonormal eigenvector columns, in C
-    order.  The eigenpair residual is the caller's check, against whatever
-    form of the operator is cheapest to apply (``laplacian_spectrum`` uses the
-    sparse Laplacian).  ``mat`` is never written: LAPACK works on one Fortran
-    copy and writes the eigenvectors into it.
+    Reads slices of ``_CHECK_ROWS`` x n, never an n x n temporary.
     """
-    mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise ValueError(f"need a non-empty square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    blocks = range(0, n, _CHECK_ROWS)
-    if not all(np.isfinite(mat[i:i + _CHECK_ROWS]).all() for i in blocks):
+    blocks = range(0, mat.shape[0], _CHECK_ROWS)
+    # np.max and np.min keep a NaN, which the builtin max may drop
+    top = np.max([max(np.max(mat[i:i + _CHECK_ROWS]), -np.min(mat[i:i + _CHECK_ROWS]))
+                  for i in blocks])
+    if not np.isfinite(top):
         raise ValueError("non-finite entries")
-    # row block i against column block i transposed covers every (j, k) pair
-    asym = max(np.max(np.abs(mat[i:i + _CHECK_ROWS] - mat[:, i:i + _CHECK_ROWS].T))
-               for i in blocks)
+    asym = 0.0
+    for i in blocks:  # row block i against column block i transposed covers every (j, k) pair
+        diff = mat[i:i + _CHECK_ROWS] - mat[:, i:i + _CHECK_ROWS].T
+        asym = max(asym, float(np.max(diff)), -float(np.min(diff)))
     if asym > 1e-10:
         raise ValueError(f"matrix not symmetric (max asymmetry {asym:.3e})")
+    return max(1.0, float(top))
+
+
+def _check_nonnegative(vals: np.ndarray) -> None:
+    """A Laplacian's ascending eigenvalues start at 0, up to rounding."""
+    if vals[0] < -1e-10:
+        raise RuntimeError(f"negative Laplacian eigenvalue {vals[0]:.3e}")
+
+
+def eig_sym(mat: np.ndarray, signals=None):
+    """Symmetric eigendecomposition with a deterministic sign convention.
+
+    Without ``signals``: a ``Spectrum`` of ascending eigenvalues and checked
+    orthonormal eigenvector columns, in C order, by ``dsyevd``.  The eigenpair
+    residual is the caller's check, against whatever form of the operator is
+    cheapest to apply (``laplacian_spectrum`` uses the sparse Laplacian).
+
+    With ``signals``, an n x k array: ``(eigenvalues, coefficients)``, where
+    column j of the n x k coefficients is V^T y_j for signal column y_j, and
+    no eigenvector is formed.  ``dsytrd`` reduces ``mat`` to T = Q^T mat Q,
+    ``dormqr`` applies Q^T to each signal in a call of its own, ``dstevd``
+    gives T = Z diag(eigenvalues) Z^T, and the coefficients are Z^T (Q^T y_j).
+    The peak is 2 n^2 doubles, not dsyevd's 3 n^2, and there is no n x n
+    back-transform Q Z.  The eigenvalues are bitwise dsyevd's, and a signal's
+    coefficients do not depend on the other signals of the call.  Each column
+    of Z is signed so that its largest-magnitude entry (first on ties) is
+    positive.  The checks, on the factors that this route computes: T keeps
+    the trace and Frobenius norm of ``mat``; Q^T keeps each signal's norm, and
+    T (Q^T y) = Q^T (mat y) for each signal y; Z^T Z = I and
+    T Z = Z diag(eigenvalues).
+
+    ``mat`` is never written: LAPACK works on one Fortran copy.
+    """
+    mat = np.asarray(mat, dtype=float)
+    scale = _checked_scale(mat)
+    n = mat.shape[0]
+    if signals is not None:
+        y = np.asarray(signals, dtype=float)
+        if y.ndim != 2 or y.shape[0] != n or y.shape[1] == 0 or not np.isfinite(y).all():
+            raise ValueError(f"need finite signals of shape ({n}, k), got shape {y.shape}")
+        norms = np.linalg.norm(y, axis=0)
+        # per signal y, the pair (y, mat y) that Q^T goes onto: k x 2 x n
+        pairs = np.stack([y.T, (mat @ y).T], axis=1)
+        form = (float(np.trace(mat)), float(np.linalg.norm(mat)))  # what T must keep
     import scipy.linalg  # loads LAPACK on the first decomposition, not on import
 
     a = np.array(mat, order="F")
     del mat  # a temporary argument (laplacian_spectrum's) is freed before LAPACK runs
-    # dsyevd on the lower triangle, as np.linalg.eigh; the eigenvectors overwrite a
-    vals, a = scipy.linalg.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
-    vecs = np.multiply(a, _column_signs(a), order="C")  # times +-1: exact
-    del a
-    gram = vecs.T @ vecs
-    gram.flat[:: n + 1] -= 1.0
+    if signals is None:
+        # dsyevd on the lower triangle, as np.linalg.eigh; the eigenvectors overwrite a
+        vals, a = scipy.linalg.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
+        vecs = np.multiply(a, _column_signs(a), order="C")  # times +-1: exact
+        del a
+        gram = vecs.T @ vecs
+        gram.flat[:: n + 1] -= 1.0
+        ortho = np.max(np.abs(gram, out=gram))
+        if ortho > 1e-8:
+            raise RuntimeError(f"eigenvectors not orthonormal (err {ortho:.3e})")
+        vals.flags.writeable = False
+        vecs.flags.writeable = False
+        return Spectrum(vals, vecs)
+
+    lapack = scipy.linalg.lapack
+    # the default workspace of n runs dsytrd's unblocked code, about twice as slow
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    a, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=lwork, overwrite_a=1)
+    _check_info("dsytrd", info)
+    if n > 1:
+        # Q = H(1) ... H(n-1) leaves the first coordinate alone.  The
+        # reflectors lie below the subdiagonal: A(2:n, 1:n-1) with leading
+        # dimension n, which is a contiguous n x (n-1) view of a's buffer
+        refl = a.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
+        lwork = int(lapack.dormqr("L", "T", refl, tau, pairs[0, :, 1:].T, -1)[1][0])
+        for pair in pairs:  # a call per signal: each result sees no other signal
+            c, _, info = lapack.dormqr("L", "T", refl, tau, pair[:, 1:].T, lwork)
+            _check_info("dormqr", info)
+            pair[:, 1:] = c.T
+        del refl
+    del a  # the reflectors go before dstevd's n^2 workspace is taken
+    _check_tridiagonal(d, e, pairs, norms, *form, scale)
+    return _tridiagonal_coefficients(d, e, pairs[:, 0], scale)
+
+
+def _check_tridiagonal(d, e, pairs, norms, trace: float, frobenius: float,
+                       scale: float) -> None:
+    """Check T = tridiag(e, d, e) and the reflectors against what they keep.
+
+    T keeps the trace and the Frobenius norm of the matrix; Q^T keeps each
+    signal's norm; and T (Q^T y) = Q^T (mat y), with ``pairs`` holding Q^T y
+    and Q^T (mat y) of each signal y, of norm ``norms``.
+    """
+    tol = _RESID_TOL * max(1.0, frobenius)  # rounding moves both by about n eps of it
+    if abs(d.sum() - trace) > tol:
+        raise RuntimeError(f"tridiagonal trace off by {abs(d.sum() - trace):.3e}")
+    drift = abs(float(np.sqrt(d @ d + 2.0 * (e @ e))) - frobenius)
+    if drift > tol:
+        raise RuntimeError(f"tridiagonal Frobenius norm off by {drift:.3e}")
+    qy, qly = pairs[:, 0], pairs[:, 1]
+    unit = np.maximum(norms, 1e-300)  # a zero signal stays exactly zero
+    drift = np.max(np.abs(np.linalg.norm(qy, axis=1) - norms) / unit)
+    if drift > _RESID_TOL:
+        raise RuntimeError(f"reflectors change a signal's norm by {drift:.3e} of it")
+    tqy = d * qy
+    tqy[:, 1:] += e * qy[:, :-1]
+    tqy[:, :-1] += e * qy[:, 1:]
+    off = np.max(np.max(np.abs(tqy - qly), axis=1) / unit)
+    if off > _RESID_TOL * scale:
+        raise RuntimeError(f"tridiagonal form off along a signal by {off:.3e} per unit norm")
+
+
+def _check_info(routine: str, info: int) -> None:
+    """LAPACK's ``info`` is 0 on success."""
+    if info != 0:
+        raise RuntimeError(f"{routine} failed (info {info})")
+
+
+def _tridiagonal_coefficients(d, e, w, scale: float):
+    """Ascending eigenvalues of T = tridiag(e, d, e) and the n x k
+    coefficients Z^T w_j of the rows w_j of ``w`` (k x n), where
+    T = Z diag(eigenvalues) Z^T is checked and Z's columns are signed by
+    ``_column_signs``."""
+    import scipy.linalg
+
+    n = d.shape[0]
+    # dstevd wants one off-diagonal entry even when n = 1
+    vals, z, info = scipy.linalg.lapack.dstevd(d, e if n > 1 else np.zeros(1))
+    _check_info("dstevd", info)
+    gram = scipy.linalg.blas.dsyrk(1.0, z, trans=1)  # Z^T Z in the upper triangle, zeros below
+    gram.ravel(order="K")[:: n + 1] -= 1.0
     ortho = np.max(np.abs(gram, out=gram))
+    del gram
     if ortho > 1e-8:
         raise RuntimeError(f"eigenvectors not orthonormal (err {ortho:.3e})")
+    # each signal's coefficients are numpy's pairwise sums of its products
+    # with Z's columns: the order of BLAS's sums, and of einsum's, can follow
+    # the number of signals, their alignment and the thread count
+    coefs = np.empty(w.shape)
+    resid = 0.0
+    for j in range(0, n, _CHECK_ROWS):  # column blocks of Z
+        zb = z[:, j:j + _CHECK_ROWS]
+        r = np.subtract.outer(vals[j:j + _CHECK_ROWS], d).T  # Z diag(vals) - T Z
+        r *= zb
+        r[1:] -= e[:, None] * zb[:-1]
+        r[:-1] -= e[:, None] * zb[1:]
+        resid = max(resid, float(np.max(r)), -float(np.min(r)))
+        for i, y in enumerate(w):
+            np.sum(zb * y[:, None], axis=0, out=coefs[i, j:j + _CHECK_ROWS])
+        coefs[:, j:j + _CHECK_ROWS] *= _column_signs(zb)  # times +-1: exact
+    if resid > _RESID_TOL * scale:
+        raise RuntimeError(f"eigenpair residual {resid:.3e} too large")
+    coefs = coefs.T
     vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return Spectrum(vals, vecs)
+    coefs.flags.writeable = False
+    return vals, coefs
 
 
 def laplacian_spectrum(g: Graph) -> Spectrum:
@@ -91,9 +229,18 @@ def laplacian_spectrum(g: Graph) -> Spectrum:
     resid = np.max(np.abs(diff, out=diff))
     if resid > _RESID_TOL * scale:
         raise RuntimeError(f"eigenpair residual {resid:.3e} too large")
-    if vals[0] < -1e-10:
-        raise RuntimeError(f"negative Laplacian eigenvalue {vals[0]:.3e}")
+    _check_nonnegative(vals)
     return spec
+
+
+def laplacian_coefficients(g: Graph, signals) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending Laplacian eigenvalues of ``g`` and the n x k coefficients of
+    the columns of ``signals`` in its eigenbasis, by ``eig_sym``'s route
+    without eigenvectors.  Each coefficient equals ``gft``'s up to rounding
+    and the sign of its eigenvector."""
+    vals, coefs = eig_sym(laplacian_sparse(g).toarray(), signals)
+    _check_nonnegative(vals)
+    return vals, coefs
 
 
 def gft(spec: Spectrum, x) -> np.ndarray:

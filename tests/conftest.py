@@ -12,6 +12,7 @@ from distsig import build_graph
 from distsig.gnn import (
     CORA_SPLIT,
     TrainConfig,
+    attach_analysis,
     cora_files,
     load_cora,
     make_split,
@@ -58,9 +59,12 @@ class _CoraRuns:
     """Lazy cache of trained Cora models shared by the acceptance criteria.
 
     Training is deterministic, so each plain run (variant, seed, eta) and each
-    tuned run (variant, seed) is trained at most once per session.  Every
-    run's output analysis reads the one main-component spectrum that
-    ``gnn.component_spectrum`` keeps for the session's graph.
+    tuned run (variant, seed) is trained at most once per session.  A run's
+    output analysis waits until a criterion first reads it; then one
+    main-component decomposition (``attach_analysis``) serves every run
+    trained so far.  In file order, criteria 7b and 7c train all 25 runs
+    before criterion 8 reads one, so the gate decomposes once.
+    ``train_seconds`` counts the training and the analyses.
     """
 
     def __init__(self, dataset):
@@ -77,9 +81,10 @@ class _CoraRuns:
         if key not in self._cache:
             cfg = TrainConfig(variant=variant, eta=eta, seed=seed)
             t0 = time.perf_counter()
-            self._cache[key] = train(self.g, self.features, self.labels, self.split(seed), cfg)
+            self._cache[key] = train(self.g, self.features, self.labels, self.split(seed), cfg,
+                                     analysis=False)
             self.train_seconds += time.perf_counter() - t0
-        return self._cache[key]
+        return _AnalysedOnRead(self, self._cache[key])
 
     def tuned(self, variant, seed):
         """``tune_eta``'s best-validation run over its eta grid."""
@@ -90,9 +95,29 @@ class _CoraRuns:
             cfg = TrainConfig(variant=variant, seed=seed)
             t0 = time.perf_counter()
             self._tuned[key], _ = tune_eta(self.g, self.features, self.labels,
-                                           self.split(seed), cfg)
+                                           self.split(seed), cfg, analysis=False)
             self.train_seconds += time.perf_counter() - t0
-        return self._tuned[key]
+        return _AnalysedOnRead(self, self._tuned[key])
+
+    def analyse(self):
+        """Attach the output analysis of every run trained so far that lacks one."""
+        t0 = time.perf_counter()
+        attach_analysis(self.g, [m for m in (*self._cache.values(), *self._tuned.values())
+                                 if m.hf_fraction_per_class is None])
+        self.train_seconds += time.perf_counter() - t0
+
+
+class _AnalysedOnRead:
+    """A trained run whose analysis fields make ``_CoraRuns`` analyse on first read."""
+
+    def __init__(self, runs, metrics):
+        self._runs, self._metrics = runs, metrics
+
+    def __getattr__(self, name):
+        if name in ("hf_fraction_per_class", "nonuniformity") and getattr(self._metrics,
+                                                                           name) is None:
+            self._runs.analyse()
+        return getattr(self._metrics, name)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsig import cli, gnn
+from distsig import cli, gnn, spectral
 from distsig.cli import main
 from distsig.graph import main_component, read_graph_file, read_labels_file
 from distsig.spectral import export_spectrum_csv, gft, high_freq_fraction, laplacian_spectrum
@@ -288,7 +289,7 @@ def test_spectrum_class_file_that_is_a_directory_is_refused_before_the_decomposi
     def no_work(*args, **kwargs):
         raise AssertionError("decomposition started before the class files were checked")
 
-    monkeypatch.setattr(gnn, "component_spectrum", no_work)
+    monkeypatch.setattr(gnn, "component_coefficients", no_work)
     probs = tmp_path / "p.npy"
     np.save(probs, np.full((10, 3), 1.0 / 3.0))
     made = tmp_path / "spec_class2.csv"
@@ -348,7 +349,7 @@ def test_spectrum_class_file_that_names_an_input_is_refused_before_the_decomposi
     def no_work(*args, **kwargs):
         raise AssertionError("decomposition started before the class files were checked")
 
-    monkeypatch.setattr(gnn, "component_spectrum", no_work)
+    monkeypatch.setattr(gnn, "component_coefficients", no_work)
     probs = tmp_path / "spec_class0.csv"
     np.savetxt(probs, np.full((10, 2), 0.5))
     before = probs.read_bytes()
@@ -537,8 +538,15 @@ def test_spectrum_keeps_constant_class_raw(tmp_path, capsys):
         assert (tmp_path / f"s_{name}.csv").is_file()
     sub, nodes = main_component(g)
     spec = laplacian_spectrum(sub)
-    export_spectrum_csv(tmp_path / "want.csv", spec.eigenvalues, gft(spec, probs[nodes, 2]))
-    assert (tmp_path / "s_class2.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    rows = np.loadtxt(tmp_path / "s_class2.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], np.arange(1, sub.n + 1))
+    # the eigenvalues are the eigenvector route's, bit for bit; each
+    # coefficient is its transform's up to rounding and the eigenvector's sign
+    assert np.array_equal(rows[:, 1], spec.eigenvalues)
+    coefs = rows[:, 2]
+    assert np.max(np.abs(np.abs(coefs) - np.abs(gft(spec, probs[nodes, 2])))) < 1e-14
+    assert abs(abs(coefs[0]) - 0.2 * np.sqrt(sub.n)) < 1e-14
+    assert np.max(np.abs(coefs[1:])) < 1e-12
 
 
 def test_spectrum_probs_shape_mismatch(tmp_path, capsys):
@@ -1081,6 +1089,23 @@ def test_cora_suite_smoke(tmp_path, capsys):
                  "--seed", "0", "--out", str(train)]) == 0
     capsys.readouterr()
     assert (out / "gcn_seed0.json").read_bytes() == train.read_bytes()
+
+
+def test_cora_suite_decomposes_once(tmp_path, monkeypatch, capsys):
+    # every reported run is analysed from one main-component decomposition
+    _write_citation_files(tmp_path)
+    sizes = []
+    real = spectral.eig_sym
+    monkeypatch.setattr(spectral, "eig_sym",
+                        lambda mat, *args: sizes.append(mat.shape[0]) or real(mat, *args))
+    monkeypatch.setattr(sys, "argv", ["run_cora_suite.py", "--data-dir", str(tmp_path),
+                                      "--seeds", "2", "--variants", "gcn",
+                                      "--out-dir", str(tmp_path / "runs")])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS[0].parent / "run_cora_suite.py"), run_name="__main__")
+    assert done.value.code == 0
+    assert "2 runs in" in capsys.readouterr().out
+    assert len(sizes) == 1
 
 
 def test_sbm_trend_script_runs_the_gate_protocol():

@@ -1,8 +1,6 @@
-import gc
 import inspect
 import json
 import warnings
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +22,7 @@ from distsig.gnn import (
     VARIANTS,
     accuracy,
     best_run,
-    component_spectrum,
+    component_coefficients,
     gcn_forward,
     init_params,
     load_cora,
@@ -695,7 +693,7 @@ def test_metrics_json_shape():
 def test_output_analysis_uniform_probs():
     g, _, _ = sbm_dataset((10, 10), 0.5, 0.1, seed=0)
     probs = np.full((20, 4), 0.25)
-    an = output_analysis(g, probs)
+    [an] = output_analysis(g, probs)
     # constant columns carry no high-frequency content
     assert all(h < 1e-12 for h in an["hf_fraction_per_class"])
     assert an["nonuniformity_sweep"][0]["near_uniform"] == 80
@@ -729,22 +727,18 @@ def _count_eig_sym(monkeypatch):
     return calls
 
 
-def test_component_spectrum_dies_with_its_graph(monkeypatch):
-    calls = _count_eig_sym(monkeypatch)
+def test_output_analysis_decomposes_once_for_all_its_matrices(monkeypatch):
+    # one decomposition serves every matrix of the call, and each matrix's
+    # analysis is bitwise what a call of its own gives
     g = sbm_dataset((9, 8, 7), 0.5, 0.1, seed=11)[0]
-    nodes, spec = component_spectrum(g)
-    again = component_spectrum(g)
-    assert again[0] is nodes and again[1] is spec and len(calls) == 1
-    twin = build_graph(g.n, g.edges)
-    assert twin is not g and twin in gnn._SPECTRA  # equal graphs share an entry
-    alive = weakref.ref(g)
-    del g
-    gc.collect()
-    assert alive() is None
-    assert twin not in gnn._SPECTRA
-    again = component_spectrum(twin)
-    assert len(calls) == 2
-    assert again[0] == nodes and again[1].eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+    rng = np.random.default_rng(3)
+    probs = [rng.dirichlet(np.ones(c), size=g.n) for c in (3, 1, 2)]
+    calls = _count_eig_sym(monkeypatch)
+    together = output_analysis(g, *probs)
+    assert len(calls) == 1
+    assert together == [an for p in probs for an in output_analysis(g, p)]
+    assert len(calls) == 4
+    assert [len(an["hf_fraction_per_class"]) for an in together] == [3, 1, 2]
 
 
 def test_stacked_train_decomposes_once(monkeypatch):
@@ -786,4 +780,4 @@ def test_keyword_parameters_of_the_training_entry_points():
     assert keywords(train) == {"etas": None, "analysis": True}
     assert keywords(tune_eta) == {"grid": ETA_GRID, "analysis": True}
     assert keywords(output_analysis) == {}
-    assert keywords(component_spectrum) == {}
+    assert keywords(component_coefficients) == {}

@@ -4,12 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distsig.graph import build_graph, laplacian_sparse, sbm_generate
+from distsig import spectral
+from distsig.graph import build_graph, laplacian_sparse, main_component, sbm_generate
 from distsig.spectral import (
     eig_sym,
     export_spectrum_csv,
     gft,
     high_freq_fraction,
+    laplacian_coefficients,
     laplacian_spectrum,
     matched_random_signal,
     normalize_unless_constant,
@@ -191,6 +193,157 @@ def test_laplacian_spectrum_peak_memory(run_python):
     working_set = 3 * n * n * 8
     assert grown < working_set + n * n * 8, (
         f"peak RSS grew by {grown / (n * n * 8):.2f} n^2 doubles")
+
+
+def _unit_signals(n, seed):
+    """Three random unit-norm columns and a constant one, as an n x 4 array."""
+    y = np.random.default_rng(seed).standard_normal((n, 4))
+    y[:, 3] = 0.3
+    return y / np.linalg.norm(y, axis=0)
+
+
+def test_laplacian_coefficients_match_the_eigenvector_route():
+    # the oracle graphs, two tiny ones and a main component of about 1,000
+    # nodes: the same eigenvalues bit for bit, and coefficients that match
+    # V^T y up to rounding and each eigenvector's sign
+    block_model, _ = sbm_generate([100, 100, 100], 0.08, 0.01, seed=4)
+    large, _ = main_component(sbm_generate([1000], 0.006, 0.006, seed=3)[0])
+    assert 950 <= large.n <= 1000
+    graphs = [*_criterion_5_graphs(), block_model, build_graph(1, []),
+              build_graph(2, [(0, 1)]), large]
+    for seed, g in enumerate(graphs):
+        y = _unit_signals(g.n, seed)
+        vals, coefs = laplacian_coefficients(g, y)
+        spec = laplacian_spectrum(g)
+        assert np.array_equal(vals, spec.eigenvalues), g.n
+        assert coefs.shape == (g.n, 4)
+        assert np.max(np.abs(np.abs(coefs) - np.abs(spec.eigenvectors.T @ y))) <= 1e-14, g.n
+
+
+def test_coefficients_of_a_signal_do_not_depend_on_the_others():
+    for g in (sbm_generate([9, 8, 7], 0.5, 0.1, seed=11)[0],
+              sbm_generate([100, 100, 100], 0.08, 0.01, seed=4)[0]):
+        y = _unit_signals(g.n, 0)
+        vals, coefs = laplacian_coefficients(g, y)
+        for j in range(4):
+            alone = laplacian_coefficients(g, y[:, j:j + 1])
+            assert np.array_equal(alone[0], vals)
+            assert np.array_equal(alone[1][:, 0], coefs[:, j])
+        assert np.array_equal(laplacian_coefficients(g, y[:, [2, 0]])[1], coefs[:, [2, 0]])
+
+
+def test_coefficient_signs_follow_the_tridiagonal_eigenvectors(monkeypatch):
+    # the coefficients are Z^T (Q^T y), with each column of Z signed so that
+    # its largest-magnitude entry (first on ties) is positive
+    g, _ = sbm_generate([30, 30], 0.3, 0.05, seed=6)
+    y = _unit_signals(g.n, 1)
+    seen = []
+    _patch_result(monkeypatch, "dstevd", lambda *out: seen.append(out) or out)
+    real = spectral._tridiagonal_coefficients
+    monkeypatch.setattr(spectral, "_tridiagonal_coefficients",
+                        lambda d, e, w, scale: seen.append(w) or real(d, e, w, scale))
+    _, coefs = laplacian_coefficients(g, y)
+    [w, (_, z, _)] = seen
+    signed = z * np.where(z[np.abs(z).argmax(axis=0), np.arange(g.n)] < 0, -1.0, 1.0)
+    assert np.max(np.abs(coefs - signed.T @ w.T)) < 1e-14
+    assert np.max(np.abs(coefs + signed.T @ w.T)) > 0.1  # the signs matter
+
+
+@pytest.mark.parametrize("signals, message", [
+    (np.ones(6), r"shape \(6,\)"),
+    (np.ones((5, 2)), r"shape \(5, 2\)"),
+    (np.ones((6, 0)), r"shape \(6, 0\)"),
+    (np.full((6, 1), np.nan), "finite signals"),
+], ids=["1-D", "short", "no-columns", "nan"])
+def test_eig_sym_rejects_bad_signals(signals, message):
+    lap = laplacian_sparse(sbm_generate([6], 0.9, 0.9, seed=0)[0]).toarray()
+    with pytest.raises(ValueError, match=message):
+        eig_sym(lap, signals)
+
+
+def _patch_result(monkeypatch, routine, corrupt):
+    """Make scipy's ``routine`` return ``corrupt`` of its result tuple."""
+    real = getattr(scipy.linalg.lapack, routine)
+    monkeypatch.setattr(scipy.linalg.lapack, routine, lambda *a, **kw: corrupt(*real(*a, **kw)))
+
+
+def _tau_scaled(c, d, e, tau, info):
+    tau = tau.copy()
+    tau[0] *= 1.5  # H(1) is no longer orthogonal
+    return c, d, e, tau, info
+
+
+def _d_shifted(c, d, e, tau, info):
+    d = d.copy()
+    d[3] += 0.5
+    return c, d, e, tau, info
+
+
+def _e_shifted(c, d, e, tau, info):
+    e = e.copy()
+    e[3] += 0.5  # the trace stays
+    return c, d, e, tau, info
+
+
+@pytest.mark.parametrize("routine, corrupt, message", [
+    ("dsytrd", _tau_scaled, "change a signal's norm"),
+    ("dsytrd", _d_shifted, "tridiagonal trace"),
+    ("dsytrd", _e_shifted, "tridiagonal Frobenius norm"),
+    ("dstevd", lambda vals, z, info: _swap_two_columns(vals, z) + (info,), "eigenpair residual"),
+    ("dstevd", lambda vals, z, info: _stretch_one_column(vals, z) + (info,), "not orthonormal"),
+], ids=["tau", "d", "e", "z-swapped", "z-stretched"])
+def test_laplacian_coefficients_reject_wrong_factors(monkeypatch, routine, corrupt, message):
+    g, _ = sbm_generate([30, 30], 0.3, 0.05, seed=6)
+    _patch_result(monkeypatch, routine, corrupt)
+    with pytest.raises(RuntimeError, match=message):
+        laplacian_coefficients(g, _unit_signals(g.n, 0))
+
+
+def test_laplacian_coefficients_reject_reflectors_of_another_matrix(monkeypatch):
+    # a symmetric permutation keeps the trace, the Frobenius norm and the
+    # eigenvalues, and its reflectors are orthogonal: only the check along
+    # each signal tells that they reduce another matrix
+    g, _ = sbm_generate([30, 30], 0.3, 0.05, seed=6)
+    perm = np.random.default_rng(0).permutation(g.n)
+    real = scipy.linalg.lapack.dsytrd
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd",
+                        lambda a, **kw: real(np.asfortranarray(a[perm][:, perm]), **kw))
+    with pytest.raises(RuntimeError, match="tridiagonal form off along a signal"):
+        laplacian_coefficients(g, _unit_signals(g.n, 0))
+
+
+def test_laplacian_coefficients_reject_a_negative_eigenvalue(monkeypatch):
+    real = spectral.eig_sym
+    monkeypatch.setattr(spectral, "eig_sym",
+                        lambda mat, signals: (real(mat, signals)[0] - 1e-9, None))
+    with pytest.raises(RuntimeError, match="negative Laplacian eigenvalue"):
+        laplacian_coefficients(sbm_generate([10, 10], 0.5, 0.1, seed=0)[0], np.ones((20, 1)))
+
+
+def test_laplacian_coefficients_peak_memory(run_python):
+    # README's working set for the route without eigenvectors: the dense
+    # matrix and its Fortran copy, then Z with dstevd's workspace or with the
+    # Gram matrix, 2 n^2 doubles each time, where the eigenvector route needs
+    # 3 n^2 (the test above).  The first run on 300 nodes loads LAPACK and
+    # touches the buffers of both OpenBLAS libraries, a few MB whatever n is;
+    # keeping one more dense copy reads about 3.3 n^2
+    out = run_python("""
+        import numpy as np
+        from distsig.graph import main_component, sbm_generate
+        from distsig.spectral import laplacian_coefficients
+
+        small, _ = main_component(sbm_generate([150, 150], 0.1, 0.01, seed=0)[0])
+        laplacian_coefficients(small, np.ones((small.n, 7)))
+        g, _ = sbm_generate([400, 400, 400], 0.02, 0.002, seed=0)
+        sub, _ = main_component(g)
+        signals = np.random.default_rng(0).standard_normal((sub.n, 7))
+        before = peak_rss()
+        laplacian_coefficients(sub, signals)
+        print(sub.n, peak_rss() - before)
+    """)
+    n, grown = map(int, out.split())
+    assert n >= 1100
+    assert grown < 2.4 * n * n * 8, f"peak RSS grew by {grown / (n * n * 8):.2f} n^2 doubles"
 
 
 def test_no_lapack_load_on_import(run_python):
