@@ -354,13 +354,14 @@ def gcn_backward(params: GcnParams, ahat, cache: dict, d_o: np.ndarray):
     dz2 = _spmm(ahat, d_o)
     dw2 = _blocks(cache["hd"], k).swapaxes(-1, -2) @ dz2
     da1 = _matmul_side_by_side(dz2, params.w2.swapaxes(-1, -2), k)
+    del dz2  # each array goes at its last reader: a stack's are K times one model's
     if "mask1" in cache:
         da1_blocks = _blocks(da1, k)
-        da1_blocks *= cache["mask1"]
+        da1_blocks *= cache.pop("mask1")
     # hd > 0 exactly where the pre-activation is > 0 and the mask keeps the
     # unit (a kept unit is scaled by 1/(1-p) >= 1); where the mask drops it,
     # da1 is already a signed zero, which a factor of 0 or 1 leaves as it is
-    da1 *= cache["hd"] > 0.0
+    da1 *= cache.pop("hd") > 0.0
     dw1 = cache["f_t"] @ (ahat @ da1)
     return dw1, dw2
 
@@ -382,7 +383,10 @@ def _reg_value_and_grad(variant: str, o, x, lap, a_vec, with_grad: bool):
     value = w_s * _block_sums(x * xl) + w_c * _block_sums((x * x) * a)
     if not with_grad:
         return value, None
-    return value, softmax_vjp(x, 2.0 * (w_s * xl + w_c * (a * x)))
+    grad = w_c * (a * x)  # 2 (w_s xl + w_c (a x)), the sum and its scaling in place
+    grad += np.multiply(w_s, xl, out=xl)
+    grad *= 2.0
+    return value, softmax_vjp(x, grad)
 
 
 def _masked_nll(x, labels, idx):
@@ -413,7 +417,8 @@ def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_v
 
     reg, reg_grad = _reg_value_and_grad(variant, o, x, lap, a_vec, True)
     if reg_grad is not None:
-        d_o = d_o + (eta / n)[:, None, None] * reg_grad
+        d_o += np.multiply(reg_grad, (eta / n)[:, None, None], out=reg_grad)
+    del o, x, reg_grad
     w1_sq = _block_sums(_blocks(params.w1 ** 2, k))
     with np.errstate(over="ignore", invalid="ignore"):  # train reports a non-finite loss
         loss = ce + eta * (reg / n) + 0.5 * WEIGHT_DECAY * w1_sq
@@ -498,12 +503,13 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
             raise RuntimeError(f"divergence (non-finite loss or Adam moment) at epoch {epoch}, "
                                f"eta {first.eta}")
 
-        o_eval, x_eval, _ = gcn_forward(params, ahat, inp)
+        o_eval, x_eval = gcn_forward(params, ahat, inp)[:2]
         val_loss = _masked_nll(x_eval, labels, split.val)
         val_acc = accuracy(x_eval, labels, split.val)
         train_acc = accuracy(x_eval, labels, split.train)
         # recorded regularizer is the raw trace on the clean post-update output
         reg = _reg_value_and_grad(cfg.variant, o_eval, x_eval, lap, a_vec, False)[0]
+        del grads, o_eval  # nothing of an epoch outlives it into the next one's peak
         row = np.array((loss, ce, train_acc, val_loss, val_acc, reg))
         history.append(row)
         better = row[4] > best_acc  # row 4: each model's validation accuracy

@@ -50,14 +50,15 @@ def softmax_rows(o: np.ndarray) -> np.ndarray:
     # the columns gives the same output without a reduction's per-row cost
     # on a short last axis
     z = o - functools.reduce(np.maximum, [o[..., j] for j in range(o.shape[-1])])[..., None]
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
 
 
 def softmax_vjp(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Pull a gradient in softmax outputs back to logits, row by row."""
-    inner = np.sum(x * grad, axis=-1, keepdims=True)
-    return x * (grad - inner)
+    """Pull a gradient in softmax outputs back to logits, row by row, in place of ``grad``."""
+    grad -= np.sum(x * grad, axis=-1, keepdims=True)
+    grad *= x
+    return grad
 
 
 def nonuniformity_bound_check(x, a) -> dict:

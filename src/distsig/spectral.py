@@ -27,6 +27,8 @@ _RESID_TOL = 1e-8
 # rows (columns) per block of eig_sym's row (column) passes: slices of 64 x n
 # instead of n x n temporaries, which the allocator may keep after they are freed
 _CHECK_ROWS = 64
+# columns per panel of the check Z^T Z = I, so no n x n Gram sits beside Z
+_GRAM_COLS = 512
 
 
 def _column_signs(u: np.ndarray) -> np.ndarray:
@@ -79,14 +81,15 @@ def eig_sym(mat: np.ndarray, signals=None):
     no eigenvector is formed.  ``dsytrd`` reduces ``mat`` to T = Q^T mat Q,
     ``dormqr`` applies Q^T to each signal in a call of its own, ``dstevd``
     gives T = Z diag(eigenvalues) Z^T, and the coefficients are Z^T (Q^T y_j).
-    The peak is 2 n^2 doubles, not dsyevd's 3 n^2, and there is no n x n
-    back-transform Q Z.  The eigenvalues are bitwise dsyevd's, and a signal's
-    coefficients do not depend on the other signals of the call.  Each column
-    of Z is signed so that its largest-magnitude entry (first on ties) is
-    positive.  The checks, on the factors that this route computes: T keeps
-    the trace and Frobenius norm of ``mat``; Q^T keeps each signal's norm, and
-    T (Q^T y) = Q^T (mat y) for each signal y; Z^T Z = I and
-    T Z = Z diag(eigenvalues).
+    The peak is 2 n^2 doubles, not dsyevd's 3 n^2: Z beside dstevd's
+    workspace is the only such moment, as Z^T Z = I is checked by column
+    panels and there is no n x n back-transform Q Z.  The eigenvalues are
+    bitwise dsyevd's, and a signal's coefficients do not depend on the other
+    signals of the call.  Each column of Z is signed so that its
+    largest-magnitude entry (first on ties) is positive.  The checks, on the
+    factors that this route computes: T keeps the trace and Frobenius norm of
+    ``mat``; Q^T keeps each signal's norm, and T (Q^T y) = Q^T (mat y) for
+    each signal y; Z^T Z = I and T Z = Z diag(eigenvalues).
 
     ``mat`` is never written: LAPACK works on one Fortran copy.
     """
@@ -178,16 +181,22 @@ def _tridiagonal_coefficients(d, e, w, scale: float):
     coefficients Z^T w_j of the rows w_j of ``w`` (k x n), where
     T = Z diag(eigenvalues) Z^T is checked and Z's columns are signed by
     ``_column_signs``."""
-    import scipy.linalg
+    from scipy.linalg import blas, lapack
 
     n = d.shape[0]
     # dstevd wants one off-diagonal entry even when n = 1
-    vals, z, info = scipy.linalg.lapack.dstevd(d, e if n > 1 else np.zeros(1))
+    vals, z, info = lapack.dstevd(d, e if n > 1 else np.zeros(1))
     _check_info("dstevd", info)
-    gram = scipy.linalg.blas.dsyrk(1.0, z, trans=1)  # Z^T Z in the upper triangle, zeros below
-    gram.ravel(order="K")[:: n + 1] -= 1.0
-    ortho = np.max(np.abs(gram, out=gram))
-    del gram
+    ortho = 0.0
+    for j in range(0, n, _GRAM_COLS):  # the panel's columns of Z^T Z, on and above the diagonal
+        zp = z[:, j:j + _GRAM_COLS]
+        gram = blas.dsyrk(1.0, zp, trans=1)  # its diagonal block's upper triangle, zeros below
+        gram.ravel(order="K")[:: gram.shape[0] + 1] -= 1.0
+        ortho = max(ortho, np.max(np.abs(gram, out=gram)))
+        if j:
+            gram = blas.dgemm(1.0, z[:, :j], zp, trans_a=1)  # the blocks above it
+            ortho = max(ortho, np.max(np.abs(gram, out=gram)))
+        del gram
     if ortho > 1e-8:
         raise RuntimeError(f"eigenvectors not orthonormal (err {ortho:.3e})")
     # each signal's coefficients are numpy's pairwise sums of its products

@@ -2,11 +2,14 @@
 
 Each case runs its commands twice, into two directories of one process. The
 two runs must agree byte for byte, and then with ``GOLDEN``. The table was
-taken with the numpy and scipy of ``GOLDEN_VERSIONS``; on other versions
-only the table comparison skips. There is no switch that rewrites it: a
+taken with the numpy and scipy of ``GOLDEN_VERSIONS`` and the OpenBLAS
+thread counts of ``GOLDEN_BLAS_THREADS``; on other versions or counts only
+the table comparison skips. There is no switch that rewrites it: a
 change that alters an output edits its hash here by hand and says so.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -22,6 +25,9 @@ from distsig.cli import main
 from test_cli import _write_citation_files
 
 GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+# the thread counts of numpy's and scipy's bundled OpenBLAS: from about 256
+# nodes on, dsytrd's sums follow them, and so do the cora case's spectral bytes
+GOLDEN_BLAS_THREADS = {"numpy": 2, "scipy": 2}
 
 # case -> its commands, each with the name under which its stdout is hashed,
 # or None where the stdout names a path.  "{d}" is the run's directory and
@@ -89,6 +95,20 @@ GOLDEN = {
 }
 
 
+def _blas_threads() -> dict[str, int | None]:
+    """The thread count of numpy's and of scipy's bundled OpenBLAS; None for
+    a library that is not found."""
+    counts = {}
+    for module, symbol in ((np, "scipy_openblas_get_num_threads64_"),
+                           (scipy, "scipy_openblas_get_num_threads")):
+        name = module.__name__
+        libs = glob.glob(os.path.join(os.path.dirname(module.__file__), os.pardir,
+                                      f"{name}.libs", "libscipy_openblas*"))
+        found = [getattr(ctypes.CDLL(lib), symbol, None) for lib in libs]
+        counts[name] = next((int(fn()) for fn in found if fn is not None), None)
+    return counts
+
+
 def _run(commands, d, data, capsys) -> dict[str, bytes]:
     """Run ``commands`` into the new directory ``d``; every file it holds, and the stdouts."""
     d.mkdir()
@@ -115,6 +135,10 @@ def test_outputs_match_the_golden_table(tmp_path, capsys, case):
         pytest.skip(f"the table was taken with numpy {GOLDEN_VERSIONS['numpy']} and scipy "
                     f"{GOLDEN_VERSIONS['scipy']}; this is numpy {versions['numpy']} and scipy "
                     f"{versions['scipy']}")
+    threads = _blas_threads()
+    if threads != GOLDEN_BLAS_THREADS:
+        pytest.skip(f"the table was taken with {GOLDEN_BLAS_THREADS} OpenBLAS threads; "
+                    f"this is {threads}")
     got = {name: hashlib.sha256(b).hexdigest() for name, b in first.items()}
     want = GOLDEN[case]
     wrong = [f"{name}: table {want.get(name)}, got {got.get(name)}"
