@@ -310,8 +310,9 @@ def _spmm(a, y):
 def _block_sums(y):
     """np.sum of each block of a K x n x c stack, as a (K,) array.
 
-    The reshape copies each block in row-major order, so a row of the (K, ·)
-    copy sums in the order np.sum takes over that block alone.
+    The reshape is a view of a C-order stack and copies any other stack in
+    row-major order, so each row of the (K, ·) result sums in the order
+    np.sum takes over that block alone.
     """
     return y.reshape(y.shape[0], -1).sum(axis=1)
 
@@ -374,17 +375,24 @@ def _reg_value_and_grad(variant: str, o, x, lap, a_vec, with_grad: bool):
     """
     if variant == "gcn":
         return np.zeros(o.shape[0]), None
+    # each product that _block_sums reads goes into a C-order K x n x C
+    # buffer, which it reshapes without a copy
     if variant == "r3":
         lo = _spmm(lap, o)
-        return _block_sums(o * lo), (2.0 * lo if with_grad else None)
+        value = _block_sums(np.multiply(o, lo, out=np.empty(o.shape)))
+        return value, (2.0 * lo if with_grad else None)
     w_s, w_c = TRACE_WEIGHTS[variant]
     a = a_vec[:, None]
     xl = _spmm(lap, x)
-    value = w_s * _block_sums(x * xl) + w_c * _block_sums((x * x) * a)
+    buf = np.multiply(x, xl, out=np.empty(x.shape))
+    value = w_s * _block_sums(buf)
+    value += w_c * _block_sums(np.multiply(np.multiply(x, x, out=buf), a, out=buf))
+    del buf
     if not with_grad:
         return value, None
     grad = w_c * (a * x)  # 2 (w_s xl + w_c (a x)), the sum and its scaling in place
     grad += np.multiply(w_s, xl, out=xl)
+    del xl
     grad *= 2.0
     return value, softmax_vjp(x, grad)
 

@@ -2,23 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph, edge_sum, laplacian_sparse
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 # eigenpair residual bound per unit of operator scale; eigenvalues closer
@@ -37,6 +23,24 @@ def _column_signs(u: np.ndarray) -> np.ndarray:
     # LAPACK's u is in Fortran order, so this needs no transposing copy
     k = np.abs(u.T, order="C").argmax(axis=1)
     return np.where(u[k, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+
+
+def _check_orthonormal(z: np.ndarray) -> None:
+    """Check Z^T Z = I by column panels of ``_GRAM_COLS``: no n x n Gram sits beside Z."""
+    from scipy.linalg import blas
+
+    ortho = 0.0  # np.maximum keeps a NaN, which the builtin max may drop
+    for j in range(0, z.shape[1], _GRAM_COLS):  # the panel's columns, on and above the diagonal
+        zp = z[:, j:j + _GRAM_COLS]
+        gram = blas.dsyrk(1.0, zp, trans=1)  # its diagonal block's upper triangle, zeros below
+        gram.ravel(order="K")[:: gram.shape[0] + 1] -= 1.0
+        ortho = np.maximum(ortho, np.max(np.abs(gram, out=gram)))
+        if j:
+            gram = blas.dgemm(1.0, z[:, :j], zp, trans_a=1)  # the blocks above it
+            ortho = np.maximum(ortho, np.max(np.abs(gram, out=gram)))
+        del gram
+    if not ortho <= 1e-8:
+        raise RuntimeError(f"eigenvectors not orthonormal (err {ortho:.3e})")
 
 
 def _checked_scale(mat: np.ndarray) -> float:
@@ -71,10 +75,14 @@ def _check_nonnegative(vals: np.ndarray) -> None:
 def eig_sym(mat: np.ndarray, signals=None):
     """Symmetric eigendecomposition with a deterministic sign convention.
 
-    Without ``signals``: a ``Spectrum`` of ascending eigenvalues and checked
-    orthonormal eigenvector columns, in C order, by ``dsyevd``.  The eigenpair
-    residual is the caller's check, against whatever form of the operator is
-    cheapest to apply (``laplacian_spectrum`` uses the sparse Laplacian).
+    Both routes return a pair of read-only arrays, ascending eigenvalues
+    first, and check Z^T Z = I by column panels for their eigenvectors Z,
+    each signed so that its largest-magnitude entry (first on ties) is positive.
+
+    Without ``signals``: ``(eigenvalues, eigenvectors)``, the columns in C
+    order, by ``dsyevd``.  The eigenpair residual is the caller's check,
+    against whatever form of the operator is cheapest to apply
+    (``laplacian_spectrum`` uses the sparse Laplacian).
 
     With ``signals``, an n x k array: ``(eigenvalues, coefficients)``, where
     column j of the n x k coefficients is V^T y_j for signal column y_j, and
@@ -82,11 +90,9 @@ def eig_sym(mat: np.ndarray, signals=None):
     ``dormqr`` applies Q^T to each signal in a call of its own, ``dstevd``
     gives T = Z diag(eigenvalues) Z^T, and the coefficients are Z^T (Q^T y_j).
     The peak is 2 n^2 doubles, not dsyevd's 3 n^2: Z beside dstevd's
-    workspace is the only such moment, as Z^T Z = I is checked by column
-    panels and there is no n x n back-transform Q Z.  The eigenvalues are
-    bitwise dsyevd's, and a signal's coefficients do not depend on the other
-    signals of the call.  Each column of Z is signed so that its
-    largest-magnitude entry (first on ties) is positive.  The checks, on the
+    workspace is the only such moment, as there is no n x n back-transform
+    Q Z.  The eigenvalues are bitwise dsyevd's, and a signal's coefficients
+    do not depend on the other signals of the call.  The checks, on the
     factors that this route computes: T keeps the trace and Frobenius norm of
     ``mat``; Q^T keeps each signal's norm, and T (Q^T y) = Q^T (mat y) for
     each signal y; Z^T Z = I and T Z = Z diag(eigenvalues).
@@ -111,16 +117,12 @@ def eig_sym(mat: np.ndarray, signals=None):
     if signals is None:
         # dsyevd on the lower triangle, as np.linalg.eigh; the eigenvectors overwrite a
         vals, a = scipy.linalg.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
+        _check_orthonormal(a)  # a column times +-1 leaves each |Z^T Z - I| entry as it is
         vecs = np.multiply(a, _column_signs(a), order="C")  # times +-1: exact
         del a
-        gram = vecs.T @ vecs
-        gram.flat[:: n + 1] -= 1.0
-        ortho = np.max(np.abs(gram, out=gram))
-        if ortho > 1e-8:
-            raise RuntimeError(f"eigenvectors not orthonormal (err {ortho:.3e})")
         vals.flags.writeable = False
         vecs.flags.writeable = False
-        return Spectrum(vals, vecs)
+        return vals, vecs
 
     lapack = scipy.linalg.lapack
     # the default workspace of n runs dsytrd's unblocked code, about twice as slow
@@ -181,24 +183,13 @@ def _tridiagonal_coefficients(d, e, w, scale: float):
     coefficients Z^T w_j of the rows w_j of ``w`` (k x n), where
     T = Z diag(eigenvalues) Z^T is checked and Z's columns are signed by
     ``_column_signs``."""
-    from scipy.linalg import blas, lapack
+    from scipy.linalg import lapack
 
     n = d.shape[0]
     # dstevd wants one off-diagonal entry even when n = 1
     vals, z, info = lapack.dstevd(d, e if n > 1 else np.zeros(1))
     _check_info("dstevd", info)
-    ortho = 0.0
-    for j in range(0, n, _GRAM_COLS):  # the panel's columns of Z^T Z, on and above the diagonal
-        zp = z[:, j:j + _GRAM_COLS]
-        gram = blas.dsyrk(1.0, zp, trans=1)  # its diagonal block's upper triangle, zeros below
-        gram.ravel(order="K")[:: gram.shape[0] + 1] -= 1.0
-        ortho = max(ortho, np.max(np.abs(gram, out=gram)))
-        if j:
-            gram = blas.dgemm(1.0, z[:, :j], zp, trans_a=1)  # the blocks above it
-            ortho = max(ortho, np.max(np.abs(gram, out=gram)))
-        del gram
-    if ortho > 1e-8:
-        raise RuntimeError(f"eigenvectors not orthonormal (err {ortho:.3e})")
+    _check_orthonormal(z)
     # each signal's coefficients are numpy's pairwise sums of its products
     # with Z's columns: the order of BLAS's sums, and of einsum's, can follow
     # the number of signals, their alignment and the thread count
@@ -222,16 +213,15 @@ def _tridiagonal_coefficients(d, e, w, scale: float):
     return vals, coefs
 
 
-def laplacian_spectrum(g: Graph) -> Spectrum:
-    """Checked spectrum of the combinatorial Laplacian of ``g``.
+def laplacian_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Checked eigenvalues and eigenvectors of the combinatorial Laplacian of ``g``.
 
     ``eig_sym`` decomposes the densified sparse Laplacian; the eigenpair
     residual is taken against the sparse one, which costs O(nnz * n) instead
     of O(n^3).
     """
     lap = laplacian_sparse(g)
-    spec = eig_sym(lap.toarray())
-    vals, vecs = spec.eigenvalues, spec.eigenvectors
+    vals, vecs = eig_sym(lap.toarray())
     scale = max(1.0, float(np.max(np.abs(lap.data))))
     diff = lap @ vecs
     diff -= vecs * vals[None, :]
@@ -239,7 +229,7 @@ def laplacian_spectrum(g: Graph) -> Spectrum:
     if resid > _RESID_TOL * scale:
         raise RuntimeError(f"eigenpair residual {resid:.3e} too large")
     _check_nonnegative(vals)
-    return spec
+    return vals, vecs
 
 
 def laplacian_coefficients(g: Graph, signals) -> tuple[np.ndarray, np.ndarray]:
@@ -252,12 +242,12 @@ def laplacian_coefficients(g: Graph, signals) -> tuple[np.ndarray, np.ndarray]:
     return vals, coefs
 
 
-def gft(spec: Spectrum, x) -> np.ndarray:
-    """Forward transform: coefficients of x in the eigenvector basis."""
+def gft(vecs: np.ndarray, x) -> np.ndarray:
+    """Forward transform: coefficients of x in the basis of the columns of ``vecs``."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n,):
-        raise ValueError(f"signal length {x.shape} does not match n={spec.n}")
-    return spec.eigenvectors.T @ x
+    if x.shape != (vecs.shape[0],):
+        raise ValueError(f"signal length {x.shape} does not match n={vecs.shape[0]}")
+    return vecs.T @ x
 
 
 def total_variation(g: Graph, x) -> float:

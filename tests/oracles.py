@@ -168,12 +168,13 @@ def min_tree_cover(g) -> np.ndarray:
     return cover
 
 
-def igft(spec, xhat) -> np.ndarray:
-    """Inverse graph Fourier transform: the signal with coefficients xhat."""
+def igft(vecs, xhat) -> np.ndarray:
+    """Inverse graph Fourier transform: the signal with coefficients xhat in
+    the basis of the columns of ``vecs``."""
     xhat = np.asarray(xhat, dtype=float)
-    if xhat.shape != (spec.n,):
-        raise ValueError(f"coefficient length {xhat.shape} does not match n={spec.n}")
-    return spec.eigenvectors @ xhat
+    if xhat.shape != (vecs.shape[1],):
+        raise ValueError(f"coefficient length {xhat.shape} does not match n={vecs.shape[1]}")
+    return vecs @ xhat
 
 
 def recorded_lps(monkeypatch, run):
