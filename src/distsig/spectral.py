@@ -68,7 +68,7 @@ def _checked_scale(mat: np.ndarray) -> float:
 
 def _check_nonnegative(vals: np.ndarray) -> None:
     """A Laplacian's ascending eigenvalues start at 0, up to rounding."""
-    if vals[0] < -1e-10:
+    if not vals[0] >= -1e-10:  # a NaN fails too
         raise RuntimeError(f"negative Laplacian eigenvalue {vals[0]:.3e}")
 
 
@@ -97,7 +97,10 @@ def eig_sym(mat: np.ndarray, signals=None):
     ``mat``; Q^T keeps each signal's norm, and T (Q^T y) = Q^T (mat y) for
     each signal y; Z^T Z = I and T Z = Z diag(eigenvalues).
 
-    ``mat`` is never written: LAPACK works on one Fortran copy.
+    ``mat`` is never written: LAPACK works on one Fortran copy, and ``dsymm``
+    takes each mat y from that copy's lower triangle, the one ``dsytrd``
+    reduces.  A Fortran ``mat`` is copied without a transpose; either layout
+    gives the same bits.
     """
     mat = np.asarray(mat, dtype=float)
     scale = _checked_scale(mat)
@@ -107,13 +110,11 @@ def eig_sym(mat: np.ndarray, signals=None):
         if y.ndim != 2 or y.shape[0] != n or y.shape[1] == 0 or not np.isfinite(y).all():
             raise ValueError(f"need finite signals of shape ({n}, k), got shape {y.shape}")
         norms = np.linalg.norm(y, axis=0)
-        # per signal y, the pair (y, mat y) that Q^T goes onto: k x 2 x n
-        pairs = np.stack([y.T, (mat @ y).T], axis=1)
         form = (float(np.trace(mat)), float(np.linalg.norm(mat)))  # what T must keep
     import scipy.linalg  # loads LAPACK on the first decomposition, not on import
 
     a = np.array(mat, order="F")
-    del mat  # a temporary argument (laplacian_spectrum's) is freed before LAPACK runs
+    del mat  # a temporary argument (a caller's dense Laplacian) is freed before LAPACK runs
     if signals is None:
         # dsyevd on the lower triangle, as np.linalg.eigh; the eigenvectors overwrite a
         vals, a = scipy.linalg.eigh(a, driver="evd", overwrite_a=True, check_finite=False)
@@ -124,6 +125,12 @@ def eig_sym(mat: np.ndarray, signals=None):
         vecs.flags.writeable = False
         return vals, vecs
 
+    # mat y by the BLAS that runs LAPACK: numpy's matmul would touch its own
+    # library's GEMM buffers, which stay resident under dstevd's peak.
+    # Per signal y, the pair (y, mat y) that Q^T goes onto: k x 2 x n
+    ly = scipy.linalg.blas.dsymm(1.0, a, y, lower=1)
+    pairs = np.stack([y.T, ly.T], axis=1)
+    del ly
     lapack = scipy.linalg.lapack
     # the default workspace of n runs dsytrd's unblocked code, about twice as slow
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
@@ -153,22 +160,24 @@ def _check_tridiagonal(d, e, pairs, norms, trace: float, frobenius: float,
     signal's norm; and T (Q^T y) = Q^T (mat y), with ``pairs`` holding Q^T y
     and Q^T (mat y) of each signal y, of norm ``norms``.
     """
+    # each check asks "not off <= bound", which a NaN fails
     tol = _RESID_TOL * max(1.0, frobenius)  # rounding moves both by about n eps of it
-    if abs(d.sum() - trace) > tol:
-        raise RuntimeError(f"tridiagonal trace off by {abs(d.sum() - trace):.3e}")
+    drift = abs(d.sum() - trace)
+    if not drift <= tol:
+        raise RuntimeError(f"tridiagonal trace off by {drift:.3e}")
     drift = abs(float(np.sqrt(d @ d + 2.0 * (e @ e))) - frobenius)
-    if drift > tol:
+    if not drift <= tol:
         raise RuntimeError(f"tridiagonal Frobenius norm off by {drift:.3e}")
     qy, qly = pairs[:, 0], pairs[:, 1]
     unit = np.maximum(norms, 1e-300)  # a zero signal stays exactly zero
     drift = np.max(np.abs(np.linalg.norm(qy, axis=1) - norms) / unit)
-    if drift > _RESID_TOL:
+    if not drift <= _RESID_TOL:
         raise RuntimeError(f"reflectors change a signal's norm by {drift:.3e} of it")
     tqy = d * qy
     tqy[:, 1:] += e * qy[:, :-1]
     tqy[:, :-1] += e * qy[:, 1:]
     off = np.max(np.max(np.abs(tqy - qly), axis=1) / unit)
-    if off > _RESID_TOL * scale:
+    if not off <= _RESID_TOL * scale:
         raise RuntimeError(f"tridiagonal form off along a signal by {off:.3e} per unit norm")
 
 
@@ -194,18 +203,18 @@ def _tridiagonal_coefficients(d, e, w, scale: float):
     # with Z's columns: the order of BLAS's sums, and of einsum's, can follow
     # the number of signals, their alignment and the thread count
     coefs = np.empty(w.shape)
-    resid = 0.0
+    resid = 0.0  # np.maximum keeps a NaN, which the builtin max may drop
     for j in range(0, n, _CHECK_ROWS):  # column blocks of Z
         zb = z[:, j:j + _CHECK_ROWS]
         r = np.subtract.outer(vals[j:j + _CHECK_ROWS], d).T  # Z diag(vals) - T Z
         r *= zb
         r[1:] -= e[:, None] * zb[:-1]
         r[:-1] -= e[:, None] * zb[1:]
-        resid = max(resid, float(np.max(r)), -float(np.min(r)))
+        resid = np.maximum(resid, np.maximum(np.max(r), -np.min(r)))
         for i, y in enumerate(w):
             np.sum(zb * y[:, None], axis=0, out=coefs[i, j:j + _CHECK_ROWS])
         coefs[:, j:j + _CHECK_ROWS] *= _column_signs(zb)  # times +-1: exact
-    if resid > _RESID_TOL * scale:
+    if not resid <= _RESID_TOL * scale:
         raise RuntimeError(f"eigenpair residual {resid:.3e} too large")
     coefs = coefs.T
     vals.flags.writeable = False
@@ -221,12 +230,12 @@ def laplacian_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     of O(n^3).
     """
     lap = laplacian_sparse(g)
-    vals, vecs = eig_sym(lap.toarray())
+    vals, vecs = eig_sym(lap.toarray(order="F"))
     scale = max(1.0, float(np.max(np.abs(lap.data))))
     diff = lap @ vecs
     diff -= vecs * vals[None, :]
     resid = np.max(np.abs(diff, out=diff))
-    if resid > _RESID_TOL * scale:
+    if not resid <= _RESID_TOL * scale:
         raise RuntimeError(f"eigenpair residual {resid:.3e} too large")
     _check_nonnegative(vals)
     return vals, vecs
@@ -237,7 +246,7 @@ def laplacian_coefficients(g: Graph, signals) -> tuple[np.ndarray, np.ndarray]:
     the columns of ``signals`` in its eigenbasis, by ``eig_sym``'s route
     without eigenvectors.  Each coefficient equals ``gft``'s up to rounding
     and the sign of its eigenvector."""
-    vals, coefs = eig_sym(laplacian_sparse(g).toarray(), signals)
+    vals, coefs = eig_sym(laplacian_sparse(g).toarray(order="F"), signals)
     _check_nonnegative(vals)
     return vals, coefs
 

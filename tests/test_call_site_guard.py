@@ -7,6 +7,10 @@
   outside the library, and in the three producers whose edges are canonical
   by construction: ``gnn.load_cora``, ``graph.main_component`` and
   ``graph.sbm_generate``.  Any other graph is built by ``build_graph``.
+- ``toarray`` only in ``spectral.laplacian_spectrum`` and
+  ``spectral.laplacian_coefficients``: each route densifies the Laplacian
+  once, in Fortran order, which LAPACK's working copy takes without a
+  transpose.
 """
 
 import ast
@@ -30,7 +34,8 @@ def _calls(tree, name):
     ("cumsum", [("graph", "edge_sum")]),
     ("Graph", [("gnn", "load_cora"), ("graph", "build_graph"), ("graph", "main_component"),
                ("graph", "sbm_generate")]),
-], ids=["cumsum", "Graph"])
+    ("toarray", [("spectral", "laplacian_spectrum"), ("spectral", "laplacian_coefficients")]),
+], ids=["cumsum", "Graph", "toarray"])
 def test_called_only_inside(name, owners):
     found = []  # (module, top-level function or None, line) per call
     for path in sorted(LIBRARY.glob("*.py")):
