@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from distsig.cli import EXIT_IO, EXIT_USAGE, _path, _positive, _write_json
-from distsig.gnn import (CORA_SPLIT, VARIANTS, TrainConfig, attach_analysis, cora_files,
-                         load_cora, make_split, tune_eta)
+from distsig.gnn import (CORA_SPLIT, VARIANTS, TrainConfig, attach_analysis, cora_features,
+                         cora_files, load_cora, make_split, tune_eta)
 from distsig.graph import GraphError
 
 
@@ -43,7 +43,9 @@ def main():
         ap.error(f"--out-dir {args.out_dir}:{where} exists and is not a directory")
 
     try:
-        g, features, labels, _ = load_cora(*cora_files(args.data_dir))
+        content, cites = cora_files(args.data_dir)
+        g, labels, _ = load_cora(content, cites)
+        features = cora_features(content)
     except (FileNotFoundError, GraphError) as exc:  # no files, or malformed ones
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -101,14 +101,13 @@ def _given(values, defaults) -> list:
     return [default if given is None else given for given, default in zip(values, defaults)]
 
 
-def _load_dataset(args):
-    """Resolve --dataset into (graph, features, labels)."""
+def _load_graph(args):
+    """Resolve --dataset into (graph, labels): all that ``spectrum`` reads."""
     if args.dataset == "cora":
-        g, f, y, _ = _read(gnn.load_cora, *gnn.cora_files(args.data_dir))
-        return g, f, y
+        return _read(gnn.load_cora, *gnn.cora_files(args.data_dir))[:2]
     if args.dataset == "sbm":
-        return gnn.sbm_dataset(*_given((args.blocks, args.p_in, args.p_out), gnn.SBM_4BLOCK),
-                               args.seed)
+        return sbm_generate(*_given((args.blocks, args.p_in, args.p_out), gnn.SBM_4BLOCK),
+                            args.seed)
     if not args.graph or not args.labels:
         raise CliError("--dataset file needs --graph and --labels", EXIT_USAGE)
     g = _read(read_graph_file, args.graph)
@@ -117,8 +116,15 @@ def _load_dataset(args):
         raise CliError(
             f"label count {y.shape[0]} does not match graph size {g.n}", EXIT_IO
         )
-    feat_path = getattr(args, "features", None)
-    f = _read_matrix(feat_path, "feature", g.n) if feat_path else gnn.sbm_features(g.n)
+    return g, y
+
+
+def _load_dataset(args):
+    """(graph, features, labels): Cora's features as ``gnn.cora_features`` CSR, others dense."""
+    g, y = _load_graph(args)
+    if args.dataset == "cora":
+        return g, _read(gnn.cora_features, gnn.cora_files(args.data_dir)[0]), y
+    f = _read_matrix(args.features, "feature", g.n) if args.features else gnn.sbm_features(g.n)
     return g, f, y
 
 
@@ -201,7 +207,7 @@ def _write_json(path, payload) -> None:
 # --- subcommands ----------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    g, _, y = _load_dataset(args)
+    g, y = _load_graph(args)
     signals = {"label": y.astype(float), "random": matched_random_signal(y, args.seed)}
     if args.probs:
         probs = _read_probs(args.probs, g.n)
@@ -242,7 +248,7 @@ def cmd_train(args) -> int:
     split = gnn.make_split(y, *sizes, args.seed)
     metrics, runs = gnn.tune_eta(g, f, y, split, cfg,
                                  gnn.ETA_GRID if args.tune else (cfg.eta,), analysis=False)
-    del f  # the dense features go before the output analysis, the run's memory peak
+    del f  # the features go before the output analysis, the run's memory peak
     print(
         f"variant={metrics.config.variant} eta={metrics.config.eta} "
         f"test_acc={metrics.test_acc:.4f} best_epoch={metrics.best_epoch}"

@@ -121,36 +121,22 @@ class Metrics:
 # --- datasets -------------------------------------------------------------
 
 def load_cora(content_path, cites_path):
-    """Parse the raw citation-network format.
+    """Parse the graph and labels of the raw citation-network format.
 
-    Content lines: id, whitespace-separated binary features, class label.
+    Content lines: id, features (which ``cora_features`` reads), class label.
     Cites lines: "cited citing" id pairs, mapped to undirected simple edges.
-    Returns (graph, row-normalized features, integer labels, class names).
+    Returns (graph, integer labels, class names).
     """
     ids: dict[str, int] = {}
-    rows: list[np.ndarray] = []
     labels_raw: list[str] = []
-    fdim = None
     for lineno, line in read_lines(content_path):
-        parts = line.split()
+        parts = line.split(None, 2)  # the id and two more fields; no feature is parsed
         if len(parts) < 3:
             raise GraphError(f"{content_path}:{lineno}: malformed content line")
-        pid, label = parts[0], parts[-1]
-        fv = parts[1:-1]
-        if fdim is None:
-            fdim = len(fv)
-        elif len(fv) != fdim:
-            raise GraphError(f"{content_path}:{lineno}: expected {fdim} features, got {len(fv)}")
-        if pid in ids:
-            raise GraphError(f"{content_path}:{lineno}: duplicate id {pid!r}")
-        try:  # numpy parses each token as float() does
-            rows.append(np.array(fv, dtype=float))
-        except ValueError:
-            raise GraphError(f"{content_path}:{lineno}: non-numeric feature value") from None
-        if not np.isfinite(rows[-1]).all():  # nan, inf, or beyond float range (1e400)
-            raise GraphError(f"{content_path}:{lineno}: non-finite feature value")
-        ids[pid] = len(ids)
-        labels_raw.append(label)
+        if parts[0] in ids:
+            raise GraphError(f"{content_path}:{lineno}: duplicate id {parts[0]!r}")
+        ids[parts[0]] = len(ids)
+        labels_raw.append(parts[2].rsplit(None, 1)[-1])
     if not ids:
         raise GraphError(f"{content_path}: no content lines")
 
@@ -176,11 +162,34 @@ def load_cora(content_path, cites_path):
         u, v = ids[a], ids[b]
         edges.add((min(u, v), max(u, v)))
 
-    f = np.stack(rows)
-    rs = f.sum(axis=1)[:, None]
-    np.divide(f, rs, out=f, where=rs > 0)
     g = Graph(len(ids), tuple(sorted(edges)))  # (min, max) pairs without self-loops
-    return g, f, y, classes
+    return g, y, classes
+
+
+def cora_features(content_path):
+    """The features of a content file that ``load_cora`` accepts, rows divided by
+    positive sums, as a ``csr_array`` storing no zero (-0 and underflows too)."""
+    import scipy.sparse as sp  # loads on the first sparse matrix, not on import
+    data, cols, indptr, fdim = [], [], [0], None
+    for lineno, line in read_lines(content_path):
+        fv = line.split()[1:-1]
+        fdim = len(fv) if fdim is None else fdim
+        if len(fv) != fdim:
+            raise GraphError(f"{content_path}:{lineno}: expected {fdim} features, got {len(fv)}")
+        try:  # numpy parses each token as float() does
+            row = np.array(fv, dtype=float)
+        except ValueError:
+            raise GraphError(f"{content_path}:{lineno}: non-numeric feature value") from None
+        if not np.isfinite(row).all():  # nan, inf, or beyond float range (1e400)
+            raise GraphError(f"{content_path}:{lineno}: non-finite feature value")
+        total = row.sum()
+        row /= total if total > 0 else 1.0  # other rows stay as read: x / 1.0 is x
+        nz = np.flatnonzero(row)
+        data.append(row[nz])
+        cols.append(nz)
+        indptr.append(indptr[-1] + nz.size)
+    return sp.csr_array((np.concatenate(data), np.concatenate(cols), indptr),
+                        shape=(len(indptr) - 1, fdim))
 
 
 def cora_files(data_dir: str | None) -> tuple[str, str]:

@@ -104,14 +104,14 @@ def solve_lp(c, a_eq, b_eq, basis):
         _pivot(tab, row, j)
         by_row[row] = j
     start = np.min(tab[:m, n], initial=0.0)
-    if start < -START_TOL:
+    if not start >= -START_TOL:  # a NaN start fails too
         raise ValueError(f"basis start value {start:.3e} is below -{START_TOL:g}")
 
     _run_phase(tab, by_row, c, 200 * (m + n + 10))
     x = np.zeros(n)
     x[by_row] = tab[:m, n]
     # degenerate pivots can leave -1e-15 sized dust
-    if np.min(x) < -1e-7:
+    if not np.min(x) >= -1e-7:  # a NaN component fails too
         raise RuntimeError(f"negative component {np.min(x):.3e} in solution")
     x = np.maximum(x, 0.0)
     return x, float(c @ x)

@@ -133,7 +133,7 @@ def eig_sym(mat: np.ndarray, signals=None):
     del ly
     lapack = scipy.linalg.lapack
     # the default workspace of n runs dsytrd's unblocked code, about twice as slow
-    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    lwork = _lwork("dsytrd_lwork", lapack.dsytrd_lwork(n, lower=1)[0])
     a, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=lwork, overwrite_a=1)
     _check_info("dsytrd", info)
     if n > 1:
@@ -141,7 +141,7 @@ def eig_sym(mat: np.ndarray, signals=None):
         # reflectors lie below the subdiagonal: A(2:n, 1:n-1) with leading
         # dimension n, which is a contiguous n x (n-1) view of a's buffer
         refl = a.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
-        lwork = int(lapack.dormqr("L", "T", refl, tau, pairs[0, :, 1:].T, -1)[1][0])
+        lwork = _lwork("dormqr", lapack.dormqr("L", "T", refl, tau, pairs[0, :, 1:].T, -1)[1][0])
         for pair in pairs:  # a call per signal: each result sees no other signal
             c, _, info = lapack.dormqr("L", "T", refl, tau, pair[:, 1:].T, lwork)
             _check_info("dormqr", info)
@@ -185,6 +185,13 @@ def _check_info(routine: str, info: int) -> None:
     """LAPACK's ``info`` is 0 on success."""
     if info != 0:
         raise RuntimeError(f"{routine} failed (info {info})")
+
+
+def _lwork(routine: str, size) -> int:
+    """A workspace query's size as an int; a NaN or negative size fails."""
+    if not size >= 0:
+        raise RuntimeError(f"{routine} workspace query returned size {size}")
+    return int(size)
 
 
 def _tridiagonal_coefficients(d, e, w, scale: float):

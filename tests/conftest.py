@@ -13,6 +13,7 @@ from distsig.gnn import (
     CORA_SPLIT,
     TrainConfig,
     attach_analysis,
+    cora_features,
     cora_files,
     load_cora,
     make_split,
@@ -50,7 +51,9 @@ def k4():
 def cora():
     """Raw Cora dataset, or skip when the files are not on this machine."""
     try:
-        return load_cora(*cora_files(None))
+        content, cites = cora_files(None)
+        g, labels, classes = load_cora(content, cites)
+        return g, cora_features(content), labels, classes
     except FileNotFoundError:
         pytest.skip("raw Cora files not present (set DISTSIG_DATA_DIR)")
 

@@ -131,7 +131,9 @@ def test_cover_search_positional_signature():
 
 def test_train_receives_dense_features(tmp_path, monkeypatch, capsys):
     # the feature counter reads train's second argument with np.asarray, which
-    # raises on a sparse matrix, so tune_eta and the CLI must pass it dense
+    # raises on a sparse matrix, so the benchmark's datasets, file and sbm,
+    # must reach train dense from tune_eta and the CLI; only --dataset cora,
+    # which no workload loads, hands train a CSR matrix
     seen = []
     real_train = gnn.train
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from distsig import cli, gnn, spectral
 from distsig.cli import main
@@ -97,7 +98,8 @@ def test_empty_path_is_refused_before_any_work(monkeypatch, tmp_path, capsys, co
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the empty path was refused")
 
-    for name in ("_load_dataset", "run_bound_corpus", "_read_probs", "sbm_generate"):
+    for name in ("_load_dataset", "_load_graph", "run_bound_corpus", "_read_probs",
+                 "sbm_generate"):
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.chdir(tmp_path)
     required = {"spectrum": ["--out", "spec"], "analyze": ["--probs", "p.npy", "--out", "a.csv"],
@@ -144,7 +146,7 @@ def test_dataset_takes_only_the_options_it_reads(monkeypatch, tmp_path, capsys, 
 
     # with --dataset cora, main's --out check names the Cora files first
     for module, name in ((gnn, "cora_files"), (gnn, "load_cora"), (cli, "read_graph_file"),
-                         (gnn, "sbm_dataset")):
+                         (gnn, "sbm_dataset"), (cli, "sbm_generate")):
         monkeypatch.setattr(module, name, no_load)
     monkeypatch.chdir(tmp_path)
     # the default dataset is left out of argv, as a user would leave it out
@@ -226,7 +228,8 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(monkeypatch, tmp_
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("_load_dataset", "run_bound_corpus", "_read_probs", "sbm_generate"):
+    for name in ("_load_dataset", "_load_graph", "run_bound_corpus", "_read_probs",
+                 "sbm_generate"):
         monkeypatch.setattr(cli, name, no_work)
     out = tmp_path / "missing" / "x"
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -254,7 +257,8 @@ def test_out_that_is_a_directory_is_refused_before_any_work(monkeypatch, tmp_pat
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("_load_dataset", "run_bound_corpus", "_read_probs", "sbm_generate"):
+    for name in ("_load_dataset", "_load_graph", "run_bound_corpus", "_read_probs",
+                 "sbm_generate"):
         monkeypatch.setattr(cli, name, no_work)
     out = tmp_path / "out"
     made = tmp_path / f"out{suffix}"
@@ -332,7 +336,7 @@ def test_out_that_names_an_input_is_refused_before_any_work(monkeypatch, tmp_pat
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked against the inputs")
 
-    for name in ("_load_dataset", "_read_probs"):
+    for name in ("_load_dataset", "_load_graph", "_read_probs"):
         monkeypatch.setattr(cli, name, no_work)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv) == 2
@@ -850,16 +854,71 @@ def test_train_cora_names_the_directory_without_the_files(tmp_path, capsys, monk
 
 
 def test_train_cora_rejects_non_finite_features(tmp_path, capsys):
-    # the file is rejected as it is read, before training could meet the value
-    _write_citation_files(tmp_path)
+    # the file is rejected as it is read, before training could meet the
+    # value; spectrum never reads a feature value, so it runs
+    _write_citation_files(tmp_path, n=60)
     content = tmp_path / "cora.content"
     lines = content.read_text().splitlines(keepends=True)
     pid, _, rest = lines[1].split(" ", 2)
     lines[1] = f"{pid} nan {rest}"
     content.write_text("".join(lines))
-    rc = main(["train", "--dataset", "cora", "--data-dir", str(tmp_path), "--epochs", "2"])
+    data = ["--dataset", "cora", "--data-dir", str(tmp_path)]
+    assert main(["spectrum", *data, "--out", str(tmp_path / "spec")]) == 0
+    capsys.readouterr()
+    rc = main(["train", *data, "--epochs", "2", "--per-class", "2", "--val-size", "5",
+               "--test-size", "5"])
     assert rc == 3
-    assert "cora.content:2: non-finite feature value" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {content}:2: non-finite feature value\n"
+    assert captured.out == ""
+
+
+def test_spectrum_cora_reads_no_features(tmp_path, monkeypatch, capsys):
+    # spectrum reads the graph and the labels; the feature columns are train's
+    _write_citation_files(tmp_path, n=60)
+
+    def no_features(*args, **kwargs):
+        raise AssertionError("spectrum parsed the feature columns")
+
+    monkeypatch.setattr(gnn, "cora_features", no_features)
+    monkeypatch.setattr(gnn, "sbm_features", no_features)
+    assert main(["spectrum", "--dataset", "cora", "--data-dir", str(tmp_path),
+                 "--out", str(tmp_path / "spec")]) == 0
+    assert capsys.readouterr().out == f"wrote 2 spectrum file(s) with prefix {tmp_path}/spec\n"
+
+
+@pytest.mark.parametrize("dataset", ["cora", "file", "sbm"])
+def test_train_receives_each_datasets_features(tmp_path, monkeypatch, capsys, dataset):
+    # Cora's features reach training as cora_features' CSR, with no dense
+    # copy on the way; the file and block-model datasets' arrive dense
+    seen = []
+    real = gnn.train
+
+    def spy(g, features, *args, **kwargs):
+        seen.append(features)
+        return real(g, features, *args, **kwargs)
+
+    monkeypatch.setattr(gnn, "train", spy)
+    argv = ["train", "--epochs", "2", "--per-class", "2", "--val-size", "5", "--test-size", "5"]
+    if dataset == "cora":
+        _write_citation_files(tmp_path, n=60)
+        argv += ["--dataset", "cora", "--data-dir", str(tmp_path)]
+    elif dataset == "file":
+        assert main(["gen-sbm", "--blocks", "10,10", "--out", str(tmp_path / "g")]) == 0
+        np.save(tmp_path / "f.npy", np.eye(20))
+        argv += ["--dataset", "file", "--graph", str(tmp_path / "g.graph"),
+                 "--labels", str(tmp_path / "g.labels"), "--features", str(tmp_path / "f.npy")]
+    else:
+        argv += ["--blocks", "10,10"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    [features] = seen
+    if dataset == "cora":
+        want = gnn.cora_features(tmp_path / "cora.content")
+        assert isinstance(features, sp.csr_array)
+        assert (features != want).nnz == 0
+    else:
+        assert type(features) is np.ndarray
 
 
 def test_train_bad_variant(capsys):

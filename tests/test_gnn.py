@@ -24,6 +24,7 @@ from distsig.gnn import (
     accuracy,
     best_run,
     component_coefficients,
+    cora_features,
     gcn_forward,
     init_params,
     load_cora,
@@ -112,20 +113,34 @@ def _write(tmp_path, content=CONTENT, cites=CITES):
 
 def test_load_tiny_dataset(tmp_path):
     cp, qp = _write(tmp_path)
-    g, f, y, classes = load_cora(cp, qp)
+    g, y, classes = load_cora(cp, qp)
     assert g.n == 3 and g.m == 2
     assert g.edges == ((0, 1), (1, 2))
     assert classes == ["systems", "theory"]
     assert np.array_equal(y, [1, 0, 1])
+    f = cora_features(cp)
+    assert isinstance(f, sp.csr_array) and f.shape == (3, 3)
     # rows normalized to sum 1
     assert np.allclose(f.sum(axis=1), 1.0)
-    assert np.allclose(f[0], [0.5, 0.0, 0.5])
+    assert np.allclose(f.toarray()[0], [0.5, 0.0, 0.5])
+
+
+def test_load_cora_reads_no_feature_value(tmp_path):
+    # the graph and labels stand without the feature columns: a malformed
+    # value or a short row stops cora_features, not load_cora
+    cp, qp = _write(tmp_path, content="n1 1 0 1 a\nn2 0 zebra b\nn3 nan 1e400 1 1 a\n")
+    g, y, classes = load_cora(cp, qp)
+    assert g.edges == ((0, 1), (1, 2)) and np.array_equal(y, [0, 1, 0]) and classes == ["a", "b"]
+    with pytest.raises(GraphError) as err:
+        cora_features(cp)
+    assert str(err.value) == f"{cp}:2: expected 3 features, got 2"
 
 
 def test_load_feature_count_mismatch(tmp_path):
-    cp, qp = _write(tmp_path, content="n1 1 0 1 a\nn2 0 1 b\n")
-    with pytest.raises(GraphError, match=":2:"):
-        load_cora(cp, qp)
+    cp, _ = _write(tmp_path, content="n1 1 0 1 a\nn2 0 1 b\n")
+    with pytest.raises(GraphError) as err:
+        cora_features(cp)
+    assert str(err.value) == f"{cp}:2: expected 3 features, got 2"
 
 
 def test_load_dangling_citation(tmp_path):
@@ -141,14 +156,17 @@ def test_load_duplicate_id(tmp_path):
 
 
 def test_load_non_numeric_feature(tmp_path):
-    cp, qp = _write(tmp_path, content="n1 1 zebra 1 a\n", cites="")
-    with pytest.raises(GraphError, match="non-numeric"):
-        load_cora(cp, qp)
+    cp, _ = _write(tmp_path, content="n1 1 zebra 1 a\n", cites="")
+    with pytest.raises(GraphError) as err:
+        cora_features(cp)
+    assert str(err.value) == f"{cp}:1: non-numeric feature value"
 
 
 def test_load_features_bitwise_equal_to_float_parse(tmp_path):
     # numpy parses the tokens: the same values, bit for bit, as float() per
-    # token, including the normalization of weighted rows and zero rows
+    # token, including the normalization of weighted rows and zero rows; the
+    # CSR stores what csr_array of that dense matrix stores, and no zero, for
+    # input dropout draws one uniform per stored entry
     rng = np.random.default_rng(4)
     rows = []
     for i in range(60):
@@ -157,20 +175,28 @@ def test_load_features_bitwise_equal_to_float_parse(tmp_path):
     rows.append("zero " + " ".join(["0"] * 25) + " c0")
     rows.append("odd 1_0 １ -0 .5 1. +1 1e5 0_0.5 ١ " + " ".join(["0"] * 16) + " c1")
     rows.append("negs 1e-400 -0 " + " ".join(["0"] * 23) + " c2")
+    # 5e-324 / 2 rounds to 0, and -0 / 2 is -0: neither is stored
+    rows.append("under 5e-324 -0 1 1 " + " ".join(["0"] * 21) + " c0")
     cp, qp = _write(tmp_path, content="\n".join(rows) + "\n", cites="p0 p1\n")
-    _, f, _, _ = load_cora(cp, qp)
+    f = cora_features(cp)
     want = oracles.cora_features_by_float(cp)
-    assert f.dtype == want.dtype and f.shape == want.shape == (63, 25)
-    assert f.tobytes() == want.tobytes()
+    assert want.shape == (64, 25) and want[-1, 0] == 0.0
+    oracle = sp.csr_array(want)
+    assert isinstance(f, sp.csr_array) and f.shape == oracle.shape
+    assert np.all(f.data != 0.0) and f.nnz == oracle.nnz
+    assert f.data.tobytes() == oracle.data.tobytes()
+    assert np.array_equal(f.indices, oracle.indices)
+    assert np.array_equal(f.indptr, oracle.indptr)
+    assert f.toarray().tobytes() == np.where(want == 0.0, 0.0, want).tobytes()
 
 
 @pytest.mark.parametrize("token", ["0x1", "1__0", "_1", "1d0", "True", "1,0", "0b1", "1j"])
 def test_load_rejects_the_tokens_float_rejects(tmp_path, token):
     with pytest.raises(ValueError):
         float(token)
-    cp, qp = _write(tmp_path, content=f"n1 1 0 1 a\nn2 0 {token} 1 b\n", cites="")
+    cp, _ = _write(tmp_path, content=f"n1 1 0 1 a\nn2 0 {token} 1 b\n", cites="")
     with pytest.raises(GraphError) as err:
-        load_cora(cp, qp)
+        cora_features(cp)
     assert str(err.value) == f"{cp}:2: non-numeric feature value"
 
 
@@ -178,16 +204,45 @@ def test_load_rejects_the_tokens_float_rejects(tmp_path, token):
 def test_load_rejects_non_finite_tokens(tmp_path, token):
     # float() parses these (1e400 overflows to inf), but no feature may be
     # non-finite: training would fail on its first forward pass
-    cp, qp = _write(tmp_path, content=f"n1 1 0 1 a\nn2 0 {token} 1 b\n", cites="")
+    cp, _ = _write(tmp_path, content=f"n1 1 0 1 a\nn2 0 {token} 1 b\n", cites="")
     with pytest.raises(GraphError) as err:
-        load_cora(cp, qp)
+        cora_features(cp)
     assert str(err.value) == f"{cp}:2: non-finite feature value"
+
+
+def test_cora_loaders_peak_memory(tmp_path, run_python):
+    # a Cora-shaped pair: 2,708 nodes, 1,433 features at about 1.3% density.
+    # Its dense feature matrix is 31 MB; the graph, the labels and the CSR
+    # features together must grow the peak by less than that one matrix
+    n, d = 2708, 1433
+    rng = np.random.default_rng(0)
+    content = tmp_path / "cora.content"
+    with open(content, "w") as fh:
+        for i in range(n):
+            bits = np.where(rng.random(d) < 0.013, "1", "0")
+            fh.write(f"p{i} {' '.join(bits)} c{i % 7}\n")
+    cites = tmp_path / "cora.cites"
+    cites.write_text("".join(f"p{i % n} p{(i * 7 + 1) % n}\n" for i in range(2 * n)))
+    tiny, tiny_cites = _write(tmp_path)
+    out = run_python(f"""
+        from distsig.gnn import cora_features, load_cora
+
+        load_cora({str(tiny)!r}, {str(tiny_cites)!r})
+        cora_features({str(tiny)!r})  # loads scipy.sparse
+        before = peak_rss()
+        g, y, _ = load_cora({str(content)!r}, {str(cites)!r})
+        f = cora_features({str(content)!r})
+        print(g.n, f.shape[1], f.nnz, peak_rss() - before)
+    """)
+    nodes, dim, nnz, grown = map(int, out.split())
+    assert (nodes, dim) == (n, d) and 0.012 < nnz / (n * d) < 0.014
+    assert grown < n * d * 8, f"peak RSS grew by {grown / 2**20:.1f} MB"
 
 
 def test_load_empty_cites_warns(tmp_path, caplog):
     cp, qp = _write(tmp_path, cites="")
     with caplog.at_level("WARNING", logger="distsig.gnn"):
-        g, _, _, _ = load_cora(cp, qp)
+        g, _, _ = load_cora(cp, qp)
     assert g.m == 0
     assert any("empty cites" in r.message for r in caplog.records)
 
@@ -195,7 +250,7 @@ def test_load_empty_cites_warns(tmp_path, caplog):
 def test_load_self_citation_skipped(tmp_path, caplog):
     cp, qp = _write(tmp_path, cites="n1 n1\nn1 n2\n")
     with caplog.at_level("WARNING", logger="distsig.gnn"):
-        g, _, _, _ = load_cora(cp, qp)
+        g, _, _ = load_cora(cp, qp)
     assert g.edges == ((0, 1),)
     assert any("self-citation" in r.message for r in caplog.records)
 
@@ -211,7 +266,7 @@ def test_load_non_utf8_file(tmp_path, which):
 
 def test_load_repeated_citation_collapses(tmp_path):
     cp, qp = _write(tmp_path, cites="n1 n2\nn2 n1\n")
-    g, _, _, _ = load_cora(cp, qp)
+    g, _, _ = load_cora(cp, qp)
     assert g.edges == ((0, 1),)
 
 
@@ -227,7 +282,7 @@ def test_load_builds_the_graph_build_graph_builds(tmp_path):
     content = "".join(f"{name} 1 0 c{i % 2}\n" for i, name in enumerate(names))
     cp, qp = _write(tmp_path, content=content,
                     cites="".join(f"{names[a]} {names[b]}\n" for a, b in pairs))
-    g, _, _, _ = load_cora(cp, qp)
+    g, _, _ = load_cora(cp, qp)
     first = {}
     for a, b in pairs:
         if a != b:

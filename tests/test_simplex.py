@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from distsig import simplex
 from distsig.distributional import BOUND_CORPUS, Marginals, random_bound_instance, tv_exact
 from distsig.graph import build_graph
 from distsig.simplex import PIVOT_TOL, UnboundedError, solve_lp
@@ -103,6 +104,8 @@ def test_dimension_mismatch():
     ([[1.0, 1.0, 0.0], [0.0, 0.0, 1e-13]], [1.0, 0.0], [0, 2], "column 2 has no pivot above 1e-12"),
     # x1 = -3e-9 at the start, beyond the -2.001e-9 that row-sum gaps can give
     ([[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0 + 3e-9], [0, 1], "start value -3.000e-09 is below -2.001e-09"),
+    # a NaN start value is refused as well, not compared as False and let through
+    ([[1.0, 1.0], [0.0, 1.0]], [1.0, np.nan], [0, 1], "start value nan is below -2.001e-09"),
 ])
 def test_bad_basis_refused_before_any_optimization(monkeypatch, a, b, basis, match):
     ran = []
@@ -110,6 +113,20 @@ def test_bad_basis_refused_before_any_optimization(monkeypatch, a, b, basis, mat
     with pytest.raises(ValueError, match=match):
         solve_lp(np.zeros(len(a[0])), a, b, basis)
     assert not ran
+
+
+def test_a_nan_in_the_solution_is_refused(monkeypatch):
+    # the sign check asks "not min(x) >= bound", which a NaN component fails
+    real = simplex._run_phase
+
+    def planting(tab, basis, cost, max_iter):
+        red = real(tab, basis, cost, max_iter)
+        tab[0, -1] = np.nan  # the value of row 0's basic variable
+        return red
+
+    monkeypatch.setattr(simplex, "_run_phase", planting)
+    with pytest.raises(RuntimeError, match=r"^negative component nan in solution$"):
+        solve_lp([2.0, 1.0], [[1.0, 1.0]], [1.0], [0])
 
 
 def test_redundant_row_dropped():

@@ -363,18 +363,19 @@ def test_laplacian_coefficients_reject_a_negative_eigenvalue(monkeypatch):
 
 @pytest.mark.parametrize("module, routine, out", [
     ("linalg", "eigh", 0), ("linalg", "eigh", 1),
+    ("lapack", "dsytrd_lwork", 0),
     ("lapack", "dsytrd", 0), ("lapack", "dsytrd", 1), ("lapack", "dsytrd", 2),
     ("lapack", "dsytrd", 3),
     ("lapack", "dormqr", 0), ("lapack", "dormqr", 1),
     ("lapack", "dstevd", 0), ("lapack", "dstevd", 1),
     ("blas", "dsymm", None),
-], ids=["eigh-w", "eigh-v", "dsytrd-a", "dsytrd-d", "dsytrd-e", "dsytrd-tau",
-        "dormqr-c", "dormqr-work", "dstevd-w", "dstevd-z", "dsymm-c"])
+], ids=["eigh-w", "eigh-v", "dsytrd_lwork-work", "dsytrd-a", "dsytrd-d", "dsytrd-e",
+        "dsytrd-tau", "dormqr-c", "dormqr-work", "dstevd-w", "dstevd-z", "dsymm-c"])
 def test_a_nan_in_any_factor_fails_a_check(monkeypatch, module, routine, out):
     # each float output of each LAPACK and BLAS call of both routes in turn
     # gets a NaN at its third entry in memory order (dsytrd's a(3, 1) holds a
-    # reflector, and dormqr's workspace query returns one entry); the check
-    # that fails names the NaN it saw
+    # reflector; a workspace query returns one entry, its size); the check
+    # that fails names the NaN it saw, and a size's check names the routine
     lib = {"linalg": scipy.linalg, "lapack": scipy.linalg.lapack, "blas": scipy.linalg.blas}
     real = getattr(lib[module], routine)
 
@@ -388,11 +389,14 @@ def test_a_nan_in_any_factor_fails_a_check(monkeypatch, module, routine, out):
 
     monkeypatch.setattr(lib[module], routine, with_nan)
     g, _ = sbm_generate([30, 30], 0.3, 0.05, seed=6)
-    with pytest.raises((RuntimeError, ValueError), match=r"(?i)\bnan\b"):
+    with pytest.raises((RuntimeError, ValueError), match=r"(?i)\bnan\b") as err:
         if routine == "eigh":
             laplacian_spectrum(g)
         else:
             laplacian_coefficients(g, _unit_signals(g.n, 0))
+    if routine == "dsytrd_lwork" or (routine, out) == ("dormqr", 1):
+        assert err.type is RuntimeError
+        assert str(err.value) == f"{routine} workspace query returned size nan"
 
 
 @pytest.mark.parametrize("signals", [False, True], ids=["eigenvectors", "coefficients"])
