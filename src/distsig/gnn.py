@@ -217,9 +217,9 @@ SBM_FEAT_DIM = 64
 
 
 def sbm_features(n: int) -> np.ndarray:
-    """One-hot of node id modulo ``SBM_FEAT_DIM``."""
-    f = np.zeros((n, SBM_FEAT_DIM))
-    f[np.arange(n), np.arange(n) % SBM_FEAT_DIM] = 1.0
+    """Bool one-hot of node id modulo ``SBM_FEAT_DIM``; training reads it as float CSR."""
+    f = np.zeros((n, SBM_FEAT_DIM), dtype=bool)
+    f[np.arange(n), np.arange(n) % SBM_FEAT_DIM] = True
     return f
 
 
@@ -244,7 +244,9 @@ def make_split(labels, per_class: int, val_size: int, test_size: int, seed: int)
             )
         train.extend(rng.permutation(idx)[:per_class].tolist())
     train_arr = np.array(sorted(train), dtype=np.int64)
-    pool = np.setdiff1d(np.arange(labels.shape[0]), train_arr)
+    in_pool = np.ones(labels.shape[0], dtype=bool)
+    in_pool[train_arr] = False
+    pool = np.flatnonzero(in_pool)
     if pool.size < val_size + test_size:
         raise ValueError(
             f"pool of {pool.size} nodes cannot supply val={val_size} + test={test_size}"

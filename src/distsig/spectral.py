@@ -10,9 +10,12 @@ from .graph import Graph, edge_sum, laplacian_sparse
 # eigenpair residual bound per unit of operator scale; eigenvalues closer
 # than this (scaled) are one eigenspace as far as the checks can tell
 _RESID_TOL = 1e-8
-# rows (columns) per block of eig_sym's row (column) passes: slices of 64 x n
-# instead of n x n temporaries, which the allocator may keep after they are freed
-_CHECK_ROWS = 64
+# rows and columns per tile of the input check, which takes tile (i, j) with
+# tile (j, i) in one pass over the pair, and no n x n temporary, which the
+# allocator may keep after it is freed
+_SCALE_TILE = 256
+# columns of Z per block of the coefficient and residual pass
+_COEF_COLS = 16
 # columns per panel of the check Z^T Z = I, so no n x n Gram sits beside Z
 _GRAM_COLS = 512
 
@@ -47,20 +50,21 @@ def _checked_scale(mat: np.ndarray) -> float:
     """max(1, largest |entry|) of ``mat``, which must be a non-empty, square,
     finite and symmetric matrix (ValueError otherwise).
 
-    Reads slices of ``_CHECK_ROWS`` x n, never an n x n temporary.
+    Reads tiles of ``_SCALE_TILE`` x ``_SCALE_TILE``, never an n x n temporary.
     """
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise ValueError(f"need a non-empty square matrix, got shape {mat.shape}")
-    blocks = range(0, mat.shape[0], _CHECK_ROWS)
-    # np.max and np.min keep a NaN, which the builtin max may drop
-    top = np.max([max(np.max(mat[i:i + _CHECK_ROWS]), -np.min(mat[i:i + _CHECK_ROWS]))
-                  for i in blocks])
+    top = asym = 0.0  # np.maximum keeps a NaN, which the builtin max may drop
+    for i in range(0, mat.shape[0], _SCALE_TILE):
+        for j in range(i, mat.shape[0], _SCALE_TILE):  # tile (i, j) against (j, i) transposed
+            upper = mat[i:i + _SCALE_TILE, j:j + _SCALE_TILE]
+            lower = mat[j:j + _SCALE_TILE, i:i + _SCALE_TILE]
+            for tile in (upper, lower):
+                top = np.maximum(top, np.maximum(np.max(tile), -np.min(tile)))
+            diff = upper - lower.T
+            asym = np.maximum(asym, np.max(np.abs(diff, out=diff)))
     if not np.isfinite(top):
         raise ValueError("non-finite entries")
-    asym = 0.0
-    for i in blocks:  # row block i against column block i transposed covers every (j, k) pair
-        diff = mat[i:i + _CHECK_ROWS] - mat[:, i:i + _CHECK_ROWS].T
-        asym = max(asym, float(np.max(diff)), -float(np.min(diff)))
     if asym > 1e-10:
         raise ValueError(f"matrix not symmetric (max asymmetry {asym:.3e})")
     return max(1.0, float(top))
@@ -211,16 +215,16 @@ def _tridiagonal_coefficients(d, e, w, scale: float):
     # the number of signals, their alignment and the thread count
     coefs = np.empty(w.shape)
     resid = 0.0  # np.maximum keeps a NaN, which the builtin max may drop
-    for j in range(0, n, _CHECK_ROWS):  # column blocks of Z
-        zb = z[:, j:j + _CHECK_ROWS]
-        r = np.subtract.outer(vals[j:j + _CHECK_ROWS], d).T  # Z diag(vals) - T Z
+    for j in range(0, n, _COEF_COLS):  # column blocks of Z
+        zb = z[:, j:j + _COEF_COLS]
+        r = np.subtract.outer(vals[j:j + _COEF_COLS], d).T  # Z diag(vals) - T Z
         r *= zb
         r[1:] -= e[:, None] * zb[:-1]
         r[:-1] -= e[:, None] * zb[1:]
         resid = np.maximum(resid, np.maximum(np.max(r), -np.min(r)))
         for i, y in enumerate(w):
-            np.sum(zb * y[:, None], axis=0, out=coefs[i, j:j + _CHECK_ROWS])
-        coefs[:, j:j + _CHECK_ROWS] *= _column_signs(zb)  # times +-1: exact
+            np.sum(zb * y[:, None], axis=0, out=coefs[i, j:j + _COEF_COLS])
+        coefs[:, j:j + _COEF_COLS] *= _column_signs(zb)  # times +-1: exact
     if not resid <= _RESID_TOL * scale:
         raise RuntimeError(f"eigenpair residual {resid:.3e} too large")
     coefs = coefs.T

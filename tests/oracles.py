@@ -13,8 +13,9 @@ on plain n x C arrays (at ``gnn.DROPOUT`` and ``gnn.WEIGHT_DECAY`` as read
 at call time, so a test may patch them), the one-model-at-a-time training
 loop, the all-pairs block-model sampler, the dict-lookup induced subgraph,
 the propagation matrix scaled by its CSR row sums, the per-token
-``float()`` parse of Cora features and the fuzz-instance draw that lists
-its candidate pairs with ``np.triu_indices``.
+``float()`` parse of Cora features, the fuzz-instance draw that lists
+its candidate pairs with ``np.triu_indices`` and the split whose val/test
+pool is ``np.setdiff1d`` of the training nodes.
 """
 
 import itertools
@@ -442,3 +443,16 @@ def cora_features_by_float(content_path):
     nz = rs > 0
     f[nz] = f[nz] / rs[nz][:, None]
     return f
+
+
+def make_split_by_setdiff(labels, per_class, val_size, test_size, seed):
+    """``gnn.make_split`` with its val/test pool taken by ``np.setdiff1d``."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng((seed, 17))
+    train = []
+    for cls in np.unique(labels):
+        train.extend(rng.permutation(np.flatnonzero(labels == cls))[:per_class].tolist())
+    train_arr = np.array(sorted(train), dtype=np.int64)
+    perm = rng.permutation(np.setdiff1d(np.arange(labels.shape[0]), train_arr))
+    return gnn.Split(train_arr, np.sort(perm[:val_size]),
+                     np.sort(perm[val_size:val_size + test_size]))

@@ -61,6 +61,10 @@ def test_traced_run_reports_work_counters(tmp_path, capsys):
                  "simplex.lp_columns", "spectral.eig_sym.n", "gnn.feature_nnz", "gnn.epochs"):
         assert metrics[name] > 0, name
     assert metrics["gnn.epochs"] == 2  # the eta grid trains as one stack
+    # the block model's one-hot: one indicator per node, counted at float64's
+    # size, so a feature type the counter reads otherwise fails here
+    assert metrics["gnn.feature_nnz"] == 40
+    assert metrics["gnn.feature_bytes_dense"] == 40 * 64 * 8
     assert metrics["graph.trees_enumerated"] == report["tree_count"]
     # the cover search gets one packed mask per tree over the host's edges;
     # a mask list of another length, such as the table's transpose, would

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import oracles
 from distsig import cli, gnn, spectral
 from distsig.gnn import (
+    CORA_SPLIT,
     ETA_GRID,
     SBM_4BLOCK,
     SBM_ETA_GRID,
@@ -76,6 +77,21 @@ def test_split_insufficient_class():
 def test_split_insufficient_pool():
     with pytest.raises(ValueError, match="pool"):
         make_split(_balanced_labels(2, 10), 5, 8, 8, seed=0)
+
+
+@pytest.mark.parametrize("labels, sizes", [
+    (_balanced_labels(4, 50), SBM_SPLIT),  # the 4-block model's labels
+    (np.random.default_rng(0).integers(0, 7, 2709), CORA_SPLIT),
+], ids=["4-block", "7-block"])
+def test_split_equals_setdiff_oracle(labels, sizes):
+    # the pool is a boolean mask over the nodes: the same sorted int64 nodes
+    # as np.setdiff1d, so the same permutation draws the same val and test
+    for seed in range(50):
+        got = make_split(labels, *sizes, seed)
+        want = oracles.make_split_by_setdiff(labels, *sizes, seed)
+        for name in ("train", "val", "test"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), (seed, name)
 
 
 def test_split_deterministic():
@@ -295,6 +311,7 @@ def test_load_builds_the_graph_build_graph_builds(tmp_path):
 def test_sbm_features_wrap():
     f = sbm_features(70)
     assert f.shape == (70, 64)
+    assert f.dtype == bool and f.nbytes == 70 * 64  # one byte per indicator
     assert np.array_equal(f[65], f[1])
     assert np.all(f.sum(axis=1) == 1.0)
 
@@ -481,6 +498,22 @@ def test_eta_zero_equals_plain_gcn():
             assert m.final_probs.tobytes() == plain.final_probs.tobytes(), variant
         best, _ = tune_eta(g, f, y, split, cfg, analysis=False)
         assert best_run(tuned).to_json_dict() == best.to_json_dict(), variant
+
+
+def test_bool_one_hot_trains_as_its_float_copy():
+    # _SparseInput reads the bool one-hot as the float CSR of its float copy,
+    # so every curve and output is the same, alone and in a stack
+    g, f, y, split = _toy_setup()
+    assert f.dtype == bool
+    cfg = TrainConfig(variant="r", epochs=5)
+    for etas in (None, (0.0, 0.1, 1.0)):
+        got = train(g, f, y, split, cfg, etas=etas, analysis=False)
+        want = train(g, f.astype(float), y, split, cfg, etas=etas, analysis=False)
+        if etas is None:
+            got, want = [got], [want]
+        for a, b in zip(got, want, strict=True):
+            assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+            assert a.final_probs.tobytes() == b.final_probs.tobytes()
 
 
 def test_train_deterministic():
