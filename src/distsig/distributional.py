@@ -291,6 +291,9 @@ def check_tv_bounds(g: Graph, marginals) -> dict:
 
     Returns a JSON-ready report with all values, per-inequality margins, any
     violations, and whether the weaker sqrt(|S|*n) tail constant also holds.
+    It names what the chain keeps of its searches: the (tree, root) that
+    attains ``tghv_min``, the first in row-major order, and the cover's
+    trees, each tree as its list of [u, v] edges.
     """
     tol = 1e-9
     nn = _checked_marginals(g, marginals)
@@ -299,7 +302,9 @@ def check_tv_bounds(g: Graph, marginals) -> dict:
     # enumerated here, before the bounds read the cached table, so that a
     # traced run times the enumeration and counts its trees under its own name
     trees = enumerate_spanning_trees(g)
-    tghv_min = float(tv_tree_rooted(g, nn).min())
+    rooted = tv_tree_rooted(g, nn)
+    tghv_tree, tghv_root = divmod(int(rooted.argmin()), g.n)  # the first minimum, row-major
+    tghv_min = float(rooted[tghv_tree, tghv_root])
     _, c1 = clique_number_complement(g)
     tcov, cover = tv_cover(g, nn, size_cap=cover_size_cap(c1))
     c3 = math.sqrt(nn.m * g.m)
@@ -314,19 +319,23 @@ def check_tv_bounds(g: Graph, marginals) -> dict:
     margins = {name: float(rhs - lhs) for name, lhs, rhs in checks}
     violations = [name for name, lhs, rhs in checks if lhs > rhs + tol]
     c3_paper = math.sqrt(nn.m * g.n)
+    pairs = np.column_stack(g.endpoints)
     return {
-        "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
+        "graph": {"n": g.n, "edges": pairs.tolist()},
         "marginals": nn.matrix.tolist(),
         "tg1": tg1,
         "tg2": tg2,
         "tg_exact": tg,
         "tcov": tcov,
         "tghv_min": tghv_min,
+        "tghv_tree": pairs[trees[tghv_tree]].tolist(),
+        "tghv_root": tghv_root,
         "c1": c1,
         "c3": c3,
         "violations": violations,
         "margins": margins,
         "cover_size": len(cover),
+        "cover_trees": [pairs[trees[t]].tolist() for t in cover],
         "tree_count": len(trees),
         "c3_paper_holds": bool(tg1 <= c3_paper * math.sqrt(tg2) + tol),
     }

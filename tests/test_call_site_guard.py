@@ -11,6 +11,11 @@
   ``spectral.laplacian_coefficients``: each route densifies the Laplacian
   once, in Fortran order, which LAPACK's working copy takes without a
   transpose.
+
+One attribute belongs to one module: ``Graph``'s stored edge array is read
+only in ``graph.py``.  Every other module, script and benchmark file reads
+``endpoints``, ``edges``, ``m`` and ``n``, so the storage format can change
+in one place.
 """
 
 import ast
@@ -18,7 +23,11 @@ from pathlib import Path
 
 import pytest
 
-LIBRARY = Path(__file__).resolve().parents[1] / "src" / "distsig"
+from distsig.graph import build_graph
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "distsig"
+EDGE_FIELD = "_uv"  # Graph's stored edge array
 
 
 def _calls(tree, name):
@@ -43,3 +52,17 @@ def test_called_only_inside(name, owners):
             owner = top.name if isinstance(top, ast.FunctionDef) else None
             found += [(path.stem, owner, call.lineno) for call in _calls(top, name)]
     assert [(module, owner) for module, owner, _ in found] == owners, found
+
+
+def test_only_graph_reads_the_edge_array():
+    assert EDGE_FIELD in vars(build_graph(2, [(0, 1)]))  # the guard names the real field
+    readers = set()
+    paths = sorted(LIBRARY.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")) \
+        + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # an attribute read, or a name string as getattr would take it
+            if (isinstance(node, ast.Attribute) and node.attr == EDGE_FIELD
+                    or isinstance(node, ast.Constant) and node.value == EDGE_FIELD):
+                readers.add(path.relative_to(ROOT).as_posix())
+    assert readers == {"src/distsig/graph.py"}

@@ -60,7 +60,7 @@ CORA_NODES = 300
 
 GOLDEN = {
     "bounds": {
-        "bounds.json": "98f2b6e7c0d9eab571a7225d3ca94868292c07c97d7858745352e8de498242e2",
+        "bounds.json": "45159a971ac6630c0b845ffdeb3678066b12acaeac5e801e9e65b143d147791b",
         "bounds.stdout": "74481263d2d154dbb737c0b7c23b6904cdf45e4c1506fd59fb1460cdd031821c",
     },
     "sbm-tune": {

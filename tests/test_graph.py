@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from distsig import graph
 from distsig.distributional import BOUND_CORPUS, random_bound_instance, run_bound_corpus
-from distsig.gnn import SBM_4BLOCK
+from distsig.gnn import SBM_4BLOCK, load_cora
 from distsig.graph import (
     TREE_CAP,
     TREE_SUBSET_CAP,
@@ -195,6 +196,58 @@ def test_endpoints_follow_edge_order():
     with pytest.raises(ValueError):
         u[0] = 5
     assert build_graph(3, []).endpoints[0].shape == (0,)
+
+
+def test_producers_keep_no_per_edge_object(tmp_path):
+    # each producer hands Graph its edges as one index array: a new graph
+    # keeps them in one read-only array, and no tuple
+    content, cites = tmp_path / "x.content", tmp_path / "x.cites"
+    content.write_text("p0 1 0 a\np1 0 1 b\np2 1 1 a\np3 0 1 b\n")
+    cites.write_text("p1 p0\np0 p1\np3 p1\np2 p0\n")
+    producers = {
+        "build_graph": lambda: build_graph(4, [(2, 3), (0, 2), (1, 0)]),
+        "build_graph, array": lambda: build_graph(4, np.array([[3, 2], [1, 0]])),
+        "sbm_generate": lambda: sbm_generate(*SBM_4BLOCK, seed=0)[0],
+        "main_component": lambda: main_component(sbm_generate(*SBM_4BLOCK, seed=0)[0])[0],
+        "load_cora": lambda: load_cora(content, cites)[0],
+        "no edges": lambda: build_graph(3, []),
+    }
+    for name, make in producers.items():
+        g = make()
+        held = list(vars(g).values())
+        assert not any(isinstance(v, tuple) for v in held), name
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and not arrays[0].flags.writeable, name
+        assert arrays[0].nbytes == 2 * g.m * np.dtype(np.intp).itemsize, name
+
+
+def test_sbm_graph_retained_memory():
+    # 8 block-model graphs, about 5,000 edges, keep at most 24 bytes per
+    # edge: the edge array's 16 and each graph's fixed cost.  A tuple of
+    # Python-int pairs kept about 58
+    sbm_generate(*SBM_4BLOCK, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graphs = [sbm_generate(*SBM_4BLOCK, seed=s)[0] for s in range(8)]
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    edges = sum(g.m for g in graphs)
+    assert kept <= 24 * edges, f"{kept / edges:.1f} bytes per edge"
+
+
+def test_build_graph_of_a_shuffled_copy_equals_the_graph():
+    g = sbm_generate(*SBM_4BLOCK, seed=4)[0]
+    rng = np.random.default_rng(0)
+    pairs = np.column_stack(g.endpoints)[rng.permutation(g.m)]
+    flip = rng.random(g.m) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    assert build_graph(g.n, pairs) == g
+    assert build_graph(g.n, [tuple(e) for e in pairs.tolist()]) == g
+    # equality reads the node count and every edge
+    assert build_graph(g.n + 1, pairs) != g
+    assert build_graph(g.n, pairs[1:]) != g
 
 
 def test_laplacian_p2(p2):
