@@ -2,13 +2,13 @@
 """Full citation-network study: all variants, multiple seeds, tuned eta.
 
 Needs the raw files (cora.content, cora.cites) under DISTSIG_DATA_DIR or
---data-dir.  For every variant and seed, eta is picked by validation accuracy
-over the standard grid; the plain model trains once per seed.  Once every
-run has trained, one main-component decomposition serves the output analysis
-of all of them.  Writes one metrics JSON per (variant, seed) plus a summary
-CSV, and prints the mean/std accuracy table alongside the column-1
-high-frequency fractions and the near-uniform/near-one entry counts of the
-final outputs.
+--data-dir.  The runs are one ``gnn.cora_study`` call, the protocol of
+acceptance criteria 7b-9: for every variant (each named once) and seed, eta
+is picked by validation accuracy over the standard grid, and one
+main-component decomposition serves the output analysis of all runs.  Writes
+one metrics JSON per (variant, seed) plus a summary CSV, and prints the
+mean/std accuracy table alongside the column-1 high-frequency fractions and
+the near-uniform/near-one entry counts of the final outputs.
 """
 
 import argparse
@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from distsig.cli import EXIT_IO, EXIT_USAGE, _path, _positive, _write_json
-from distsig.gnn import (CORA_SPLIT, VARIANTS, TrainConfig, attach_analysis, cora_features,
-                         cora_files, load_cora, make_split, tune_eta)
+from distsig.gnn import (CORA_SPLIT, VARIANTS, cora_features, cora_files, cora_study, load_cora,
+                         make_split)
 from distsig.graph import GraphError
 
 
@@ -33,8 +33,9 @@ def main():
     ap.add_argument("--out-dir", type=_path, default="cora_runs")
     args = ap.parse_args()
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if not variants or any(v not in VARIANTS for v in variants):
-        ap.error(f"--variants must name some of {','.join(VARIANTS)}, got {args.variants!r}")
+    if not variants or set(variants) - set(VARIANTS) or len(set(variants)) < len(variants):
+        ap.error(f"--variants must name some of {','.join(VARIANTS)}, each once, "
+                 f"got {args.variants!r}")
     part = args.out_dir  # its nearest existing part: makedirs needs a directory there
     while not os.path.exists(part) and os.path.dirname(part) not in ("", part):
         part = os.path.dirname(part)
@@ -44,23 +45,21 @@ def main():
 
     try:
         content, cites = cora_files(args.data_dir)
-        g, labels, _ = load_cora(content, cites)
+        g, labels = load_cora(content, cites)
         features = cora_features(content)
     except (FileNotFoundError, GraphError) as exc:  # no files, or malformed ones
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        splits = [make_split(labels, *CORA_SPLIT, seed) for seed in range(args.seeds)]
+    try:  # the study draws these splits again, after the output directory is made
+        for seed in range(args.seeds):
+            make_split(labels, *CORA_SPLIT, seed)
     except ValueError as exc:  # the citation pair is too small for the split
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out_dir, exist_ok=True)
 
     t0 = time.perf_counter()
-    runs = {(variant, seed): tune_eta(g, features, labels, split,
-                                      TrainConfig(variant=variant, seed=seed), analysis=False)[0]
-            for variant in variants for seed, split in enumerate(splits)}
-    attach_analysis(g, list(runs.values()))  # one decomposition for every run
+    runs = cora_study(g, features, labels, variants, range(args.seeds))
 
     rows = []
     for variant in variants:

@@ -102,9 +102,9 @@ def _given(values, defaults) -> list:
 
 
 def _load_graph(args):
-    """Resolve --dataset into (graph, labels): all that ``spectrum`` reads."""
+    """Resolve --dataset into (graph, labels): all that ``spectrum`` and ``gen-sbm`` read."""
     if args.dataset == "cora":
-        return _read(gnn.load_cora, *gnn.cora_files(args.data_dir))[:2]
+        return _read(gnn.load_cora, *gnn.cora_files(args.data_dir))
     if args.dataset == "sbm":
         return sbm_generate(*_given((args.blocks, args.p_in, args.p_out), gnn.SBM_4BLOCK),
                             args.seed)
@@ -273,8 +273,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen_sbm(args) -> int:
-    g, y = sbm_generate(*_given((args.blocks, args.p_in, args.p_out), gnn.SBM_4BLOCK),
-                        args.seed)
+    g, y = _load_graph(args)
     write_graph_file(f"{args.out}.graph", g)
     write_labels_file(f"{args.out}.labels", y)
     print(f"wrote {args.out}.graph ({g.n} nodes, {g.m} edges) and {args.out}.labels")
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sbm_args(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=_path, required=True, help="output path prefix")
-    p.set_defaults(func=cmd_gen_sbm)
+    p.set_defaults(func=cmd_gen_sbm, dataset="sbm")
     return ap
 
 
@@ -392,7 +391,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_USAGE
     try:
-        dataset = getattr(args, "dataset", None)  # gen-sbm reads its options without one
+        dataset = getattr(args, "dataset", None)  # bounds and analyze read no dataset
         for reader, options in _DATASET_OPTIONS.items():
             for dest in options:
                 if dataset not in (None, reader) and getattr(args, dest, None) is not None:

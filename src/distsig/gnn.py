@@ -125,7 +125,7 @@ def load_cora(content_path, cites_path):
 
     Content lines: id, features (which ``cora_features`` reads), class label.
     Cites lines: "cited citing" id pairs, mapped to undirected simple edges.
-    Returns (graph, integer labels, class names).
+    Returns (graph, integer labels), the labels numbered in sorted class-name order.
     """
     ids: dict[str, int] = {}
     labels_raw: list[str] = []
@@ -167,7 +167,7 @@ def load_cora(content_path, cites_path):
     # one key per (min, max) pair: unique keys, sorted, are the canonical edges
     n = len(ids)
     keys = np.unique(np.array(heads, dtype=np.intp) * n + np.array(tails, dtype=np.intp))
-    return Graph(n, np.stack(np.divmod(keys, n))), y, classes
+    return Graph(n, np.stack(np.divmod(keys, n))), y
 
 
 def cora_features(content_path):
@@ -629,6 +629,23 @@ def sbm_trend(setup, seed: int, variant: str) -> tuple[Metrics, Metrics]:
     base, *tuned = train(g, f, y, split, TrainConfig(variant=variant, seed=seed),
                          etas=(0.0,) + SBM_ETA_GRID, analysis=False)
     return base, best_run(tuned)
+
+
+def cora_study(g, features, labels, variants, seeds) -> dict[tuple[str, int], Metrics]:
+    """The citation-network study: ``{(variant, seed): tuned run}``.
+
+    Draws every seed's ``CORA_SPLIT`` split before any training, so data too
+    small for the split fails before any work.  Each run is ``tune_eta``'s pick over
+    ``ETA_GRID`` for ``TrainConfig(variant=variant, seed=seed)``; for ``gcn``
+    that is the one model at the default eta.  One ``attach_analysis`` call,
+    one decomposition, then analyses every run.
+    """
+    splits = {seed: make_split(labels, *CORA_SPLIT, seed) for seed in seeds}
+    runs = {(v, seed): tune_eta(g, features, labels, split, TrainConfig(variant=v, seed=seed),
+                                analysis=False)[0]
+            for v in variants for seed, split in splits.items()}
+    attach_analysis(g, list(runs.values()))
+    return runs
 
 
 def tune_eta(g, features, labels, split, cfg: TrainConfig, grid=ETA_GRID, *,

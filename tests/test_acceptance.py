@@ -15,8 +15,10 @@ from distsig.distributional import BOUND_CORPUS, optimal_coupling, run_bound_cor
 from distsig.gnn import (
     SBM_4BLOCK,
     SBM_ETA_GRID,
+    VARIANTS,
     GcnParams,
     TrainConfig,
+    cora_study,
     laplacian_sparse,
     loss_and_grad,
     make_split,
@@ -205,9 +207,20 @@ def test_criterion_7a_block_model_trend():
 CORA_SEEDS = range(5)
 
 
+@pytest.fixture(scope="module")
+def cora_runs(cora):
+    # the protocol (splits, tuned runs, one analysis) lives in gnn.cora_study,
+    # which scripts/run_cora_suite.py also runs; _elapsed is its training
+    # and analysis together
+    t0 = time.perf_counter()
+    runs = cora_study(*cora, VARIANTS, CORA_SEEDS)
+    runs["_elapsed"] = time.perf_counter() - t0
+    return runs
+
+
 def test_criterion_7b_cora_accuracy(cora_runs):
-    base = [cora_runs.run("gcn", s).test_acc for s in CORA_SEEDS]
-    reg = [cora_runs.tuned("r", s).test_acc for s in CORA_SEEDS]
+    base = [cora_runs["gcn", s].test_acc for s in CORA_SEEDS]
+    reg = [cora_runs["r", s].test_acc for s in CORA_SEEDS]
     mean_base = float(np.mean(base))
     mean_gain = float(np.mean(reg) - mean_base)
     ok = 0.79 <= mean_base <= 0.83 and mean_gain >= 0.01
@@ -219,12 +232,12 @@ def test_criterion_7b_cora_accuracy(cora_runs):
 
 def test_criterion_7c_cora_ablation(cora_runs):
     means = {
-        v: float(np.mean([cora_runs.tuned(v, s).test_acc for s in CORA_SEEDS]))
+        v: float(np.mean([cora_runs[v, s].test_acc for s in CORA_SEEDS]))
         for v in ("r", "r1", "r2", "r3")
     }
     ok = (means["r"] >= means["r2"] and means["r"] >= means["r1"]
           and all(means["r3"] < means[v] for v in ("r", "r1", "r2")))
-    elapsed = cora_runs.train_seconds
+    elapsed = cora_runs["_elapsed"]
     _line("7c", ok, f"cora ablation means r {means['r']:.4f}, r1 {means['r1']:.4f}, "
                     f"r2 {means['r2']:.4f}, r3 {means['r3']:.4f}; need r >= r1, "
                     f"r >= r2, r3 strictly worst; cumulative training "
@@ -240,8 +253,8 @@ def test_criterion_8_cora_spectral_shrinkage(cora_runs):
     wins = 0
     pairs = []
     for s in CORA_SEEDS:
-        hf_base = cora_runs.run("gcn", s).hf_fraction_per_class[0]
-        hf_reg = cora_runs.tuned("r", s).hf_fraction_per_class[0]
+        hf_base = cora_runs["gcn", s].hf_fraction_per_class[0]
+        hf_reg = cora_runs["r", s].hf_fraction_per_class[0]
         pairs.append((hf_base, hf_reg))
         if hf_reg < hf_base:
             wins += 1
@@ -256,8 +269,8 @@ def test_criterion_9_cora_nonuniformity(cora_runs):
     wins = 0
     total_entries = None
     for s in CORA_SEEDS:
-        xb = cora_runs.run("gcn", s).final_probs
-        xr = cora_runs.tuned("r", s).final_probs
+        xb = cora_runs["gcn", s].final_probs
+        xr = cora_runs["r", s].final_probs
         total_entries = xb.size
         ub, ob = nonuniformity_counts(xb, 0.01)
         ur, orr = nonuniformity_counts(xr, 0.01)

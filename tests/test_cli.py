@@ -1204,7 +1204,7 @@ def pytest_runtest_makereport(item, call):
 
 def test_cora_criteria_run_on_synthetic_data(tmp_path):
     # criteria 7b, 7c, 8 and 9 skip without the raw data; here their bodies,
-    # the cora fixtures and _CoraRuns run on a 7-class stand-in with short
+    # the cora fixtures and gnn.cora_study run on a 7-class stand-in with short
     # training.  The data makes no accuracy claim, so each criterion may fail
     # its assertions, but nothing else
     _write_citation_files(tmp_path, n=1640, classes=7, dim=14)
@@ -1256,6 +1256,7 @@ def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message, 
 @pytest.mark.parametrize("script, args, message", [
     ("run_cora_suite.py", ["--variants", "gcn,bogus"], "got 'gcn,bogus'"),
     ("run_cora_suite.py", ["--variants", "lap"], "got 'lap'"),
+    ("run_cora_suite.py", ["--variants", "gcn,r,gcn"], "each once, got 'gcn,r,gcn'"),
     ("run_cora_suite.py", ["--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
     ("run_cora_suite.py", ["--out-dir", ""], "argument --out-dir: must not be empty"),
     ("run_cora_suite.py", ["--data-dir", ""], "argument --data-dir: must not be empty"),
@@ -1265,9 +1266,9 @@ def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message, 
      "--out-dir {tmp}/cora.cites/sub: {tmp}/cora.cites exists and is not a directory"),
     ("run_sbm_trend.py", ["--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
     ("run_sbm_trend.py", ["--variant", "lap"], "invalid choice: 'lap'"),
-], ids=["suite-unknown-variant", "suite-lap", "suite-seeds-0", "suite-empty-out-dir",
-        "suite-empty-data-dir", "suite-out-dir-is-a-file", "suite-out-dir-below-a-file",
-        "trend-seeds-0", "trend-lap"])
+], ids=["suite-unknown-variant", "suite-lap", "suite-repeated-variant", "suite-seeds-0",
+        "suite-empty-out-dir", "suite-empty-data-dir", "suite-out-dir-is-a-file",
+        "suite-out-dir-below-a-file", "trend-seeds-0", "trend-lap"])
 def test_script_rejects_bad_arguments_before_any_work(tmp_path, script, args, message):
     # the citation files are valid, so the suite would train if it got that far
     _write_citation_files(tmp_path, n=30)

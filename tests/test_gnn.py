@@ -26,6 +26,7 @@ from distsig.gnn import (
     best_run,
     component_coefficients,
     cora_features,
+    cora_study,
     gcn_forward,
     init_params,
     load_cora,
@@ -44,6 +45,7 @@ from distsig.graph import (
     normalized_adjacency,
 )
 from distsig.regularizer import confidence_weights
+from test_cli import _write_citation_files
 
 
 # --- splits ----------------------------------------------------------------
@@ -129,11 +131,10 @@ def _write(tmp_path, content=CONTENT, cites=CITES):
 
 def test_load_tiny_dataset(tmp_path):
     cp, qp = _write(tmp_path)
-    g, y, classes = load_cora(cp, qp)
+    g, y = load_cora(cp, qp)
     assert g.n == 3 and g.m == 2
     assert g.edges == ((0, 1), (1, 2))
-    assert classes == ["systems", "theory"]
-    assert np.array_equal(y, [1, 0, 1])
+    assert np.array_equal(y, [1, 0, 1])  # "systems" < "theory"
     f = cora_features(cp)
     assert isinstance(f, sp.csr_array) and f.shape == (3, 3)
     # rows normalized to sum 1
@@ -145,8 +146,8 @@ def test_load_cora_reads_no_feature_value(tmp_path):
     # the graph and labels stand without the feature columns: a malformed
     # value or a short row stops cora_features, not load_cora
     cp, qp = _write(tmp_path, content="n1 1 0 1 a\nn2 0 zebra b\nn3 nan 1e400 1 1 a\n")
-    g, y, classes = load_cora(cp, qp)
-    assert g.edges == ((0, 1), (1, 2)) and np.array_equal(y, [0, 1, 0]) and classes == ["a", "b"]
+    g, y = load_cora(cp, qp)
+    assert g.edges == ((0, 1), (1, 2)) and np.array_equal(y, [0, 1, 0])
     with pytest.raises(GraphError) as err:
         cora_features(cp)
     assert str(err.value) == f"{cp}:2: expected 3 features, got 2"
@@ -246,7 +247,7 @@ def test_cora_loaders_peak_memory(tmp_path, run_python):
         load_cora({str(tiny)!r}, {str(tiny_cites)!r})
         cora_features({str(tiny)!r})  # loads scipy.sparse
         before = peak_rss()
-        g, y, _ = load_cora({str(content)!r}, {str(cites)!r})
+        g, y = load_cora({str(content)!r}, {str(cites)!r})
         f = cora_features({str(content)!r})
         print(g.n, f.shape[1], f.nnz, peak_rss() - before)
     """)
@@ -258,7 +259,7 @@ def test_cora_loaders_peak_memory(tmp_path, run_python):
 def test_load_empty_cites_warns(tmp_path, caplog):
     cp, qp = _write(tmp_path, cites="")
     with caplog.at_level("WARNING", logger="distsig.gnn"):
-        g, _, _ = load_cora(cp, qp)
+        g, _ = load_cora(cp, qp)
     assert g.m == 0
     assert any("empty cites" in r.message for r in caplog.records)
 
@@ -266,7 +267,7 @@ def test_load_empty_cites_warns(tmp_path, caplog):
 def test_load_self_citation_skipped(tmp_path, caplog):
     cp, qp = _write(tmp_path, cites="n1 n1\nn1 n2\n")
     with caplog.at_level("WARNING", logger="distsig.gnn"):
-        g, _, _ = load_cora(cp, qp)
+        g, _ = load_cora(cp, qp)
     assert g.edges == ((0, 1),)
     assert any("self-citation" in r.message for r in caplog.records)
 
@@ -282,7 +283,7 @@ def test_load_non_utf8_file(tmp_path, which):
 
 def test_load_repeated_citation_collapses(tmp_path):
     cp, qp = _write(tmp_path, cites="n1 n2\nn2 n1\n")
-    g, _, _ = load_cora(cp, qp)
+    g, _ = load_cora(cp, qp)
     assert g.edges == ((0, 1),)
 
 
@@ -298,7 +299,7 @@ def test_load_builds_the_graph_build_graph_builds(tmp_path):
     content = "".join(f"{name} 1 0 c{i % 2}\n" for i, name in enumerate(names))
     cp, qp = _write(tmp_path, content=content,
                     cites="".join(f"{names[a]} {names[b]}\n" for a, b in pairs))
-    g, _, _ = load_cora(cp, qp)
+    g, _ = load_cora(cp, qp)
     first = {}
     for a, b in pairs:
         if a != b:
@@ -892,6 +893,51 @@ def test_stacked_train_decomposes_once(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.fixture
+def citation_pair(tmp_path, monkeypatch):
+    """The suite's synthetic citation pair as (graph, features, labels), with
+    TrainConfig's default training cut to 3 epochs, as the gate's synthetic
+    run cuts it."""
+    _write_citation_files(tmp_path)
+    defaults = list(TrainConfig.__init__.__defaults__)
+    defaults[list(inspect.signature(TrainConfig).parameters).index("epochs")] = 3
+    monkeypatch.setattr(TrainConfig.__init__, "__defaults__", tuple(defaults))
+    content, cites = gnn.cora_files(str(tmp_path))
+    g, y = load_cora(content, cites)
+    return g, cora_features(content), y
+
+
+def test_cora_study_is_tune_eta_then_one_analysis(citation_pair, monkeypatch):
+    g, f, y = citation_pair
+    calls = _count_eig_sym(monkeypatch)
+    runs = cora_study(g, f, y, ("gcn", "r"), range(2))
+    assert len(calls) == 1
+    assert list(runs) == [("gcn", 0), ("gcn", 1), ("r", 0), ("r", 1)]
+    want = [tune_eta(g, f, y, make_split(y, *CORA_SPLIT, seed),
+                     TrainConfig(variant=v, seed=seed), analysis=False)[0]
+            for v, seed in runs]
+    gnn.attach_analysis(g, want)
+    for m, w in zip(runs.values(), want):
+        # the study trains for TrainConfig's default epochs, whatever it is
+        assert len(m.to_json_dict()["per_epoch"]) == TrainConfig().epochs == 3
+        assert m.to_json_dict() == w.to_json_dict()
+
+
+def test_cora_study_draws_every_split_before_training(citation_pair, monkeypatch):
+    def late_split(labels, *sizes):
+        if sizes[-1] == 1:  # seed 1's split does not fit
+            raise ValueError("pool too small")
+        return make_split(labels, *sizes)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before every split was drawn")
+
+    monkeypatch.setattr(gnn, "make_split", late_split)
+    monkeypatch.setattr(gnn, "train", no_training)
+    with pytest.raises(ValueError, match="pool too small"):
+        cora_study(*citation_pair, VARIANTS, range(2))
+
+
 def test_cli_runs_decompose_their_own_graphs(tmp_path, monkeypatch, capsys):
     # each run reads or builds its graph afresh, and the spectrum dies with
     # it: a run never reuses an earlier run's eigendecomposition
@@ -916,5 +962,6 @@ def test_keyword_parameters_of_the_training_entry_points():
 
     assert keywords(train) == {"etas": None, "analysis": True}
     assert keywords(tune_eta) == {"grid": ETA_GRID, "analysis": True}
+    assert keywords(cora_study) == {}
     assert keywords(output_analysis) == {}
     assert keywords(component_coefficients) == {}
