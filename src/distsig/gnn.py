@@ -616,35 +616,24 @@ def best_run(runs: list[Metrics]) -> Metrics:
     return max(runs, key=lambda m: max(m.val_acc))
 
 
-def sbm_trend(setup, seed: int, variant: str) -> tuple[Metrics, Metrics]:
-    """One seed of the block-model trend study: (plain run, tuned run).
+def study(data, split, grid, variants) -> dict[tuple[str, int], Metrics]:
+    """The accuracy study of both datasets: ``{(variant, seed): tuned run}``.
 
-    Draws ``sbm_dataset(*setup, seed=seed)`` and its ``SBM_SPLIT`` split and
-    trains one stack over ``(0.0,) + SBM_ETA_GRID`` without the output
-    analysis.  The eta-0 member is bitwise the plain model, and the tuned run
-    is ``best_run`` of the other members, as ``tune_eta`` would pick it.
+    ``data`` maps each seed to its ``(graph, features, labels)``: a fresh block
+    model per seed, or one citation network for every seed.  Every seed's
+    ``make_split(labels, *split, seed)`` is drawn before any training, so data
+    too small for the split fails before any work.  Each run is ``tune_eta``'s
+    pick over ``grid`` for ``TrainConfig(variant=variant, seed=seed)``; for
+    ``gcn`` that is the one model at the default eta.  Then one
+    ``attach_analysis`` call per distinct graph, in run order, analyses that
+    graph's runs from one decomposition.
     """
-    g, f, y = sbm_dataset(*setup, seed=seed)
-    split = make_split(y, *SBM_SPLIT, seed)
-    base, *tuned = train(g, f, y, split, TrainConfig(variant=variant, seed=seed),
-                         etas=(0.0,) + SBM_ETA_GRID, analysis=False)
-    return base, best_run(tuned)
-
-
-def cora_study(g, features, labels, variants, seeds) -> dict[tuple[str, int], Metrics]:
-    """The citation-network study: ``{(variant, seed): tuned run}``.
-
-    Draws every seed's ``CORA_SPLIT`` split before any training, so data too
-    small for the split fails before any work.  Each run is ``tune_eta``'s pick over
-    ``ETA_GRID`` for ``TrainConfig(variant=variant, seed=seed)``; for ``gcn``
-    that is the one model at the default eta.  One ``attach_analysis`` call,
-    one decomposition, then analyses every run.
-    """
-    splits = {seed: make_split(labels, *CORA_SPLIT, seed) for seed in seeds}
-    runs = {(v, seed): tune_eta(g, features, labels, split, TrainConfig(variant=v, seed=seed),
-                                analysis=False)[0]
-            for v in variants for seed, split in splits.items()}
-    attach_analysis(g, list(runs.values()))
+    splits = {seed: make_split(labels, *split, seed) for seed, (_, _, labels) in data.items()}
+    runs = {(v, seed): tune_eta(*data[seed], splits[seed], TrainConfig(variant=v, seed=seed),
+                                grid, analysis=False)[0]
+            for v in variants for seed in data}
+    for g in {id(g): g for g, _, _ in data.values()}.values():
+        attach_analysis(g, [m for (_, seed), m in runs.items() if data[seed][0] is g])
     return runs
 
 

@@ -13,20 +13,18 @@ import pytest
 
 from distsig.distributional import BOUND_CORPUS, optimal_coupling, run_bound_corpus, wasserstein_sq
 from distsig.gnn import (
+    CORA_SPLIT,
+    ETA_GRID,
     SBM_4BLOCK,
     SBM_ETA_GRID,
+    SBM_SPLIT,
     VARIANTS,
     GcnParams,
-    TrainConfig,
-    cora_study,
     laplacian_sparse,
     loss_and_grad,
-    make_split,
     normalized_adjacency,
     sbm_dataset,
-    sbm_trend,
-    train,
-    tune_eta,
+    study,
 )
 from distsig.graph import build_graph, sbm_generate
 from distsig.regularizer import confidence_weights, nonuniformity_bound_check, nonuniformity_counts
@@ -184,14 +182,13 @@ def test_criterion_6_gradient_correctness():
 
 
 def test_criterion_7a_block_model_trend():
-    # the protocol (graph, split, eta stack, tuned pick) lives in
-    # gnn.sbm_trend, which scripts/run_sbm_trend.py also runs; the seeds,
-    # thresholds and time budget are the gate's own
+    # the protocol (graphs, splits, tuned runs, analyses) lives in gnn.study,
+    # which scripts/run_study.py also runs; the seeds, thresholds and time
+    # budget are the gate's own
     t0 = time.perf_counter()
-    diffs = []
-    for seed in range(10):
-        base, best = sbm_trend(SBM_4BLOCK, seed, "r")
-        diffs.append(best.test_acc - base.test_acc)
+    runs = study({s: sbm_dataset(*SBM_4BLOCK, seed=s) for s in range(10)}, SBM_SPLIT,
+                 SBM_ETA_GRID, ("gcn", "r"))
+    diffs = [runs["r", s].test_acc - runs["gcn", s].test_acc for s in range(10)]
     elapsed = time.perf_counter() - t0
     mean = float(np.mean(diffs))
     nonneg = sum(d >= 0.0 for d in diffs)
@@ -209,11 +206,11 @@ CORA_SEEDS = range(5)
 
 @pytest.fixture(scope="module")
 def cora_runs(cora):
-    # the protocol (splits, tuned runs, one analysis) lives in gnn.cora_study,
-    # which scripts/run_cora_suite.py also runs; _elapsed is its training
-    # and analysis together
+    # the protocol (splits, tuned runs, one analysis) lives in gnn.study,
+    # which scripts/run_study.py also runs; _elapsed is its training and
+    # analysis together
     t0 = time.perf_counter()
-    runs = cora_study(*cora, VARIANTS, CORA_SEEDS)
+    runs = study(dict.fromkeys(CORA_SEEDS, cora), CORA_SPLIT, ETA_GRID, VARIANTS)
     runs["_elapsed"] = time.perf_counter() - t0
     return runs
 
@@ -291,12 +288,9 @@ def test_criterion_9_cora_nonuniformity(cora_runs):
 
 @pytest.fixture(scope="module")
 def sbm_pair():
-    g, f, y = sbm_dataset((60, 60), 0.15, 0.01, seed=1)
-    split = make_split(y, 5, 30, 60, seed=1)
-    base = train(g, f, y, split, TrainConfig(variant="gcn", seed=1))
-    best, _ = tune_eta(g, f, y, split, TrainConfig(variant="r", seed=1),
-                       grid=SBM_ETA_GRID)
-    return base, best
+    runs = study({1: sbm_dataset((60, 60), 0.15, 0.01, seed=1)}, (5, 30, 60), SBM_ETA_GRID,
+                 ("gcn", "r"))
+    return runs["gcn", 1], runs["r", 1]
 
 
 def test_sbm_shrinkage_sanity(sbm_pair):

@@ -1128,8 +1128,8 @@ def test_cora_suite_smoke(tmp_path, capsys):
     # the code path behind criteria 7b-9, on a synthetic stand-in for the data
     _write_citation_files(tmp_path)
     out = tmp_path / "runs"
-    r = _run_script("run_cora_suite.py", "--data-dir", str(tmp_path), "--seeds", "1",
-                    "--variants", "gcn,r", "--out-dir", str(out))
+    r = _run_script("run_study.py", "--dataset", "cora", "--data-dir", str(tmp_path),
+                    "--seeds", "1", "--variants", "gcn,r", "--out-dir", str(out))
     assert r.returncode == 0, r.stderr
     assert sorted(p.name for p in out.iterdir()) == ["gcn_seed0.json", "r_seed0.json",
                                                      "summary.csv"]
@@ -1151,32 +1151,41 @@ def test_cora_suite_smoke(tmp_path, capsys):
 
 
 def test_cora_suite_decomposes_once(tmp_path, monkeypatch, capsys):
-    # every reported run is analysed from one main-component decomposition
+    # every reported run is analysed from one decomposition of its graph: the
+    # one citation network's, or each seed's own block model's
     _write_citation_files(tmp_path)
-    sizes = []
     real = spectral.eig_sym
-    monkeypatch.setattr(spectral, "eig_sym",
-                        lambda mat, *args: sizes.append(mat.shape[0]) or real(mat, *args))
-    monkeypatch.setattr(sys, "argv", ["run_cora_suite.py", "--data-dir", str(tmp_path),
-                                      "--seeds", "2", "--variants", "gcn",
-                                      "--out-dir", str(tmp_path / "runs")])
-    with pytest.raises(SystemExit) as done:
-        runpy.run_path(str(SCRIPTS[0].parent / "run_cora_suite.py"), run_name="__main__")
-    assert done.value.code == 0
-    assert "2 runs in" in capsys.readouterr().out
-    assert len(sizes) == 1
+    for dataset, options, decompositions in (("cora", ["--data-dir", str(tmp_path)], 1),
+                                             ("4block", [], 2)):
+        sizes = []
+        monkeypatch.setattr(spectral, "eig_sym",
+                            lambda mat, *args: sizes.append(mat.shape[0]) or real(mat, *args))
+        monkeypatch.setattr(sys, "argv", ["run_study.py", "--dataset", dataset, *options,
+                                          "--seeds", "2", "--variants", "gcn",
+                                          "--out-dir", str(tmp_path / dataset)])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(SCRIPTS[0].parent / "run_study.py"), run_name="__main__")
+        assert done.value.code == 0
+        assert "2 runs in" in capsys.readouterr().out
+        assert len(sizes) == decompositions
+    assert all(n <= sum(gnn.SBM_4BLOCK[0]) for n in sizes)  # each block model's main component
 
 
-def test_sbm_trend_script_runs_the_gate_protocol():
-    # the script's 4-block seed is criterion 7a's seed: one gnn.sbm_trend call
-    r = _run_script("run_sbm_trend.py", "--seeds", "1", "--setup", "4block")
+def test_sbm_trend_script_runs_the_gate_protocol(tmp_path):
+    # the script's 4-block seed 0 is criterion 7a's seed 0: one gnn.study call
+    r = _run_script("run_study.py", "--dataset", "4block", "--seeds", "1", "--variants", "gcn,r",
+                    "--out-dir", str(tmp_path))
     assert r.returncode == 0, r.stderr
-    base, best = gnn.sbm_trend(gnn.SBM_4BLOCK, 0, "r")
-    blocks, p_in, p_out = gnn.SBM_4BLOCK
+    runs = gnn.study({0: gnn.sbm_dataset(*gnn.SBM_4BLOCK, seed=0)}, gnn.SBM_SPLIT,
+                     gnn.SBM_ETA_GRID, ("gcn", "r"))
+    base, best = runs["gcn", 0], runs["r", 0]
     lines = r.stdout.splitlines()
-    assert lines[0] == f"--- 4block: blocks {blocks}, p_in {p_in}, p_out {p_out} ---"
-    assert lines[1].startswith(f"seed 0: gcn {base.test_acc:.3f}  r {best.test_acc:.3f} "
-                               f"(eta {best.config.eta})  diff ")
+    for line, m in ((lines[0], base), (lines[2], best)):
+        assert line.startswith(f"{m.config.variant} seed 0: acc {m.test_acc:.4f} "
+                               f"(eta {m.config.eta}), hf {m.hf_fraction_per_class[0]:.4f}, ")
+    diff = best.test_acc - base.test_acc
+    assert lines[3].startswith("== r: ")
+    assert lines[3].endswith(f", vs gcn mean diff {diff:+.4f}, nonnegative {int(diff >= 0)}/1")
 
 
 # A -p plugin for a pytest child: shortens TrainConfig's default training and
@@ -1204,7 +1213,7 @@ def pytest_runtest_makereport(item, call):
 
 def test_cora_criteria_run_on_synthetic_data(tmp_path):
     # criteria 7b, 7c, 8 and 9 skip without the raw data; here their bodies,
-    # the cora fixtures and gnn.cora_study run on a 7-class stand-in with short
+    # the cora fixtures and gnn.study run on a 7-class stand-in with short
     # training.  The data makes no accuracy claim, so each criterion may fail
     # its assertions, but nothing else
     _write_citation_files(tmp_path, n=1640, classes=7, dim=14)
@@ -1246,38 +1255,44 @@ def test_cora_suite_rejects_unusable_data_before_any_work(tmp_path, n, message, 
     elif n is not None:
         _write_citation_files(tmp_path, n=n)
     out = tmp_path / "runs"
-    r = _run_script("run_cora_suite.py", "--data-dir", str(tmp_path), "--seeds", "2",
-                    "--out-dir", str(out))
+    r = _run_script("run_study.py", "--dataset", "cora", "--data-dir", str(tmp_path),
+                    "--seeds", "2", "--out-dir", str(out))
     assert r.returncode == code
     assert r.stdout == "" and r.stderr.startswith(message) and r.stderr.count("\n") == 1
     assert not out.exists()
 
 
-@pytest.mark.parametrize("script, args, message", [
-    ("run_cora_suite.py", ["--variants", "gcn,bogus"], "got 'gcn,bogus'"),
-    ("run_cora_suite.py", ["--variants", "lap"], "got 'lap'"),
-    ("run_cora_suite.py", ["--variants", "gcn,r,gcn"], "each once, got 'gcn,r,gcn'"),
-    ("run_cora_suite.py", ["--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
-    ("run_cora_suite.py", ["--out-dir", ""], "argument --out-dir: must not be empty"),
-    ("run_cora_suite.py", ["--data-dir", ""], "argument --data-dir: must not be empty"),
-    ("run_cora_suite.py", ["--out-dir", "{tmp}/cora.cites"],
+CORA = ["--dataset", "cora", "--data-dir", "{tmp}"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ([*CORA, "--variants", "gcn,bogus"], "got 'gcn,bogus'"),
+    ([*CORA, "--variants", "lap"], "got 'lap'"),
+    ([*CORA, "--variants", "gcn,r,gcn"], "each once, got 'gcn,r,gcn'"),
+    ([*CORA, "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+    ([*CORA, "--out-dir", ""], "argument --out-dir: must not be empty"),
+    ([*CORA, "--data-dir", ""], "argument --data-dir: must not be empty"),
+    ([*CORA, "--out-dir", "{tmp}/cora.cites"],
      "--out-dir {tmp}/cora.cites: exists and is not a directory"),
-    ("run_cora_suite.py", ["--out-dir", "{tmp}/cora.cites/sub"],
+    ([*CORA, "--out-dir", "{tmp}/cora.cites/sub"],
      "--out-dir {tmp}/cora.cites/sub: {tmp}/cora.cites exists and is not a directory"),
-    ("run_sbm_trend.py", ["--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
-    ("run_sbm_trend.py", ["--variant", "lap"], "invalid choice: 'lap'"),
+    (["--dataset", "4block", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+    (["--dataset", "4block", "--variants", "lap"], "got 'lap'"),
+    (["--dataset", "4block", "--data-dir", "{tmp}"],
+     "--data-dir is read only by --dataset cora, not by --dataset 4block"),
+    (["--dataset", "sbm"], "argument --dataset: invalid choice: 'sbm'"),
+    ([], "the following arguments are required: --dataset"),
 ], ids=["suite-unknown-variant", "suite-lap", "suite-repeated-variant", "suite-seeds-0",
         "suite-empty-out-dir", "suite-empty-data-dir", "suite-out-dir-is-a-file",
-        "suite-out-dir-below-a-file", "trend-seeds-0", "trend-lap"])
-def test_script_rejects_bad_arguments_before_any_work(tmp_path, script, args, message):
-    # the citation files are valid, so the suite would train if it got that far
+        "suite-out-dir-below-a-file", "trend-seeds-0", "trend-lap", "trend-data-dir",
+        "unknown-dataset", "no-dataset"])
+def test_script_rejects_bad_arguments_before_any_work(tmp_path, args, message):
+    # the citation files are valid, so the study would train if it got that far
     _write_citation_files(tmp_path, n=30)
     before = {f: f.read_bytes() for f in tmp_path.iterdir()}
     out = tmp_path / "runs"
-    args = [a.format(tmp=tmp_path) for a in args]
-    if script == "run_cora_suite.py":  # the case's own value is the last, so it wins
-        args = ["--data-dir", str(tmp_path), "--out-dir", str(out), *args]
-    r = _run_script(script, *args)
+    # the case's own --out-dir comes last, so it wins
+    r = _run_script("run_study.py", "--out-dir", str(out), *[a.format(tmp=tmp_path) for a in args])
     assert r.returncode == 2, r.stderr
     assert r.stdout == "" and message.format(tmp=tmp_path) in r.stderr.splitlines()[-1]
     assert not out.exists()

@@ -26,7 +26,6 @@ from distsig.gnn import (
     best_run,
     component_coefficients,
     cora_features,
-    cora_study,
     gcn_forward,
     init_params,
     load_cora,
@@ -35,6 +34,7 @@ from distsig.gnn import (
     output_analysis,
     sbm_dataset,
     sbm_features,
+    study,
     train,
     tune_eta,
 )
@@ -893,39 +893,47 @@ def test_stacked_train_decomposes_once(monkeypatch):
     assert len(calls) == 4
 
 
-@pytest.fixture
-def citation_pair(tmp_path, monkeypatch):
-    """The suite's synthetic citation pair as (graph, features, labels), with
-    TrainConfig's default training cut to 3 epochs, as the gate's synthetic
-    run cuts it."""
-    _write_citation_files(tmp_path)
+@pytest.fixture(params=["citation-pair", "block-models"])
+def study_data(request, tmp_path, monkeypatch):
+    """``study``'s data, split and grid, with TrainConfig's default training
+    cut to 3 epochs, as the gate's synthetic run cuts it: the suite's
+    synthetic citation pair for seeds 0 and 1, or a fresh 4-block model for
+    each of seeds 0-2."""
     defaults = list(TrainConfig.__init__.__defaults__)
     defaults[list(inspect.signature(TrainConfig).parameters).index("epochs")] = 3
     monkeypatch.setattr(TrainConfig.__init__, "__defaults__", tuple(defaults))
+    if request.param == "block-models":
+        return {s: sbm_dataset(*SBM_4BLOCK, seed=s) for s in range(3)}, SBM_SPLIT, SBM_ETA_GRID
+    _write_citation_files(tmp_path)
     content, cites = gnn.cora_files(str(tmp_path))
     g, y = load_cora(content, cites)
-    return g, cora_features(content), y
+    return dict.fromkeys(range(2), (g, cora_features(content), y)), CORA_SPLIT, ETA_GRID
 
 
-def test_cora_study_is_tune_eta_then_one_analysis(citation_pair, monkeypatch):
-    g, f, y = citation_pair
+def test_study_is_tune_eta_then_one_analysis_per_graph(study_data, monkeypatch):
+    data, split, grid = study_data
     calls = _count_eig_sym(monkeypatch)
-    runs = cora_study(g, f, y, ("gcn", "r"), range(2))
-    assert len(calls) == 1
-    assert list(runs) == [("gcn", 0), ("gcn", 1), ("r", 0), ("r", 1)]
-    want = [tune_eta(g, f, y, make_split(y, *CORA_SPLIT, seed),
-                     TrainConfig(variant=v, seed=seed), analysis=False)[0]
-            for v, seed in runs]
-    gnn.attach_analysis(g, want)
-    for m, w in zip(runs.values(), want):
+    runs = study(data, split, grid, ("gcn", "r"))
+    # one decomposition per distinct graph: 1 for the citation pair, 3 for the block models
+    assert len(calls) == len({id(g) for g, _, _ in data.values()})
+    assert list(runs) == [(v, seed) for v in ("gcn", "r") for seed in data]
+    want = {(v, seed): tune_eta(*data[seed], make_split(data[seed][2], *split, seed),
+                                TrainConfig(variant=v, seed=seed), grid, analysis=False)[0]
+            for v, seed in runs}
+    for seed, (g, _, _) in data.items():  # a joint analysis is bitwise each run's own
+        gnn.attach_analysis(g, [want[v, seed] for v in ("gcn", "r")])
+    for key, m in runs.items():
         # the study trains for TrainConfig's default epochs, whatever it is
         assert len(m.to_json_dict()["per_epoch"]) == TrainConfig().epochs == 3
-        assert m.to_json_dict() == w.to_json_dict()
+        assert m.to_json_dict() == want[key].to_json_dict()
 
 
-def test_cora_study_draws_every_split_before_training(citation_pair, monkeypatch):
+def test_study_draws_every_split_before_training(study_data, monkeypatch):
+    data, split, grid = study_data
+    last = max(data)
+
     def late_split(labels, *sizes):
-        if sizes[-1] == 1:  # seed 1's split does not fit
+        if sizes[-1] == last:  # the last seed's split does not fit
             raise ValueError("pool too small")
         return make_split(labels, *sizes)
 
@@ -935,7 +943,7 @@ def test_cora_study_draws_every_split_before_training(citation_pair, monkeypatch
     monkeypatch.setattr(gnn, "make_split", late_split)
     monkeypatch.setattr(gnn, "train", no_training)
     with pytest.raises(ValueError, match="pool too small"):
-        cora_study(*citation_pair, VARIANTS, range(2))
+        study(data, split, grid, VARIANTS)
 
 
 def test_cli_runs_decompose_their_own_graphs(tmp_path, monkeypatch, capsys):
@@ -962,6 +970,6 @@ def test_keyword_parameters_of_the_training_entry_points():
 
     assert keywords(train) == {"etas": None, "analysis": True}
     assert keywords(tune_eta) == {"grid": ETA_GRID, "analysis": True}
-    assert keywords(cora_study) == {}
+    assert keywords(study) == {}
     assert keywords(output_analysis) == {}
     assert keywords(component_coefficients) == {}
