@@ -46,13 +46,11 @@ def load(args, seeds):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--dataset", required=True, choices=tuple(PROTOCOLS))
-    ap.add_argument("--data-dir", type=_path, default=None,
-                    help="override DISTSIG_DATA_DIR (--dataset cora)")
-    ap.add_argument("--seeds", type=_positive, default=None,
+    ap.add_argument("--data-dir", type=_path, help="override DISTSIG_DATA_DIR (--dataset cora)")
+    ap.add_argument("--seeds", type=_positive,
                     help="seeds 0..N-1 (default: the gate's, 5 for cora, 10 otherwise)")
     ap.add_argument("--variants", default=",".join(VARIANTS))
-    ap.add_argument("--out-dir", type=_path, default=None,
-                    help="default study_runs/<dataset>")
+    ap.add_argument("--out-dir", type=_path, help="default study_runs/<dataset>")
     args = ap.parse_args()
     split, grid, gate_seeds = PROTOCOLS[args.dataset]
     if args.data_dir is not None and args.dataset != "cora":
