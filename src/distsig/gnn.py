@@ -433,10 +433,13 @@ def loss_and_grad(params: GcnParams, ahat, features, labels, train_idx, lap, a_v
     o, x, cache = gcn_forward(params, ahat, features, dropout=DROPOUT, rng=rng)
     n = o.shape[-2]
     ce = _masked_nll(x, labels, train_idx)
+    # the cross-entropy gradient is (x - onehot) / |train| on the training
+    # rows and 0 elsewhere, so only the gathered rows are divided
+    d_train = x[:, train_idx, :]
+    d_train[:, np.arange(train_idx.shape[0]), labels[train_idx]] -= 1.0
+    d_train /= train_idx.shape[0]
     d_o = np.zeros_like(o)
-    d_o[:, train_idx, :] = x[:, train_idx, :]
-    d_o[:, train_idx, labels[train_idx]] -= 1.0
-    d_o /= train_idx.shape[0]
+    d_o[:, train_idx, :] = d_train
 
     reg, reg_grad = _reg_value_and_grad(variant, o, x, lap, a_vec, True)
     if reg_grad is not None:
@@ -518,9 +521,10 @@ def train(g: Graph, features, labels, split: Split, cfg: TrainConfig, *, etas=No
         )
         opt.step([params.w1, params.w2], grads)
         # v holds g * g, so it leaves float range no later than m; each model
-        # owns one HIDDEN-column block of w1 and one slice of w2
-        finite = (np.isfinite(loss) & np.isfinite(opt.v[1]).all(axis=(1, 2))
-                  & np.isfinite(opt.v[0]).reshape(-1, len(cfgs), HIDDEN).all(axis=(0, 2)))
+        # owns one HIDDEN-column block of w1 and one slice of w2, and each
+        # reduction runs along contiguous memory
+        finite = (np.isfinite(loss) & np.isfinite(opt.v[1]).reshape(len(cfgs), -1).all(axis=1)
+                  & np.isfinite(opt.v[0]).all(axis=0).reshape(len(cfgs), HIDDEN).all(axis=1))
         if not finite.all():
             first = cfgs[int(np.argmin(finite))]
             raise RuntimeError(f"divergence (non-finite loss or Adam moment) at epoch {epoch}, "

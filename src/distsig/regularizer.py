@@ -43,22 +43,44 @@ def confidence_weights(g: Graph) -> np.ndarray:
 
 
 def softmax_rows(o: np.ndarray) -> np.ndarray:
-    """Rowwise softmax with max subtraction of finite logits (``gcn_forward`` checks them)."""
+    """Rowwise softmax with max subtraction of finite logits (``gcn_forward`` checks them).
+
+    The row max and the row sum are running slab operations over the class
+    columns, which skip a reduction's per-row cost on a short last axis.  A
+    maximum is exact in any order: a tie of -0.0 and 0.0 only flips the sign
+    of a zero in z, and exp maps both to 1.  The sum keeps ``np.sum``'s bits
+    through ``_class_sum``.
+    """
     o = np.asarray(o, dtype=float)
-    # a maximum is exact in any order (a tie of -0.0 and 0.0 only flips the
-    # sign of a zero in z, and exp maps both to 1), so a running maximum over
-    # the columns gives the same output without a reduction's per-row cost
-    # on a short last axis
     z = o - functools.reduce(np.maximum, [o[..., j] for j in range(o.shape[-1])])[..., None]
     np.exp(z, out=z)
-    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
+    return np.divide(z, _class_sum(z), out=z)
 
 
 def softmax_vjp(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Pull a gradient in softmax outputs back to logits, row by row, in place of ``grad``."""
-    grad -= np.sum(x * grad, axis=-1, keepdims=True)
+    """Pull a gradient in softmax outputs back to logits, row by row, in place of ``grad``.
+
+    The row dot product of ``x`` and ``grad`` is a running sum of the class
+    columns of their product, with ``np.sum``'s bits (see ``_class_sum``).
+    """
+    grad -= _class_sum(x * grad)
     grad *= x
     return grad
+
+
+def _class_sum(z: np.ndarray) -> np.ndarray:
+    """``z.sum(axis=-1, keepdims=True)``, bitwise, as a running sum below 8 classes.
+
+    numpy adds a last axis shorter than 8 one entry at a time, in index
+    order, onto its identity +0.0 (which turns a row of only -0.0 into
+    +0.0); slab adds in that order give the same bits without the per-row
+    cost of a reduction.  From 8 entries up numpy sums pairwise, in another
+    order, so the sum is numpy's own.  ``tests/test_regularizer.py`` checks
+    both facts against the installed numpy.
+    """
+    if z.shape[-1] >= 8:
+        return z.sum(axis=-1, keepdims=True)
+    return functools.reduce(np.add, [z[..., j] for j in range(z.shape[-1])], 0.0)[..., None]
 
 
 def nonuniformity_bound_check(x, a) -> dict:

@@ -7,7 +7,8 @@ tree cover weighted by one Python sum per tree, the unit-weight minimum tree
 cover, the inverse graph Fourier transform, a recorder for the LPs that
 ``distributional`` hands to the simplex solver, the per-edge and
 per-(node, label) loop build of the joint-coupling LP and its staircase
-start, the joint LP on every marginal row through the two-phase simplex, one
+start, the joint LP on every marginal row through the two-phase simplex, the
+softmax and its vector-Jacobian product by numpy's class-axis reductions, one
 branch per regularizer variant, one model's forward pass and loss gradient
 on plain n x C arrays (at ``gnn.DROPOUT`` and ``gnn.WEIGHT_DECAY`` as read
 at call time, so a test may patch them), the one-model-at-a-time training
@@ -34,7 +35,7 @@ from distsig.graph import (
     normalized_adjacency,
     read_lines,
 )
-from distsig.regularizer import confidence_weights, softmax_rows, softmax_vjp
+from distsig.regularizer import confidence_weights
 from distsig.simplex import PIVOT_TOL, _pivot, _run_phase, solve_lp
 
 ORACLE_MAX_M = 6
@@ -243,6 +244,17 @@ def tv_exact_two_phase(g, x) -> float:
             a[i * m + s] = (states[:, i] == s).astype(float)
     _, val = solve_lp_two_phase(_joint_cost(g, states), a, x.ravel())
     return max(val, 0.0)
+
+
+def softmax_rows(o):
+    """Rowwise softmax, its max and sum taken by numpy's reductions."""
+    z = np.exp(o - np.max(o, axis=-1, keepdims=True))
+    return z / np.sum(z, axis=-1, keepdims=True)
+
+
+def softmax_vjp(x, grad):
+    """The softmax's vector-Jacobian product (grad - <x, grad>) * x, row by row."""
+    return (grad - np.sum(x * grad, axis=-1, keepdims=True)) * x
 
 
 def reg_one(variant, o, x, lap, a_vec):

@@ -11,6 +11,10 @@
   ``spectral.laplacian_coefficients``: each route densifies the Laplacian
   once, in Fortran order, which LAPACK's working copy takes without a
   transpose.
+- ``reduce`` only in ``regularizer.softmax_rows`` and
+  ``regularizer._class_sum``: a running class-axis sum gives ``np.sum``'s
+  bits only below 8 classes, so that rule lives in one helper, and the row
+  max beside it is exact in any order.
 
 One attribute belongs to one module: ``Graph``'s stored edge array is read
 only in ``graph.py``.  Every other module, script and benchmark file reads
@@ -44,7 +48,8 @@ def _calls(tree, name):
     ("Graph", [("gnn", "load_cora"), ("graph", "build_graph"), ("graph", "main_component"),
                ("graph", "sbm_generate")]),
     ("toarray", [("spectral", "laplacian_spectrum"), ("spectral", "laplacian_coefficients")]),
-], ids=["cumsum", "Graph", "toarray"])
+    ("reduce", [("regularizer", "softmax_rows"), ("regularizer", "_class_sum")]),
+], ids=["cumsum", "Graph", "toarray", "reduce"])
 def test_called_only_inside(name, owners):
     found = []  # (module, top-level function or None, line) per call
     for path in sorted(LIBRARY.glob("*.py")):

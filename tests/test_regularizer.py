@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from distsig.distributional import tv_l1_l2
 from distsig.gnn import VARIANTS, _blocks, _reg_value_and_grad
 from distsig.graph import build_graph, laplacian_sparse
 from distsig.regularizer import (
+    _class_sum,
     confidence_weights,
     nonuniformity_bound_check,
     nonuniformity_counts,
@@ -45,6 +47,38 @@ def test_softmax_rows_sum_to_one(rng):
     x = softmax_rows(o)
     assert np.allclose(x.sum(axis=1), 1.0, atol=1e-12)
     assert np.min(x) >= 0.0
+
+
+def _class_stacks(rng, c, k=3, n=50):
+    """A C-order k x n x c stack and a ``_blocks`` view of an n x kc array."""
+    return (3.0 * rng.standard_normal((k, n, c)),
+            _blocks(3.0 * rng.standard_normal((n, k * c)), k))
+
+
+@pytest.mark.parametrize("c", range(2, 13))
+def test_class_sums_equal_np_sum_bitwise(c):
+    # the running sums below 8 classes and numpy's own from 8 up must both
+    # give np.sum's bits, in either layout that training hands them
+    rng = np.random.default_rng(c)
+    for o in _class_stacks(rng, c):
+        got, want = _class_sum(o), o.sum(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        x = softmax_rows(o)
+        assert x.tobytes() == oracles.softmax_rows(o).tobytes()
+        grad = rng.standard_normal(o.shape)
+        want = oracles.softmax_vjp(x, grad)
+        assert softmax_vjp(x, grad.copy()).tobytes() == want.tobytes()
+    zeros = np.full((2, 3, c), -0.0)  # np.sum adds onto +0.0, so these rows sum to +0.0
+    assert _class_sum(zeros).tobytes() == zeros.sum(axis=-1, keepdims=True).tobytes()
+
+
+def test_running_class_sum_is_not_np_sum_from_8_classes():
+    # why _class_sum switches to np.sum at 8: numpy sums 8 or more entries
+    # pairwise, and a running sum then loses its bits
+    rng = np.random.default_rng(8)
+    for o in _class_stacks(rng, 8):
+        running = functools.reduce(np.add, [o[..., j] for j in range(8)], 0.0)
+        assert running.tobytes() != o.sum(axis=-1).tobytes()
 
 
 # --- weight diagonal -------------------------------------------------------
